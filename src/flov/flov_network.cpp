@@ -57,11 +57,7 @@ FlovNetwork::FlovNetwork(const NocParams& params, FlovMode mode,
 
 void FlovNetwork::step(Cycle now) {
   current_cycle_ = now;
-  if (fault_ && !hard_applied_ && fault_->hard_at() > 0 &&
-      now >= fault_->hard_at()) {
-    hard_applied_ = true;
-    apply_hard_faults(now);
-  }
+  if (hard_faults_due(now)) apply_hard_faults(now);
   net_->step(now);
   // Replay wakeup requests the domain workers staged during net_->step.
   // Each stage is ascending by requester id (routers step in id order
@@ -363,12 +359,6 @@ FlovNetwork::ProtocolStats FlovNetwork::protocol_stats(Cycle now) const {
   return s;
 }
 
-int FlovNetwork::dead_router_count() const {
-  int n = 0;
-  for (char c : dead_mask_) n += c != 0;
-  return n;
-}
-
 int FlovNetwork::gated_router_count() const {
   int n = 0;
   for (const auto& h : hscs_) {
@@ -394,20 +384,14 @@ void FlovNetwork::publish_metrics(telemetry::MetricsRegistry& reg,
   reg.gauge("flov.avg_gated_routers") = s.avg_gated_routers;
   reg.gauge("flov.gated_routers_end") =
       static_cast<double>(gated_router_count());
+  publish_fault_metrics(reg);
   if (fault_) {
     const FaultInjector::Counters& f = fault_->counters();
     reg.counter("fault.signals_dropped") += f.signals_dropped;
     reg.counter("fault.signals_delayed") += f.signals_delayed;
     reg.counter("fault.signals_duplicated") += f.signals_duplicated;
-    reg.counter("fault.flits_dropped") += f.flits_dropped;
-    reg.counter("fault.flits_delayed") += f.flits_delayed;
     reg.counter("fault.spurious_wakeups") += f.spurious_wakeups;
     if (fault_->hard_at() > 0) {
-      // Hard-fault keys only exist when the hard knobs are armed, so
-      // transient-only manifests stay byte-stable across this change.
-      reg.counter("fault.hard_killed_flits") += f.hard_killed;
-      reg.gauge("fault.dead_routers") = static_cast<double>(dead_router_count());
-      reg.gauge("fault.dead_links") = static_cast<double>(dead_links_);
       reg.counter("flov.wake_requests_dropped") += wake_requests_dropped_;
     }
   }

@@ -86,21 +86,10 @@ class FlovNetwork final : public NocSystem {
   /// flags the wakeup directly.
   void request_wakeup(NodeId requester, NodeId target, Cycle now);
 
-  /// The armed fault injector, or null when running fault-free.
-  FaultInjector* fault_injector() { return fault_.get(); }
-  const FaultInjector* fault_injector() const { return fault_.get(); }
-
   // --- hard-fault introspection (PROTOCOL.md §8) ---
-  /// Per-node hard-fault flags (flipped once at fault.hard_at_cycle; shared
-  /// with every router's hold-for-wakeup test via Router::set_dead_mask).
-  const std::vector<char>& dead_mask() const { return dead_mask_; }
+  /// The dead mask is shared with every router's hold-for-wakeup test via
+  /// Router::set_dead_mask.
   bool router_dead(NodeId id) const { return dead_mask_[id] != 0; }
-  int dead_router_count() const;
-  int dead_link_count() const { return dead_links_; }
-  /// WakeupTriggers swallowed because the target is dead (each is a packet
-  /// waiting on a corpse; the sender's retransmit/dead-declaration path is
-  /// what eventually resolves it).
-  std::uint64_t wake_requests_dropped() const { return wake_requests_dropped_; }
 
   /// Stall diagnostics: HSC + occupancy dump of every non-quiescent router.
   void dump_state(Cycle now) const;
@@ -124,7 +113,8 @@ class FlovNetwork final : public NocSystem {
 
   /// Registers/updates the handshake-protocol and fault-injection metrics
   /// ("flov.*" / "fault.*") in `reg`.
-  void publish_metrics(telemetry::MetricsRegistry& reg, Cycle now) const;
+  void publish_metrics(telemetry::MetricsRegistry& reg,
+                       Cycle now) const override;
 
  private:
   /// Nearest router in `dir` from `b` (exclusive) whose datapath is
@@ -154,7 +144,6 @@ class FlovNetwork final : public NocSystem {
   std::unique_ptr<FlovRouting> routing_;
   std::unique_ptr<Network> net_;
   SignalFabric fabric_;
-  std::unique_ptr<FaultInjector> fault_;
   std::vector<std::unique_ptr<HandshakeController>> hscs_;
   /// One outstanding WakeupTrigger per sleeping target (reset at each
   /// Sleep entry); packet holders re-request every cycle otherwise. The
@@ -179,10 +168,9 @@ class FlovNetwork final : public NocSystem {
   std::uint64_t trigger_resends_ = 0;
   std::uint64_t recoveries_ = 0;
   Cycle current_cycle_ = 0;
-  /// Hard-fault state (all zero unless faults.hard_faults_armed()).
-  std::vector<char> dead_mask_;
-  int dead_links_ = 0;
-  bool hard_applied_ = false;
+  /// WakeupTriggers swallowed because the target is dead (each is a packet
+  /// waiting on a corpse; the sender's retransmit/dead-declaration path is
+  /// what eventually resolves it). Published as flov.wake_requests_dropped.
   std::uint64_t wake_requests_dropped_ = 0;
 };
 

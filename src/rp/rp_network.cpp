@@ -35,11 +35,7 @@ RpNetwork::RpNetwork(NocParams params, const EnergyParams& energy,
 }
 
 void RpNetwork::step(Cycle now) {
-  if (fault_ && !hard_applied_ && fault_->hard_at() > 0 &&
-      now >= fault_->hard_at()) {
-    hard_applied_ = true;
-    apply_hard_faults(now);
-  }
+  if (hard_faults_due(now)) apply_hard_faults(now);
   // The FM steps FIRST: a gating change reported this cycle must assert
   // the injection stall before any NI starts a packet under stale tables
   // (e.g. toward a just-reactivated core whose router is still parked).
@@ -72,29 +68,16 @@ int RpNetwork::parked_router_count() const {
   return n;
 }
 
-int RpNetwork::dead_router_count() const {
-  int n = 0;
-  for (char c : dead_mask_) n += c != 0;
-  return n;
-}
-
-void RpNetwork::publish_metrics(telemetry::MetricsRegistry& reg) const {
+void RpNetwork::publish_metrics(telemetry::MetricsRegistry& reg,
+                                Cycle /*now*/) const {
   reg.counter("rp.reconfigurations") += fm_->reconfigurations();
   reg.counter("rp.purged_packets") += fm_->purged_packets();
   reg.gauge("rp.parked_routers") = static_cast<double>(parked_router_count());
   reg.gauge("rp.last_reconfig_duration") =
       static_cast<double>(fm_->last_reconfig_duration());
-  if (fault_) {
-    const FaultInjector::Counters& f = fault_->counters();
-    reg.counter("fault.flits_dropped") += f.flits_dropped;
-    reg.counter("fault.flits_delayed") += f.flits_delayed;
-    if (fault_->hard_at() > 0) {
-      reg.counter("fault.hard_killed_flits") += f.hard_killed;
-      reg.gauge("fault.dead_routers") =
-          static_cast<double>(dead_router_count());
-      reg.gauge("fault.dead_links") = static_cast<double>(dead_links_);
-      reg.counter("rp.quarantined") += fm_->quarantined();
-    }
+  publish_fault_metrics(reg);
+  if (fault_ && fault_->hard_at() > 0) {
+    reg.counter("rp.quarantined") += fm_->quarantined();
   }
 }
 

@@ -50,15 +50,10 @@ class RpNetwork final : public NocSystem {
 
   int parked_router_count() const;
 
-  /// The armed fault injector, or null when running fault-free.
-  FaultInjector* fault_injector() { return fault_.get(); }
-  const FaultInjector* fault_injector() const { return fault_.get(); }
-  const std::vector<char>& dead_mask() const { return dead_mask_; }
-  int dead_router_count() const;
-  int dead_link_count() const { return dead_links_; }
-
-  /// Registers/updates the fabric-manager metrics ("rp.*") in `reg`.
-  void publish_metrics(telemetry::MetricsRegistry& reg) const;
+  /// Registers/updates the fabric-manager metrics ("rp.*") in `reg`. They
+  /// are end-of-run state only, so `now` is unused.
+  void publish_metrics(telemetry::MetricsRegistry& reg,
+                       Cycle now = 0) const override;
 
  private:
   /// Applies the armed hard faults once, at fault.hard_at_cycle: fate-hashed
@@ -72,11 +67,7 @@ class RpNetwork final : public NocSystem {
   std::unique_ptr<TableRouting> routing_;
   std::unique_ptr<Network> net_;
   std::unique_ptr<FabricManager> fm_;
-  std::unique_ptr<FaultInjector> fault_;
   std::vector<bool> always_on_;
-  std::vector<char> dead_mask_;
-  int dead_links_ = 0;
-  bool hard_applied_ = false;
 };
 
 }  // namespace flov

@@ -2,7 +2,6 @@
 
 #include "fault/fault_wiring.hpp"
 #include "noc/router.hpp"
-#include "telemetry/metrics.hpp"
 
 namespace flov {
 
@@ -30,11 +29,7 @@ BaselineNetwork::BaselineNetwork(NocParams params, const EnergyParams& energy,
 }
 
 void BaselineNetwork::step(Cycle now) {
-  if (fault_ && !hard_applied_ && fault_->hard_at() > 0 &&
-      now >= fault_->hard_at()) {
-    hard_applied_ = true;
-    apply_hard_faults(now);
-  }
+  if (hard_faults_due(now)) apply_hard_faults(now);
   net_->step(now);
 }
 
@@ -50,24 +45,6 @@ void BaselineNetwork::apply_hard_faults(Cycle now) {
     net_->router(id).begin_death(now);
     net_->ni(id).kill(now);
     net_->wake_router(id);
-  }
-}
-
-int BaselineNetwork::dead_router_count() const {
-  int n = 0;
-  for (char c : dead_mask_) n += c != 0;
-  return n;
-}
-
-void BaselineNetwork::publish_metrics(telemetry::MetricsRegistry& reg) const {
-  if (!fault_) return;
-  const FaultInjector::Counters& f = fault_->counters();
-  reg.counter("fault.flits_dropped") += f.flits_dropped;
-  reg.counter("fault.flits_delayed") += f.flits_delayed;
-  if (fault_->hard_at() > 0) {
-    reg.counter("fault.hard_killed_flits") += f.hard_killed;
-    reg.gauge("fault.dead_routers") = static_cast<double>(dead_router_count());
-    reg.gauge("fault.dead_links") = static_cast<double>(dead_links_);
   }
 }
 

@@ -38,15 +38,12 @@ class BaselineNetwork final : public NocSystem {
   PowerTracker& power() { return *power_; }
   const PowerTracker& power() const { return *power_; }
 
-  /// The armed fault injector, or null when running fault-free.
-  FaultInjector* fault_injector() { return fault_.get(); }
-  const FaultInjector* fault_injector() const { return fault_.get(); }
-  const std::vector<char>& dead_mask() const { return dead_mask_; }
-  int dead_router_count() const;
-  int dead_link_count() const { return dead_links_; }
-
-  /// Registers/updates the fault metrics in `reg` (no-op fault-free).
-  void publish_metrics(telemetry::MetricsRegistry& reg) const;
+  /// Registers/updates the fault metrics in `reg` (no-op fault-free; `now`
+  /// is unused).
+  void publish_metrics(telemetry::MetricsRegistry& reg,
+                       Cycle /*now*/ = 0) const override {
+    publish_fault_metrics(reg);
+  }
 
  private:
   void apply_hard_faults(Cycle now);
@@ -57,10 +54,6 @@ class BaselineNetwork final : public NocSystem {
   std::unique_ptr<YxRouting> routing_;
   std::unique_ptr<Network> net_;
   std::vector<bool> gated_;
-  std::unique_ptr<FaultInjector> fault_;
-  std::vector<char> dead_mask_;
-  int dead_links_ = 0;
-  bool hard_applied_ = false;
 };
 
 }  // namespace flov

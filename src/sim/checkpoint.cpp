@@ -1,8 +1,11 @@
 #include "sim/checkpoint.hpp"
 
 #include <bit>
-#include <cstdio>
+#include <climits>
+#include <cmath>
 #include <cstdint>
+#include <cstdio>
+#include <optional>
 
 #include "common/rng.hpp"
 
@@ -23,8 +26,35 @@ std::uint64_t mix_s(std::uint64_t h, const std::string& s) {
   return h;
 }
 
-std::uint64_t u64_of(const JsonValue& v) {
-  return static_cast<std::uint64_t>(v.number_or(0.0));
+/// A JSON number that is an exact non-negative integer below 2^64. A
+/// checkpoint line is outside input: a negative, fractional, non-finite or
+/// out-of-range value (all undefined behaviour to cast) makes the line
+/// unusable, so the caller rejects it and the point re-runs.
+std::optional<std::uint64_t> u64_of(const JsonValue& v) {
+  if (v.kind != JsonValue::Kind::kNumber) return std::nullopt;
+  const double d = v.num;
+  if (!(d >= 0.0 && d < 0x1p64) || d != std::floor(d)) return std::nullopt;
+  return static_cast<std::uint64_t>(d);
+}
+
+/// u64_of restricted to [0, INT_MAX] (indices and bin counts).
+std::optional<int> int_of(const JsonValue& v) {
+  const std::optional<std::uint64_t> u = u64_of(v);
+  if (!u || *u > static_cast<std::uint64_t>(INT_MAX)) return std::nullopt;
+  return static_cast<int>(*u);
+}
+
+/// Raw Welford tuple from values[first..first+5]: [count, sum, min, max,
+/// running_mean, m2].
+std::optional<StatAccumulator> acc_of(const std::vector<JsonValue>& values,
+                                      std::size_t first) {
+  const std::optional<std::uint64_t> count = u64_of(values[first]);
+  if (!count) return std::nullopt;
+  return StatAccumulator::restore(*count, values[first + 1].number_or(0.0),
+                                  values[first + 2].number_or(0.0),
+                                  values[first + 3].number_or(0.0),
+                                  values[first + 4].number_or(0.0),
+                                  values[first + 5].number_or(0.0));
 }
 
 }  // namespace
@@ -196,20 +226,6 @@ void write_registry_lossless(JsonWriter& w,
   w.end_object();
 }
 
-namespace {
-
-bool restore_acc(const JsonValue& a, StatAccumulator* out) {
-  if (!a.is_array() || a.arr.size() != 6) return false;
-  *out = StatAccumulator::restore(u64_of(a.arr[0]), a.arr[1].number_or(0.0),
-                                  a.arr[2].number_or(0.0),
-                                  a.arr[3].number_or(0.0),
-                                  a.arr[4].number_or(0.0),
-                                  a.arr[5].number_or(0.0));
-  return true;
-}
-
-}  // namespace
-
 bool restore_registry_lossless(const JsonValue& v,
                                telemetry::MetricsRegistry* out) {
   if (!v.is_object() || !v.has("counters") || !v.has("gauges") ||
@@ -217,55 +233,60 @@ bool restore_registry_lossless(const JsonValue& v,
     return false;
   }
   for (const auto& [name, c] : v.at("counters").obj) {
-    out->counter(name) = u64_of(c);
+    const std::optional<std::uint64_t> n = u64_of(c);
+    if (!n) return false;
+    out->counter(name) = *n;
   }
   for (const auto& [name, g] : v.at("gauges").obj) {
     out->gauge(name) = g.number_or(0.0);
   }
   for (const auto& [name, a] : v.at("stats").obj) {
-    if (!restore_acc(a, &out->stat(name))) return false;
+    if (!a.is_array() || a.arr.size() != 6) return false;
+    const std::optional<StatAccumulator> acc = acc_of(a.arr, 0);
+    if (!acc) return false;
+    out->stat(name) = *acc;
   }
   for (const auto& [name, hv] : v.at("histograms").obj) {
-    if (!hv.is_object() || !hv.has("lo") || !hv.has("hi") ||
-        !hv.has("nbins") || !hv.has("bins")) {
-      return false;
+    if (!hv.is_object()) return false;
+    for (const char* k : {"lo", "hi", "nbins", "total", "clamped_low",
+                          "clamped_high", "bins"}) {
+      if (!hv.has(k)) return false;
     }
-    const int nbins = static_cast<int>(hv.at("nbins").number_or(0.0));
-    if (nbins <= 0) return false;
-    std::vector<std::uint64_t> bins(static_cast<std::size_t>(nbins), 0);
+    const std::optional<int> nbins = int_of(hv.at("nbins"));
+    const std::optional<std::uint64_t> total = u64_of(hv.at("total"));
+    const std::optional<std::uint64_t> low = u64_of(hv.at("clamped_low"));
+    const std::optional<std::uint64_t> high = u64_of(hv.at("clamped_high"));
+    if (!nbins || *nbins == 0 || !total || !low || !high) return false;
+    std::vector<std::uint64_t> bins(static_cast<std::size_t>(*nbins), 0);
     for (const JsonValue& pair : hv.at("bins").arr) {
       if (!pair.is_array() || pair.arr.size() != 2) return false;
-      const std::uint64_t i = u64_of(pair.arr[0]);
-      if (i >= bins.size()) return false;
-      bins[i] = u64_of(pair.arr[1]);
+      const std::optional<std::uint64_t> i = u64_of(pair.arr[0]);
+      const std::optional<std::uint64_t> n = u64_of(pair.arr[1]);
+      if (!i || *i >= bins.size() || !n) return false;
+      bins[*i] = *n;
     }
     const double lo = hv.at("lo").number_or(0.0);
     const double hi = hv.at("hi").number_or(0.0);
     if (!(hi > lo)) return false;
-    out->histogram(name, lo, hi, nbins) = Histogram::restore(
-        lo, hi, std::move(bins), u64_of(hv.at("total")),
-        u64_of(hv.at("clamped_low")), u64_of(hv.at("clamped_high")));
+    out->histogram(name, lo, hi, *nbins) =
+        Histogram::restore(lo, hi, std::move(bins), *total, *low, *high);
   }
   for (const auto& [name, sv] : v.at("series").obj) {
     if (!sv.is_object() || !sv.has("window") || !sv.has("buckets")) {
       return false;
     }
-    const Cycle window = u64_of(sv.at("window"));
-    if (window == 0) return false;
-    TimeSeries& ts = out->series(name, window);
-    std::uint64_t prev = 0;
-    bool first = true;
+    const std::optional<std::uint64_t> window = u64_of(sv.at("window"));
+    if (!window || *window == 0) return false;
+    TimeSeries& ts = out->series(name, *window);
+    std::optional<std::uint64_t> prev;
     for (const JsonValue& b : sv.at("buckets").arr) {
       if (!b.is_array() || b.arr.size() != 7) return false;
-      const std::uint64_t idx = u64_of(b.arr[0]);
-      if (!first && idx <= prev) return false;  // must be strictly sorted
-      StatAccumulator acc = StatAccumulator::restore(
-          u64_of(b.arr[1]), b.arr[2].number_or(0.0), b.arr[3].number_or(0.0),
-          b.arr[4].number_or(0.0), b.arr[5].number_or(0.0),
-          b.arr[6].number_or(0.0));
-      ts.restore_bucket(idx, acc);
+      const std::optional<std::uint64_t> idx = u64_of(b.arr[0]);
+      if (!idx || (prev && *idx <= *prev)) return false;  // strictly sorted
+      const std::optional<StatAccumulator> acc = acc_of(b.arr, 1);
+      if (!acc) return false;
+      ts.restore_bucket(*idx, *acc);
       prev = idx;
-      first = false;
     }
   }
   return true;
@@ -273,7 +294,7 @@ bool restore_registry_lossless(const JsonValue& v,
 
 namespace {
 
-constexpr const char* kCheckpointSchema = "flyover-sweep-checkpoint-v1";
+constexpr const char* kCheckpointSchema = "flyover-sweep-checkpoint-v2";
 
 std::string hex16(std::uint64_t v) {
   char buf[17];
@@ -296,26 +317,6 @@ bool parse_hex16(const std::string& s, std::uint64_t* out) {
   return true;
 }
 
-void write_breakdown(JsonWriter& w, const LatencyBreakdown& b) {
-  w.begin_array();
-  w.value(b.router);
-  w.value(b.link);
-  w.value(b.serialization);
-  w.value(b.flov);
-  w.value(b.contention);
-  w.end_array();
-}
-
-bool read_breakdown(const JsonValue& v, LatencyBreakdown* b) {
-  if (!v.is_array() || v.arr.size() != 5) return false;
-  b->router = v.arr[0].number_or(0.0);
-  b->link = v.arr[1].number_or(0.0);
-  b->serialization = v.arr[2].number_or(0.0);
-  b->flov = v.arr[3].number_or(0.0);
-  b->contention = v.arr[4].number_or(0.0);
-  return true;
-}
-
 }  // namespace
 
 std::string encode_sweep_checkpoint_line(int index,
@@ -326,54 +327,7 @@ std::string encode_sweep_checkpoint_line(int index,
   w.kv("schema", kCheckpointSchema);
   w.kv("index", index);
   w.kv("fp", hex16(sweep_point_fingerprint(cfg)));
-  w.key("result");
-  w.begin_object();
   w.kv("scheme", r.scheme);
-  w.kv("avg_latency", r.avg_latency);
-  w.kv("p50_latency", r.p50_latency);
-  w.kv("p99_latency", r.p99_latency);
-  w.key("breakdown");
-  write_breakdown(w, r.breakdown);
-  w.key("power");
-  w.begin_array();
-  w.value(static_cast<std::uint64_t>(r.power.cycles));
-  w.value(r.power.static_mw);
-  w.value(r.power.dynamic_mw);
-  w.value(r.power.total_mw);
-  w.value(r.power.static_energy_pj);
-  w.value(r.power.dynamic_energy_pj);
-  w.value(r.power.total_energy_pj);
-  w.end_array();
-  w.kv("packets_measured", r.packets_measured);
-  w.kv("packets_generated", r.packets_generated);
-  w.kv("injected_flits", r.injected_flits);
-  w.kv("ejected_flits", r.ejected_flits);
-  w.kv("escape_packets", r.escape_packets);
-  w.kv("gated_routers_end", r.gated_routers_end);
-  w.kv("avg_gated_routers", r.avg_gated_routers);
-  w.kv("protocol_sleeps", r.protocol_sleeps);
-  w.kv("protocol_wakeups", r.protocol_wakeups);
-  w.kv("watchdog_recoveries", r.watchdog_recoveries);
-  w.kv("verifier_violations", r.verifier_violations);
-  w.kv("verifier_checks", r.verifier_checks);
-  w.kv("hs_resends", r.hs_resends);
-  w.kv("trigger_resends", r.trigger_resends);
-  w.kv("self_captures", r.self_captures);
-  w.kv("flits_dropped_by_faults", r.flits_dropped_by_faults);
-  w.kv("packets_acked", r.packets_acked);
-  w.kv("packets_dead", r.packets_dead);
-  w.kv("packets_purged", r.packets_purged);
-  w.kv("killed_at_source", r.killed_at_source);
-  w.kv("retransmits", r.retransmits);
-  w.kv("dup_packets", r.dup_packets);
-  w.kv("packets_corrupted", r.packets_corrupted);
-  w.kv("payload_flips", r.payload_flips);
-  w.kv("psr_flips", r.psr_flips);
-  w.kv("dead_routers", r.dead_routers);
-  w.kv("dead_links", r.dead_links);
-  w.kv("wake_requests_dropped", r.wake_requests_dropped);
-  w.kv("aborted", r.aborted);
-  w.kv("cycles_run", static_cast<std::uint64_t>(r.cycles_run));
   w.key("timeline");
   w.begin_array();
   for (const TimeSeries::Point& p : r.timeline) {
@@ -384,12 +338,9 @@ std::string encode_sweep_checkpoint_line(int index,
     w.end_array();
   }
   w.end_array();
+  const telemetry::MetricsRegistry no_metrics;
   w.key("metrics");
-  if (r.metrics) {
-    write_registry_lossless(w, *r.metrics);
-  } else {
-    w.null();
-  }
+  write_registry_lossless(w, r.metrics ? *r.metrics : no_metrics);
   // Incidents ride as STRING values (escaped), not spliced objects: the
   // decode path can then recover each record byte-for-byte from the string
   // instead of re-serializing a parsed tree (which would reorder keys and
@@ -401,108 +352,57 @@ std::string encode_sweep_checkpoint_line(int index,
   }
   w.end_array();
   w.end_object();
-  w.end_object();
   return w.take();
 }
 
 bool decode_sweep_checkpoint_line(const std::string& line, int* index,
                                   std::uint64_t* fingerprint, RunResult* out) {
   JsonValue v;
-  if (!JsonValue::try_parse(line, &v)) return false;
-  if (!v.is_object() || !v.has("schema") || !v.has("index") ||
-      !v.has("fp") || !v.has("result")) {
+  if (!JsonValue::try_parse(line, &v) || !v.is_object()) return false;
+  for (const char* k : {"schema", "index", "fp", "scheme", "timeline",
+                        "metrics", "incidents"}) {
+    if (!v.has(k)) return false;
+  }
+  if (v.at("schema").str != kCheckpointSchema ||
+      v.at("scheme").kind != JsonValue::Kind::kString) {
     return false;
   }
-  if (v.at("schema").str != kCheckpointSchema) return false;
-  if (!parse_hex16(v.at("fp").str, fingerprint)) return false;
-  const JsonValue& res = v.at("result");
-  if (!res.is_object()) return false;
+  const std::optional<int> idx = int_of(v.at("index"));
+  std::uint64_t fp = 0;
+  if (!idx || !parse_hex16(v.at("fp").str, &fp)) return false;
 
-  // Every field below must be present: a missing key means the line was
-  // written by an incompatible build and the point should just re-run.
-  static const char* kRequired[] = {
-      "scheme", "avg_latency", "p50_latency", "p99_latency", "breakdown",
-      "power", "packets_measured", "packets_generated", "injected_flits",
-      "ejected_flits", "escape_packets", "gated_routers_end",
-      "avg_gated_routers", "protocol_sleeps", "protocol_wakeups",
-      "watchdog_recoveries", "verifier_violations", "verifier_checks",
-      "hs_resends", "trigger_resends", "self_captures",
-      "flits_dropped_by_faults", "packets_acked", "packets_dead",
-      "packets_purged", "killed_at_source", "retransmits", "dup_packets",
-      "packets_corrupted", "payload_flips", "psr_flips",
-      "dead_routers", "dead_links", "wake_requests_dropped", "aborted",
-      "cycles_run", "timeline", "metrics", "incidents"};
-  for (const char* k : kRequired) {
-    if (!res.has(k)) return false;
+  auto reg = std::make_shared<telemetry::MetricsRegistry>();
+  if (!restore_registry_lossless(v.at("metrics"), reg.get())) return false;
+  // fold_run_result casts these gauges to integers: reject any value the
+  // cast cannot hold.
+  const JsonValue& gauges = v.at("metrics").at("gauges");
+  if (gauges.has("power.window_cycles") &&
+      !u64_of(gauges.at("power.window_cycles"))) {
+    return false;
   }
-
-  RunResult r;
-  r.scheme = res.at("scheme").str;
-  r.avg_latency = res.at("avg_latency").number_or(0.0);
-  r.p50_latency = res.at("p50_latency").number_or(0.0);
-  r.p99_latency = res.at("p99_latency").number_or(0.0);
-  if (!read_breakdown(res.at("breakdown"), &r.breakdown)) return false;
-  const JsonValue& pw = res.at("power");
-  if (!pw.is_array() || pw.arr.size() != 7) return false;
-  r.power.cycles = u64_of(pw.arr[0]);
-  r.power.static_mw = pw.arr[1].number_or(0.0);
-  r.power.dynamic_mw = pw.arr[2].number_or(0.0);
-  r.power.total_mw = pw.arr[3].number_or(0.0);
-  r.power.static_energy_pj = pw.arr[4].number_or(0.0);
-  r.power.dynamic_energy_pj = pw.arr[5].number_or(0.0);
-  r.power.total_energy_pj = pw.arr[6].number_or(0.0);
-  r.packets_measured = u64_of(res.at("packets_measured"));
-  r.packets_generated = u64_of(res.at("packets_generated"));
-  r.injected_flits = u64_of(res.at("injected_flits"));
-  r.ejected_flits = u64_of(res.at("ejected_flits"));
-  r.escape_packets = u64_of(res.at("escape_packets"));
-  r.gated_routers_end = static_cast<int>(res.at("gated_routers_end").num);
-  r.avg_gated_routers = res.at("avg_gated_routers").number_or(0.0);
-  r.protocol_sleeps = u64_of(res.at("protocol_sleeps"));
-  r.protocol_wakeups = u64_of(res.at("protocol_wakeups"));
-  r.watchdog_recoveries = u64_of(res.at("watchdog_recoveries"));
-  r.verifier_violations = u64_of(res.at("verifier_violations"));
-  r.verifier_checks = u64_of(res.at("verifier_checks"));
-  r.hs_resends = u64_of(res.at("hs_resends"));
-  r.trigger_resends = u64_of(res.at("trigger_resends"));
-  r.self_captures = u64_of(res.at("self_captures"));
-  r.flits_dropped_by_faults = u64_of(res.at("flits_dropped_by_faults"));
-  r.packets_acked = u64_of(res.at("packets_acked"));
-  r.packets_dead = u64_of(res.at("packets_dead"));
-  r.packets_purged = u64_of(res.at("packets_purged"));
-  r.killed_at_source = u64_of(res.at("killed_at_source"));
-  r.retransmits = u64_of(res.at("retransmits"));
-  r.dup_packets = u64_of(res.at("dup_packets"));
-  r.packets_corrupted = u64_of(res.at("packets_corrupted"));
-  r.payload_flips = u64_of(res.at("payload_flips"));
-  r.psr_flips = u64_of(res.at("psr_flips"));
-  r.dead_routers = static_cast<int>(res.at("dead_routers").num);
-  r.dead_links = static_cast<int>(res.at("dead_links").num);
-  r.wake_requests_dropped = u64_of(res.at("wake_requests_dropped"));
-  r.aborted = res.at("aborted").b;
-  r.cycles_run = u64_of(res.at("cycles_run"));
-  for (const JsonValue& p : res.at("timeline").arr) {
+  for (const char* k : {"flov.gated_routers_end", "rp.parked_routers",
+                        "fault.dead_routers", "fault.dead_links"}) {
+    if (gauges.has(k) && !int_of(gauges.at(k))) return false;
+  }
+  RunResult r = fold_run_result(v.at("scheme").str, *reg);
+  r.metrics = std::move(reg);
+  for (const JsonValue& p : v.at("timeline").arr) {
     if (!p.is_array() || p.arr.size() != 3) return false;
-    TimeSeries::Point pt;
-    pt.window_start = u64_of(p.arr[0]);
-    pt.mean = p.arr[1].number_or(0.0);
-    pt.count = u64_of(p.arr[2]);
-    r.timeline.push_back(pt);
-  }
-  const JsonValue& mv = res.at("metrics");
-  if (mv.kind != JsonValue::Kind::kNull) {
-    auto reg = std::make_shared<telemetry::MetricsRegistry>();
-    if (!restore_registry_lossless(mv, reg.get())) return false;
-    r.metrics = std::move(reg);
+    const std::optional<std::uint64_t> start = u64_of(p.arr[0]);
+    const std::optional<std::uint64_t> count = u64_of(p.arr[2]);
+    if (!start || !count) return false;
+    r.timeline.push_back(
+        TimeSeries::Point{*start, p.arr[1].number_or(0.0), *count});
   }
   auto sink = std::make_shared<telemetry::StructuredSink>();
-  for (const JsonValue& inc : res.at("incidents").arr) {
+  for (const JsonValue& inc : v.at("incidents").arr) {
     if (inc.kind != JsonValue::Kind::kString) return false;
     sink->add(inc.str);
   }
   r.incidents = std::move(sink);
 
-  *index = static_cast<int>(v.at("index").num);
+  *index = *idx;
+  *fingerprint = fp;
   *out = std::move(r);
   return true;
 }

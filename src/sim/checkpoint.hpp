@@ -13,11 +13,19 @@
 // byte for byte.
 //
 // File format: JSON Lines, one object per COMPLETED sweep point:
-//   {"schema":"flyover-sweep-checkpoint-v1","index":i,"fp":"<16 hex>",
-//    "result":{...scalars, lossless metrics, incidents...}}
+//   {"schema":"flyover-sweep-checkpoint-v2","index":i,"fp":"<16 hex>",
+//    "scheme":"gFLOV","timeline":[[start,mean,count],...],
+//    "metrics":{...lossless registry...},"incidents":["<record>",...]}
+// The registry plus the incident list is the run's whole result record:
+// the line stores no RunResult scalar. Decoding rebuilds every scalar with
+// fold_run_result, the same fold run_synthetic uses, so a resumed point
+// cannot drift from a fresh one. The timeline (not a registry series)
+// rides beside it.
 // Lines are appended under a mutex and flushed, so a killed sweep loses at
 // most the points that were still in flight. The loader is tolerant: a
-// truncated or garbled line (crash mid-write, disk hiccup) is skipped, not
+// truncated or garbled line (crash mid-write, disk hiccup), a line of an
+// older schema, or a number no cast can hold (negative, fractional,
+// non-finite or out of range where an integer belongs) is skipped, not
 // fatal — the point simply re-runs. The fingerprint ties each line to the
 // exact point configuration, so a checkpoint from an edited sweep can never
 // leak stale results into the wrong point.
@@ -52,7 +60,7 @@ std::string encode_sweep_checkpoint_line(int index,
                                          const RunResult& r);
 
 /// Decodes one line. Returns false (and touches nothing) on any damage:
-/// truncation, garbage, wrong schema, missing fields.
+/// truncation, garbage, wrong schema, missing fields, bad numbers.
 bool decode_sweep_checkpoint_line(const std::string& line, int* index,
                                   std::uint64_t* fingerprint, RunResult* out);
 

@@ -2,11 +2,10 @@
 
 #include <cstdio>
 #include <memory>
+#include <utility>
 
 #include "common/log.hpp"
 #include "flov/flov_network.hpp"
-#include "rp/rp_network.hpp"
-#include "sim/baseline_network.hpp"
 #include "telemetry/json.hpp"
 #include "telemetry/ops/ops_plane.hpp"
 #include "traffic/gating_scenario.hpp"
@@ -145,11 +144,11 @@ void record_dead_packets(Network& net, telemetry::StructuredSink& sink) {
 /// Post-mortem of the hard-fault wave: which routers died (with
 /// coordinates), how many directed links died, and how many wake requests
 /// were addressed to a corpse.
-void record_hard_fault_summary(NocSystem& sys,
-                               const std::vector<char>& dead_mask,
-                               int dead_links, std::uint64_t wake_dropped,
+void record_hard_fault_summary(const NocSystem& sys,
+                               std::uint64_t wake_dropped,
                                telemetry::StructuredSink& sink) {
-  Network& net = sys.network();
+  const Network& net = sys.network();
+  const std::vector<char>& dead_mask = sys.dead_mask();
   telemetry::JsonWriter w;
   w.begin_object();
   w.kv("kind", "hard_fault_summary");
@@ -168,7 +167,7 @@ void record_hard_fault_summary(NocSystem& sys,
     w.end_object();
   }
   w.end_array();
-  w.kv("dead_links", dead_links);
+  w.kv("dead_links", sys.dead_link_count());
   w.kv("wake_requests_dropped", wake_dropped);
   w.end_object();
   sink.add(w.take());
@@ -223,14 +222,7 @@ RunResult run_synthetic(const SyntheticExperimentConfig& cfg) {
   // The scheme's armed fault injector (null on a fault-free build): needed
   // before the run loop so the ejection callback can ask about soft-error
   // corruption per delivered packet.
-  const FaultInjector* fault = nullptr;
-  if (flov_sys) {
-    fault = flov_sys->fault_injector();
-  } else if (auto* p = dynamic_cast<const RpNetwork*>(&sys)) {
-    fault = p->fault_injector();
-  } else if (auto* b = dynamic_cast<const BaselineNetwork*>(&sys)) {
-    fault = b->fault_injector();
-  }
+  const FaultInjector* fault = sys.fault_injector();
 
   LatencyStats stats(/*router_pipeline_cycles=*/3, cfg.timeline_window,
                      cfg.noc.latency_hist_max);
@@ -253,19 +245,12 @@ RunResult run_synthetic(const SyntheticExperimentConfig& cfg) {
   if (cfg.verify) {
     VerifierOptions vopts = cfg.verifier;
     vopts.sink = incidents.get();  // violations also land as JSON incidents
-    if (flov_sys) {
-      verifier = std::make_unique<InvariantVerifier>(*flov_sys, vopts);
-    } else {
-      // Conservation-only form needs the scheme's armed injector so faulted
-      // flit drops (and hard-killed flits) balance the equation.
-      const FaultInjector* fi = nullptr;
-      if (auto* p = dynamic_cast<const RpNetwork*>(&sys)) {
-        fi = p->fault_injector();
-      } else if (auto* b = dynamic_cast<const BaselineNetwork*>(&sys)) {
-        fi = b->fault_injector();
-      }
-      verifier = std::make_unique<InvariantVerifier>(net, vopts, fi);
-    }
+    // FLOV gets the PSR checks too; the conservation-only form needs the
+    // scheme's armed injector so faulted flit drops (and hard-killed flits)
+    // balance the equation.
+    verifier = flov_sys
+                   ? std::make_unique<InvariantVerifier>(*flov_sys, vopts)
+                   : std::make_unique<InvariantVerifier>(net, vopts, fault);
   }
 
   const Cycle total = cfg.warmup + cfg.measure;
@@ -378,121 +363,126 @@ RunResult run_synthetic(const SyntheticExperimentConfig& cfg) {
     }
   }
 
-  RunResult r;
-  r.scheme = to_string(cfg.scheme);
-  r.aborted = aborted;
-  r.cycles_run = end_cycle;
-  r.avg_latency = stats.avg_latency();
-  r.p50_latency = stats.latency_percentile(50);
-  r.p99_latency = stats.latency_percentile(99);
-  r.breakdown = stats.avg_breakdown();
-  r.power = built.power->report(end_cycle);
-  r.packets_measured = stats.packets();
-  r.packets_generated = traffic.generated_packets();
-  r.injected_flits = net.total_injected_flits();
-  r.ejected_flits = net.total_ejected_flits();
-  r.escape_packets = stats.escape_packets();
-  r.watchdog_recoveries = recoveries;
-  if (FlovNetwork* f = flov_sys) {
-    r.gated_routers_end = f->gated_router_count();
-    const auto ps = f->protocol_stats(end_cycle);
-    r.avg_gated_routers = ps.avg_gated_routers;
-    r.protocol_sleeps = ps.sleeps;
-    r.protocol_wakeups = ps.wakeups;
-    r.hs_resends = ps.hs_resends;
-    r.trigger_resends = ps.trigger_resends;
-    r.self_captures = ps.self_captures;
-    r.dead_routers = f->dead_router_count();
-    r.dead_links = f->dead_link_count();
-    r.wake_requests_dropped = f->wake_requests_dropped();
-    if (r.dead_routers > 0 || r.dead_links > 0) {
-      record_hard_fault_summary(sys, f->dead_mask(), r.dead_links,
-                                r.wake_requests_dropped, *incidents);
-    }
-  } else if (auto* p = dynamic_cast<RpNetwork*>(&sys)) {
-    r.gated_routers_end = p->parked_router_count();
-    r.avg_gated_routers = r.gated_routers_end;
-    r.dead_routers = p->dead_router_count();
-    r.dead_links = p->dead_link_count();
-    if (r.dead_routers > 0 || r.dead_links > 0) {
-      record_hard_fault_summary(sys, p->dead_mask(), r.dead_links, 0,
-                                *incidents);
-    }
-  } else if (auto* b = dynamic_cast<BaselineNetwork*>(&sys)) {
-    r.dead_routers = b->dead_router_count();
-    r.dead_links = b->dead_link_count();
-    if (r.dead_routers > 0 || r.dead_links > 0) {
-      record_hard_fault_summary(sys, b->dead_mask(), r.dead_links, 0,
-                                *incidents);
-    }
-  }
-  if (fault) {
-    r.flits_dropped_by_faults = fault->counters().flits_dropped;
-    r.payload_flips = fault->counters().payload_flips;
-    r.psr_flips = fault->counters().psr_flips;
-  }
-  r.packets_corrupted = packets_corrupted;
-  if (cfg.noc.reliable) {
-    for (NodeId id = 0; id < net.num_nodes(); ++id) {
-      const NetworkInterface& ni = net.ni(id);
-      r.packets_acked += ni.packets_acked();
-      r.packets_dead += ni.packets_dead();
-      r.packets_purged += ni.packets_purged();
-      r.killed_at_source += ni.killed_at_source();
-      r.retransmits += ni.retransmits();
-      r.dup_packets += ni.dup_packets();
-    }
-    record_dead_packets(net, *incidents);
-  }
-  if (verifier) {
-    verifier->final_check(end_cycle);
-    r.verifier_violations = verifier->violations();
-    r.verifier_checks = verifier->checks_run();
-  }
-  if (const TimeSeries* ts = stats.timeline()) r.timeline = ts->points();
-
-  // Final ops fold AFTER every end-of-run incident (hard_fault_summary,
-  // packet_dead, verifier final sweep) has been recorded, so the last
-  // published snapshot carries the complete incident counts.
-  if (cfg.ops != nullptr) cfg.ops->end_run(end_cycle);
-
-  // Every subsystem registers its metrics under its own prefix; the
-  // registry rides on the RunResult so sweeps can fold per-point
-  // registries deterministically.
+  // Every subsystem registers its metrics under its own prefix. The
+  // registry plus the incident list is the run's result record: the
+  // RunResult scalars are folded from it, and it rides on the RunResult so
+  // sweeps can merge per-point registries deterministically.
   net.publish_metrics(*metrics);
   stats.publish_metrics(*metrics);
   built.power->publish_metrics(*metrics, end_cycle);
-  if (flov_sys) {
-    flov_sys->publish_metrics(*metrics, end_cycle);
-  } else if (auto* p = dynamic_cast<RpNetwork*>(&sys)) {
-    p->publish_metrics(*metrics);
-  } else if (auto* b = dynamic_cast<BaselineNetwork*>(&sys)) {
-    b->publish_metrics(*metrics);
-  }
+  sys.publish_metrics(*metrics, end_cycle);
   metrics->counter("run.packets_generated") += traffic.generated_packets();
   metrics->counter("run.watchdog_recoveries") += recoveries;
   metrics->counter("run.cycles") += end_cycle;
   if (aborted) metrics->counter("run.aborted") += 1;
   if (cfg.noc.reliable) {
-    metrics->counter("run.packets_acked") += r.packets_acked;
-    metrics->counter("run.packets_dead") += r.packets_dead;
-    metrics->counter("run.packets_purged") += r.packets_purged;
-    metrics->counter("run.killed_at_source") += r.killed_at_source;
-    metrics->counter("run.retransmits") += r.retransmits;
-    metrics->counter("run.dup_packets") += r.dup_packets;
+    for (NodeId id = 0; id < net.num_nodes(); ++id) {
+      const NetworkInterface& ni = net.ni(id);
+      metrics->counter("run.packets_acked") += ni.packets_acked();
+      metrics->counter("run.packets_dead") += ni.packets_dead();
+      metrics->counter("run.packets_purged") += ni.packets_purged();
+      metrics->counter("run.killed_at_source") += ni.killed_at_source();
+      metrics->counter("run.retransmits") += ni.retransmits();
+      metrics->counter("run.dup_packets") += ni.dup_packets();
+    }
   }
   if (soft_armed) {
-    metrics->counter("fault.payload_flips") += r.payload_flips;
-    metrics->counter("fault.psr_flips") += r.psr_flips;
-    metrics->counter("run.packets_corrupted") += r.packets_corrupted;
+    metrics->counter("fault.payload_flips") += fault->counters().payload_flips;
+    metrics->counter("fault.psr_flips") += fault->counters().psr_flips;
+    metrics->counter("run.packets_corrupted") += packets_corrupted;
   }
+
+  // End-of-run incidents, always in this order: hard-fault summary,
+  // per-flow packet_dead records, the verifier's final sweep.
+  if (sys.dead_router_count() > 0 || sys.dead_link_count() > 0) {
+    record_hard_fault_summary(
+        sys, metrics->counter_value("flov.wake_requests_dropped"),
+        *incidents);
+  }
+  if (cfg.noc.reliable) record_dead_packets(net, *incidents);
   if (verifier) {
+    verifier->final_check(end_cycle);
     metrics->counter("verify.violations") += verifier->violations();
     metrics->counter("verify.checks") += verifier->checks_run();
   }
+
+  // Final ops fold AFTER every end-of-run incident has been recorded, so
+  // the last published snapshot carries the complete incident counts.
+  if (cfg.ops != nullptr) cfg.ops->end_run(end_cycle);
+
+  RunResult r = fold_run_result(to_string(cfg.scheme), *metrics);
+  if (const TimeSeries* ts = stats.timeline()) r.timeline = ts->points();
   r.metrics = std::move(metrics);
   r.trace = std::move(tracer);
   r.incidents = std::move(incidents);
+  return r;
+}
+
+RunResult fold_run_result(std::string scheme,
+                          const telemetry::MetricsRegistry& reg) {
+  const auto count = [&reg](const char* k) { return reg.counter_value(k); };
+  const auto gauge = [&reg](const char* k) { return reg.gauge_value(k); };
+  const auto mean = [&reg](const char* k) {
+    const auto it = reg.stats().find(k);
+    return it == reg.stats().end() ? 0.0 : it->second.mean();
+  };
+  RunResult r;
+  r.scheme = std::move(scheme);
+  r.avg_latency = mean("latency.total");
+  if (const auto h = reg.histograms().find("latency.histogram");
+      h != reg.histograms().end()) {
+    r.p50_latency = h->second.percentile(50);
+    r.p99_latency = h->second.percentile(99);
+  }
+  r.breakdown.router = mean("latency.router_component");
+  r.breakdown.link = mean("latency.link_component");
+  r.breakdown.serialization = mean("latency.serialization_component");
+  r.breakdown.flov = mean("latency.flov_component");
+  r.breakdown.contention = mean("latency.contention_component");
+  r.power.cycles = static_cast<Cycle>(gauge("power.window_cycles"));
+  r.power.static_mw = gauge("power.static_mw");
+  r.power.dynamic_mw = gauge("power.dynamic_mw");
+  r.power.total_mw = gauge("power.total_mw");
+  r.power.static_energy_pj = gauge("power.static_energy_pj");
+  r.power.dynamic_energy_pj = gauge("power.dynamic_energy_pj");
+  r.power.total_energy_pj = gauge("power.total_energy_pj");
+  r.packets_measured = count("latency.packets_measured");
+  r.packets_generated = count("run.packets_generated");
+  r.injected_flits = count("net.injected_flits");
+  r.ejected_flits = count("net.ejected_flits");
+  r.escape_packets = count("latency.escape_packets");
+  // Gated routers: FLOV's sleep/wakeup population, or RP's parked set
+  // (steady between reconfigurations, so its average is its end value).
+  if (reg.gauges().count("flov.gated_routers_end") != 0) {
+    r.gated_routers_end = static_cast<int>(gauge("flov.gated_routers_end"));
+    r.avg_gated_routers = gauge("flov.avg_gated_routers");
+  } else {
+    r.gated_routers_end = static_cast<int>(gauge("rp.parked_routers"));
+    r.avg_gated_routers = gauge("rp.parked_routers");
+  }
+  r.protocol_sleeps = count("flov.sleeps");
+  r.protocol_wakeups = count("flov.wakeups");
+  r.watchdog_recoveries = count("run.watchdog_recoveries");
+  r.verifier_violations = count("verify.violations");
+  r.verifier_checks = count("verify.checks");
+  r.hs_resends = count("flov.hs_resends");
+  r.trigger_resends = count("flov.trigger_resends");
+  r.self_captures = count("flov.self_captures");
+  r.flits_dropped_by_faults = count("fault.flits_dropped");
+  r.packets_acked = count("run.packets_acked");
+  r.packets_dead = count("run.packets_dead");
+  r.packets_purged = count("run.packets_purged");
+  r.killed_at_source = count("run.killed_at_source");
+  r.retransmits = count("run.retransmits");
+  r.dup_packets = count("run.dup_packets");
+  r.packets_corrupted = count("run.packets_corrupted");
+  r.payload_flips = count("fault.payload_flips");
+  r.psr_flips = count("fault.psr_flips");
+  r.dead_routers = static_cast<int>(gauge("fault.dead_routers"));
+  r.dead_links = static_cast<int>(gauge("fault.dead_links"));
+  r.wake_requests_dropped = count("flov.wake_requests_dropped");
+  r.aborted = count("run.aborted") != 0;
+  r.cycles_run = count("run.cycles");
   return r;
 }
 

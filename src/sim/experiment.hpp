@@ -70,6 +70,8 @@ struct SyntheticExperimentConfig {
   ops::OpsPlane* ops = nullptr;
 };
 
+/// One run's results. `metrics` plus `incidents` is the record; every
+/// scalar below is folded from `metrics` by fold_run_result.
 struct RunResult {
   std::string scheme;
   double avg_latency = 0.0;
@@ -131,5 +133,13 @@ struct RunResult {
 };
 
 RunResult run_synthetic(const SyntheticExperimentConfig& cfg);
+
+/// Derives every RunResult scalar from a run's metrics registry, the one
+/// result record (absent keys read as 0). run_synthetic and the sweep
+/// checkpoint decoder both build their results through this fold, so a
+/// resumed sweep cannot drift from a fresh run. The timeline and the
+/// telemetry pointers are left to the caller.
+RunResult fold_run_result(std::string scheme,
+                          const telemetry::MetricsRegistry& reg);
 
 }  // namespace flov

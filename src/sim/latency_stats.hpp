@@ -51,12 +51,9 @@ class LatencyStats {
 
   std::uint64_t packets() const { return latency_.count(); }
   double avg_latency() const { return latency_.mean(); }
-  double max_latency() const { return latency_.max(); }
   /// Percentile from a 1-cycle-resolution histogram (clamped at hist_max).
   double latency_percentile(double p) const { return hist_.percentile(p); }
   LatencyBreakdown avg_breakdown() const;
-  double avg_hops() const { return hops_.mean(); }
-  double avg_flov_hops() const { return flov_hops_.mean(); }
   std::uint64_t escape_packets() const { return escape_packets_; }
   /// Packets whose latency met or exceeded the histogram cap (their
   /// percentile contribution saturates at hist_max - 1).

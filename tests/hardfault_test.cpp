@@ -11,8 +11,8 @@
 //     killed-at-source, and every declared-dead flow has a structured
 //     "packet_dead" incident,
 //   * the lossless sweep checkpoint codec round-trips a RunResult exactly,
-//     rejects damaged lines, and a killed+resumed sweep reproduces the
-//     uninterrupted sweep's merged metrics byte for byte.
+//     rejects damaged and old-format lines, and a killed+resumed sweep
+//     reproduces the uninterrupted sweep's merged metrics byte for byte.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -178,31 +178,61 @@ std::string registry_json(const telemetry::MetricsRegistry& reg) {
   return w.take();
 }
 
-TEST(Checkpoint, RoundTripsARunResultExactly) {
-  const SyntheticExperimentConfig ex = hard_fault_config(Scheme::kGFlov, 4, 9);
-  const RunResult r = run_synthetic(ex);
-  const std::string line = encode_sweep_checkpoint_line(7, ex, r);
-
-  int index = -1;
-  std::uint64_t fp = 0;
-  RunResult back;
-  ASSERT_TRUE(decode_sweep_checkpoint_line(line, &index, &fp, &back));
-  EXPECT_EQ(index, 7);
-  EXPECT_EQ(fp, sweep_point_fingerprint(ex));
-
+/// Every RunResult field the checkpoint must reproduce: all scalars, the
+/// breakdown, the power report, the timeline, the registry and incidents.
+void expect_same_result(const RunResult& back, const RunResult& r) {
   EXPECT_EQ(back.scheme, r.scheme);
   EXPECT_EQ(back.avg_latency, r.avg_latency);
+  EXPECT_EQ(back.p50_latency, r.p50_latency);
   EXPECT_EQ(back.p99_latency, r.p99_latency);
+  EXPECT_EQ(back.breakdown.router, r.breakdown.router);
+  EXPECT_EQ(back.breakdown.link, r.breakdown.link);
+  EXPECT_EQ(back.breakdown.serialization, r.breakdown.serialization);
+  EXPECT_EQ(back.breakdown.flov, r.breakdown.flov);
+  EXPECT_EQ(back.breakdown.contention, r.breakdown.contention);
+  EXPECT_EQ(back.power.cycles, r.power.cycles);
+  EXPECT_EQ(back.power.static_mw, r.power.static_mw);
+  EXPECT_EQ(back.power.dynamic_mw, r.power.dynamic_mw);
   EXPECT_EQ(back.power.total_mw, r.power.total_mw);
+  EXPECT_EQ(back.power.static_energy_pj, r.power.static_energy_pj);
+  EXPECT_EQ(back.power.dynamic_energy_pj, r.power.dynamic_energy_pj);
+  EXPECT_EQ(back.power.total_energy_pj, r.power.total_energy_pj);
+  EXPECT_EQ(back.packets_measured, r.packets_measured);
   EXPECT_EQ(back.packets_generated, r.packets_generated);
+  EXPECT_EQ(back.injected_flits, r.injected_flits);
+  EXPECT_EQ(back.ejected_flits, r.ejected_flits);
+  EXPECT_EQ(back.escape_packets, r.escape_packets);
+  EXPECT_EQ(back.gated_routers_end, r.gated_routers_end);
+  EXPECT_EQ(back.avg_gated_routers, r.avg_gated_routers);
+  EXPECT_EQ(back.protocol_sleeps, r.protocol_sleeps);
+  EXPECT_EQ(back.protocol_wakeups, r.protocol_wakeups);
+  EXPECT_EQ(back.watchdog_recoveries, r.watchdog_recoveries);
+  EXPECT_EQ(back.verifier_violations, r.verifier_violations);
+  EXPECT_EQ(back.verifier_checks, r.verifier_checks);
+  EXPECT_EQ(back.hs_resends, r.hs_resends);
+  EXPECT_EQ(back.trigger_resends, r.trigger_resends);
+  EXPECT_EQ(back.self_captures, r.self_captures);
+  EXPECT_EQ(back.flits_dropped_by_faults, r.flits_dropped_by_faults);
   EXPECT_EQ(back.packets_acked, r.packets_acked);
   EXPECT_EQ(back.packets_dead, r.packets_dead);
+  EXPECT_EQ(back.packets_purged, r.packets_purged);
+  EXPECT_EQ(back.killed_at_source, r.killed_at_source);
   EXPECT_EQ(back.retransmits, r.retransmits);
+  EXPECT_EQ(back.dup_packets, r.dup_packets);
+  EXPECT_EQ(back.packets_corrupted, r.packets_corrupted);
+  EXPECT_EQ(back.payload_flips, r.payload_flips);
+  EXPECT_EQ(back.psr_flips, r.psr_flips);
   EXPECT_EQ(back.dead_routers, r.dead_routers);
   EXPECT_EQ(back.dead_links, r.dead_links);
+  EXPECT_EQ(back.wake_requests_dropped, r.wake_requests_dropped);
   EXPECT_EQ(back.aborted, r.aborted);
   EXPECT_EQ(back.cycles_run, r.cycles_run);
-
+  ASSERT_EQ(back.timeline.size(), r.timeline.size());
+  for (std::size_t i = 0; i < r.timeline.size(); ++i) {
+    EXPECT_EQ(back.timeline[i].window_start, r.timeline[i].window_start);
+    EXPECT_EQ(back.timeline[i].mean, r.timeline[i].mean);
+    EXPECT_EQ(back.timeline[i].count, r.timeline[i].count);
+  }
   // The restored registry must serialize byte-identically — this is what
   // makes a resumed sweep's merged manifest match the uninterrupted one.
   ASSERT_TRUE(back.metrics && r.metrics);
@@ -211,6 +241,39 @@ TEST(Checkpoint, RoundTripsARunResultExactly) {
   // re-serialized through a key-reordering parse).
   ASSERT_TRUE(back.incidents && r.incidents);
   EXPECT_EQ(back.incidents->records(), r.incidents->records());
+}
+
+// Every scheme under each fault family: fault-free, transient + soft
+// errors + reliable delivery, hard faults + reliable delivery.
+TEST(Checkpoint, RoundTripsARunResultExactly) {
+  for (Scheme s : kAllSchemes) {
+    for (const char* faults : {"none", "transient", "hard"}) {
+      SCOPED_TRACE(std::string(to_string(s)) + " faults=" + faults);
+      SyntheticExperimentConfig ex = hard_fault_config(s, 4, 9);
+      ex.timeline_window = 500;
+      if (std::string(faults) == "none") {
+        ex.faults = FaultParams{};
+        ex.noc.reliable = false;
+      } else if (std::string(faults) == "transient") {
+        ex.faults.hard_router_pct = 0.0;
+        ex.faults.hard_link_pct = 0.0;
+        ex.faults.hard_at_cycle = 0;
+        ex.faults.flit_drop_rate = 0.002;
+        ex.faults.soft_flit_flip_rate = 0.001;
+        ex.faults.soft_psr_flip_rate = 0.0005;
+      }
+      const RunResult r = run_synthetic(ex);
+      const std::string line = encode_sweep_checkpoint_line(7, ex, r);
+
+      int index = -1;
+      std::uint64_t fp = 0;
+      RunResult back;
+      ASSERT_TRUE(decode_sweep_checkpoint_line(line, &index, &fp, &back));
+      EXPECT_EQ(index, 7);
+      EXPECT_EQ(fp, sweep_point_fingerprint(ex));
+      expect_same_result(back, r);
+    }
+  }
 }
 
 TEST(Checkpoint, RejectsDamagedLinesAndStaleFingerprints) {
@@ -249,6 +312,115 @@ TEST(Checkpoint, RejectsDamagedLinesAndStaleFingerprints) {
   // The unedited sweep restores it fine.
   EXPECT_EQ(load_sweep_checkpoint(path, {ex}, &results, &have), 1);
   EXPECT_EQ(have[0], 1);
+  std::remove(path.c_str());
+}
+
+// Numbers a checkpoint line carries are outside input: a value no integer
+// cast can hold rejects the line instead of invoking undefined behaviour.
+TEST(Checkpoint, RejectsNumbersNoIntegerCanHold) {
+  const SyntheticExperimentConfig ex = hard_fault_config(Scheme::kGFlov, 4, 3);
+  const RunResult r = run_synthetic(ex);
+  const std::string line = encode_sweep_checkpoint_line(0, ex, r);
+  int index;
+  std::uint64_t fp;
+  RunResult out;
+  ASSERT_TRUE(decode_sweep_checkpoint_line(line, &index, &fp, &out));
+
+  // Replaces the number after `key` (a counter, the index, the bin count,
+  // gauges that fold into integer RunResult fields).
+  const auto with = [&line](const std::string& key, const std::string& bad) {
+    const std::size_t at = line.find(key);
+    EXPECT_NE(at, std::string::npos) << key;
+    const std::size_t from = at + key.size();
+    const std::size_t to = line.find_first_of(",}", from);
+    return line.substr(0, from) + bad + line.substr(to);
+  };
+  for (const char* bad : {"-1", "1.5", "1e300", "inf"}) {
+    SCOPED_TRACE(bad);
+    for (const char* key :
+         {"\"net.injected_flits\":", "\"index\":", "\"nbins\":",
+          "\"fault.dead_routers\":", "\"power.window_cycles\":"}) {
+      SCOPED_TRACE(key);
+      EXPECT_FALSE(
+          decode_sweep_checkpoint_line(with(key, bad), &index, &fp, &out));
+    }
+  }
+}
+
+SyntheticExperimentConfig small_baseline_point() {
+  SyntheticExperimentConfig ex;
+  ex.noc.width = 4;
+  ex.noc.height = 4;
+  ex.scheme = Scheme::kBaseline;
+  ex.inj_rate_flits = 0.05;
+  ex.warmup = 200;
+  ex.measure = 800;
+  ex.seed = 3;
+  return ex;
+}
+
+// A line of the previous checkpoint format (per-field scalars, schema v1),
+// written for this very point, is not restored: the point re-runs and the
+// sweep reproduces the uninterrupted result.
+TEST(Checkpoint, OldFormatLinesAreRejectedAndThePointReRuns) {
+  const std::vector<SyntheticExperimentConfig> points = {
+      small_baseline_point()};
+  char fp[17];
+  std::snprintf(fp, sizeof(fp), "%016llx",
+                static_cast<unsigned long long>(
+                    sweep_point_fingerprint(points[0])));
+  const std::string v1_line =
+      std::string(
+          "{\"schema\":\"flyover-sweep-checkpoint-v1\",\"index\":0,\"fp\":\"") +
+      fp +
+      "\",\"result\":{\"scheme\":\"Baseline\",\"avg_latency\":18.968944099378881,"
+      "\"p50_latency\":19.5,\"p99_latency\":28.966111111111111,\"breakdown\":"
+      "[10.993788819875776,4.6645962732919255,3,0,0.3105590062111801],"
+      "\"power\":[800,32.799999999999997,44.544250000000005,"
+      "77.344250000000002,13120,17817.700000000001,30937.700000000001],"
+      "\"packets_measured\":161,\"packets_generated\":196,"
+      "\"injected_flits\":784,\"ejected_flits\":763,\"escape_packets\":0,"
+      "\"gated_routers_end\":0,\"avg_gated_routers\":0,"
+      "\"protocol_sleeps\":0,\"protocol_wakeups\":0,"
+      "\"watchdog_recoveries\":0,\"verifier_violations\":0,"
+      "\"verifier_checks\":1001,\"hs_resends\":0,\"trigger_resends\":0,"
+      "\"self_captures\":0,\"flits_dropped_by_faults\":0,"
+      "\"packets_acked\":0,\"packets_dead\":0,\"packets_purged\":0,"
+      "\"killed_at_source\":0,\"retransmits\":0,\"dup_packets\":0,"
+      "\"packets_corrupted\":0,\"payload_flips\":0,\"psr_flips\":0,"
+      "\"dead_routers\":0,\"dead_links\":0,\"wake_requests_dropped\":0,"
+      "\"aborted\":false,\"cycles_run\":1000,\"timeline\":[],"
+      "\"metrics\":null,\"incidents\":[]}}";
+
+  const std::string path = ::testing::TempDir() + "/flov_v1_ckpt.jsonl";
+  std::FILE* f = std::fopen(path.c_str(), "wb");
+  ASSERT_NE(f, nullptr);
+  std::fprintf(f, "%s\n", v1_line.c_str());
+  std::fclose(f);
+
+  std::vector<RunResult> results(1);
+  std::vector<char> have(1, 0);
+  EXPECT_EQ(load_sweep_checkpoint(path, points, &results, &have), 0);
+  EXPECT_EQ(have[0], 0);
+
+  SweepOptions plain;
+  plain.jobs = 1;
+  const std::vector<RunResult> uninterrupted = run_sweep(points, plain);
+  SweepOptions resume;
+  resume.jobs = 1;
+  resume.checkpoint_path = path;
+  resume.resume = true;
+  int progress_calls = 0;
+  resume.progress = [&](int, int) { ++progress_calls; };
+  const std::vector<RunResult> resumed = run_sweep(points, resume);
+  EXPECT_EQ(progress_calls, 1);  // the point re-ran
+  ASSERT_EQ(resumed.size(), 1u);
+  expect_same_result(resumed[0], uninterrupted[0]);
+  EXPECT_EQ(registry_json(merge_sweep_metrics(resumed)),
+            registry_json(merge_sweep_metrics(uninterrupted)));
+
+  // The re-run point's line is in the current format and restores.
+  EXPECT_EQ(load_sweep_checkpoint(path, points, &results, &have), 1);
   std::remove(path.c_str());
 }
 
