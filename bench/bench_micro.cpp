@@ -30,7 +30,7 @@ namespace {
 
 void BM_RoundRobinArbiter(benchmark::State& state) {
   RoundRobinArbiter arb(static_cast<int>(state.range(0)));
-  std::vector<bool> req(state.range(0), true);
+  const std::uint64_t req = (std::uint64_t{1} << state.range(0)) - 1;
   for (auto _ : state) {
     benchmark::DoNotOptimize(arb.arbitrate(req));
   }

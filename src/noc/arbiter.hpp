@@ -4,7 +4,6 @@
 #pragma once
 
 #include <cstdint>
-#include <vector>
 
 #include "common/log.hpp"
 
@@ -20,30 +19,13 @@ class RoundRobinArbiter {
   int num_inputs() const { return num_inputs_; }
 
   /// Grants the first requesting input at or after the rotating priority
-  /// pointer; returns -1 if no input requests. Advances the pointer past
-  /// the winner so it has lowest priority next time.
-  int arbitrate(const std::vector<bool>& requests) {
-    FLOV_DCHECK(static_cast<int>(requests.size()) == num_inputs_,
-                "request vector size mismatch");
-    for (int k = 0; k < num_inputs_; ++k) {
-      const int i = (pointer_ + k) % num_inputs_;
-      if (requests[i]) {
-        pointer_ = (i + 1) % num_inputs_;
-        return i;
-      }
-    }
-    return -1;
-  }
-
-  /// Bitmask variant for per-cycle call sites (switch allocation): bit i of
-  /// `requests` set means input i requests. Same grant order as the vector
-  /// overload — first set bit at or after the rotating pointer — without
-  /// materializing a request vector. Requires num_inputs <= 64.
+  /// pointer; returns -1 if no input requests. Bit i of `requests` set means
+  /// input i requests. Advances the pointer past the winner so it has
+  /// lowest priority next time. Requires num_inputs <= 64.
   int arbitrate(std::uint64_t requests) {
     FLOV_DCHECK(num_inputs_ <= 64, "mask arbiter limited to 64 inputs");
     if (requests == 0) return -1;
-    // Scan [pointer, N) then wrap to [0, pointer) — identical grant order
-    // to the vector overload.
+    // Scan [pointer, N) then wrap to [0, pointer).
     const std::uint64_t at_or_after = requests >> pointer_;
     const int i = at_or_after != 0 ? pointer_ + __builtin_ctzll(at_or_after)
                                    : __builtin_ctzll(requests);

@@ -8,6 +8,21 @@
 
 namespace flov {
 
+namespace {
+
+std::uint64_t vc_bit(VcId v) { return std::uint64_t{1} << v; }
+
+/// Calls f(v) for every set bit v of `mask`, lowest first.
+template <typename F>
+void for_each_bit(std::uint64_t mask, F&& f) {
+  while (mask != 0) {
+    f(static_cast<VcId>(__builtin_ctzll(mask)));
+    mask &= mask - 1;
+  }
+}
+
+}  // namespace
+
 const char* to_string(PowerState s) {
   switch (s) {
     case PowerState::kActive: return "Active";
@@ -215,7 +230,7 @@ void Router::accept_flits(Cycle now) {
         // after begin_death) is eaten whole with the kDead black-hole
         // contract — destroyed and credited, so the upstream sender streams
         // it out and frees its own VC state.
-        const std::uint32_t bit = 1u << f->vc;
+        const std::uint64_t bit = vc_bit(f->vc);
         if (f->head || (dying_eat_[p] & bit) != 0) {
           if (f->tail) {
             dying_eat_[p] &= ~bit;
@@ -244,6 +259,7 @@ void Router::accept_flits(Cycle now) {
         vc.state = VcState::kRouting;
         vc.stage_ready = now + 1;  // RC occupies the next cycle
         vc.wait_since = now;
+        busy_[p] |= vc_bit(f->vc);
       }
       vc.buffer.push_back(*f);
       (*resident_)++;
@@ -383,6 +399,8 @@ void Router::do_switch_traversal(Cycle now) {
         vc.state = VcState::kRouting;
         vc.stage_ready = now + 1;
         vc.wait_since = now;
+      } else {
+        busy_[g.in_port] &= ~vc_bit(g.in_vc);
       }
     }
   }
@@ -392,17 +410,17 @@ void Router::do_switch_traversal(Cycle now) {
 void Router::do_timeout_checks(Cycle now) {
   if (params_.escape_vc < 0 || !params_.enable_escape_diversion) return;
   for (int p = 0; p < kNumPorts; ++p) {
-    for (VcId v = 0; v < static_cast<VcId>(input_[p].vcs.size()); ++v) {
+    for_each_bit(busy_[p], [&](VcId v) {
       auto& vc = input_[p].vcs[v];
       const bool eligible =
           (vc.state == VcState::kWaitVc ||
            (vc.state == VcState::kActive && !vc.sent_any)) &&
           !vc.escape_route;
-      if (!eligible) continue;
-      if (now - vc.wait_since <= params_.deadlock_timeout) continue;
+      if (!eligible) return;
+      if (now - vc.wait_since <= params_.deadlock_timeout) return;
       Flit& head = vc.buffer.front();
       FLOV_CHECK(head.head, "timeout on non-head");
-      if (must_hold_for_wakeup(vc, head)) continue;  // waiting on a wakeup
+      if (must_hold_for_wakeup(vc, head)) return;  // waiting on a wakeup
       // Divert to the escape sub-network: release any held output VC and
       // re-route with the escape algorithm (costs one RC cycle).
       if (vc.state == VcState::kActive) {
@@ -424,7 +442,7 @@ void Router::do_timeout_checks(Cycle now) {
       vc.state = VcState::kWaitVc;
       vc.stage_ready = now + 1;
       vc.wait_since = now;
-    }
+    });
   }
 }
 
@@ -469,14 +487,10 @@ bool Router::must_hold_for_wakeup(const InputVc& vc, const Flit& head) {
 
 void Router::do_vc_allocation(Cycle now) {
   const int nvc = params_.total_vcs();
-  const int total = kNumPorts * nvc;
-  va_rotate_ = (va_rotate_ + 1) % total;
-  for (int k = 0; k < total; ++k) {
-    const int slot = (va_rotate_ + k) % total;
-    const int p = slot / nvc;
-    const VcId v = slot % nvc;
+  if (++va_rotate_ == kNumPorts * nvc) va_rotate_ = 0;
+  auto try_allocate = [&](int p, VcId v) {
     auto& vc = input_[p].vcs[v];
-    if (vc.state != VcState::kWaitVc || vc.stage_ready > now) continue;
+    if (vc.state != VcState::kWaitVc || vc.stage_ready > now) return;
     FLOV_CHECK(!vc.buffer.empty() && vc.buffer.front().head,
                "kWaitVc without head flit");
     Flit& head = vc.buffer.front();
@@ -495,8 +509,8 @@ void Router::do_vc_allocation(Cycle now) {
     }
     const int outp = dir_index(vc.out_dir);
     if (vc.out_dir != Direction::Local) {
-      if (view_.blocked(vc.out_dir)) continue;  // neighbor draining/waking
-      if (must_hold_for_wakeup(vc, head)) continue;
+      if (view_.blocked(vc.out_dir)) return;  // neighbor draining/waking
+      if (must_hold_for_wakeup(vc, head)) return;
     }
     // Pick a free output VC of the right class within the packet's vnet.
     const int base = head.vnet * params_.vcs_per_vnet;
@@ -511,7 +525,7 @@ void Router::do_vc_allocation(Cycle now) {
         break;
       }
     }
-    if (grant < 0) continue;
+    if (grant < 0) return;
     auto& ovc = output_[outp].vcs[grant];
     ovc.allocated = true;
     ovc.owner_port = p;
@@ -522,7 +536,20 @@ void Router::do_vc_allocation(Cycle now) {
     count(EnergyEvent::kVcArb);
     FLOV_TRACE(telemetry::kTraceFlit, telemetry::TraceEventType::kVcAlloc,
                now, id_, head.packet_id, grant);
-  }
+  };
+  // Round-robin over the slots p * nvc + v, starting at va_rotate_ and
+  // wrapping: the busy slots of [va_rotate_, total) in order, then those
+  // of [0, va_rotate_). Idle slots cannot be in kWaitVc, so skipping them
+  // keeps the grant order of a full scan.
+  const int p0 = va_rotate_ / nvc;
+  const std::uint64_t from_v0 = ~std::uint64_t{0} << (va_rotate_ % nvc);
+  auto visit = [&](int p, std::uint64_t mask) {
+    for_each_bit(mask, [&](VcId v) { try_allocate(p, v); });
+  };
+  visit(p0, busy_[p0] & from_v0);
+  for (int p = p0 + 1; p < kNumPorts; ++p) visit(p, busy_[p]);
+  for (int p = 0; p < p0; ++p) visit(p, busy_[p]);
+  visit(p0, busy_[p0] & ~from_v0);
 }
 
 void Router::do_switch_allocation(Cycle now) {
@@ -533,19 +560,17 @@ void Router::do_switch_allocation(Cycle now) {
   // cycle, the hot path's last remaining heap traffic.
   std::array<VcId, kNumPorts> nominee;
   nominee.fill(-1);
-  const int nvc = params_.total_vcs();
   // Per-output-port masks of input ports whose nominee wants that output,
   // built alongside the input stage so the output stage never re-reads VCs.
   std::array<std::uint64_t, kNumPorts> out_req{};
   for (int p = 0; p < kNumPorts; ++p) {
     std::uint64_t req = 0;
-    for (VcId v = 0; v < nvc; ++v) {
+    for_each_bit(busy_[p], [&](VcId v) {
       const auto& vc = input_[p].vcs[v];
-      if (vc.state != VcState::kActive || vc.buffer.empty()) continue;
+      if (vc.state != VcState::kActive || vc.buffer.empty()) return;
       const auto& ovc = output_[dir_index(vc.out_dir)].vcs[vc.out_vc];
-      if (ovc.credits <= 0) continue;
-      req |= std::uint64_t{1} << v;
-    }
+      if (ovc.credits > 0) req |= vc_bit(v);
+    });
     if (req != 0) {
       nominee[p] = sa_input_arb_[p].arbitrate(req);
       out_req[dir_index(input_[p].vcs[nominee[p]].out_dir)] |=
@@ -573,11 +598,10 @@ void Router::do_switch_allocation(Cycle now) {
 }
 
 void Router::do_route_computation(Cycle now) {
-  const int nvc = params_.total_vcs();
   for (int p = 0; p < kNumPorts; ++p) {
-    for (VcId v = 0; v < nvc; ++v) {
+    for_each_bit(busy_[p], [&](VcId v) {
       auto& vc = input_[p].vcs[v];
-      if (vc.state != VcState::kRouting || vc.stage_ready > now) continue;
+      if (vc.state != VcState::kRouting || vc.stage_ready > now) return;
       FLOV_CHECK(!vc.buffer.empty() && vc.buffer.front().head,
                  "kRouting without head flit");
       Flit& head = vc.buffer.front();
@@ -589,7 +613,7 @@ void Router::do_route_computation(Cycle now) {
       vc.state = VcState::kWaitVc;
       vc.stage_ready = now + 1;  // VA may run no earlier than next cycle
       vc.wait_since = now;
-    }
+    });
   }
 }
 
@@ -642,6 +666,7 @@ void Router::set_mode(RouterMode m, Cycle now) {
         vc.reset_to_idle();
       }
     }
+    busy_.fill(0);
     for (auto& l : latch_) {
       if (l.flit.has_value()) {
         if (kill_cb_) kill_cb_(*l.flit);
@@ -672,6 +697,20 @@ void Router::set_mode(RouterMode m, Cycle now) {
     // credit-handover transaction right after this call.
     for (int p = 0; p < kNumPorts; ++p) {
       output_[p].init(params_.total_vcs(), params_.buffer_depth);
+    }
+    // The NI side has no handover: a gated router drops its ejection
+    // credits, but flits it self-captured may still be on the wire to the
+    // NI, or their credits on the way back. Both land after the wake, so
+    // the slots they stand for must not be counted free twice.
+    const int local = dir_index(Direction::Local);
+    auto& local_vcs = output_[local].vcs;
+    if (out_flit_[local]) {
+      out_flit_[local]->for_each_in_flight(
+          [&](const Flit& f) { local_vcs[f.vc].credits--; });
+    }
+    if (credit_in_[local]) {
+      credit_in_[local]->for_each_in_flight(
+          [&](const Credit& c) { local_vcs[c.vc].credits--; });
     }
     last_local_activity_ = now;
     // VA ticks resume at the next step; gated cycles never ticked.
@@ -727,6 +766,8 @@ bool Router::bypass_quiet() const {
 bool Router::completely_empty() const {
   FLOV_DCHECK((*resident_) == recount_resident_flits(),
               "resident flit counter drifted at router " + std::to_string(id_));
+  FLOV_DCHECK(busy_masks_match_vc_states(),
+              "busy-VC mask drifted at router " + std::to_string(id_));
   return (*resident_) == 0 && pending_st_.empty();
 }
 
@@ -734,6 +775,8 @@ int Router::buffered_flits() const {
   const int n = recount_resident_flits();
   FLOV_DCHECK((*resident_) == n, "resident flit counter drifted at router " +
                                         std::to_string(id_));
+  FLOV_DCHECK(busy_masks_match_vc_states(),
+              "busy-VC mask drifted at router " + std::to_string(id_));
   return n;
 }
 
@@ -744,6 +787,17 @@ int Router::recount_resident_flits() const {
   }
   for (const auto& l : latch_) n += l.flit.has_value() ? 1 : 0;
   return n;
+}
+
+bool Router::busy_masks_match_vc_states() const {
+  for (int p = 0; p < kNumPorts; ++p) {
+    std::uint64_t busy = 0;
+    for (VcId v = 0; v < input_[p].vcs.size(); ++v) {
+      if (input_[p].vcs[v].state != VcState::kIdle) busy |= vc_bit(v);
+    }
+    if (busy != busy_[p]) return false;
+  }
+  return true;
 }
 
 void Router::input_free_slots(Direction in_port,

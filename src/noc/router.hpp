@@ -216,6 +216,8 @@ class Router {
 
   /// Full walk over input VCs and latches (debug cross-check + verifier).
   int recount_resident_flits() const;
+  /// Full walk over input VC states (debug cross-check of busy_).
+  bool busy_masks_match_vc_states() const;
 
   /// Distance from this router to `n` along direction `d` if `n` lies
   /// exactly along that axis; -1 otherwise.
@@ -253,6 +255,11 @@ class Router {
   std::array<Channel<Credit>*, kNumPorts> credit_in_{};
 
   std::array<InputPort, kNumPorts> input_;
+  /// Per input port, bit v set exactly when input_[p].vcs[v].state !=
+  /// kIdle. Route computation, VC/switch allocation and the timeout checks
+  /// visit only these bits instead of every VC slot. Written only where a
+  /// VC leaves or enters kIdle (head arrival, tail departure, death).
+  std::array<std::uint64_t, kNumPorts> busy_{};
   std::array<OutputPort, kNumPorts> output_;
   Span<FlovLatch> latch_;
 
@@ -271,7 +278,7 @@ class Router {
   bool dying_ = false;
   /// Per input port, a VC bitmask of worms being eaten whole while dying:
   /// set by an arriving head, cleared by its tail.
-  std::array<std::uint32_t, kNumPorts> dying_eat_{};
+  std::array<std::uint64_t, kNumPorts> dying_eat_{};
   /// First cycle whose VA round-robin tick has not been applied yet; lets
   /// step() replay the ticks of skipped idle cycles so allocation order is
   /// identical to stepping every cycle. Only pipeline-mode cycles tick.

@@ -65,13 +65,13 @@ TEST(Channel, ForEachInFlightVisitsAll) {
 
 TEST(Arbiter, GrantsOnlyRequesters) {
   RoundRobinArbiter a(4);
-  EXPECT_EQ(a.arbitrate({false, false, false, false}), -1);
-  EXPECT_EQ(a.arbitrate({false, false, true, false}), 2);
+  EXPECT_EQ(a.arbitrate(0b0000), -1);
+  EXPECT_EQ(a.arbitrate(0b0100), 2);
 }
 
 TEST(Arbiter, RotatesPastWinner) {
   RoundRobinArbiter a(3);
-  std::vector<bool> all{true, true, true};
+  const std::uint64_t all = 0b111;
   EXPECT_EQ(a.arbitrate(all), 0);
   EXPECT_EQ(a.arbitrate(all), 1);
   EXPECT_EQ(a.arbitrate(all), 2);
@@ -81,14 +81,13 @@ TEST(Arbiter, RotatesPastWinner) {
 TEST(Arbiter, FairUnderContention) {
   RoundRobinArbiter a(4);
   std::vector<int> grants(4, 0);
-  std::vector<bool> req{true, true, true, true};
-  for (int i = 0; i < 400; ++i) grants[a.arbitrate(req)]++;
+  for (int i = 0; i < 400; ++i) grants[a.arbitrate(0b1111)]++;
   for (int g : grants) EXPECT_EQ(g, 100);
 }
 
 TEST(Arbiter, SkipsNonRequesters) {
   RoundRobinArbiter a(4);
-  std::vector<bool> req{true, false, true, false};
+  const std::uint64_t req = 0b0101;
   EXPECT_EQ(a.arbitrate(req), 0);
   EXPECT_EQ(a.arbitrate(req), 2);
   EXPECT_EQ(a.arbitrate(req), 0);
@@ -99,7 +98,7 @@ class ArbiterSizes : public ::testing::TestWithParam<int> {};
 TEST_P(ArbiterSizes, EveryRequesterEventuallyWins) {
   const int n = GetParam();
   RoundRobinArbiter a(n);
-  std::vector<bool> req(n, true);
+  const std::uint64_t req = (std::uint64_t{1} << n) - 1;
   std::vector<bool> won(n, false);
   for (int i = 0; i < 2 * n; ++i) {
     const int w = a.arbitrate(req);
