@@ -12,14 +12,52 @@
 #include <cstring>
 #include <exception>
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "common/config.hpp"
 #include "fault/fault_model.hpp"
 #include "sim/experiment.hpp"
+#include "telemetry/json.hpp"
 #include "telemetry/manifest.hpp"
 #include "telemetry/ops/ops_plane.hpp"
 
 namespace {
+
+/// When the run recorded `drain_exhausted` (flits still in the fabric when
+/// the drain budget ran out), prints the end-of-run incidents — that one
+/// and every incident recorded after it — by kind and cycle, and returns
+/// true.
+bool report_undrained(const flov::RunResult& r) {
+  if (!r.incidents) return false;
+  using flov::telemetry::JsonValue;
+  std::vector<JsonValue> incs;
+  for (const std::string& rec : r.incidents->records()) {
+    incs.push_back(JsonValue::parse(rec));
+  }
+  const auto kind_of = [](const JsonValue& inc) {
+    return inc.has("kind") ? inc.at("kind").str : std::string("?");
+  };
+  std::size_t first = 0;
+  while (first < incs.size() && kind_of(incs[first]) != "drain_exhausted") {
+    ++first;
+  }
+  if (first == incs.size()) return false;
+  std::printf("\nRUN DID NOT DRAIN: flits were still in the fabric when the "
+              "drain budget ran out\nend-of-run incidents:\n");
+  for (std::size_t i = first; i < incs.size(); ++i) {
+    const JsonValue& inc = incs[i];
+    const std::string kind = kind_of(inc);
+    const char* cycle_key = inc.has("cycle") ? "cycle" : "declared_at";
+    if (inc.has(cycle_key)) {
+      std::printf("  %-22s cycle %.0f\n", kind.c_str(),
+                  inc.at(cycle_key).num);
+    } else {
+      std::printf("  %s\n", kind.c_str());
+    }
+  }
+  return true;
+}
 
 void print_usage() {
   std::printf(
@@ -41,7 +79,8 @@ void print_usage() {
       "Simulation bounds (PROTOCOL.md \xc2\xa7" "8):\n"
       "  drain=<cycles>             post-run drain budget: keep stepping\n"
       "                             until every reliable flow is acked or\n"
-      "                             declared dead (0 = off)\n"
+      "                             declared dead (0 = off); running out\n"
+      "                             with flits in the fabric exits 2\n"
       "  sim.max_cycles_hard=<n>    hard cycle cap; exceeding it aborts\n"
       "                             with a structured incident + partial\n"
       "                             stats instead of a process abort\n"
@@ -297,13 +336,15 @@ int run(int argc, char** argv) {
     m.write(manifest_out);
     std::printf("manifest: %s\n", manifest_out.c_str());
   }
-  return 0;
+  return report_undrained(r) ? 2 : 0;
 }
 
 }  // namespace
 
 // Exit codes (docs/RELIABILITY.md): 0 = clean run; 1 = usage/config error
-// or failure — flov::fatal has already printed the cause on stderr.
+// or failure — flov::fatal has already printed the cause on stderr; 2 = the
+// post-run drain ran out with flits still in the fabric (the end-of-run
+// incidents are printed).
 int main(int argc, char** argv) {
   try {
     return run(argc, argv);

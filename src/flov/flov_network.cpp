@@ -26,6 +26,7 @@ FlovNetwork::FlovNetwork(const NocParams& params, FlovMode mode,
   });
   trigger_sent_.assign(net_->num_nodes(), false);
   trigger_sent_at_.assign(net_->num_nodes(), 0);
+  psr_stamp_.assign(net_->num_nodes(), 0);
   dead_mask_.assign(net_->num_nodes(), 0);
   hscs_.reserve(net_->num_nodes());
   const bool parallel = net_->num_domains() > 1;
@@ -130,7 +131,7 @@ bool FlovNetwork::attempt_recovery(Cycle now) {
   // triggers, and re-send every unanswered handshake request. Idempotent
   // and safe fault-free — it only restates what reliable wires would have
   // delivered already.
-  for (NodeId id = 0; id < net_->num_nodes(); ++id) refresh_view(id);
+  for (NodeId id = 0; id < net_->num_nodes(); ++id) refresh_view(id, now);
   std::fill(trigger_sent_.begin(), trigger_sent_.end(), false);
   std::fill(trigger_sent_at_.begin(), trigger_sent_at_.end(), Cycle{0});
   for (auto& h : hscs_) h->recovery_kick(now);
@@ -267,11 +268,12 @@ void FlovNetwork::wake_handover(NodeId w, Cycle now) {
   for (Direction flow : kMeshDirections) {
     handover_flow(w, flow, /*waking=*/true, now);
   }
-  refresh_view(w);
+  refresh_view(w, now);
 }
 
-void FlovNetwork::refresh_view(NodeId w) {
+void FlovNetwork::refresh_view(NodeId w, Cycle now) {
   net_->wake_router(w);  // view changes can unblock held allocations
+  stamp_psr(w, now);
   NeighborhoodView& v = net_->router(w).view();
   const MeshGeometry& g = net_->geom();
   for (Direction d : kMeshDirections) {

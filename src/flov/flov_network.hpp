@@ -12,6 +12,7 @@
 // modeled; only the instantaneous copy at the transition edge is idealized.
 #pragma once
 
+#include <algorithm>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -91,6 +92,17 @@ class FlovNetwork final : public NocSystem {
   /// Router::set_dead_mask.
   bool router_dead(NodeId id) const { return dead_mask_[id] != 0; }
 
+  /// PSR-change stamps (the invariant verifier's input): the cycle of the
+  /// last FSM transition, PSR update, view refresh or death of each node.
+  /// Serial control-plane only.
+  void stamp_psr(NodeId id, Cycle now) {
+    psr_stamp_[id] = now;
+    psr_latest_ = std::max(psr_latest_, now);
+  }
+  const std::vector<Cycle>& psr_stamps() const { return psr_stamp_; }
+  /// The newest PSR stamp of any node.
+  Cycle psr_latest() const { return psr_latest_; }
+
   /// Stall diagnostics: HSC + occupancy dump of every non-quiescent router.
   void dump_state(Cycle now) const;
 
@@ -129,7 +141,7 @@ class FlovNetwork final : public NocSystem {
   void clear_credit_path(NodeId from, Direction dir, NodeId to);
   /// Recomputes `w`'s NeighborhoodView from current global state (models
   /// the state refresh a router receives upon wakeup).
-  void refresh_view(NodeId w);
+  void refresh_view(NodeId w, Cycle now);
   void handover_flow(NodeId b, Direction flow, bool waking, Cycle now);
   /// Applies the armed hard faults once, at fault.hard_at_cycle: fate-hashed
   /// routers (AON column exempt) are killed (HSC forced-drain + NI sink),
@@ -151,6 +163,8 @@ class FlovNetwork final : public NocSystem {
   /// recovery).
   std::vector<bool> trigger_sent_;
   std::vector<Cycle> trigger_sent_at_;
+  std::vector<Cycle> psr_stamp_;  ///< see stamp_psr()
+  Cycle psr_latest_ = 0;
   /// Per-domain staging for wakeup requests raised inside Network::step when
   /// stepping domain-parallel: request_wakeup mutates HSC/fabric state shared
   /// across domains, so workers only record (requester, target) here and

@@ -35,7 +35,13 @@ void HandshakeController::kill(Cycle now) {
   core_gated_ = true;  // directly: set_core_gated now refuses changes
   // A drain already in progress must run to completion, never abort.
   if (state_ == PowerState::kDraining) drain_deadline_ = kNeverCycle;
-  (void)now;
+  owner_->stamp_psr(id_, now);  // the verifier reads the dead mask
+}
+
+void HandshakeController::set_state(PowerState s, Cycle now) {
+  state_ = s;
+  state_since_ = now;
+  owner_->stamp_psr(id_, now);
 }
 
 NodeId HandshakeController::partner(Direction d) const {
@@ -106,8 +112,7 @@ bool HandshakeController::can_start_wakeup() const {
 
 void HandshakeController::enter_draining(Cycle now) {
   owner_->set_ni_stalled(id_, true);
-  state_ = PowerState::kDraining;
-  state_since_ = now;
+  set_state(PowerState::kDraining, now);
   ++epoch_;
   drain_deadline_ = now + params_.drain_abort_timeout;
   expected_.clear();
@@ -127,8 +132,7 @@ void HandshakeController::abort_drain(Cycle now) {
     send(now, HsType::kDrainAbort, e.dir, e.partner);
   }
   expected_.clear();
-  state_ = PowerState::kActive;
-  state_since_ = now;
+  set_state(PowerState::kActive, now);
   drain_aborts_++;
   owner_->set_ni_stalled(id_, false);
   FLOV_TRACE(telemetry::kTraceHandshake,
@@ -141,8 +145,7 @@ void HandshakeController::enter_sleep(Cycle now) {
              telemetry::TraceEventType::kHsSleepEnter, now, id_, epoch_,
              now - state_since_);
   router_->set_mode(RouterMode::kBypass, now);
-  state_ = PowerState::kSleep;
-  state_since_ = now;
+  set_state(PowerState::kSleep, now);
   expected_.clear();
   wakeup_pending_ = false;
   sleep_entries_++;
@@ -157,8 +160,7 @@ void HandshakeController::enter_sleep(Cycle now) {
 
 void HandshakeController::enter_wakeup(Cycle now) {
   total_sleep_cycles_ += now - state_since_;
-  state_ = PowerState::kWakeup;
-  state_since_ = now;
+  set_state(PowerState::kWakeup, now);
   ++epoch_;
   wake_drained_ = false;
   power_on_ready_ = kNeverCycle;
@@ -181,8 +183,7 @@ void HandshakeController::enter_active(Cycle now) {
              now - state_since_);
   router_->set_mode(RouterMode::kPipeline, now);
   owner_->wake_handover(id_, now);
-  state_ = PowerState::kActive;
-  state_since_ = now;
+  set_state(PowerState::kActive, now);
   wakeup_pending_ = false;
   wake_completions_++;
   owner_->set_ni_stalled(id_, false);
@@ -394,6 +395,7 @@ void HandshakeController::dump(Cycle now) const {
 
 void HandshakeController::update_psr(Direction from_dir, const HsMessage& msg,
                                      Cycle now) {
+  owner_->stamp_psr(id_, now);
   NeighborhoodView& v = router_->view();
   const int d = dir_index(from_dir);
   const auto set_blocked = [&](bool blocked) {

@@ -116,6 +116,9 @@ class HandshakeController {
     std::uint32_t epoch = 0;  ///< echoed back in the DrainDone
   };
 
+  /// Every FSM transition goes through here: it also stamps the node's
+  /// PSR-change cycle for the invariant verifier.
+  void set_state(PowerState s, Cycle now);
   bool can_start_drain(Cycle now) const;
   bool can_start_wakeup() const;
   void enter_draining(Cycle now);

@@ -11,6 +11,7 @@
 // before any receiver could legally observe them.
 #pragma once
 
+#include <cstdint>
 #include <functional>
 #include <optional>
 #include <utility>
@@ -57,9 +58,25 @@ class Channel {
   /// touches staged_ during the parallel phase, so no locks are needed.
   void set_staging(bool on) { staging_ = on; }
 
+  /// Activity flag (the invariant verifier's input, docs/PERFORMANCE.md
+  /// hot-path rule 8): every operation that changes what is on this wire —
+  /// send, a recv that pops, clear, merge_staged — sets this byte to 1; its
+  /// one reader clears it once it has looked. A staging channel's ends
+  /// step on different domain workers, so its sends and recvs only note
+  /// the touch in a private bool per end and the barrier's merge_staged
+  /// sets the flag: during the parallel phase every flag is written by the
+  /// one worker that owns both ends of its channel. Null (unit tests)
+  /// skips it.
+  void set_activity_flag(std::uint8_t* flag) { activity_ = flag; }
+
   /// Moves staged sends into the visible queue (barrier only; single
   /// sender means staged order == serial send order).
   void merge_staged() {
+    if (staged_touch_ || recv_touch_) {
+      touch();
+      staged_touch_ = false;
+      recv_touch_ = false;
+    }
     for (auto& e : staged_) queue_.push_back(std::move(e));
     staged_.clear();
   }
@@ -67,6 +84,9 @@ class Channel {
   /// Enqueues an item during cycle `now`; it arrives at now + latency.
   void send(Cycle now, T item) {
     if (wake_list_) wake_list_->mark(wake_index_);
+    // Flagged before the fault hook: a dropped item refunds the sender's
+    // credit, which is a change the verifier must see too.
+    touch(staged_touch_);
     Cycle arrival = now + latency_;
     if (fault_hook_) {
       const std::optional<Cycle> fate = fault_hook_(now, item);
@@ -98,6 +118,7 @@ class Channel {
     if (queue_.empty() || queue_.front().first > now) return std::nullopt;
     T item = std::move(queue_.front().second);
     queue_.pop_front();
+    touch(recv_touch_);
     return item;
   }
 
@@ -112,6 +133,7 @@ class Channel {
       scratch_.push_back(std::move(queue_.front().second));
       queue_.pop_front();
     }
+    if (!scratch_.empty()) touch(recv_touch_);
     return scratch_;
   }
 
@@ -132,6 +154,7 @@ class Channel {
     queue_.clear();
     staged_.clear();
     have_sent_ = false;
+    touch();
   }
 
   /// Visits every in-flight item (read-only); used by the FLOV credit
@@ -143,6 +166,19 @@ class Channel {
   }
 
  private:
+  void touch() {
+    if (activity_) *activity_ = 1;
+  }
+  /// An end's operation: flagged now, or at the barrier for a staging
+  /// channel (`deferred` is that end's private note).
+  void touch(bool& deferred) {
+    if (staging_) {
+      deferred = true;
+    } else {
+      touch();
+    }
+  }
+
   Cycle latency_;
   RingBuffer<std::pair<Cycle, T>> queue_;
   std::vector<std::pair<Cycle, T>> staged_;  ///< sender-private (parallel)
@@ -150,9 +186,12 @@ class Channel {
   FaultHook fault_hook_;
   WakeList* wake_list_ = nullptr;
   int wake_index_ = -1;
-  Cycle last_arrival_ = 0;   ///< arrival tag of the most recent send
   bool have_sent_ = false;
   bool staging_ = false;
+  bool staged_touch_ = false;  ///< sender-private: a send since the merge
+  bool recv_touch_ = false;    ///< receiver-private: a pop since the merge
+  Cycle last_arrival_ = 0;   ///< arrival tag of the most recent send
+  std::uint8_t* activity_ = nullptr;
 };
 
 }  // namespace flov

@@ -70,6 +70,7 @@ Network::Network(const NocParams& params, RoutingFunction* routing,
   const std::size_t credit_cap = edges + 2 * static_cast<std::size_t>(n);
   flit_channels_.reserve(flit_cap);
   credit_channels_.reserve(credit_cap);
+  channel_activity_.assign(flit_cap + credit_cap, 1);
 
   routers_.reserve(static_cast<std::size_t>(n));
   nis_.reserve(static_cast<std::size_t>(n));
@@ -88,12 +89,16 @@ Network::Network(const NocParams& params, RoutingFunction* routing,
   auto new_flit_channel = [&](Cycle latency) {
     FLOV_CHECK(flit_channels_.size() < flit_cap, "flit channel over-reserve");
     flit_channels_.emplace_back(latency);
+    flit_channels_.back().set_activity_flag(
+        &channel_activity_[flit_channels_.size() - 1]);
     return &flit_channels_.back();
   };
   auto new_credit_channel = [&](Cycle latency) {
     FLOV_CHECK(credit_channels_.size() < credit_cap,
                "credit channel over-reserve");
     credit_channels_.emplace_back(latency);
+    credit_channels_.back().set_activity_flag(
+        &channel_activity_[flit_cap + credit_channels_.size() - 1]);
     return &credit_channels_.back();
   };
 

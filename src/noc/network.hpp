@@ -80,8 +80,13 @@ class Network {
 
   /// Re-arm hooks for scheme layers (FLOV credit handovers, recovery
   /// scrubs) that mutate router/NI state without going through a channel.
-  /// Serial control-plane only (never from a domain worker).
-  void wake_router(NodeId id) { router_live_.mark(id); }
+  /// Serial control-plane only (never from a domain worker). wake_router
+  /// also advances the control epoch: it is the one signal that router
+  /// state changed behind the channels' backs.
+  void wake_router(NodeId id) {
+    router_live_.mark(id);
+    ++control_epoch_;
+  }
   void wake_ni(NodeId id) { ni_live_.mark(id); }
   /// Counter hook for the fault layer: a flit was dropped on the wire after
   /// injection, so it will never reach an NI (keeps in_network_flits()
@@ -145,6 +150,32 @@ class Network {
     return flit_out_[node][dir_index(d)];
   }
 
+  // --- invariant-verifier inputs (docs/PERFORMANCE.md hot-path rule 8) ---
+  /// Channel activity flags, indexed by channel_index() (flit channels
+  /// first, then credit channels; see Channel::set_activity_flag), for
+  /// their one reader, which clears what it has looked at. Every channel
+  /// starts out flagged. A second claim fails: it would see only what the
+  /// first reader left behind.
+  std::vector<std::uint8_t>& claim_channel_activity() {
+    FLOV_CHECK(!channel_activity_claimed_,
+               "channel activity flags already have a reader");
+    channel_activity_claimed_ = true;
+    return channel_activity_;
+  }
+  int num_flit_channels() const {
+    return static_cast<int>(flit_channels_.size());
+  }
+  int channel_index(const Channel<Flit>& ch) const {
+    return static_cast<int>(&ch - flit_channels_.data());
+  }
+  int channel_index(const Channel<Credit>& ch) const {
+    return num_flit_channels() +
+           static_cast<int>(&ch - credit_channels_.data());
+  }
+  /// Number of wake_router() calls so far: changes whenever the control
+  /// plane touched router state without a channel operation.
+  std::uint64_t control_epoch() const { return control_epoch_; }
+
  private:
   /// One rectangular tile domain: columns [x0, x1) x rows [y0, y1).
   struct DomainRect {
@@ -167,6 +198,11 @@ class Network {
   /// pointers — the vectors must never reallocate).
   std::vector<Channel<Flit>> flit_channels_;
   std::vector<Channel<Credit>> credit_channels_;
+  /// Per-channel activity flags (Channel::set_activity_flag), same
+  /// indexing as channel_index().
+  std::vector<std::uint8_t> channel_activity_;
+  bool channel_activity_claimed_ = false;
+  std::uint64_t control_epoch_ = 0;
   std::vector<Router> routers_;
   std::vector<NetworkInterface> nis_;
   /// flit_out_[node][dir] aliases the channel owned by flit_channels_.

@@ -1,7 +1,9 @@
 #include "verify/invariant_verifier.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cstdio>
+#include <cstring>
 #include <sstream>
 
 #include "common/log.hpp"
@@ -37,6 +39,11 @@ InvariantVerifier::InvariantVerifier(FlovNetwork& sys, VerifierOptions opts)
   prev_state_.assign(n, PowerState::kActive);
   last_fsm_change_.assign(n, 0);
   psr_fail_streak_.assign(n, {0, 0, 0, 0});
+  psr_due_.assign(n, 0);
+  activity_ = &net_.claim_channel_activity();
+  credits_exact_ = !fault_ || (fault_->params().flit_drop_rate <= 0.0 &&
+                               !fault_->params().hard_faults_armed());
+  ejected_.resize(n);
   net_.add_eject_callback(
       [this](const PacketRecord& rec) { observe_eject(rec); });
 }
@@ -47,6 +54,7 @@ InvariantVerifier::InvariantVerifier(Network& net, VerifierOptions opts,
   FLOV_CHECK(opts_.check_interval >= 1, "verifier interval must be >= 1");
   opts_.check_credits = false;  // meaningful only with the FLOV handover
   opts_.check_psr = false;
+  ejected_.resize(net_.num_nodes());
   net_.add_eject_callback(
       [this](const PacketRecord& rec) { observe_eject(rec); });
 }
@@ -92,54 +100,212 @@ void InvariantVerifier::violation(Cycle now, const std::string& what) {
              telemetry::TraceEventType::kVerifyViolation, now, -1,
              violations_ + 1, 0);
   last_violation_ = what;
+  last_violation_cycle_ = now;
   violations_++;
   FLOV_CHECK(!opts_.fatal, "invariant violation: " + what);
 }
 
 void InvariantVerifier::observe_eject(const PacketRecord& rec) {
-  const int n = ++eject_counts_[rec.packet_id];
-  if (n > 1) {
+  const std::uint64_t n = ejected_.size();
+  std::vector<std::uint8_t>& seen = ejected_[rec.packet_id % n];
+  const std::size_t slot = rec.packet_id / n;
+  if (slot >= seen.size()) seen.resize(slot + 1);
+  std::uint64_t times = 1;
+  if (seen[slot]) {
+    times = ++eject_repeats_.try_emplace(rec.packet_id, 1).first->second;
+  } else {
+    seen[slot] = 1;
+  }
+  if (times > 1) {
     std::ostringstream os;
     os << "packet " << rec.packet_id << " (src=" << rec.src
-       << " dest=" << rec.dest << ") ejected " << n << " times";
+       << " dest=" << rec.dest << ") ejected " << times << " times";
     violation(rec.eject_cycle, os.str());
   }
 }
 
 void InvariantVerifier::track_fsm_changes(Cycle now) {
-  const int n = net_.num_nodes();
-  for (NodeId id = 0; id < n; ++id) {
+  // A state can only have changed where a PSR stamp landed since the
+  // previous call; everywhere else the old sample still holds.
+  const std::vector<Cycle>& stamps = flov_->psr_stamps();
+  const bool any = flov_->psr_latest() >= last_step_;
+  for (NodeId id = 0; any && id < net_.num_nodes(); ++id) {
+    if (stamps[id] < last_step_) continue;
     const PowerState s = state_of(id);
     if (s != prev_state_[id]) {
       prev_state_[id] = s;
       last_fsm_change_[id] = now;
     }
   }
+  last_step_ = now;
 }
 
 void InvariantVerifier::step(Cycle now) {
   if (flov_) track_fsm_changes(now);
   if (now % opts_.check_interval != 0) return;
-  checks_run_++;
-  if (opts_.check_conservation) {
-    check_conservation(now);
-    if (net_.params().reliable) check_delivery(now);
-  }
-  if (opts_.check_credits) check_credits(now);
-  if (opts_.check_psr) check_psr(now);
+  run_checks(now, /*full=*/false);
 }
 
 void InvariantVerifier::final_check(Cycle now) {
-  checks_run_++;
-  if (opts_.check_conservation) {
-    check_conservation(now);
-    if (net_.params().reliable) check_delivery(now);
-  }
-  if (opts_.check_credits) check_credits(now);
-  if (opts_.check_psr) check_psr(now);
+  run_checks(now, /*full=*/true);
 }
 
-void InvariantVerifier::check_delivery(Cycle now) {
+void InvariantVerifier::run_checks(Cycle now, bool full) {
+  checks_run_++;
+  findings_.clear();
+#ifndef NDEBUG
+  const Streaks streaks_before = psr_fail_streak_;
+#endif
+  // A control-plane touch (handover, mode switch, hard fault) may have
+  // changed any router behind the channels and the segment topology with
+  // it: those cycles — rare outside gating transitions — re-read
+  // everything.
+  const bool all = full || net_.control_epoch() != seen_epoch_;
+  seen_epoch_ = net_.control_epoch();
+  // Flit conservation is a full recount every check (docs/PERFORMANCE.md
+  // §6).
+  if (opts_.check_conservation) {
+    eval_conservation(count_flits(), findings_);
+    if (net_.params().reliable) check_delivery(findings_);
+  }
+
+  if (opts_.check_credits) {
+    gather_fresh_channels();
+    update_segments(all);
+    for (std::size_t i = 0; i < segments_.size(); ++i) {
+      if (segment_due_[i]) {
+        segment_due_[i] = eval_segment(segments_[i], hops_, findings_) ? 0 : 1;
+      }
+    }
+  }
+
+  // Inclusive: the watchdog's recovery refreshes views after the check of
+  // the cycle it stamps.
+  const bool psr_stamped = flov_ && flov_->psr_latest() >= last_check_;
+  if (opts_.check_psr && (full || psr_stamped || now >= psr_next_due_)) {
+    const int n = net_.num_nodes();
+    if (!full && psr_stamped) {
+      const std::vector<Cycle>& stamps = flov_->psr_stamps();
+      for (NodeId id = 0; id < n; ++id) {
+        if (stamps[id] >= last_check_) mark_psr_readers(id);
+      }
+    }
+    psr_next_due_ = kNeverCycle;
+    for (NodeId id = 0; id < n; ++id) {
+      if (full || psr_due_[id] <= now) {
+        psr_due_[id] = eval_psr(id, now, psr_fail_streak_, findings_);
+      }
+      psr_next_due_ = std::min(psr_next_due_, psr_due_[id]);
+    }
+  }
+
+#ifndef NDEBUG
+  if (!full) oracle_check(now, streaks_before);
+#endif
+  last_check_ = now;
+  for (const std::string& what : findings_) violation(now, what);
+}
+
+void InvariantVerifier::gather_fresh_channels() {
+  // The fixed cost every check pays: eight flags per word, a quiet word
+  // skipped whole. Gathering clears the flags, so the next check sees only
+  // newer operations.
+  static_assert(std::endian::native == std::endian::little,
+                "byte index = countr_zero / 8 assumes little-endian words");
+  std::vector<std::uint8_t>& flags = *activity_;
+  const int count = static_cast<int>(flags.size());
+  fresh_channels_.clear();
+  int i = 0;
+  for (; i + 8 <= count; i += 8) {
+    std::uint64_t word;
+    std::memcpy(&word, &flags[i], sizeof word);
+    if (word == 0) continue;
+    std::memset(&flags[i], 0, sizeof word);
+    for (; word != 0; word &= word - 1) {
+      fresh_channels_.push_back(i + std::countr_zero(word) / 8);
+    }
+  }
+  for (; i < count; ++i) {
+    if (flags[i] == 0) continue;
+    flags[i] = 0;
+    fresh_channels_.push_back(i);
+  }
+}
+
+void InvariantVerifier::oracle_check(Cycle now, Streaks streaks) {
+  Findings expected;
+  if (opts_.check_conservation) {
+    eval_conservation(count_flits(), expected);
+    if (net_.params().reliable) check_delivery(expected);
+  }
+  if (opts_.check_credits) {
+    std::vector<Segment> segments;
+    std::vector<Hop> hops;
+    build_segments(segments, hops);
+    for (const Segment& s : segments) eval_segment(s, hops, expected);
+  }
+  if (opts_.check_psr) {
+    for (NodeId id = 0; id < net_.num_nodes(); ++id) {
+      eval_psr(id, now, streaks, expected);
+    }
+  }
+  FLOV_DCHECK(expected == findings_ && streaks == psr_fail_streak_,
+              "incremental invariant check diverged from the full pass at "
+              "cycle " + std::to_string(now) + ": full pass finds " +
+                  std::to_string(expected.size()) +
+                  " violation(s), incremental " +
+                  std::to_string(findings_.size()) +
+                  (expected.empty() ? std::string()
+                                    : " (first: " + expected.front() + ")") +
+                  " — a state change no channel flag, control epoch or PSR "
+                  "stamp announced");
+}
+
+// --- flit conservation -----------------------------------------------------
+
+InvariantVerifier::FlitSums InvariantVerifier::count_flits() const {
+  // Ground truth only: per-NI counters summed directly and a full component
+  // walk for the in-flight population. The network's O(1) cached aggregates
+  // must NOT be used here — a cache that drifted would make the equation
+  // tautologically true (the cache IS injected - ejected - dropped).
+  FlitSums s;
+  for (NodeId id = 0; id < net_.num_nodes(); ++id) {
+    s.injected += net_.ni(id).injected_flits();
+    s.ejected += net_.ni(id).ejected_flits();
+  }
+  s.inside = net_.recount_in_network_flits();
+  return s;
+}
+
+void InvariantVerifier::eval_conservation(const FlitSums& sums,
+                                          Findings& out) const {
+  const std::uint64_t dropped = fault_ ? fault_->dropped_flits() : 0;
+  if (sums.injected != sums.ejected + sums.inside + dropped) {
+    std::ostringstream os;
+    os << "flit conservation broken: injected=" << sums.injected
+       << " ejected=" << sums.ejected << " in_network=" << sums.inside
+       << " fault_dropped=" << dropped;
+    out.push_back(os.str());
+    return;  // a cache-drift report would just restate the same loss
+  }
+  // Conservation holds on ground truth; now hold the cached aggregates the
+  // active-set scheduler runs on to the same standard.
+  const FabricCounters c = net_.counters();
+  if (c.injected_flits != sums.injected || c.ejected_flits != sums.ejected ||
+      c.dropped_flits != dropped || c.in_network() != sums.inside) {
+    std::ostringstream os;
+    os << "cached fabric counters drifted: cached injected="
+       << c.injected_flits << "/" << sums.injected << " ejected="
+       << c.ejected_flits << "/" << sums.ejected << " dropped="
+       << c.dropped_flits << "/" << dropped << " in_network="
+       << c.in_network() << "/" << sums.inside;
+    out.push_back(os.str());
+  }
+}
+
+void InvariantVerifier::check_delivery(Findings& out) const {
+  // Always a full pass: NI retransmit timers declare flows dead without
+  // any channel operation, and the walk is cheap.
   for (NodeId id = 0; id < net_.num_nodes(); ++id) {
     const auto& ni = net_.ni(id);
     const std::uint64_t alloc = ni.seq_allocated();
@@ -151,203 +317,219 @@ void InvariantVerifier::check_delivery(Cycle now) {
       os << "reliable-delivery accounting broken at NI " << id
          << ": seq_allocated=" << alloc << " acked=" << acked
          << " declared_dead=" << dead << " outstanding=" << outstanding;
-      violation(now, os.str());
+      out.push_back(os.str());
     }
   }
 }
 
-void InvariantVerifier::check_conservation(Cycle now) {
-  // Ground truth only: per-NI counters summed directly and a full component
-  // walk for the in-flight population. The network's O(1) cached aggregates
-  // must NOT be used here — a cache that drifted would make the equation
-  // tautologically true (the cache IS injected - ejected - dropped).
-  std::uint64_t injected = 0, ejected = 0;
-  for (NodeId id = 0; id < net_.num_nodes(); ++id) {
-    injected += net_.ni(id).injected_flits();
-    ejected += net_.ni(id).ejected_flits();
-  }
-  const std::uint64_t inside = net_.recount_in_network_flits();
-  const std::uint64_t dropped = fault_ ? fault_->dropped_flits() : 0;
-  if (injected != ejected + inside + dropped) {
-    std::ostringstream os;
-    os << "flit conservation broken: injected=" << injected
-       << " ejected=" << ejected << " in_network=" << inside
-       << " fault_dropped=" << dropped;
-    violation(now, os.str());
-    return;  // a cache-drift report would just restate the same loss
-  }
-  // Conservation holds on ground truth; now hold the cached aggregates the
-  // active-set scheduler runs on to the same standard.
-  const FabricCounters c = net_.counters();
-  if (c.injected_flits != injected || c.ejected_flits != ejected ||
-      c.dropped_flits != dropped || c.in_network() != inside) {
-    std::ostringstream os;
-    os << "cached fabric counters drifted: cached injected="
-       << c.injected_flits << "/" << injected << " ejected="
-       << c.ejected_flits << "/" << ejected << " dropped="
-       << c.dropped_flits << "/" << dropped << " in_network="
-       << c.in_network() << "/" << inside;
-    violation(now, os.str());
-  }
-}
+// --- credit conservation ---------------------------------------------------
 
-void InvariantVerifier::check_credits(Cycle now) {
-  // Exact unless flit-drop or hard faults are armed: a dropped/killed
-  // flit's credit is legitimately gone until the next handover
-  // resynthesizes the counters, so only the upper bound survives.
-  const bool exact = !fault_ || (fault_->params().flit_drop_rate <= 0.0 &&
-                                 !fault_->params().hard_faults_armed());
+void InvariantVerifier::build_segments(std::vector<Segment>& segments,
+                                       std::vector<Hop>& hops) const {
   const MeshGeometry& g = net_.geom();
-  const NocParams& p = net_.params();
-  const int nvc = p.total_vcs();
-  std::vector<int> flits_in_flight(nvc);
-  std::vector<int> credits_in_flight(nvc);
+  segments.clear();
+  hops.clear();
   for (NodeId u = 0; u < net_.num_nodes(); ++u) {
     if (net_.router(u).mode() != RouterMode::kPipeline) continue;
     for (Direction d : kMeshDirections) {
       // Nearest powered (pipeline-datapath) router: the one whose input
       // buffer u's output credits track across the sleeping run.
       NodeId c = g.neighbor(u, d);
-      if (c == kInvalidNode) continue;
       while (c != kInvalidNode &&
              net_.router(c).mode() != RouterMode::kPipeline) {
         c = g.neighbor(c, d);
       }
       if (c == kInvalidNode) continue;
-
-      std::fill(flits_in_flight.begin(), flits_in_flight.end(), 0);
-      std::fill(credits_in_flight.begin(), credits_in_flight.end(), 0);
+      const int first = static_cast<int>(hops.size());
       for (NodeId r = u; r != c; r = g.neighbor(r, d)) {
-        if (auto* fch = net_.flit_channel(r, d)) {
-          fch->for_each_in_flight(
-              [&](const Flit& f) { flits_in_flight[f.vc]++; });
-        }
-        if (auto* cch = net_.router(r).credit_in(d)) {
-          cch->for_each_in_flight(
-              [&](const Credit& cr) { credits_in_flight[cr.vc]++; });
-        }
-        if (r != u) {
-          const auto& latched = net_.router(r).latch_flit(d);
-          if (latched.has_value()) flits_in_flight[latched->vc]++;
-        }
+        Router& router = net_.router(r);
+        hops.push_back(Hop{net_.flit_channel(r, d), router.credit_in(d),
+                           r == u ? nullptr : &router.latch_flit(d)});
       }
-      net_.router(c).input_free_slots(opposite(d), free_slots_scratch_);
-      const std::vector<int>& free = free_slots_scratch_;
-      const OutputPort& out = net_.router(u).output_port(d);
-      for (int v = 0; v < nvc; ++v) {
-        const int occupied = p.buffer_depth - free[v];
-        const int sum = out.vcs[v].credits + flits_in_flight[v] +
-                        credits_in_flight[v] + occupied;
-        const bool bad =
-            exact ? sum != p.buffer_depth : sum > p.buffer_depth;
-        if (bad || out.vcs[v].credits < 0 || occupied < 0) {
-          std::ostringstream os;
-          os << "credit conservation broken on segment " << u << " -> " << c
-             << " dir=" << to_string(d) << " vc=" << v
-             << ": credits=" << out.vcs[v].credits
-             << " flits_in_flight=" << flits_in_flight[v]
-             << " credits_in_flight=" << credits_in_flight[v]
-             << " occupied=" << occupied << " (depth=" << p.buffer_depth
-             << ", " << (exact ? "exact" : "bound") << ")";
-          violation(now, os.str());
-        }
-      }
+      segments.push_back(
+          Segment{u, d, c, first, static_cast<int>(hops.size())});
     }
   }
 }
 
-bool InvariantVerifier::segment_settled(NodeId from, Direction d, NodeId to,
-                                        Cycle now) const {
-  if (now < opts_.settle_window) return false;
-  const MeshGeometry& g = net_.geom();
-  NodeId cur = from;
-  while (cur != kInvalidNode) {
-    if (now - last_fsm_change_[cur] < opts_.settle_window) return false;
-    if (cur == to) break;
-    cur = g.neighbor(cur, d);
+void InvariantVerifier::update_segments(bool all) {
+  if (all) {
+    build_segments(segments_, hops_);
+    channel_segment_.assign(activity_->size(), -1);
+    for (std::size_t i = 0; i < segments_.size(); ++i) {
+      const Segment& s = segments_[i];
+      for (int h = s.first_hop; h < s.end_hop; ++h) {
+        channel_segment_[net_.channel_index(*hops_[h].flit)] =
+            static_cast<int>(i);
+        channel_segment_[net_.channel_index(*hops_[h].credit)] =
+            static_cast<int>(i);
+      }
+    }
+    segment_due_.assign(segments_.size(), 1);
+    return;
   }
-  return true;
+  for (const int i : fresh_channels_) {
+    const int seg = channel_segment_[i];
+    if (seg >= 0) segment_due_[seg] = 1;
+  }
 }
 
-void InvariantVerifier::check_psr(Cycle now) {
+bool InvariantVerifier::eval_segment(const Segment& s,
+                                     const std::vector<Hop>& hops,
+                                     Findings& out) {
+  // Inputs: u's output credits toward d, the segment's flit channels,
+  // credit back-channels and latches, and c's input buffers — each changes
+  // only with an operation on one of the segment's channels.
+  const NocParams& p = net_.params();
+  const int nvc = p.total_vcs();
+  int* flits = flits_scratch_.data();
+  int* credits_back = credits_scratch_.data();
+  std::fill_n(flits, nvc, 0);
+  std::fill_n(credits_back, nvc, 0);
+  for (int h = s.first_hop; h < s.end_hop; ++h) {
+    const Hop& hop = hops[h];
+    hop.flit->for_each_in_flight([&](const Flit& f) { flits[f.vc]++; });
+    hop.credit->for_each_in_flight(
+        [&](const Credit& cr) { credits_back[cr.vc]++; });
+    if (hop.latch != nullptr && hop.latch->has_value()) {
+      flits[(*hop.latch)->vc]++;
+    }
+  }
+  const InputPort& in = net_.router(s.c).input_port(opposite(s.d));
+  const OutputPort& port = net_.router(s.u).output_port(s.d);
+  bool holds = true;
+  for (int v = 0; v < nvc; ++v) {
+    const int occupied = in.vcs[v].occupancy();
+    const int credits = port.vcs[v].credits;
+    const int sum = credits + flits[v] + credits_back[v] + occupied;
+    const bool bad =
+        credits_exact_ ? sum != p.buffer_depth : sum > p.buffer_depth;
+    if (bad || credits < 0) {
+      std::ostringstream os;
+      os << "credit conservation broken on segment " << s.u << " -> " << s.c
+         << " dir=" << to_string(s.d) << " vc=" << v
+         << ": credits=" << credits << " flits_in_flight=" << flits[v]
+         << " credits_in_flight=" << credits_back[v]
+         << " occupied=" << occupied << " (depth=" << p.buffer_depth << ", "
+         << (credits_exact_ ? "exact" : "bound") << ")";
+      out.push_back(os.str());
+      holds = false;
+    }
+  }
+  return holds;
+}
+
+// --- PSR coherence ---------------------------------------------------------
+
+Cycle InvariantVerifier::settled_at(NodeId from, Direction d,
+                                    NodeId to) const {
+  const MeshGeometry& g = net_.geom();
+  Cycle at = opts_.settle_window;
+  for (NodeId cur = from; cur != kInvalidNode; cur = g.neighbor(cur, d)) {
+    at = std::max(at, last_fsm_change_[cur] + opts_.settle_window);
+    if (cur == to) break;
+  }
+  return at;
+}
+
+void InvariantVerifier::mark_psr_readers(NodeId x) {
+  // eval_psr(y) reads the states along each of y's directions up to and
+  // including the first non-sleeping router, plus y's East/South neighbors
+  // (rFLOV adjacency). So x's readers are x itself and, walking out of x
+  // each way, every router up to and including the first non-sleeping one.
+  const MeshGeometry& g = net_.geom();
+  psr_due_[x] = 0;
+  for (Direction d : kMeshDirections) {
+    for (NodeId y = g.neighbor(x, d); y != kInvalidNode; y = g.neighbor(y, d)) {
+      psr_due_[y] = 0;
+      if (state_of(y) != PowerState::kSleep) break;
+    }
+  }
+}
+
+Cycle InvariantVerifier::eval_psr(NodeId id, Cycle now, Streaks& streaks,
+                                  Findings& out) const {
   const MeshGeometry& g = net_.geom();
   const bool restricted = flov_->mode() == FlovMode::kRestricted;
+  const PowerState s = state_of(id);
+  Cycle due = kNeverCycle;
 
-  for (NodeId id = 0; id < net_.num_nodes(); ++id) {
-    const PowerState s = state_of(id);
-
-    // rFLOV adjacency: two physically adjacent gated routers can never
-    // legitimately coexist, transients included (drain entry requires all
-    // neighbors Active and arbitration serializes), so check instantly.
-    if (restricted && (s == PowerState::kSleep || s == PowerState::kWakeup) &&
-        !flov_->router_dead(id)) {
-      for (Direction d : {Direction::East, Direction::South}) {
-        const NodeId m = g.neighbor(id, d);
-        if (m == kInvalidNode) continue;
-        // Hard faults do not respect the adjacency rule: two neighbors can
-        // die together, and a dead router sleeps forever regardless of who
-        // is next to it.
-        if (flov_->router_dead(m)) continue;
-        const PowerState ms = state_of(m);
-        if (ms == PowerState::kSleep || ms == PowerState::kWakeup) {
-          std::ostringstream os;
-          os << "rFLOV adjacency broken: routers " << id << " ("
-             << to_string(s) << ") and " << m << " (" << to_string(ms)
-             << ") are both gated";
-          violation(now, os.str());
-        }
-      }
-    }
-
-    // Logical-pointer coherence (powered routers' views only; a gated
-    // router's view is refreshed on wakeup).
-    if (s != PowerState::kActive && s != PowerState::kDraining) continue;
-    const NeighborhoodView& v = net_.router(id).view();
-    for (Direction d : kMeshDirections) {
-      const int di = dir_index(d);
-      NodeId expected = g.neighbor(id, d);
-      while (expected != kInvalidNode &&
-             state_of(expected) == PowerState::kSleep) {
-        expected = g.neighbor(expected, d);
-      }
-      if (!segment_settled(id, d, expected, now)) {
-        psr_fail_streak_[id][di] = 0;
-        continue;
-      }
-      if (v.logical[di] != expected) {
-        // Two consecutive failing samples: a heal (retry / re-announce)
-        // may be mid-flight on the first.
-        if (++psr_fail_streak_[id][di] >= 2) {
-          std::ostringstream os;
-          os << "stale logical PSR at router " << id << " dir="
-             << to_string(d) << ": points at " << v.logical[di]
-             << ", true nearest powered router is " << expected;
-          violation(now, os.str());
-          psr_fail_streak_[id][di] = 0;
-        }
-        continue;
-      }
-      psr_fail_streak_[id][di] = 0;
-
-      // gFLOV forbidden logical pairs, flagged only when persistent: both
-      // FSMs stable a full settle window yet still paired means the
-      // arbitration/priority signals were lost beyond recovery.
-      if (!restricted && s == PowerState::kDraining &&
-          expected != kInvalidNode && !flov_->router_dead(id) &&
-          !flov_->router_dead(expected)) {
-        const PowerState es = state_of(expected);
-        if ((es == PowerState::kDraining || es == PowerState::kWakeup) &&
-            now - last_fsm_change_[id] >= opts_.settle_window &&
-            now - last_fsm_change_[expected] >= opts_.settle_window) {
-          std::ostringstream os;
-          os << "gFLOV forbidden pair stuck: router " << id
-             << " Draining with logical neighbor " << expected << " "
-             << to_string(es) << " dir=" << to_string(d);
-          violation(now, os.str());
-        }
+  // rFLOV adjacency: two physically adjacent gated routers can never
+  // legitimately coexist, transients included (drain entry requires all
+  // neighbors Active and arbitration serializes), so check instantly.
+  if (restricted && (s == PowerState::kSleep || s == PowerState::kWakeup) &&
+      !flov_->router_dead(id)) {
+    for (Direction d : {Direction::East, Direction::South}) {
+      const NodeId m = g.neighbor(id, d);
+      if (m == kInvalidNode) continue;
+      // Hard faults do not respect the adjacency rule: two neighbors can
+      // die together, and a dead router sleeps forever regardless of who
+      // is next to it.
+      if (flov_->router_dead(m)) continue;
+      const PowerState ms = state_of(m);
+      if (ms == PowerState::kSleep || ms == PowerState::kWakeup) {
+        std::ostringstream os;
+        os << "rFLOV adjacency broken: routers " << id << " ("
+           << to_string(s) << ") and " << m << " (" << to_string(ms)
+           << ") are both gated";
+        out.push_back(os.str());
+        due = now + 1;
       }
     }
   }
+
+  // Logical-pointer coherence (powered routers' views only; a gated
+  // router's view is refreshed on wakeup).
+  if (s != PowerState::kActive && s != PowerState::kDraining) return due;
+  const NeighborhoodView& v = net_.router(id).view();
+  for (Direction d : kMeshDirections) {
+    const int di = dir_index(d);
+    NodeId expected = g.neighbor(id, d);
+    while (expected != kInvalidNode &&
+           state_of(expected) == PowerState::kSleep) {
+      expected = g.neighbor(expected, d);
+    }
+    const Cycle settle = settled_at(id, d, expected);
+    if (now < settle) {
+      streaks[id][di] = 0;
+      due = std::min(due, settle);
+      continue;
+    }
+    if (v.logical[di] != expected) {
+      // Two consecutive failing samples: a heal (retry / re-announce)
+      // may be mid-flight on the first.
+      if (++streaks[id][di] >= 2) {
+        std::ostringstream os;
+        os << "stale logical PSR at router " << id << " dir="
+           << to_string(d) << ": points at " << v.logical[di]
+           << ", true nearest powered router is " << expected;
+        out.push_back(os.str());
+        streaks[id][di] = 0;
+      }
+      due = now + 1;
+      continue;
+    }
+    streaks[id][di] = 0;
+
+    // gFLOV forbidden logical pairs, flagged only when persistent: both
+    // FSMs stable a full settle window (the settled neighborhood includes
+    // both ends) yet still paired means the arbitration/priority signals
+    // were lost beyond recovery.
+    if (!restricted && s == PowerState::kDraining &&
+        expected != kInvalidNode && !flov_->router_dead(id) &&
+        !flov_->router_dead(expected)) {
+      const PowerState es = state_of(expected);
+      if (es == PowerState::kDraining || es == PowerState::kWakeup) {
+        std::ostringstream os;
+        os << "gFLOV forbidden pair stuck: router " << id
+           << " Draining with logical neighbor " << expected << " "
+           << to_string(es) << " dir=" << to_string(d);
+        out.push_back(os.str());
+        due = now + 1;
+      }
+    }
+  }
+  return due;
 }
 
 }  // namespace flov

@@ -21,6 +21,33 @@
 //     FSMs have been stable for `settle_window` cycles, and require two
 //     consecutive failing samples (handshake heals are in flight in
 //     between).
+//   * Reliable delivery (noc.reliable) — every allocated sequence number
+//     is acked, declared dead or still tracked.
+//
+// Incremental evaluation (docs/PERFORMANCE.md §6). Every input these
+// checks read changes only under one of three signals:
+//   * channel activity flags — Network::claim_channel_activity(): every
+//     send, popping recv, clear or staged merge flags its channel. Router
+//     buffers, latches and credit counters change only together with such
+//     an operation on one of their channels.
+//   * the control epoch — Network::control_epoch(): bumped by every
+//     wake_router(), the hook each behind-the-channels mutation (credit
+//     handover, mode switch, hard fault) already calls.
+//   * PSR stamps — FlovNetwork::psr_stamps(): the cycle of each node's
+//     last FSM transition, PSR update, view refresh or death.
+// A check re-evaluates an item (a credit segment, a node's PSR view) only
+// when one of its inputs was signalled since the previous check, when its
+// last evaluation failed or left a fail streak pending, or when a PSR
+// settle deadline arrives. A control-epoch change re-reads everything. Each
+// check has a single evaluation function; step() drives it over the changed
+// items, final_check() over all of them. Debug builds also run the full
+// pass after every incremental check and FLOV_DCHECK that both produce the
+// same violations in the same order (the oracle), so a missed signal fails
+// the Debug test suite instead of hiding a violation. Verdicts, violation
+// cycles and messages are those of a full pass every check. Two checks are
+// full passes every time: flit conservation (a sequential recount of every
+// buffer, latch and channel) and reliable-delivery accounting (NI
+// retransmit timers declare flows dead without any channel operation).
 //
 // A violation dumps the offending neighborhood and either aborts via
 // FLOV_CHECK (fatal=true, the default) or is counted (for tests that
@@ -29,6 +56,7 @@
 
 #include <array>
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -98,17 +126,74 @@ class InvariantVerifier {
   std::uint64_t violations() const { return violations_; }
   std::uint64_t checks_run() const { return checks_run_; }
   const std::string& last_violation() const { return last_violation_; }
+  /// Cycle of the most recent violation (0 before the first one).
+  Cycle last_violation_cycle() const { return last_violation_cycle_; }
 
  private:
-  void check_conservation(Cycle now);
-  /// Reliable-delivery bookkeeping (noc.reliable only): per NI, every
-  /// allocated sequence number is acked, declared dead, or still tracked in
-  /// the retransmit buffer — no flow is ever silently forgotten.
-  void check_delivery(Cycle now);
-  void check_credits(Cycle now);
-  void check_psr(Cycle now);
+  /// Violation messages of one check, in report order.
+  using Findings = std::vector<std::string>;
+  /// Consecutive failing samples per (node, dir) pointer check.
+  using Streaks = std::vector<std::array<int, kNumMeshDirs>>;
+
+  struct FlitSums {
+    std::uint64_t injected = 0;
+    std::uint64_t ejected = 0;
+    std::uint64_t inside = 0;  ///< router buffers + latches + flit channels
+  };
+  /// One link of a credit segment: router r's flit wire toward d, its
+  /// credit back-channel, and r's FLOV latch toward d (null for r == u).
+  struct Hop {
+    const Channel<Flit>* flit;
+    const Channel<Credit>* credit;
+    const std::optional<Flit>* latch;
+  };
+  /// One credit-conservation segment: powered `u`, its outputs toward `d`,
+  /// across sleeping routers to the nearest powered router `c`; its links
+  /// are hops[first_hop, end_hop).
+  struct Segment {
+    NodeId u;
+    Direction d;
+    NodeId c;
+    int first_hop;
+    int end_hop;
+  };
+
+  /// Runs every armed check over the changed items (full = all items) and
+  /// reports the findings.
+  void run_checks(Cycle now, bool full);
+  /// The full pass over pre-check PSR streaks `streaks`; FLOV_DCHECKs that
+  /// it finds exactly what the incremental check found.
+  void oracle_check(Cycle now, Streaks streaks);
+  /// Collects into fresh_channels_ (ascending) the channels operated on
+  /// since the previous check, clearing their activity flags.
+  void gather_fresh_channels();
+
+  // --- flit conservation ---
+  /// Ground truth by walking every component.
+  FlitSums count_flits() const;
+  void eval_conservation(const FlitSums& sums, Findings& out) const;
+  void check_delivery(Findings& out) const;
+
+  // --- credit conservation ---
+  void build_segments(std::vector<Segment>& segments,
+                      std::vector<Hop>& hops) const;
+  /// Rebuilds the segment table (all) or marks the segments a freshly
+  /// flagged channel belongs to as due.
+  void update_segments(bool all);
+  /// Returns true when the segment holds.
+  bool eval_segment(const Segment& s, const std::vector<Hop>& hops,
+                    Findings& out);
+
+  // --- PSR coherence ---
   void track_fsm_changes(Cycle now);
-  bool segment_settled(NodeId from, Direction d, NodeId to, Cycle now) const;
+  /// First cycle at which the neighborhood from..to along d has been
+  /// FSM-quiet for a full settle window.
+  Cycle settled_at(NodeId from, Direction d, NodeId to) const;
+  /// Returns the first cycle at which `id` must be evaluated again even if
+  /// no stamp reaches it (kNeverCycle: only a stamp can change its verdict).
+  Cycle eval_psr(NodeId id, Cycle now, Streaks& streaks, Findings& out) const;
+  /// Makes `x` and every node whose PSR check reads `x`'s state due now.
+  void mark_psr_readers(NodeId x);
   PowerState state_of(NodeId id) const;
   void violation(Cycle now, const std::string& what);
 
@@ -116,17 +201,44 @@ class InvariantVerifier {
   FlovNetwork* flov_ = nullptr;  ///< null for the conservation-only form
   const FaultInjector* fault_ = nullptr;
   VerifierOptions opts_;
+  /// Credit check exact (fault-free) or an upper bound (flit drops / hard
+  /// faults armed: a dropped flit's credit is legitimately gone).
+  bool credits_exact_ = true;
 
-  std::unordered_map<std::uint64_t, int> eject_counts_;
-  std::vector<int> free_slots_scratch_;  ///< Router::input_free_slots scratch
+  /// Duplicate-ejection detection. Packet ids are dense per source
+  /// (1 + src + seq·N), so ejected_[id % N][id / N] flags each id seen;
+  /// a repeat's exact count lives in eject_repeats_.
+  std::vector<std::vector<std::uint8_t>> ejected_;
+  std::unordered_map<std::uint64_t, std::uint64_t> eject_repeats_;
+
+  // Incremental state.
+  /// Network::claim_channel_activity (FLOV form only).
+  std::vector<std::uint8_t>* activity_ = nullptr;
+  Cycle last_check_ = 0;  ///< cycle of the previous check
+  Cycle last_step_ = 0;  ///< cycle of the previous step() call
+  std::uint64_t seen_epoch_ = ~std::uint64_t{0};  ///< control epoch seen
+  std::vector<int> fresh_channels_;  ///< flagged since the previous check
+  std::vector<Segment> segments_;
+  std::vector<Hop> hops_;
+  std::vector<int> channel_segment_;  ///< channel index -> segment or -1
+  std::vector<std::uint8_t> segment_due_;  ///< flagged or failed last time
+  /// Per node, the first check that must evaluate it again: eval_psr's
+  /// answer, or 0 once a PSR stamp reached it (mark_psr_readers).
+  std::vector<Cycle> psr_due_;
+  Cycle psr_next_due_ = 0;      ///< min of psr_due_
+  Findings findings_;
+
+  /// eval_segment's per-VC counts (a router has at most 64 VCs).
+  std::array<int, 64> flits_scratch_{};
+  std::array<int, 64> credits_scratch_{};
   std::vector<PowerState> prev_state_;
   std::vector<Cycle> last_fsm_change_;
-  /// Consecutive failing samples per (node, dir) pointer check.
-  std::vector<std::array<int, kNumMeshDirs>> psr_fail_streak_;
+  Streaks psr_fail_streak_;
 
   std::uint64_t violations_ = 0;
   std::uint64_t checks_run_ = 0;
   std::string last_violation_;
+  Cycle last_violation_cycle_ = 0;
 };
 
 }  // namespace flov

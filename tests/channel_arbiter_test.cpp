@@ -1,6 +1,9 @@
 // Unit tests for the pipelined channel and the round-robin arbiter.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <optional>
+
 #include "noc/arbiter.hpp"
 #include "noc/channel.hpp"
 
@@ -61,6 +64,55 @@ TEST(Channel, ForEachInFlightVisitsAll) {
   int sum = 0;
   ch.for_each_in_flight([&](int v) { sum += v; });
   EXPECT_EQ(sum, 11);
+}
+
+// The invariant verifier skips every credit segment whose channels carry
+// no activity flag, so each operation that changes what is on the wire must
+// set it — and an idle recv must not.
+TEST(Channel, EveryWireChangeSetsTheActivityFlag) {
+  std::uint8_t flag = 0;
+  Channel<int> ch(1);
+  ch.set_activity_flag(&flag);
+  ch.send(0, 1);
+  EXPECT_EQ(flag, 1) << "send";
+  flag = 0;
+  EXPECT_FALSE(ch.recv(0).has_value());
+  EXPECT_TRUE(ch.recv_all(0).empty());
+  EXPECT_EQ(flag, 0) << "recv with nothing due";
+  EXPECT_TRUE(ch.recv(1).has_value());
+  EXPECT_EQ(flag, 1) << "recv";
+  ch.send(1, 2);
+  flag = 0;
+  EXPECT_EQ(ch.recv_all(2).size(), 1u);
+  EXPECT_EQ(flag, 1) << "recv_all";
+  flag = 0;
+  ch.clear();
+  EXPECT_EQ(flag, 1) << "clear";
+
+  // A dropped item still flags: the sender's credit refund is a change.
+  flag = 0;
+  ch.set_fault_hook([](Cycle, int&) { return std::optional<Cycle>(); });
+  ch.send(3, 3);
+  EXPECT_EQ(flag, 1) << "dropped send";
+}
+
+TEST(Channel, StagingChannelFlagsAtTheMerge) {
+  std::uint8_t flag = 0;
+  Channel<int> ch(1);
+  ch.set_activity_flag(&flag);
+  ch.set_staging(true);
+  ch.send(0, 1);
+  EXPECT_EQ(flag, 0) << "flag written during the parallel phase";
+  ch.merge_staged();
+  EXPECT_EQ(flag, 1) << "staged send";
+  flag = 0;
+  EXPECT_TRUE(ch.recv(1).has_value());
+  EXPECT_EQ(flag, 0);
+  ch.merge_staged();
+  EXPECT_EQ(flag, 1) << "recv on a staging channel";
+  flag = 0;
+  ch.merge_staged();
+  EXPECT_EQ(flag, 0) << "merge with nothing to publish";
 }
 
 TEST(Arbiter, GrantsOnlyRequesters) {

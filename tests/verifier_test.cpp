@@ -1,9 +1,14 @@
 // Invariant-verifier unit tests: the verifier must stay silent on healthy
-// runs (all four schemes) and must abort — with a FLOV_CHECK death — when
-// handed a fabric whose conservation laws were deliberately broken.
+// runs (all four schemes) and must abort — with a FLOV_CHECK death, on the
+// cycle of the corruption — when handed a fabric whose conservation laws
+// were deliberately broken, including state that sat untouched for a
+// thousand cycles before (the checks re-run only where stamps say
+// something changed).
 // Also covers the drain-abort-timeout promotion into NocParams/Config
 // (PROTOCOL.md §2) and the new recovery knobs' config plumbing.
 #include <gtest/gtest.h>
+
+#include <vector>
 
 #include "common/config.hpp"
 #include "fault/fault_model.hpp"
@@ -75,21 +80,31 @@ TEST(VerifierDeath, DoubleEjectAborts) {
   InvariantVerifier verifier(sys);  // fatal by default
   PacketRecord rec;
   rec.packet_id = 7;
+  rec.eject_cycle = 40;
   verifier.observe_eject(rec);
+  rec.eject_cycle = 57;
   const std::string msg =
       expect_fatal([&] { verifier.observe_eject(rec); });
   EXPECT_NE(msg.find("ejected 2 times"), std::string::npos) << msg;
+  EXPECT_EQ(verifier.last_violation_cycle(), 57u);
 }
 
 TEST(VerifierDeath, CreditOverReturnAborts) {
   FlovNetwork sys(small_mesh(), FlovMode::kGeneralized, EnergyParams{});
   InvariantVerifier verifier(sys);
+  Cycle now = 0;
+  for (; now < 20; ++now) {
+    sys.step(now);
+    verifier.step(now);
+  }
   // A credit nobody earned: over-return on router 5's East credit wire.
   Channel<Credit>* wire = sys.network().router(5).credit_in(Direction::East);
   ASSERT_NE(wire, nullptr);
-  wire->send(0, Credit{0});
-  const std::string msg = expect_fatal([&] { verifier.step(0); });
+  sys.step(now);
+  wire->send(now, Credit{0});
+  const std::string msg = expect_fatal([&] { verifier.step(now); });
   EXPECT_NE(msg.find("credit conservation broken"), std::string::npos) << msg;
+  EXPECT_EQ(verifier.last_violation_cycle(), now);
 }
 
 TEST(VerifierDeath, VanishedFlitAborts) {
@@ -112,6 +127,129 @@ TEST(VerifierDeath, VanishedFlitAborts) {
   wire->clear();  // unaccounted loss: not a registered fault
   const std::string msg = expect_fatal([&] { verifier.step(now); });
   EXPECT_NE(msg.find("flit conservation broken"), std::string::npos) << msg;
+  EXPECT_EQ(verifier.last_violation_cycle(), now);
+}
+
+// --- incremental checking: exact on long-quiet state ---------------------
+
+/// A gated 8x8 FLOV mesh without traffic: the routers in `gated` sleep, so
+/// the credit segment u -> c runs across them and stays quiet. After at
+/// least 1000 quiet cycles, `plant` breaks the segment at cycle `now` (after
+/// the system step, before the verifier's); a non-fatal verifier must
+/// report on exactly that cycle, having been silent until then.
+template <typename Plant>
+void expect_report_on_plant_cycle(FlovMode mode, std::vector<NodeId> gated,
+                                  NodeId u, NodeId c, Plant plant) {
+  NocParams p;
+  p.width = 8;
+  p.height = 8;
+  FlovNetwork sys(p, mode, EnergyParams{});
+  VerifierOptions vo;
+  vo.fatal = false;
+  InvariantVerifier verifier(sys, vo);
+  for (NodeId id : gated) sys.set_core_gated(id, true, 0);
+  Cycle now = 0;
+  for (; now < 3000; ++now) {
+    sys.step(now);
+    verifier.step(now);
+  }
+  for (NodeId id : gated) {
+    ASSERT_EQ(sys.hsc(id).state(), PowerState::kSleep) << id;
+    ASSERT_GE(sys.hsc(id).sleep_cycles(now), 1000u) << id;
+  }
+  ASSERT_EQ(sys.network().router(u).mode(), RouterMode::kPipeline);
+  ASSERT_EQ(sys.network().router(c).mode(), RouterMode::kPipeline);
+  ASSERT_EQ(verifier.violations(), 0u);
+  for (;; ++now) {
+    ASSERT_LT(now, 4000u) << "the plant never broke anything";
+    sys.step(now);
+    const bool planted = plant(sys, now);
+    verifier.step(now);
+    if (!planted) {
+      ASSERT_EQ(verifier.violations(), 0u) << "report before the plant";
+      continue;
+    }
+    EXPECT_GE(verifier.violations(), 1u);
+    EXPECT_EQ(verifier.last_violation_cycle(), now);
+    return;
+  }
+}
+
+/// Plants a credit nobody earned on u's credit wire from the first
+/// sleeping router (the segment's first hop toward East).
+auto unearned_credit(NodeId u) {
+  return [u](FlovNetwork& sys, Cycle now) {
+    sys.network().router(u).credit_in(Direction::East)->send(now, Credit{0});
+    return true;
+  };
+}
+
+/// Sends one single-flit packet u -> dest along the row; the cycle its flit
+/// is on the wire leaving the last sleeping router (`last`), the wire loses
+/// it.
+auto vanishing_flit(NodeId u, NodeId last, NodeId dest) {
+  return [u, last, dest, sent = false](FlovNetwork& sys, Cycle now) mutable {
+    if (!sent) {
+      PacketDescriptor pd;
+      pd.src = u;
+      pd.dest = dest;
+      pd.size_flits = 1;
+      pd.gen_cycle = now;
+      sys.network().enqueue(pd);
+      sent = true;
+      return false;
+    }
+    Channel<Flit>* wire = sys.network().flit_channel(last, Direction::East);
+    if (wire->empty()) return false;
+    wire->clear();
+    return true;
+  };
+}
+
+TEST(VerifierIncremental, QuietRFlovSegmentReportsOnThePlantCycle) {
+  // Router 19 (row 2) sleeps; segment 18 -> 20 flies over it.
+  expect_report_on_plant_cycle(FlovMode::kRestricted, {19}, 18, 20,
+                               unearned_credit(18));
+  expect_report_on_plant_cycle(FlovMode::kRestricted, {19}, 18, 20,
+                               vanishing_flit(18, 19, 21));
+}
+
+TEST(VerifierIncremental, QuietGFlovSegmentReportsOnThePlantCycle) {
+  // Routers 19 and 20 sleep side by side; segment 18 -> 21 flies over both.
+  expect_report_on_plant_cycle(FlovMode::kGeneralized, {19, 20}, 18, 21,
+                               unearned_credit(18));
+  expect_report_on_plant_cycle(FlovMode::kGeneralized, {19, 20}, 18, 21,
+                               vanishing_flit(18, 20, 22));
+}
+
+TEST(VerifierIncremental, OracleCatchesAChangeWithoutAStamp) {
+#ifdef NDEBUG
+  GTEST_SKIP() << "the full-pass oracle runs only where FLOV_DCHECK is "
+                  "live (Debug builds)";
+#else
+  FlovNetwork sys(small_mesh(), FlovMode::kGeneralized, EnergyParams{});
+  InvariantVerifier verifier(sys);
+  Cycle now = 0;
+  for (; now < 100; ++now) {
+    sys.step(now);
+    verifier.step(now);
+  }
+  // Router 5 loses an East credit behind every channel's back and without
+  // wake_router(): the incremental check has no stamp to notice it by, so
+  // only the oracle's full pass sees the broken segment.
+  const NocParams& p = sys.network().params();
+  std::vector<int> credits(static_cast<std::size_t>(p.total_vcs()),
+                           p.buffer_depth);
+  credits[0] = p.buffer_depth - 1;
+  sys.network().router(5).reload_output_credits(Direction::East, credits);
+  sys.step(now);
+  const std::string msg = expect_fatal([&] { verifier.step(now); });
+  EXPECT_NE(msg.find("diverged from the full pass"), std::string::npos)
+      << msg;
+  EXPECT_NE(msg.find("credit conservation broken on segment 5 -> 6"),
+            std::string::npos)
+      << msg;
+#endif
 }
 
 // --- drain-abort timeout: param promotion + regression (PROTOCOL.md §2) --
