@@ -9,7 +9,6 @@
 //   * gFLOV's spike peak (none expected) and its average transition time,
 //   * steady-state average latency for both.
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <string>
 
@@ -74,23 +73,12 @@ int main(int argc, char** argv) {
   Config cfg;
   cfg.parse_args(argc, argv);
   const Cycle total = cfg.get_int("measure", 30000) + 10000;
-  // threads= : per-run domain workers (noc.step_threads) for every cell.
-  // tiles=TXxTY : explicit tile-domain grid (default: auto row bands).
-  // Results are bit-identical at any value; only wall time changes.
-  const int threads = static_cast<int>(cfg.get_int("threads", 1));
-  const std::string tiles = cfg.get_string("tiles", "");
-  // Budget the cell pool against the intra-run workers so the bench does
-  // not oversubscribe (jobs x threads ~ core count).
-  const int jobs = resolve_jobs(static_cast<int>(cfg.get_int("jobs", 0)),
-                                threads);
-  ManifestSink sink(argc, argv, "bench_scalability");
+  const int jobs = static_cast<int>(cfg.get_int("jobs", 0));
 
-  // sizes= : comma list of mesh edge lengths. The 32/64 rows are the
-  // "interactive large mesh" cells the SoA hot path + tile domains target;
-  // trim the list (sizes=4,8,12,16) for a quick look.
+  // sizes= : comma list of mesh edge lengths (the EXPERIMENTS.md rows).
   std::vector<int> sizes;
   {
-    const std::string s = cfg.get_string("sizes", "4,8,12,16,32,64");
+    const std::string s = cfg.get_string("sizes", "4,8,12,16");
     std::size_t pos = 0;
     while (pos < s.size()) {
       std::size_t comma = s.find(',', pos);
@@ -106,7 +94,6 @@ int main(int argc, char** argv) {
   struct Row {
     Result rp, gf;
     Cycle rp_reconfig = 0;
-    double rp_wall = 0.0, gf_wall = 0.0;
   };
   std::vector<Row> rows(sizes.size());
   parallel_run(2 * nsizes, jobs, [&](int i) {
@@ -114,9 +101,6 @@ int main(int argc, char** argv) {
     NocParams p;
     p.width = k;
     p.height = k;
-    p.step_threads = threads;
-    p.apply_tiles_shorthand(tiles);
-    const auto start = std::chrono::steady_clock::now();
     if (i % 2 == 0) {
       // RP: Phase-I grows with the router count (route computation at the
       // FM plus per-router table distribution) — c1 + c2 * N.
@@ -125,83 +109,31 @@ int main(int argc, char** argv) {
       RpNetwork rp(p, EnergyParams{}, fm);
       rows[i / 2].rp = drive(rp, p, /*change_at=*/20000, total, 11);
       rows[i / 2].rp_reconfig = rp.fabric_manager().last_reconfig_duration();
-      rows[i / 2].rp_wall =
-          std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                        start)
-              .count();
     } else {
       FlovNetwork gf(p, FlovMode::kGeneralized, EnergyParams{});
       rows[i / 2].gf = drive(gf, p, 20000, total, 11);
-      rows[i / 2].gf_wall =
-          std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                        start)
-              .count();
     }
   });
 
   print_header(
       "Scalability — one gating change mid-run, distributed gFLOV vs "
       "centralized RP");
-  std::printf("(step threads per run: %d, tiles: %s)\n", threads,
-              tiles.empty() ? "auto" : tiles.c_str());
-  std::printf("%-8s | %12s %12s %14s %9s | %12s %12s %9s\n", "mesh",
-              "RP latency", "RP peak", "RP reconfig", "RP wall", "gFLOV lat",
-              "gFLOV peak", "gF wall");
+  std::printf("%-8s | %12s %12s %14s | %12s %12s\n", "mesh", "RP latency",
+              "RP peak", "RP reconfig", "gFLOV lat", "gFLOV peak");
 
   for (int i = 0; i < nsizes; ++i) {
     const int k = sizes[i];
     const Result& rp = rows[i].rp;
     const Result& gf = rows[i].gf;
-    std::printf("%-8s | %12s %12s %14llu %8.2fs | %12s %12s %8.2fs\n",
+    std::printf("%-8s | %12s %12s %14llu | %12s %12s\n",
                 (std::to_string(k) + "x" + std::to_string(k)).c_str(),
                 latency_cell(rp, rp.avg_latency).c_str(),
                 latency_cell(rp, rp.peak_window).c_str(),
                 static_cast<unsigned long long>(rows[i].rp_reconfig),
-                rows[i].rp_wall, latency_cell(gf, gf.avg_latency).c_str(),
-                latency_cell(gf, gf.peak_window).c_str(), rows[i].gf_wall);
+                latency_cell(gf, gf.avg_latency).c_str(),
+                latency_cell(gf, gf.peak_window).c_str());
   }
   std::printf("\nRP's stall (and the latency spike behind it) grows with the "
               "mesh; gFLOV's distributed handshake does not.\n");
-
-  if (sink.enabled()) {
-    // Reuse the sweep-manifest shape: one point per (mesh, scheme) cell,
-    // with the bench figures as per-point gauges (wall_seconds included —
-    // this artifact records performance, it is not a determinism gate).
-    std::vector<SyntheticExperimentConfig> points;
-    std::vector<RunResult> results;
-    for (int i = 0; i < nsizes; ++i) {
-      for (int s = 0; s < 2; ++s) {
-        SyntheticExperimentConfig ex;
-        ex.noc.width = sizes[i];
-        ex.noc.height = sizes[i];
-        ex.noc.step_threads = threads;
-        ex.noc.apply_tiles_shorthand(tiles);
-        ex.pattern = "uniform";
-        ex.inj_rate_flits = 0.02;
-        ex.seed = 11;
-        points.push_back(ex);
-        RunResult r;
-        const Result& res = s == 0 ? rows[i].rp : rows[i].gf;
-        r.scheme = s == 0 ? "RP" : "gFLOV";
-        r.avg_latency = res.avg_latency;
-        r.metrics = std::make_shared<telemetry::MetricsRegistry>();
-        r.metrics->gauge("bench.avg_latency") = res.avg_latency;
-        r.metrics->gauge("bench.peak_window") = res.peak_window;
-        r.metrics->gauge("bench.step_threads") = threads;
-        r.metrics->gauge("bench.step_tiles_x") = ex.noc.step_tiles_x;
-        r.metrics->gauge("bench.step_tiles_y") = ex.noc.step_tiles_y;
-        r.metrics->gauge("bench.wall_seconds") =
-            s == 0 ? rows[i].rp_wall : rows[i].gf_wall;
-        if (s == 0) {
-          r.metrics->gauge("bench.rp_reconfig_cycles") =
-              static_cast<double>(rows[i].rp_reconfig);
-        }
-        results.push_back(std::move(r));
-      }
-    }
-    SweepOptions so;
-    so.jobs = jobs;
-    sink.write(points, results, so);
-  }
   return 0;
 }

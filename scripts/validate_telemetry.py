@@ -145,6 +145,11 @@ def validate_registry(reg, where):
         for field in ("count", "mean", "min", "max", "stddev"):
             if field not in st:
                 fail("%s: stat %r missing %r" % (where, name, field))
+        for field in ("mean", "min", "max", "stddev"):
+            # null means "no samples" and is only valid with count 0.
+            if st[field] is None and st["count"] != 0:
+                fail("%s: stat %r has %d samples but a null %r"
+                     % (where, name, st["count"], field))
     for name, h in reg["histograms"].items():
         for field in ("lo", "hi", "count", "clamped_low", "clamped_high",
                       "bins"):

@@ -2,7 +2,8 @@
 // document describing what ran (config, seed, git describe), what it cost
 // (wall time), and what it measured (metric snapshot, trace path,
 // incidents) — so sweep outputs are self-describing artifacts that
-// scripts/bench_compare.py and CI can consume without re-running anything.
+// scripts/validate_telemetry.py and CI can consume without re-running
+// anything.
 //
 // Two schemas share this writer:
 //   flyover-run-manifest-v1    one simulation (flov_sim_cli, experiments)

@@ -70,19 +70,6 @@ void MetricsRegistry::merge(const MetricsRegistry& other) {
   }
 }
 
-std::map<std::string, double> MetricsRegistry::snapshot() const {
-  std::map<std::string, double> out;
-  for (const auto& [name, v] : counters_) {
-    out[name] = static_cast<double>(v);
-  }
-  for (const auto& [name, v] : gauges_) out[name] = v;
-  for (const auto& [name, acc] : stats_) {
-    out[name + ".mean"] = acc.mean();
-    out[name + ".count"] = static_cast<double>(acc.count());
-  }
-  return out;
-}
-
 void MetricsRegistry::write_json(JsonWriter& w) const {
   w.begin_object();
   w.key("counters");
@@ -99,10 +86,19 @@ void MetricsRegistry::write_json(JsonWriter& w) const {
     w.key(name);
     w.begin_object();
     w.kv("count", acc.count());
-    w.kv("mean", acc.mean());
-    w.kv("min", acc.min());
-    w.kv("max", acc.max());
-    w.kv("stddev", acc.stddev());
+    const std::pair<const char*, double> fields[] = {
+        {"mean", acc.mean()},
+        {"min", acc.min()},
+        {"max", acc.max()},
+        {"stddev", acc.stddev()}};
+    for (const auto& [field, v] : fields) {
+      w.key(field);
+      if (acc.count() == 0) {
+        w.null();
+      } else {
+        w.value(v);
+      }
+    }
     w.end_object();
   }
   w.end_object();

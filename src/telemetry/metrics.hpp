@@ -72,11 +72,9 @@ class MetricsRegistry {
   /// e.g. 36 runs' "power.total_mw" gauges merge into count/mean/min/max).
   void merge(const MetricsRegistry& other);
 
-  /// Flat snapshot for manifest diffing / bench_compare: counters and
-  /// gauges verbatim, stats as <name>.mean/.count.
-  std::map<std::string, double> snapshot() const;
-
-  /// Serializes the full registry as one JSON object.
+  /// Serializes the full registry as one JSON object. A stat with no
+  /// samples writes mean/min/max/stddev as null, so an empty measurement
+  /// window never reads as a value of 0.
   void write_json(JsonWriter& w) const;
 
   bool empty() const {

@@ -134,16 +134,22 @@ TEST(Metrics, MergedJsonIsFoldOrderDeterministic) {
   EXPECT_EQ(w1.str(), w2.str());
 }
 
-TEST(Metrics, SnapshotFlattens) {
+TEST(Metrics, EmptyStatWritesNullNotZero) {
   MetricsRegistry r;
-  r.counter("c") = 7;
-  r.gauge("g") = 2.5;
-  r.stat("s").add(4);
-  const auto snap = r.snapshot();
-  EXPECT_DOUBLE_EQ(snap.at("c"), 7.0);
-  EXPECT_DOUBLE_EQ(snap.at("g"), 2.5);
-  EXPECT_DOUBLE_EQ(snap.at("s.mean"), 4.0);
-  EXPECT_DOUBLE_EQ(snap.at("s.count"), 1.0);
+  (void)r.stat("empty");
+  r.stat("one").add(4);
+  JsonWriter w;
+  r.write_json(w);
+  const JsonValue v = JsonValue::parse(w.str());
+  const JsonValue& empty = v.at("stats").at("empty");
+  const JsonValue& one = v.at("stats").at("one");
+  EXPECT_DOUBLE_EQ(empty.at("count").num, 0.0);
+  EXPECT_DOUBLE_EQ(one.at("count").num, 1.0);
+  for (const char* f : {"mean", "min", "max", "stddev"}) {
+    EXPECT_EQ(empty.at(f).kind, JsonValue::Kind::kNull) << f;
+    EXPECT_EQ(one.at(f).kind, JsonValue::Kind::kNumber) << f;
+  }
+  EXPECT_DOUBLE_EQ(one.at("mean").num, 4.0);
 }
 
 TEST(Metrics, RegistryJsonParses) {
