@@ -13,14 +13,16 @@
 int main(int argc, char** argv) {
   using namespace flov;
   using namespace flov::bench;
-  SyntheticExperimentConfig base = synthetic_from_args(argc, argv);
+  SyntheticExperimentConfig defaults;
+  defaults.measure = 30000;
+  BenchArgs args(argc, argv, defaults);
+  reject_unread_keys(args.cfg);
+  SyntheticExperimentConfig base = args.ex;
   base.scheme = Scheme::kGFlov;
   base.pattern = "uniform";
   base.inj_rate_flits = 0.04;
   base.gated_fraction = 0.5;
-  if (base.measure > 30000) base.measure = 30000;
 
-  const SweepOptions sweep = sweep_from_args(argc, argv);
   const Cycle wakeups[] = {5, 10, 20, 50};
   const Cycle timeouts[] = {16, 64, 128, 512};
   const int depths[] = {2, 4, 6, 8};
@@ -53,7 +55,7 @@ int main(int argc, char** argv) {
     c.noc.drain_idle_threshold = t;
     points.push_back(c);
   }
-  const std::vector<RunResult> results = run_sweep(points, sweep);
+  const std::vector<RunResult> results = run_sweep(points, args.sweep);
   std::size_t idx = 0;
 
   print_header("Ablation (a) — wakeup latency, gFLOV with gating churn");

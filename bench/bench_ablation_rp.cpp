@@ -59,10 +59,11 @@ RpRun run_rp(FabricManagerConfig fm, double gated, Cycle measure,
 int main(int argc, char** argv) {
   using namespace flov;
   using namespace flov::bench;
-  flov::Config cfg;
+  Config cfg;
   cfg.parse_args(argc, argv);
-  const flov::Cycle measure = cfg.get_int("measure", 40000);
-  const int jobs = cfg.get_int("jobs", 0);
+  const Cycle measure = cfg.get_int("cycles", 40000);
+  const int jobs = static_cast<int>(cfg.get_int("jobs", 0));
+  reject_unread_keys(cfg);
 
   // Each run builds its own RpNetwork, so the cells are independent; run
   // them all on the pool, print in order afterwards.

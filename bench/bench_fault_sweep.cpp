@@ -12,8 +12,8 @@
 // the retransmit traffic the survival costs, and the packets the fabric had
 // to declare dead because their destination no longer exists.
 //
-//   bench_fault_sweep [measure=30000] [width=8] [seed=3] [csv=out.csv]
-//                     [json=out.json]      flyover-sweep-manifest-v1 rows
+//   bench_fault_sweep [warmup=5000] [cycles=25000] [seed=3] [csv=out.csv]
+//                     [manifest=out.json]  flyover-sweep-manifest-v1 rows
 //
 // Certification-convergence mode: certify=1 replaces the tables with a
 // Monte-Carlo certification campaign on the hard-fault config and prints
@@ -21,14 +21,14 @@
 // sequential stopping rule terminating before the cap.
 //
 //   bench_fault_sweep certify=1 [certify_max=200] [certify_target=0.9]
-//                     [csv=out.csv]
+//                     [certify_measure=2500] [csv=out.csv]
 #include "bench_util.hpp"
 #include "sim/certify.hpp"
 
 namespace {
 
 void run_fault_sweep(flov::SyntheticExperimentConfig ex,
-                     flov::bench::CsvSink* csv,
+                     flov::bench::CsvSink& csv,
                      const flov::SweepOptions& sweep,
                      std::vector<flov::SyntheticExperimentConfig>* all_points,
                      std::vector<flov::RunResult>* all_results) {
@@ -41,8 +41,6 @@ void run_fault_sweep(flov::SyntheticExperimentConfig ex,
   ex.noc.trigger_retry_timeout = 64;
   ex.noc.sleep_reannounce_interval = 128;
   ex.noc.psr_block_timeout = 192;
-  ex.verifier.fatal = false;  // count violations, report them in the table
-  ex.verifier.settle_window = 512;
   ex.pattern = "uniform";
   ex.inj_rate_flits = 0.05;
   ex.gated_fraction = 0.4;
@@ -85,15 +83,13 @@ void run_fault_sweep(flov::SyntheticExperimentConfig ex,
                   static_cast<unsigned long long>(r.watchdog_recoveries),
                   static_cast<unsigned long long>(r.verifier_violations),
                   static_cast<unsigned long long>(r.packets_measured));
-      if (csv) {
-        csv->row("fault_sweep,%s,%.4f,%.4f,%llu,%llu,%llu,%llu,%llu",
-                 r.scheme.c_str(), rate, r.avg_latency,
-                 static_cast<unsigned long long>(r.hs_resends),
-                 static_cast<unsigned long long>(r.trigger_resends),
-                 static_cast<unsigned long long>(r.watchdog_recoveries),
-                 static_cast<unsigned long long>(r.verifier_violations),
-                 static_cast<unsigned long long>(r.packets_measured));
-      }
+      csv.row("fault_sweep,%s,%.4f,%.4f,%llu,%llu,%llu,%llu,%llu",
+              r.scheme.c_str(), rate, r.avg_latency,
+              static_cast<unsigned long long>(r.hs_resends),
+              static_cast<unsigned long long>(r.trigger_resends),
+              static_cast<unsigned long long>(r.watchdog_recoveries),
+              static_cast<unsigned long long>(r.verifier_violations),
+              static_cast<unsigned long long>(r.packets_measured));
     }
   }
   all_points->insert(all_points->end(), points.begin(), points.end());
@@ -101,7 +97,7 @@ void run_fault_sweep(flov::SyntheticExperimentConfig ex,
 }
 
 void run_hard_fault_sweep(
-    flov::SyntheticExperimentConfig ex, flov::bench::CsvSink* csv,
+    flov::SyntheticExperimentConfig ex, flov::bench::CsvSink& csv,
     const flov::SweepOptions& sweep,
     std::vector<flov::SyntheticExperimentConfig>* all_points,
     std::vector<flov::RunResult>* all_results) {
@@ -115,8 +111,6 @@ void run_hard_fault_sweep(
   ex.noc.retx_timeout = 256;
   ex.noc.sleep_reannounce_interval = 128;
   ex.noc.psr_block_timeout = 192;
-  ex.verifier.fatal = false;
-  ex.verifier.settle_window = 512;
   ex.pattern = "uniform";
   ex.inj_rate_flits = 0.05;
   ex.drain_max = 40000;
@@ -164,16 +158,14 @@ void run_hard_fault_sweep(
           static_cast<unsigned long long>(r.packets_dead),
           static_cast<unsigned long long>(r.retransmits), delivered,
           static_cast<unsigned long long>(r.verifier_violations));
-      if (csv) {
-        csv->row("hard_fault,%s,%.4f,%.4f,%llu,%llu,%llu,%llu,%llu",
-                 r.scheme.c_str(), pct, r.avg_latency,
-                 static_cast<unsigned long long>(r.packets_acked),
-                 static_cast<unsigned long long>(r.packets_dead),
-                 static_cast<unsigned long long>(r.retransmits),
-                 static_cast<unsigned long long>(r.verifier_violations),
-                 static_cast<unsigned long long>(
-                     static_cast<std::uint64_t>(r.dead_routers)));
-      }
+      csv.row("hard_fault,%s,%.4f,%.4f,%llu,%llu,%llu,%llu,%llu",
+              r.scheme.c_str(), pct, r.avg_latency,
+              static_cast<unsigned long long>(r.packets_acked),
+              static_cast<unsigned long long>(r.packets_dead),
+              static_cast<unsigned long long>(r.retransmits),
+              static_cast<unsigned long long>(r.verifier_violations),
+              static_cast<unsigned long long>(
+                  static_cast<std::uint64_t>(r.dead_routers)));
     }
   }
   all_points->insert(all_points->end(), points.begin(), points.end());
@@ -184,22 +176,20 @@ void run_hard_fault_sweep(
 // One row per folded batch — the running Wilson bound on delivery vs the
 // replications spent so far — so the convergence (and the sequential rule
 // stopping before the cap) is visible in the output, not just asserted.
-int run_certify_convergence(flov::SyntheticExperimentConfig ex,
-                            const flov::Config& cfg, int jobs, int argc,
-                            char** argv) {
+int run_certify_convergence(const flov::bench::BenchArgs& args) {
   using namespace flov;
   using namespace flov::bench;
 
   // Same hardening as the hard-fault table, scaled down per replication:
   // a certification campaign buys its statistical power from replication
   // count, not from one long run.
+  const Config& cfg = args.cfg;
+  SyntheticExperimentConfig ex = args.ex;
   ex.scheme = Scheme::kGFlov;
   ex.noc.reliable = true;
   ex.noc.retx_timeout = 256;
   ex.noc.sleep_reannounce_interval = 128;
   ex.noc.psr_block_timeout = 192;
-  ex.verifier.fatal = false;
-  ex.verifier.settle_window = 512;
   ex.pattern = "uniform";
   ex.inj_rate_flits = 0.05;
   ex.gated_fraction = 0.3;
@@ -223,13 +213,11 @@ int run_certify_convergence(flov::SyntheticExperimentConfig ex,
       static_cast<std::uint64_t>(cfg.get_int("certify_max", 200));
   opts.batch = 16;
   opts.seed_base = ex.seed;
-  opts.jobs = jobs;
+  opts.jobs = args.sweep.jobs;
 
-  // Own sink with the convergence-row header — CsvSink fixes its header at
-  // construction, so certify mode cannot reuse the table sink from main.
   CsvSink conv_csv(
-      argc, argv,
-      "reps,successes,trials,point,wilson_lower,wilson_upper,half_width");
+      cfg, "reps,successes,trials,point,wilson_lower,wilson_upper,half_width");
+  reject_unread_keys(cfg);
 
   print_header(
       "Certification convergence — delivery bound vs replications "
@@ -263,27 +251,27 @@ int run_certify_convergence(flov::SyntheticExperimentConfig ex,
 }  // namespace
 
 int main(int argc, char** argv) {
-  flov::SyntheticExperimentConfig ex =
-      flov::bench::synthetic_from_args(argc, argv);
-  ex.warmup = 5000;
-  ex.measure = 25000;
-  flov::Config cfg;
-  cfg.parse_args(argc, argv);
-  ex.measure = cfg.get_int("measure", ex.measure);
-  if (cfg.get_bool("certify", false)) {
-    const flov::SweepOptions sweep = flov::bench::sweep_from_args(argc, argv);
-    return run_certify_convergence(ex, cfg, sweep.jobs, argc, argv);
+  using namespace flov::bench;
+  flov::SyntheticExperimentConfig defaults;
+  defaults.warmup = 5000;
+  defaults.measure = 25000;
+  // Count violations and report them in the tables; let lossy handshakes
+  // settle before the PSR check judges them.
+  defaults.verifier.fatal = false;
+  defaults.verifier.settle_window = 512;
+  const BenchArgs args(argc, argv, defaults);
+  if (args.cfg.get_bool("certify", false)) {
+    return run_certify_convergence(args);
   }
-  flov::bench::CsvSink csv(
-      argc, argv,
-      "figure,scheme,drop_rate,latency,hs_resends,trigger_resends,"
-      "recoveries,violations,packets");
-  flov::bench::ManifestSink manifest(argc, argv, "bench_fault_sweep");
-  const flov::SweepOptions sweep = flov::bench::sweep_from_args(argc, argv);
+  CsvSink csv(args.cfg,
+              "figure,scheme,drop_rate,latency,hs_resends,trigger_resends,"
+              "recoveries,violations,packets");
+  ManifestSink manifest(args, "bench_fault_sweep");
+  flov::reject_unread_keys(args.cfg);
   std::vector<flov::SyntheticExperimentConfig> all_points;
   std::vector<flov::RunResult> all_results;
-  run_fault_sweep(ex, &csv, sweep, &all_points, &all_results);
-  run_hard_fault_sweep(ex, &csv, sweep, &all_points, &all_results);
-  manifest.write(all_points, all_results, sweep);
+  run_fault_sweep(args.ex, csv, args.sweep, &all_points, &all_results);
+  run_hard_fault_sweep(args.ex, csv, args.sweep, &all_points, &all_results);
+  manifest.write(all_points, all_results);
   return 0;
 }

@@ -11,22 +11,23 @@
 int main(int argc, char** argv) {
   using namespace flov;
   using namespace flov::bench;
-  SyntheticExperimentConfig ex = synthetic_from_args(argc, argv);
+  SyntheticExperimentConfig defaults;
+  defaults.measure = 80000;  // total 90k: changes at 50k and 60k are inside
+  defaults.gating_changes = {50000, 60000};
+  defaults.timeline_window = 1000;
+  BenchArgs args(argc, argv, defaults);
+  reject_unread_keys(args.cfg);
+  SyntheticExperimentConfig ex = args.ex;
   ex.pattern = "uniform";
   ex.inj_rate_flits = 0.02;
   ex.gated_fraction = 0.10;
-  ex.warmup = 10000;
-  ex.measure = 80000;  // total 90k: changes at 50k and 60k are inside
-  ex.gating_changes = {50000, 60000};
-  ex.timeline_window = 1000;
 
   std::vector<SyntheticExperimentConfig> points;
   ex.scheme = Scheme::kRp;
   points.push_back(ex);
   ex.scheme = Scheme::kGFlov;
   points.push_back(ex);
-  const std::vector<RunResult> results =
-      run_sweep(points, sweep_from_args(argc, argv));
+  const std::vector<RunResult> results = run_sweep(points, args.sweep);
   const RunResult& rp = results[0];
   const RunResult& gf = results[1];
 

@@ -2,91 +2,20 @@
 // Uniform Random traffic at injection rates 0.02 and 0.08 flits/node/cycle,
 // sweeping the fraction of power-gated cores from 0% to 80%, for
 // Baseline / RP / rFLOV / gFLOV on the Table-I 8x8 mesh.
-#include <map>
-
 #include "bench_util.hpp"
 
-namespace {
-
-void run_figure(flov::SyntheticExperimentConfig ex, const char* figure,
-                flov::bench::CsvSink* csv, const flov::SweepOptions& sweep,
-                std::vector<flov::SyntheticExperimentConfig>* all_points,
-                std::vector<flov::RunResult>* all_results) {
+int main(int argc, char** argv) {
   using namespace flov;
   using namespace flov::bench;
-  for (double inj : {0.02, 0.08}) {
-    ex.inj_rate_flits = inj;
-    const auto fractions = gating_fractions();
-    // One independent sweep point per (fraction, scheme); the pool runs
-    // them concurrently, results come back in this submission order.
-    std::vector<SyntheticExperimentConfig> points;
-    for (std::size_t fi = 0; fi < fractions.size(); ++fi) {
-      for (int si = 0; si < 4; ++si) {
-        ex.scheme = kAllSchemes[si];
-        ex.gated_fraction = fractions[fi];
-        points.push_back(ex);
-      }
-    }
-    const std::vector<RunResult> sweep_results = run_sweep(points, sweep);
-    all_points->insert(all_points->end(), points.begin(), points.end());
-    all_results->insert(all_results->end(), sweep_results.begin(),
-                        sweep_results.end());
-    std::map<std::pair<int, int>, RunResult> results;
-    for (std::size_t fi = 0; fi < fractions.size(); ++fi) {
-      for (int si = 0; si < 4; ++si) {
-        const RunResult& r = sweep_results[fi * 4 + si];
-        if (csv) {
-          csv_run_row(*csv, figure, ex.pattern.c_str(), inj, fractions[fi],
-                      r);
-        }
-        results[{static_cast<int>(fi), si}] = r;
-      }
-    }
-
-    char title[160];
-    std::snprintf(title, sizeof(title),
-                  "%s — %s traffic, injection %.2f flits/node/cycle", figure,
-                  ex.pattern.c_str(), inj);
-    print_header(title);
-    struct Metric {
-      const char* name;
-      double (*get)(const RunResult&);
-    };
-    const Metric metrics[] = {
-        {"avg latency (cycles)",
-         [](const RunResult& r) { return r.avg_latency; }},
-        {"dynamic power (mW)",
-         [](const RunResult& r) { return r.power.dynamic_mw; }},
-        {"total power (mW)",
-         [](const RunResult& r) { return r.power.total_mw; }},
-    };
-    for (const Metric& m : metrics) {
-      std::printf("\n%s\n", m.name);
-      std::printf("%-8s %10s %10s %10s %10s\n", "gated%", "Baseline", "RP",
-                  "rFLOV", "gFLOV");
-      for (std::size_t fi = 0; fi < fractions.size(); ++fi) {
-        std::printf("%-8.0f", fractions[fi] * 100);
-        for (int si = 0; si < 4; ++si) {
-          std::printf(" %10.2f", m.get(results[{static_cast<int>(fi), si}]));
-        }
-        std::printf("\n");
-      }
-    }
-  }
-}
-
-}  // namespace
-
-int main(int argc, char** argv) {
-  flov::SyntheticExperimentConfig ex =
-      flov::bench::synthetic_from_args(argc, argv);
-  ex.pattern = "uniform";
-  flov::bench::CsvSink csv(argc, argv, flov::bench::kCsvHeader);
-  flov::bench::ManifestSink manifest(argc, argv, "fig6");
-  const flov::SweepOptions sweep = flov::bench::sweep_from_args(argc, argv);
-  std::vector<flov::SyntheticExperimentConfig> points;
-  std::vector<flov::RunResult> results;
-  run_figure(ex, "fig6", &csv, sweep, &points, &results);
-  manifest.write(points, results, sweep);
+  BenchArgs args(argc, argv);
+  args.ex.pattern = "uniform";
+  CsvSink csv(args.cfg, kCsvHeader);
+  ManifestSink manifest(args, "fig6");
+  reject_unread_keys(args.cfg);
+  std::vector<SyntheticExperimentConfig> points;
+  std::vector<RunResult> results;
+  run_load_figure(args.ex, "fig6", "fig6 — uniform traffic", csv, args.sweep,
+                  &points, &results);
+  manifest.write(points, results);
   return 0;
 }

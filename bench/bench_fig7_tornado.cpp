@@ -2,67 +2,16 @@
 // key observation here: rFLOV/gFLOV *beat even the Baseline* because a large
 // share of tornado traffic travels within a row and FLOV links replace the
 // 3-cycle router pipeline with a 1-cycle latch at gated intermediates.
-#include <map>
-
 #include "bench_util.hpp"
 
 int main(int argc, char** argv) {
   using namespace flov;
   using namespace flov::bench;
-  SyntheticExperimentConfig ex = synthetic_from_args(argc, argv);
-  ex.pattern = "tornado";
-  CsvSink csv(argc, argv, kCsvHeader);
-  const SweepOptions sweep = sweep_from_args(argc, argv);
-
-  for (double inj : {0.02, 0.08}) {
-    ex.inj_rate_flits = inj;
-    const auto fractions = gating_fractions();
-    std::vector<SyntheticExperimentConfig> points;
-    for (std::size_t fi = 0; fi < fractions.size(); ++fi) {
-      for (int si = 0; si < 4; ++si) {
-        ex.scheme = kAllSchemes[si];
-        ex.gated_fraction = fractions[fi];
-        points.push_back(ex);
-      }
-    }
-    const std::vector<RunResult> sweep_results = run_sweep(points, sweep);
-    std::map<std::pair<int, int>, RunResult> results;
-    for (std::size_t fi = 0; fi < fractions.size(); ++fi) {
-      for (int si = 0; si < 4; ++si) {
-        const RunResult& r = sweep_results[fi * 4 + si];
-        csv_run_row(csv, "fig7", "tornado", inj, fractions[fi], r);
-        results[{static_cast<int>(fi), si}] = r;
-      }
-    }
-    char title[160];
-    std::snprintf(title, sizeof(title),
-                  "Fig. 7 — Tornado traffic, injection %.2f flits/node/cycle",
-                  inj);
-    print_header(title);
-    struct Metric {
-      const char* name;
-      double (*get)(const RunResult&);
-    };
-    const Metric metrics[] = {
-        {"avg latency (cycles)",
-         [](const RunResult& r) { return r.avg_latency; }},
-        {"dynamic power (mW)",
-         [](const RunResult& r) { return r.power.dynamic_mw; }},
-        {"total power (mW)",
-         [](const RunResult& r) { return r.power.total_mw; }},
-    };
-    for (const auto& m : metrics) {
-      std::printf("\n%s\n", m.name);
-      std::printf("%-8s %10s %10s %10s %10s\n", "gated%", "Baseline", "RP",
-                  "rFLOV", "gFLOV");
-      for (std::size_t fi = 0; fi < fractions.size(); ++fi) {
-        std::printf("%-8.0f", fractions[fi] * 100);
-        for (int si = 0; si < 4; ++si) {
-          std::printf(" %10.2f", m.get(results[{static_cast<int>(fi), si}]));
-        }
-        std::printf("\n");
-      }
-    }
-  }
+  BenchArgs args(argc, argv);
+  args.ex.pattern = "tornado";
+  CsvSink csv(args.cfg, kCsvHeader);
+  reject_unread_keys(args.cfg);
+  run_load_figure(args.ex, "fig7", "Fig. 7 — Tornado traffic", csv,
+                  args.sweep, nullptr, nullptr);
   return 0;
 }

@@ -7,8 +7,9 @@
 int main(int argc, char** argv) {
   using namespace flov;
   using namespace flov::bench;
-  SyntheticExperimentConfig ex = synthetic_from_args(argc, argv);
-  const SweepOptions sweep = sweep_from_args(argc, argv);
+  BenchArgs args(argc, argv);
+  reject_unread_keys(args.cfg);
+  SyntheticExperimentConfig ex = args.ex;
   ex.inj_rate_flits = 0.02;
   const double fractions[] = {0.2, 0.4, 0.6, 0.8};
 
@@ -22,7 +23,7 @@ int main(int argc, char** argv) {
         points.push_back(ex);
       }
     }
-    const std::vector<RunResult> results = run_sweep(points, sweep);
+    const std::vector<RunResult> results = run_sweep(points, args.sweep);
 
     char title[160];
     std::snprintf(title, sizeof(title),

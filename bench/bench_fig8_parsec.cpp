@@ -16,12 +16,13 @@ int main(int argc, char** argv) {
   using namespace flov;
   Config cfg;
   cfg.parse_args(argc, argv);
-  const int jobs = cfg.get_int("jobs", 0);
+  const int jobs = static_cast<int>(cfg.get_int("jobs", 0));
 
   CmpConfig base;
-  base.noc = NocParams::from_config(cfg);
-  base.energy = EnergyParams::from_config(cfg);
+  base.noc = NocParams::from_config(cfg, {});
+  base.energy = EnergyParams::from_config(cfg, {});
   base.seed = cfg.get_int("seed", 1);
+  reject_unread_keys(cfg);
 
   const auto suite = BenchmarkProfile::parsec_suite();
   std::printf(

@@ -10,14 +10,17 @@
 int main(int argc, char** argv) {
   using namespace flov;
   using namespace flov::bench;
-  SyntheticExperimentConfig ex = synthetic_from_args(argc, argv);
+  // Static power does not depend on traffic; a light load and a shorter
+  // default window settle the handshakes and keep this bench fast.
+  SyntheticExperimentConfig defaults;
+  defaults.measure = 30000;
+  BenchArgs args(argc, argv, defaults);
+  CsvSink csv(args.cfg, kCsvHeader);
+  reject_unread_keys(args.cfg);
+  SyntheticExperimentConfig ex = args.ex;
   ex.pattern = "uniform";
-  // Static power does not depend on traffic; a light load settles the
-  // handshakes quickly and keeps this bench fast.
   ex.inj_rate_flits = 0.005;
-  if (ex.measure > 30000) ex.measure = 30000;
 
-  CsvSink csv(argc, argv, kCsvHeader);
   const auto fractions = gating_fractions();
   std::vector<SyntheticExperimentConfig> points;
   for (double f : fractions) {
@@ -27,8 +30,7 @@ int main(int argc, char** argv) {
       points.push_back(ex);
     }
   }
-  const std::vector<RunResult> results =
-      run_sweep(points, sweep_from_args(argc, argv));
+  const std::vector<RunResult> results = run_sweep(points, args.sweep);
 
   print_header("Fig. 9 — static power (mW) vs fraction of power-gated cores");
   std::printf("%-8s %10s %10s %10s %10s | %s\n", "gated%", "Baseline", "RP",

@@ -3,10 +3,14 @@
 // 2.8e-3 mm^2, ~3% of the baseline router at 32 nm).
 #include <cstdio>
 
+#include "common/config.hpp"
 #include "power/overhead_model.hpp"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace flov;
+  Config cfg;
+  cfg.parse_args(argc, argv);
+  reject_unread_keys(cfg);  // takes no keys
   const OverheadInputs in;
   const OverheadReport r = compute_overhead(in);
   std::printf("Section V-A — FLOV router overhead analysis (32 nm)\n\n");

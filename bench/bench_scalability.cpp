@@ -72,21 +72,14 @@ int main(int argc, char** argv) {
   using namespace flov::bench;
   Config cfg;
   cfg.parse_args(argc, argv);
-  const Cycle total = cfg.get_int("measure", 30000) + 10000;
+  const Cycle total = cfg.get_int("cycles", 30000) + 10000;
   const int jobs = static_cast<int>(cfg.get_int("jobs", 0));
-
   // sizes= : comma list of mesh edge lengths (the EXPERIMENTS.md rows).
   std::vector<int> sizes;
-  {
-    const std::string s = cfg.get_string("sizes", "4,8,12,16");
-    std::size_t pos = 0;
-    while (pos < s.size()) {
-      std::size_t comma = s.find(',', pos);
-      if (comma == std::string::npos) comma = s.size();
-      sizes.push_back(std::stoi(s.substr(pos, comma - pos)));
-      pos = comma + 1;
-    }
+  for (long long k : cfg.get_int_list("sizes", {4, 8, 12, 16})) {
+    sizes.push_back(static_cast<int>(k));
   }
+  reject_unread_keys(cfg);
   const int nsizes = static_cast<int>(sizes.size());
 
   // One pooled task per (mesh size, system) cell; each builds and drives

@@ -2,11 +2,15 @@
 // default configuration, for verification against the paper.
 #include <cstdio>
 
+#include "common/config.hpp"
 #include "noc/noc_params.hpp"
 #include "power/energy_model.hpp"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace flov;
+  Config cfg;
+  cfg.parse_args(argc, argv);
+  reject_unread_keys(cfg);  // takes no keys: it prints the defaults
   const NocParams p;
   const EnergyParams e;
   std::printf("Table I — simulation testbed parameters\n");

@@ -1,11 +1,13 @@
 // Shared helpers for the figure-reproduction benches: argument handling and
 // table printing. Every bench accepts "key=value" overrides, e.g.
-//   bench_fig6_uniform measure=20000 width=8 seed=3 jobs=4
+//   bench_fig6_uniform cycles=20000 noc.width=6 noc.height=6 seed=3 jobs=4
+// and fails on any key it does not read.
 #pragma once
 
 #include <chrono>
 #include <cstdio>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/config.hpp"
@@ -15,30 +17,23 @@
 
 namespace flov::bench {
 
-/// Thread-pool width for the sweep, from `jobs=<n>` (0/default = all
-/// hardware threads; 1 = the serial reference path).
-inline SweepOptions sweep_from_args(int argc, char** argv) {
-  Config cfg;
-  cfg.parse_args(argc, argv);
-  SweepOptions opts;
-  opts.jobs = cfg.get_int("jobs", 0);
-  return opts;
-}
+/// A synthetic bench's command line, parsed once: the shared keys over the
+/// bench's defaults (SyntheticExperimentConfig::from_config), seed= and
+/// jobs= (0 = all hardware threads, 1 = the serial reference path). A bench
+/// reads its own keys and builds its sinks, then calls reject_unread_keys.
+struct BenchArgs {
+  BenchArgs(int argc, char** argv, SyntheticExperimentConfig defaults = {}) {
+    cfg.parse_args(argc, argv);
+    ex = SyntheticExperimentConfig::from_config(cfg, std::move(defaults));
+    ex.seed = static_cast<std::uint64_t>(
+        cfg.get_int("seed", static_cast<long long>(ex.seed)));
+    sweep.jobs = static_cast<int>(cfg.get_int("jobs", 0));
+  }
 
-/// Standard synthetic-experiment setup from CLI args (Table-I defaults,
-/// paper methodology: 10k warm-up, 100k total cycles).
-inline SyntheticExperimentConfig synthetic_from_args(int argc, char** argv) {
   Config cfg;
-  cfg.parse_args(argc, argv);
   SyntheticExperimentConfig ex;
-  ex.noc = NocParams::from_config(cfg);
-  ex.energy = EnergyParams::from_config(cfg);
-  ex.warmup = cfg.get_int("warmup", 10000);
-  ex.measure = cfg.get_int("measure", 90000);
-  ex.seed = cfg.get_int("seed", 1);
-  ex.telemetry = telemetry::TelemetryOptions::from_config(cfg);
-  return ex;
-}
+  SweepOptions sweep;
+};
 
 /// The gating fractions of Figs. 6/7/9 (0% .. 80%).
 inline std::vector<double> gating_fractions() {
@@ -51,18 +46,13 @@ inline void print_header(const char* title) {
   std::printf("================================================================\n");
 }
 
-/// Optional CSV sink: pass csv=<path> to any figure bench to also dump the
-/// raw sweep data (one row per run) for external plotting.
+/// Optional CSV sink: pass csv=<path> to a bench to also dump the raw
+/// sweep data (one row per run) for external plotting. The file is created
+/// at the first row, so a run that fails on its config writes nothing.
 class CsvSink {
  public:
-  CsvSink(int argc, char** argv, const char* header) {
-    Config cfg;
-    cfg.parse_args(argc, argv);
-    const std::string path = cfg.get_string("csv", "");
-    if (path.empty()) return;
-    file_ = std::fopen(path.c_str(), "w");
-    if (file_) std::fprintf(file_, "%s\n", header);
-  }
+  CsvSink(const Config& cfg, const char* header)
+      : path_(cfg.get_string("csv", "")), header_(header) {}
   ~CsvSink() {
     if (file_) std::fclose(file_);
   }
@@ -72,73 +62,52 @@ class CsvSink {
   /// Writes one printf-formatted row.
   template <typename... Args>
   void row(const char* fmt, Args... args) {
-    if (!file_) return;
+    if (path_.empty()) return;
+    if (!file_) {
+      file_ = std::fopen(path_.c_str(), "w");
+      if (!file_) return;
+      std::fprintf(file_, "%s\n", header_);
+    }
     std::fprintf(file_, fmt, args...);
     std::fprintf(file_, "\n");
   }
 
  private:
+  std::string path_;
+  const char* header_;
   std::FILE* file_ = nullptr;
 };
 
-/// Optional manifest sink: pass manifest=<path> to a figure bench to write
-/// a flyover-sweep-manifest-v1 JSON artifact covering the whole sweep —
-/// resolved config, per-point metric registries, the deterministic merged
-/// registry, and all structured incidents in submission order. The CI
-/// determinism gate diffs these between jobs=1 and jobs=4 runs.
+/// Optional manifest sink: pass manifest=<path> to a bench to write a
+/// flyover-sweep-manifest-v1 covering the whole sweep. The CI determinism
+/// gate diffs these between jobs=1 and jobs=4 runs.
 class ManifestSink {
  public:
-  ManifestSink(int argc, char** argv, const char* bench_name)
-      : name_(bench_name), start_(std::chrono::steady_clock::now()) {
-    cfg_.parse_args(argc, argv);
-    path_ = cfg_.get_string("manifest", "");
-    // json= is an accepted alias (used by benches whose primary output is
-    // the human table and the manifest is a machine-readable side artifact).
-    if (path_.empty()) path_ = cfg_.get_string("json", "");
-  }
+  ManifestSink(const BenchArgs& args, const char* bench_name)
+      : args_(args),
+        name_(bench_name),
+        path_(args.cfg.get_string("manifest", "")),
+        start_(std::chrono::steady_clock::now()) {}
 
-  bool enabled() const { return !path_.empty(); }
-
-  /// Writes the manifest; call once after run_sweep. `points` and `results`
-  /// must be index-aligned (run_sweep keeps submission order). No-op
-  /// without manifest=<path>.
+  /// Call once after the sweeps; a no-op without manifest=<path>.
   void write(const std::vector<SyntheticExperimentConfig>& points,
-             const std::vector<RunResult>& results, const SweepOptions& opts) {
-    if (!enabled()) return;
+             const std::vector<RunResult>& results) const {
+    if (path_.empty()) return;
     telemetry::SweepManifest m;
     m.name = name_;
-    m.config = cfg_;
-    m.jobs = opts.jobs;
+    m.config = manifest_config(args_.cfg, args_.ex.faults);
+    m.jobs = args_.sweep.jobs;
     m.wall_seconds =
         std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                       start_)
             .count();
-    telemetry::MetricsRegistry merged = merge_sweep_metrics(results);
-    m.merged = &merged;
-    telemetry::StructuredSink incidents;
-    for (std::size_t i = 0; i < results.size() && i < points.size(); ++i) {
-      telemetry::SweepPointEntry e;
-      e.scheme = results[i].scheme;
-      e.pattern = points[i].pattern;
-      e.inj_rate = points[i].inj_rate_flits;
-      e.gated_fraction = points[i].gated_fraction;
-      e.seed = points[i].seed;
-      e.metrics = results[i].metrics.get();
-      m.points.push_back(e);
-      if (results[i].incidents) {
-        for (const std::string& rec : results[i].incidents->records()) {
-          incidents.add(rec);
-        }
-      }
-    }
-    m.incidents = &incidents;
-    m.write(path_);
+    write_sweep_manifest(std::move(m), path_, points, results);
     std::printf("manifest written to %s\n", path_.c_str());
   }
 
  private:
-  Config cfg_;
-  std::string name_;
+  const BenchArgs& args_;
+  const char* name_;
   std::string path_;
   std::chrono::steady_clock::time_point start_;
 };
@@ -159,5 +128,69 @@ inline void csv_run_row(CsvSink& csv, const char* figure,
 inline constexpr const char* kCsvHeader =
     "figure,pattern,inj,gated,scheme,latency,router,link,serialization,"
     "contention,flov,static_mw,dynamic_mw,total_mw,gated_routers,packets";
+
+/// The Fig. 6/7 panels for `ex.pattern`: average latency, dynamic and total
+/// power vs the gated fraction for all four schemes, at injection 0.02 and
+/// 0.08 flits/node/cycle; each panel is headed "<title>, injection ...".
+/// Every point and result is appended, in submission order, to
+/// `all_points`/`all_results` when they are non-null (for a manifest).
+inline void run_load_figure(SyntheticExperimentConfig ex, const char* figure,
+                            const char* title, CsvSink& csv,
+                            const SweepOptions& sweep,
+                            std::vector<SyntheticExperimentConfig>* all_points,
+                            std::vector<RunResult>* all_results) {
+  const auto fractions = gating_fractions();
+  for (double inj : {0.02, 0.08}) {
+    ex.inj_rate_flits = inj;
+    // One independent sweep point per (fraction, scheme); the pool runs
+    // them concurrently, results come back in this submission order.
+    std::vector<SyntheticExperimentConfig> points;
+    for (double f : fractions) {
+      for (Scheme s : kAllSchemes) {
+        ex.scheme = s;
+        ex.gated_fraction = f;
+        points.push_back(ex);
+      }
+    }
+    const std::vector<RunResult> results = run_sweep(points, sweep);
+    for (std::size_t i = 0; i < results.size(); ++i) {
+      csv_run_row(csv, figure, ex.pattern.c_str(), inj, fractions[i / 4],
+                  results[i]);
+    }
+    if (all_points && all_results) {
+      all_points->insert(all_points->end(), points.begin(), points.end());
+      all_results->insert(all_results->end(), results.begin(), results.end());
+    }
+
+    char header[160];
+    std::snprintf(header, sizeof(header), "%s, injection %.2f flits/node/cycle",
+                  title, inj);
+    print_header(header);
+    struct Metric {
+      const char* name;
+      double (*get)(const RunResult&);
+    };
+    const Metric metrics[] = {
+        {"avg latency (cycles)",
+         [](const RunResult& r) { return r.avg_latency; }},
+        {"dynamic power (mW)",
+         [](const RunResult& r) { return r.power.dynamic_mw; }},
+        {"total power (mW)",
+         [](const RunResult& r) { return r.power.total_mw; }},
+    };
+    for (const Metric& m : metrics) {
+      std::printf("\n%s\n", m.name);
+      std::printf("%-8s %10s %10s %10s %10s\n", "gated%", "Baseline", "RP",
+                  "rFLOV", "gFLOV");
+      for (std::size_t fi = 0; fi < fractions.size(); ++fi) {
+        std::printf("%-8.0f", fractions[fi] * 100);
+        for (std::size_t si = 0; si < 4; ++si) {
+          std::printf(" %10.2f", m.get(results[fi * 4 + si]));
+        }
+        std::printf("\n");
+      }
+    }
+  }
+}
 
 }  // namespace flov::bench

@@ -16,66 +16,62 @@
 //   flov_certify_cli <same args> resume=1   # continues the campaign
 //
 // Keys:
-//   scheme= pattern= inj= gated= k= warmup= cycles= drain=
-//   sim.max_cycles_hard= threads= plus any noc.*/energy.*/fault.*/
-//   verify.*/telemetry.* key (noc.reliable defaults ON here: delivery
-//   certification needs the packet accounting).
+//   scheme= pattern= inj= gated= k= plus the shared experiment keys:
+//   warmup= (500) cycles= (2500) drain= (30000) sim.max_cycles_hard=
+//   (200000) timeline= changes= threads= tiles= and any noc.*/energy.*/
+//   fault.*/verify.*/telemetry.* key (noc.reliable defaults ON here:
+//   delivery certification needs the packet accounting).
 //   metric=delivery|clean_delivery|run_survival confidence=0.95
 //   target=P indifference=E half_width=W interval=wilson|clopper-pearson
 //   min_reps= max_reps= batch= seed_base= vary_faults=0|1
-//   jobs=N retries=N retry_backoff_ms=N checkpoint=path resume=0|1
+//   jobs=N checkpoint=path resume=0|1
 //   certificate=path name=...
 //   progress=1                  deterministic stderr progress lines (reps
 //                               folded / cap + checkpoint; off by default)
 //   serve=port ops_stream=path  live ops plane (campaign mode; see
 //                               docs/OBSERVABILITY.md) — never affects
 //                               results or the certificate
+// Any other key is a config error. Exit codes: 0 = done; 1 = config error
+// or failure (flov::fatal has printed the cause on stderr).
 #include <chrono>
 #include <cstdio>
+#include <exception>
 #include <memory>
 #include <string>
 
 #include "common/config.hpp"
-#include "fault/fault_model.hpp"
 #include "sim/certify.hpp"
 #include "sim/checkpoint.hpp"
 #include "telemetry/manifest.hpp"
 #include "telemetry/ops/ops_plane.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace flov;
   Config cfg;
   cfg.parse_args(argc, argv);
 
-  SyntheticExperimentConfig base;
-  base.noc = NocParams::from_config(cfg);
+  SyntheticExperimentConfig defaults;
+  defaults.warmup = 500;
+  defaults.measure = 2500;
+  defaults.drain_max = 30000;
+  defaults.max_cycles_hard = 200000;
   // Certification is about delivery: the reliable layer's packet
   // accounting (acked/dead/purged) IS the Bernoulli trial. Default it on;
   // an explicit noc.reliable=0 still wins (run_survival campaigns).
-  if (!cfg.has("noc.reliable")) base.noc.reliable = true;
-  base.noc.step_threads =
-      static_cast<int>(cfg.get_int("threads", base.noc.step_threads));
-  base.noc.apply_tiles_shorthand(cfg.get_string("tiles", ""));
+  defaults.noc.reliable = true;
+  // A fatal verifier would abort the whole campaign on one bad
+  // replication; certification counts violations instead.
+  defaults.verifier.fatal = false;
+  SyntheticExperimentConfig base =
+      SyntheticExperimentConfig::from_config(cfg, defaults);
   if (cfg.has("k")) {
     base.noc.width = static_cast<int>(cfg.get_int("k"));
     base.noc.height = base.noc.width;
   }
-  base.energy = EnergyParams::from_config(cfg);
   base.scheme = scheme_from_string(cfg.get_string("scheme", "gflov"));
   base.pattern = cfg.get_string("pattern", "uniform");
   base.inj_rate_flits = cfg.get_double("inj", 0.02);
   base.gated_fraction = cfg.get_double("gated", 0.0);
-  base.warmup = cfg.get_int("warmup", 500);
-  base.measure = cfg.get_int("cycles", 2500);
-  base.drain_max = cfg.get_int("drain", 30000);
-  base.max_cycles_hard = cfg.get_int("sim.max_cycles_hard", 200000);
-  base.faults = FaultParams::from_config(cfg);
-  base.verifier = VerifierOptions::from_config(cfg);
-  // A fatal verifier would abort the whole campaign on one bad
-  // replication; certification counts violations instead.
-  if (!cfg.has("verify.fatal")) base.verifier.fatal = false;
-  base.verify = cfg.get_bool("verify", base.verify);
-  base.telemetry = telemetry::TelemetryOptions::from_config(cfg);
 
   CertifyOptions opts;
   opts.metric = cfg.get_string("metric", "delivery");
@@ -95,39 +91,24 @@ int main(int argc, char** argv) {
   opts.seed_base = static_cast<std::uint64_t>(cfg.get_int("seed_base", 1));
   opts.vary_faults = cfg.get_bool("vary_faults", true);
   opts.jobs = static_cast<int>(cfg.get_int("jobs", 1));
-  opts.retries = static_cast<int>(cfg.get_int("retries", 0));
-  opts.retry_backoff_ms =
-      static_cast<int>(cfg.get_int("retry_backoff_ms", 100));
   opts.checkpoint_path = cfg.get_string("checkpoint", "");
   opts.resume = cfg.get_bool("resume", false);
+  const ops::OpsOptions ops_opt = ops::OpsOptions::from_config(cfg);
+  const bool show_progress = cfg.get_bool("progress", false);
+  const std::string cert_out = cfg.get_string("certificate", "");
+  const std::string cert_name = cfg.get_string("name", "flov_certify_cli");
+  reject_unread_keys(cfg);
 
   // Campaign-mode ops plane: /metrics and /snapshot track replications
   // folded into the stopping rule.
-  const ops::OpsOptions ops_opt = ops::OpsOptions::from_config(cfg);
   std::unique_ptr<ops::OpsPlane> ops_plane;
   if (ops_opt.any()) {
     ops_plane = std::make_unique<ops::OpsPlane>(ops_opt);
     ops_plane->begin_campaign("certify", opts.max_replications,
                               opts.checkpoint_path);
   }
-  // Deterministic progress lines (full lines, identical content for a
-  // given done/cap) gated behind progress=; off by default.
-  const bool show_progress = cfg.get_bool("progress", false);
-  if (show_progress || ops_plane != nullptr) {
-    ops::OpsPlane* plane = ops_plane.get();
-    const std::string ckpt = opts.checkpoint_path;
-    opts.progress = [show_progress, plane, ckpt](std::uint64_t done,
-                                                 std::uint64_t cap) {
-      if (plane != nullptr) plane->campaign_progress(done);
-      if (show_progress) {
-        std::fprintf(stderr, "[certify] %llu/%llu reps%s%s\n",
-                     static_cast<unsigned long long>(done),
-                     static_cast<unsigned long long>(cap),
-                     ckpt.empty() ? "" : " checkpoint=",
-                     ckpt.empty() ? "" : ckpt.c_str());
-      }
-    };
-  }
+  opts.progress = ops::campaign_progress_fn(
+      ops_plane.get(), show_progress, "certify", "reps", opts.checkpoint_path);
 
   std::printf(
       "flov_certify: metric=%s confidence=%.3f target=%.4f cap=%llu "
@@ -160,26 +141,11 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(opts.max_replications),
               wall_seconds);
 
-  const std::string cert_out = cfg.get_string("certificate", "");
   if (!cert_out.empty()) {
     telemetry::CertificateManifest m;
-    m.name = cfg.get_string("name", "flov_certify_cli");
-    // Strip the runner's own plumbing keys so jobs=N / kill-and-resume
-    // emit byte-identical certificates (jobs and wall_seconds remain as
-    // the schema's dedicated volatile fields).
-    Config mcfg;
-    for (const std::string& k : cfg.keys()) {
-      if (k == "resume" || k == "checkpoint" || k == "retries" ||
-          k == "retry_backoff_ms" || k == "jobs" || k == "certificate" ||
-          k == "threads" || k == "progress" || k == "serve" ||
-          k == "ops_stream" || k == "profile" || k == "profile_out" ||
-          k == "ops.period") {
-        continue;
-      }
-      mcfg.set(k, cfg.get_string(k));
-    }
-    base.faults.echo_to_config(mcfg);
-    m.config = mcfg;
+    m.name = cert_name;
+    // jobs and wall_seconds stay as the schema's dedicated volatile fields.
+    m.config = manifest_config(cfg, base.faults);
     char fp[17];
     std::snprintf(fp, sizeof(fp), "%016llx",
                   static_cast<unsigned long long>(
@@ -210,4 +176,6 @@ int main(int argc, char** argv) {
     std::printf("certificate: %s\n", cert_out.c_str());
   }
   return 0;
+} catch (const std::exception&) {
+  return 1;
 }

@@ -6,7 +6,7 @@
 //   flov_sim_cli scheme=gflov pattern=tornado inj=0.04 gated=0.6
 //                noc.width=16 noc.height=16 warmup=5000 cycles=50000
 //                timeline=1000 seed=3
-// Run with --help for the full knob list.
+// Run with --help for the full knob list; any other key is a config error.
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -16,7 +16,6 @@
 #include <vector>
 
 #include "common/config.hpp"
-#include "fault/fault_model.hpp"
 #include "sim/experiment.hpp"
 #include "telemetry/json.hpp"
 #include "telemetry/manifest.hpp"
@@ -110,7 +109,8 @@ void print_usage() {
       "  fault.seed=<n>                 fate-hash seed (1)\n"
       "\n"
       "Also accepted: any NocParams (noc.*), EnergyParams (energy.*),\n"
-      "VerifierOptions (verify.*) or telemetry (telemetry.*) key.\n"
+      "VerifierOptions (verify.*) or telemetry (telemetry.*) key. Any\n"
+      "other key is a config error (exit 1).\n"
       "\n"
       "Outputs:\n"
       "  telemetry.trace=all trace_out=run.trace.json  Perfetto trace\n"
@@ -130,7 +130,13 @@ void print_usage() {
       "                             stderr) profile_out=<path> for JSON\n");
 }
 
-int run(int argc, char** argv) {
+}  // namespace
+
+// Exit codes (docs/RELIABILITY.md): 0 = clean run; 1 = usage/config error
+// (a malformed value or a key nothing reads) or failure — flov::fatal has
+// already printed the cause on stderr; 2 = the post-run drain ran out with
+// flits still in the fabric (the end-of-run incidents are printed).
+int main(int argc, char** argv) try {
   using namespace flov;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--help") == 0 ||
@@ -142,51 +148,24 @@ int run(int argc, char** argv) {
   Config cfg;
   cfg.parse_args(argc, argv);
 
-  SyntheticExperimentConfig ex;
-  ex.noc = NocParams::from_config(cfg);
-  // threads= is shorthand for noc.step_threads=, tiles=TXxTY for
-  // noc.step_tiles_x/y= (intra-run domain workers / explicit tile grid;
-  // bit-identical results at any value — see docs/PERFORMANCE.md).
-  ex.noc.step_threads =
-      static_cast<int>(cfg.get_int("threads", ex.noc.step_threads));
-  ex.noc.apply_tiles_shorthand(cfg.get_string("tiles", ""));
-  ex.energy = EnergyParams::from_config(cfg);
+  SyntheticExperimentConfig ex =
+      SyntheticExperimentConfig::from_config(cfg, {});
   ex.scheme = scheme_from_string(cfg.get_string("scheme", "gflov"));
   ex.pattern = cfg.get_string("pattern", "uniform");
   ex.inj_rate_flits = cfg.get_double("inj", 0.02);
   ex.gated_fraction = cfg.get_double("gated", 0.0);
-  ex.warmup = cfg.get_int("warmup", 10000);
-  ex.measure = cfg.get_int("cycles", 90000);
   ex.seed = cfg.get_int("seed", 1);
-  ex.timeline_window = cfg.get_int("timeline", 0);
-  ex.drain_max = cfg.get_int("drain", 0);
-  ex.max_cycles_hard = cfg.get_int("sim.max_cycles_hard", 0);
-  ex.faults = FaultParams::from_config(cfg);
-  ex.verifier = VerifierOptions::from_config(cfg);
-  ex.verify = cfg.get_bool("verify", ex.verify);
-  ex.telemetry = telemetry::TelemetryOptions::from_config(cfg);
   const std::string trace_out = cfg.get_string("trace_out", "");
   const std::string manifest_out = cfg.get_string("manifest", "");
   const std::string incidents_out = cfg.get_string("incidents_out", "");
   if (!trace_out.empty() && ex.telemetry.trace_mask == 0) {
     ex.telemetry.trace_mask = telemetry::kTraceAll;  // implied by trace_out=
   }
-  if (cfg.has("changes")) {
-    // comma-separated gating change points, e.g. changes=50000,60000
-    const std::string s = cfg.get_string("changes");
-    std::size_t pos = 0;
-    while (pos < s.size()) {
-      const std::size_t comma = s.find(',', pos);
-      const std::string tok = s.substr(pos, comma - pos);
-      ex.gating_changes.push_back(std::stoull(tok));
-      if (comma == std::string::npos) break;
-      pos = comma + 1;
-    }
-  }
+  const ops::OpsOptions ops_opt = ops::OpsOptions::from_config(cfg);
+  reject_unread_keys(cfg);
 
   // Ops plane: constructed only when requested — the disabled path adds a
   // single null check per cycle inside run_synthetic and nothing else.
-  const ops::OpsOptions ops_opt = ops::OpsOptions::from_config(cfg);
   std::unique_ptr<ops::OpsPlane> ops_plane;
   if (ops_opt.any()) {
     ops_plane = std::make_unique<ops::OpsPlane>(ops_opt);
@@ -314,20 +293,7 @@ int run(int argc, char** argv) {
     telemetry::RunManifest m;
     m.name = "flov_sim_cli";
     m.scheme = r.scheme;
-    // Echo every resolved fault.* knob (including defaulted ones) into the
-    // manifest's config so two runs can never silently differ on one.
-    // Ops-plane keys are stripped first: serving /metrics or profiling a
-    // run must leave its manifest byte-identical to a plain run's.
-    Config mcfg;
-    for (const std::string& k : cfg.keys()) {
-      if (k == "serve" || k == "ops_stream" || k == "profile" ||
-          k == "profile_out" || k == "ops.period") {
-        continue;
-      }
-      mcfg.set(k, cfg.get_string(k));
-    }
-    ex.faults.echo_to_config(mcfg);
-    m.config = mcfg;
+    m.config = manifest_config(cfg, ex.faults);
     m.seed = ex.seed;
     m.wall_seconds = wall_seconds;
     m.trace_path = trace_out;
@@ -337,18 +303,6 @@ int run(int argc, char** argv) {
     std::printf("manifest: %s\n", manifest_out.c_str());
   }
   return report_undrained(r) ? 2 : 0;
-}
-
-}  // namespace
-
-// Exit codes (docs/RELIABILITY.md): 0 = clean run; 1 = usage/config error
-// or failure — flov::fatal has already printed the cause on stderr; 2 = the
-// post-run drain ran out with flits still in the fabric (the end-of-run
-// incidents are printed).
-int main(int argc, char** argv) {
-  try {
-    return run(argc, argv);
-  } catch (const std::exception&) {
-    return 1;
-  }
+} catch (const std::exception&) {
+  return 1;
 }

@@ -14,16 +14,16 @@ int main(int argc, char** argv) {
   Config cfg;
   cfg.parse_args(argc, argv);
 
-  SyntheticExperimentConfig ex;
-  ex.noc = NocParams::from_config(cfg);
-  ex.energy = EnergyParams::from_config(cfg);
+  SyntheticExperimentConfig defaults;
+  defaults.measure = 40000;
+  SyntheticExperimentConfig ex =
+      SyntheticExperimentConfig::from_config(cfg, defaults);
   ex.scheme = scheme_from_string(cfg.get_string("scheme", "gflov"));
   ex.pattern = cfg.get_string("pattern", "uniform");
   ex.inj_rate_flits = cfg.get_double("inj", 0.02);
-  ex.warmup = cfg.get_int("warmup", 10000);
-  ex.measure = cfg.get_int("cycles", 40000);
   ex.seed = cfg.get_int("seed", 1);
   const int steps = static_cast<int>(cfg.get_int("steps", 9));
+  reject_unread_keys(cfg);
 
   std::printf("Gating sweep — %s, %s traffic, inj=%.3f flits/node/cycle\n\n",
               to_string(ex.scheme), ex.pattern.c_str(), ex.inj_rate_flits);

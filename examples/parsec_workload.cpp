@@ -14,11 +14,12 @@ int main(int argc, char** argv) {
   cfg.parse_args(argc, argv);
 
   CmpConfig c;
-  c.noc = NocParams::from_config(cfg);
-  c.energy = EnergyParams::from_config(cfg);
+  c.noc = NocParams::from_config(cfg, {});
+  c.energy = EnergyParams::from_config(cfg, {});
   c.profile = BenchmarkProfile::by_name(cfg.get_string("bench", "canneal"));
   c.scheme = scheme_from_string(cfg.get_string("scheme", "gflov"));
   c.seed = cfg.get_int("seed", 1);
+  reject_unread_keys(cfg);
 
   std::printf("Running %s on %s (%dx%d mesh, 3 vnets, 4 corner MCs)...\n",
               c.profile.name.c_str(), to_string(c.scheme), c.noc.width,

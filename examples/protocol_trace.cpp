@@ -55,6 +55,7 @@ int main(int argc, char** argv) {
   const std::string mode_s = cfg.get_string("mode", "gflov");
   const FlovMode mode =
       mode_s == "rflov" ? FlovMode::kRestricted : FlovMode::kGeneralized;
+  reject_unread_keys(cfg);
 
   NocParams p;
   p.width = 4;

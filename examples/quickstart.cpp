@@ -14,15 +14,13 @@ int main(int argc, char** argv) {
   Config cfg;
   cfg.parse_args(argc, argv);
 
-  SyntheticExperimentConfig ex;
-  ex.noc = NocParams::from_config(cfg);
-  ex.energy = EnergyParams::from_config(cfg);
+  SyntheticExperimentConfig ex =
+      SyntheticExperimentConfig::from_config(cfg, {});
   ex.pattern = cfg.get_string("pattern", "uniform");
   ex.inj_rate_flits = cfg.get_double("inj", 0.02);
   ex.gated_fraction = cfg.get_double("gated", 0.5);
-  ex.warmup = cfg.get_int("warmup", 10000);
-  ex.measure = cfg.get_int("cycles", 90000);
   ex.seed = cfg.get_int("seed", 1);
+  reject_unread_keys(cfg);
 
   std::printf("FLOV quickstart: %dx%d mesh, %s traffic, inj=%.3f "
               "flits/node/cycle, %.0f%% cores gated\n\n",

@@ -15,6 +15,22 @@ std::string trim(const std::string& s) {
   return s.substr(b, e - b + 1);
 }
 
+long long to_int(const std::string& key, const std::string& v) {
+  char* end = nullptr;
+  const long long r = std::strtoll(v.c_str(), &end, 10);
+  FLOV_CHECK(!v.empty() && end && *end == '\0',
+             "config key " + key + " is not an int: " + v);
+  return r;
+}
+
+double to_double(const std::string& key, const std::string& v) {
+  char* end = nullptr;
+  const double r = std::strtod(v.c_str(), &end);
+  FLOV_CHECK(!v.empty() && end && *end == '\0',
+             "config key " + key + " is not a double: " + v);
+  return r;
+}
+
 }  // namespace
 
 void Config::set(const std::string& key, const std::string& value) {
@@ -39,9 +55,12 @@ bool Config::has(const std::string& key) const {
   return values_.count(key) != 0;
 }
 
+void Config::erase(const std::string& key) { values_.erase(key); }
+
 std::optional<std::string> Config::find(const std::string& key) const {
   auto it = values_.find(key);
   if (it == values_.end()) return std::nullopt;
+  read_.insert(key);
   return it->second;
 }
 
@@ -57,11 +76,7 @@ std::string Config::get_string(const std::string& key,
 }
 
 long long Config::get_int(const std::string& key) const {
-  const std::string v = get_string(key);
-  char* end = nullptr;
-  const long long r = std::strtoll(v.c_str(), &end, 10);
-  FLOV_CHECK(end && *end == '\0', "config key " + key + " is not an int: " + v);
-  return r;
+  return to_int(key, get_string(key));
 }
 
 long long Config::get_int(const std::string& key, long long dflt) const {
@@ -69,12 +84,7 @@ long long Config::get_int(const std::string& key, long long dflt) const {
 }
 
 double Config::get_double(const std::string& key) const {
-  const std::string v = get_string(key);
-  char* end = nullptr;
-  const double r = std::strtod(v.c_str(), &end);
-  FLOV_CHECK(end && *end == '\0',
-             "config key " + key + " is not a double: " + v);
-  return r;
+  return to_double(key, get_string(key));
 }
 
 double Config::get_double(const std::string& key, double dflt) const {
@@ -91,6 +101,37 @@ bool Config::get_bool(const std::string& key) const {
 
 bool Config::get_bool(const std::string& key, bool dflt) const {
   return has(key) ? get_bool(key) : dflt;
+}
+
+std::vector<std::string> Config::get_string_list(
+    const std::string& key, std::vector<std::string> dflt) const {
+  const auto v = find(key);
+  if (!v) return dflt;
+  std::vector<std::string> out;
+  for (std::size_t pos = 0;;) {
+    const std::size_t comma = v->find(',', pos);
+    out.push_back(v->substr(pos, comma - pos));
+    if (comma == std::string::npos) return out;
+    pos = comma + 1;
+  }
+}
+
+std::vector<long long> Config::get_int_list(const std::string& key,
+                                            std::vector<long long> dflt) const {
+  if (!has(key)) return dflt;
+  std::vector<long long> out;
+  for (const auto& e : get_string_list(key, {})) out.push_back(to_int(key, e));
+  return out;
+}
+
+std::vector<double> Config::get_double_list(const std::string& key,
+                                            std::vector<double> dflt) const {
+  if (!has(key)) return dflt;
+  std::vector<double> out;
+  for (const auto& e : get_string_list(key, {})) {
+    out.push_back(to_double(key, e));
+  }
+  return out;
 }
 
 void Config::parse_args(int argc, char** argv) {
@@ -130,6 +171,14 @@ std::string Config::to_string() const {
   return os.str();
 }
 
+std::vector<std::string> Config::unread_keys() const {
+  std::vector<std::string> out;
+  for (const auto& [k, _] : values_) {
+    if (read_.count(k) == 0) out.push_back(k);
+  }
+  return out;
+}
+
 void reject_removed_keys(const Config& cfg) {
   for (const char* key : {"procs", "noc.step_procs", "sim.snapshot_period",
                           "runstate", "sim.max_recoveries"}) {
@@ -140,6 +189,17 @@ void reject_removed_keys(const Config& cfg) {
                 "removed; use threads= (intra-run domain workers) instead");
     }
   }
+}
+
+void reject_unread_keys(const Config& cfg) {
+  std::string names;
+  for (const std::string& k : cfg.unread_keys()) {
+    names += (names.empty() ? "" : ", ") + k;
+  }
+  if (names.empty()) return;
+  fatal(__FILE__, __LINE__,
+        "config key(s) not used by this program: " + names +
+            " (misspelt, or not an option of this binary)");
 }
 
 }  // namespace flov

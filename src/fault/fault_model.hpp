@@ -80,8 +80,7 @@ struct FaultParams {
            soft_errors_armed() || hard_faults_armed();
   }
 
-  static FaultParams from_config(const Config& cfg) {
-    FaultParams p;
+  static FaultParams from_config(const Config& cfg, FaultParams p) {
     p.signal_drop_rate =
         cfg.get_double("fault.signal_drop_rate", p.signal_drop_rate);
     p.signal_delay_rate =
@@ -105,7 +104,8 @@ struct FaultParams {
         cfg.get_double("fault.hard_router_pct", p.hard_router_pct);
     p.hard_link_pct = cfg.get_double("fault.hard_link_pct", p.hard_link_pct);
     p.hard_at_cycle = cfg.get_int("fault.hard_at_cycle", p.hard_at_cycle);
-    p.seed = static_cast<std::uint64_t>(cfg.get_int("fault.seed", 1));
+    p.seed = static_cast<std::uint64_t>(
+        cfg.get_int("fault.seed", static_cast<long long>(p.seed)));
     return p;
   }
 

@@ -99,8 +99,8 @@ struct NocParams {
     return escape_vc >= 0 && vc_in_vnet(vc) == escape_vc;
   }
 
-  static NocParams from_config(const Config& cfg) {
-    NocParams p;
+  /// Overrides the fields of `p` whose noc.* key `cfg` sets.
+  static NocParams from_config(const Config& cfg, NocParams p) {
     p.width = static_cast<int>(cfg.get_int("noc.width", p.width));
     p.height = static_cast<int>(cfg.get_int("noc.height", p.height));
     p.num_vnets = static_cast<int>(cfg.get_int("noc.num_vnets", p.num_vnets));

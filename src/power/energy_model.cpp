@@ -4,8 +4,7 @@
 
 namespace flov {
 
-EnergyParams EnergyParams::from_config(const Config& cfg) {
-  EnergyParams p;
+EnergyParams EnergyParams::from_config(const Config& cfg, EnergyParams p) {
   p.buffer_write_pj = cfg.get_double("energy.buffer_write_pj", p.buffer_write_pj);
   p.buffer_read_pj = cfg.get_double("energy.buffer_read_pj", p.buffer_read_pj);
   p.vc_arb_pj = cfg.get_double("energy.vc_arb_pj", p.vc_arb_pj);

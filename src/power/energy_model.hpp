@@ -88,8 +88,9 @@ struct EnergyParams {
 
   double clock_freq_ghz = 2.0;
 
-  /// Reads overrides from keys "energy.<field>" (e.g. "energy.link_pj").
-  static EnergyParams from_config(const Config& cfg);
+  /// Overrides the fields of `p` from keys "energy.<field>" (e.g.
+  /// "energy.link_pj").
+  static EnergyParams from_config(const Config& cfg, EnergyParams p);
 
   /// Energy in pJ for one event.
   double event_pj(EnergyEvent e) const;

@@ -138,8 +138,6 @@ CertifyResult run_certification(const SyntheticExperimentConfig& base,
 
     SweepOptions so;
     so.jobs = opts.jobs;
-    so.retries = opts.retries;
-    so.retry_backoff_ms = opts.retry_backoff_ms;
     so.checkpoint_path = opts.checkpoint_path;
     // Every batch resumes against the shared campaign checkpoint: lines
     // written by OTHER batches carry different per-replication seeds, so

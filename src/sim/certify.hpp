@@ -76,8 +76,6 @@ struct CertifyOptions {
   std::string checkpoint_path;
   /// Resume from checkpoint_path (a fresh campaign deletes it first).
   bool resume = false;
-  int retries = 0;
-  int retry_backoff_ms = 0;
   /// Overall progress: (replications_folded, max_replications).
   std::function<void(std::uint64_t done, std::uint64_t cap)> progress;
   /// Called after every folded batch with the replication count so far and

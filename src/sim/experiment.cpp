@@ -186,6 +186,43 @@ bool fully_drained(Network& net) {
 
 }  // namespace
 
+SyntheticExperimentConfig SyntheticExperimentConfig::from_config(
+    const Config& cfg, SyntheticExperimentConfig ex) {
+  ex.noc = NocParams::from_config(cfg, ex.noc);
+  // threads= is shorthand for noc.step_threads=, tiles=TXxTY for
+  // noc.step_tiles_x/y= (intra-run domain workers / explicit tile grid;
+  // bit-identical results at any value — see docs/PERFORMANCE.md).
+  ex.noc.step_threads =
+      static_cast<int>(cfg.get_int("threads", ex.noc.step_threads));
+  ex.noc.apply_tiles_shorthand(cfg.get_string("tiles", ""));
+  ex.energy = EnergyParams::from_config(cfg, ex.energy);
+  ex.warmup = cfg.get_int("warmup", ex.warmup);
+  ex.measure = cfg.get_int("cycles", ex.measure);
+  ex.timeline_window = cfg.get_int("timeline", ex.timeline_window);
+  ex.drain_max = cfg.get_int("drain", ex.drain_max);
+  ex.max_cycles_hard = cfg.get_int("sim.max_cycles_hard", ex.max_cycles_hard);
+  if (cfg.has("changes")) {
+    const std::vector<long long> c = cfg.get_int_list("changes", {});
+    ex.gating_changes.assign(c.begin(), c.end());
+  }
+  ex.faults = FaultParams::from_config(cfg, ex.faults);
+  ex.verify = cfg.get_bool("verify", ex.verify);
+  ex.verifier = VerifierOptions::from_config(cfg, ex.verifier);
+  ex.telemetry = telemetry::TelemetryOptions::from_config(cfg, ex.telemetry);
+  return ex;
+}
+
+Config manifest_config(const Config& cfg, const FaultParams& faults) {
+  Config m = cfg;
+  for (const char* k : {"jobs", "threads", "tiles", "checkpoint", "resume",
+                        "progress", "certificate", "serve", "ops_stream",
+                        "profile", "profile_out", "ops.period"}) {
+    m.erase(k);
+  }
+  faults.echo_to_config(m);
+  return m;
+}
+
 RunResult run_synthetic(const SyntheticExperimentConfig& cfg) {
   BuiltSystem built = build_system(cfg.scheme, cfg.noc, cfg.energy,
                                    /*always_on=*/{}, cfg.faults);

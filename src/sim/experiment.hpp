@@ -8,6 +8,7 @@
 #include <string>
 #include <vector>
 
+#include "common/config.hpp"
 #include "common/types.hpp"
 #include "fault/fault_model.hpp"
 #include "noc/noc_params.hpp"
@@ -68,7 +69,22 @@ struct SyntheticExperimentConfig {
   /// flyover-snapshot-v1 folds through it; nothing the ops plane does can
   /// affect the run's results or its manifest.
   ops::OpsPlane* ops = nullptr;
+
+  /// The one reader of the keys every front end shares: noc.*, threads=,
+  /// tiles=TXxTY, energy.*, warmup=, cycles=, timeline=, drain=,
+  /// sim.max_cycles_hard=, changes=c1,c2,..., fault.*, verify=, verify.*
+  /// and telemetry.*, each overriding its field of the binary's `defaults`.
+  /// The axes (scheme, pattern, injection, gated fraction, seed) are left
+  /// to the binary.
+  static SyntheticExperimentConfig from_config(
+      const Config& cfg, SyntheticExperimentConfig defaults);
 };
+
+/// A manifest's `config`: `cfg` minus the keys that cannot change a result
+/// (jobs, threads, tiles, checkpoint, resume, progress, certificate and the
+/// ops plane's), plus every resolved fault.* knob, defaulted ones included,
+/// so two runs cannot silently differ on one.
+Config manifest_config(const Config& cfg, const FaultParams& faults);
 
 /// One run's results. `metrics` plus `incidents` is the record; every
 /// scalar below is folded from `metrics` by fold_run_result.

@@ -2,13 +2,11 @@
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <cstdio>
 #include <exception>
 #include <mutex>
 #include <thread>
 
-#include "common/backoff.hpp"
 #include "common/log.hpp"
 #include "sim/checkpoint.hpp"
 
@@ -127,19 +125,7 @@ std::vector<RunResult> run_sweep(
   auto body = [&](int k) {
     const std::size_t i =
         static_cast<std::size_t>(pending[static_cast<std::size_t>(k)]);
-    for (int attempt = 0;; ++attempt) {
-      try {
-        results[i] = run_synthetic(points[i]);
-        break;
-      } catch (const std::exception&) {
-        if (attempt >= opts.retries) throw;
-        if (opts.retry_backoff_ms > 0) {
-          std::this_thread::sleep_for(std::chrono::milliseconds(
-              backoff_shift(static_cast<std::uint64_t>(opts.retry_backoff_ms),
-                            attempt, 10)));
-        }
-      }
-    }
+    results[i] = run_synthetic(points[i]);
     if (ck) {
       const std::string line = encode_sweep_checkpoint_line(
           static_cast<int>(i), points[i], results[i]);
@@ -173,6 +159,31 @@ telemetry::MetricsRegistry merge_sweep_metrics(
     if (r.metrics) merged.merge(*r.metrics);
   }
   return merged;
+}
+
+void write_sweep_manifest(telemetry::SweepManifest m, const std::string& path,
+                          const std::vector<SyntheticExperimentConfig>& points,
+                          const std::vector<RunResult>& results) {
+  const telemetry::MetricsRegistry merged = merge_sweep_metrics(results);
+  telemetry::StructuredSink incidents;
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    telemetry::SweepPointEntry e;
+    e.scheme = to_string(points[i].scheme);
+    e.pattern = points[i].pattern;
+    e.inj_rate = points[i].inj_rate_flits;
+    e.gated_fraction = points[i].gated_fraction;
+    e.seed = points[i].seed;
+    e.metrics = results[i].metrics.get();
+    m.points.push_back(e);
+    if (results[i].incidents) {
+      for (const std::string& rec : results[i].incidents->records()) {
+        incidents.add(rec);
+      }
+    }
+  }
+  m.merged = &merged;
+  m.incidents = &incidents;
+  m.write(path);
 }
 
 }  // namespace flov

@@ -12,9 +12,11 @@
 #pragma once
 
 #include <functional>
+#include <string>
 #include <vector>
 
 #include "sim/experiment.hpp"
+#include "telemetry/manifest.hpp"
 
 namespace flov {
 
@@ -27,13 +29,7 @@ struct SweepOptions {
   std::function<void(int done, int total)> progress;
 
   // --- self-healing (sim/checkpoint.hpp) ---
-  /// Extra attempts for a point whose run threw a std::exception, with
-  /// capped exponential backoff (retry_backoff_ms << attempt, attempt
-  /// capped at 10) between attempts. 0 = fail fast (the historic
-  /// behaviour). Aborts (FLOV_CHECK) are process-fatal and NOT retried —
-  /// those are what the checkpoint file is for.
-  int retries = 0;
-  int retry_backoff_ms = 0;
+  // A failing point is not retried: a run is a pure function of its config.
   /// JSONL checkpoint: one lossless line appended (and flushed) per
   /// completed point, so a killed sweep can resume. "" = no checkpointing.
   std::string checkpoint_path;
@@ -78,5 +74,12 @@ std::vector<RunResult> run_sweep(
 /// serialized from it — is byte-identical between jobs=1 and jobs=N.
 telemetry::MetricsRegistry merge_sweep_metrics(
     const std::vector<RunResult>& results);
+
+/// Writes `m` (name, config, jobs, wall_seconds set) to `path` with one
+/// entry per point, the merged registry and every incident, in submission
+/// order; `points` and `results` are index-aligned, as run_sweep returns.
+void write_sweep_manifest(telemetry::SweepManifest m, const std::string& path,
+                          const std::vector<SyntheticExperimentConfig>& points,
+                          const std::vector<RunResult>& results);
 
 }  // namespace flov

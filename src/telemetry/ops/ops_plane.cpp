@@ -295,4 +295,20 @@ HttpResponse OpsPlane::handle(const std::string& path) const {
   return r;
 }
 
+std::function<void(std::uint64_t, std::uint64_t)> campaign_progress_fn(
+    OpsPlane* plane, bool print, std::string label, std::string unit,
+    std::string checkpoint) {
+  if (plane == nullptr && !print) return {};
+  return [=](std::uint64_t done, std::uint64_t total) {
+    if (plane != nullptr) plane->campaign_progress(done);
+    if (print) {
+      std::fprintf(stderr, "[%s] %llu/%llu %s%s%s\n", label.c_str(),
+                   static_cast<unsigned long long>(done),
+                   static_cast<unsigned long long>(total), unit.c_str(),
+                   checkpoint.empty() ? "" : " checkpoint=",
+                   checkpoint.c_str());
+    }
+  };
+}
+
 }  // namespace flov::ops

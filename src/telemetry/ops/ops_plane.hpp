@@ -162,4 +162,13 @@ class OpsPlane {
   std::uint64_t campaign_last_done_ = 0;
 };
 
+/// A campaign front end's progress callback: folds each count into `plane`
+/// (when non-null) and, with `print`, writes one full stderr line per call,
+/// "[<label>] done/total <unit>[ checkpoint=<path>]", identical for a given
+/// count so logs diff cleanly across jobs= and kill-and-resume. Empty when
+/// there is neither a plane nor printing.
+std::function<void(std::uint64_t done, std::uint64_t total)>
+campaign_progress_fn(OpsPlane* plane, bool print, std::string label,
+                     std::string unit, std::string checkpoint);
+
 }  // namespace flov::ops

@@ -22,10 +22,10 @@ struct TelemetryOptions {
   /// snapshot only).
   Cycle metrics_window = 0;
 
-  static TelemetryOptions from_config(const Config& cfg) {
-    TelemetryOptions o;
-    o.trace_mask =
-        trace_mask_from_string(cfg.get_string("telemetry.trace", ""));
+  static TelemetryOptions from_config(const Config& cfg, TelemetryOptions o) {
+    if (cfg.has("telemetry.trace")) {
+      o.trace_mask = trace_mask_from_string(cfg.get_string("telemetry.trace"));
+    }
     o.trace_capacity = static_cast<std::size_t>(cfg.get_int(
         "telemetry.trace_capacity", static_cast<long long>(o.trace_capacity)));
     o.metrics_window =

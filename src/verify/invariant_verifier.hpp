@@ -88,8 +88,7 @@ struct VerifierOptions {
   /// power mode of each non-powered router. Non-owning; may be null.
   telemetry::StructuredSink* sink = nullptr;
 
-  static VerifierOptions from_config(const Config& cfg) {
-    VerifierOptions o;
+  static VerifierOptions from_config(const Config& cfg, VerifierOptions o) {
     o.check_interval = cfg.get_int("verify.check_interval", o.check_interval);
     o.settle_window = cfg.get_int("verify.settle_window", o.settle_window);
     o.check_conservation =

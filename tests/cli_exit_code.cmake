@@ -1,7 +1,8 @@
 # Runs a command-line tool and checks its exit code and (optionally) its
-# stdout.
+# stdout and stderr.
 #   cmake -DCLI=<program> -DARGS="arg;arg" -DEXPECT_RC=<n>
-#         [-DEXPECT_STDOUT=<regex>] -P cli_exit_code.cmake
+#         [-DEXPECT_STDOUT=<regex>] [-DEXPECT_STDERR=<regex>]
+#         -P cli_exit_code.cmake
 execute_process(COMMAND ${CLI} ${ARGS}
                 RESULT_VARIABLE rc
                 OUTPUT_VARIABLE out
@@ -12,4 +13,7 @@ if(NOT rc EQUAL EXPECT_RC)
 endif()
 if(DEFINED EXPECT_STDOUT AND NOT out MATCHES "${EXPECT_STDOUT}")
   message(FATAL_ERROR "stdout does not match '${EXPECT_STDOUT}':\n${out}")
+endif()
+if(DEFINED EXPECT_STDERR AND NOT err MATCHES "${EXPECT_STDERR}")
+  message(FATAL_ERROR "stderr does not match '${EXPECT_STDERR}':\n${err}")
 endif()

@@ -395,6 +395,10 @@ TEST(Config, TypedAccessAndDefaults) {
   EXPECT_EQ(c.get_string("s"), "hello");
   EXPECT_EQ(c.get_int("missing", 7), 7);
   EXPECT_DOUBLE_EQ(c.get_double("a"), 42.0);  // int readable as double
+  c.set("inj", std::string("0.02,0.08"));
+  EXPECT_EQ(c.get_double_list("inj", {}), (std::vector<double>{0.02, 0.08}));
+  EXPECT_EQ(c.get_string_list("inj", {}).size(), 2u);
+  EXPECT_EQ(c.get_int_list("missing", {7}), (std::vector<long long>{7}));
 }
 
 TEST(Config, MissingKeyThrows) {
@@ -408,6 +412,11 @@ TEST(Config, TypeErrorsThrow) {
   c.set("s", std::string("abc"));
   EXPECT_THROW(c.get_int("s"), std::logic_error);
   EXPECT_THROW(c.get_bool("s"), std::logic_error);
+  // A list element passes the same check as a scalar value.
+  for (const char* bad : {"0.02,abc", "0.02,", ""}) {
+    c.set("inj", std::string(bad));
+    EXPECT_THROW(c.get_double_list("inj", {}), std::logic_error) << bad;
+  }
 }
 
 TEST(Config, ParseArgs) {
@@ -445,6 +454,24 @@ TEST(Config, RemovedMultiProcessKeysFailLoudly) {
   Config ok;
   ok.set("threads", std::string("4"));
   EXPECT_NO_THROW(reject_removed_keys(ok));
+}
+
+TEST(Config, TracksWhichKeysWereRead) {
+  const char* argv[] = {"prog", "noc.width=4", "noc.widht=4", "seed=3"};
+  Config c;
+  c.parse_args(4, const_cast<char**>(argv));
+  EXPECT_TRUE(c.has("seed"));  // has() is not a read
+  EXPECT_EQ(c.get_int("noc.width", 8), 4);
+  EXPECT_EQ(c.unread_keys(), (std::vector<std::string>{"noc.widht", "seed"}));
+  try {
+    reject_unread_keys(c);
+    FAIL() << "unread keys accepted";
+  } catch (const std::logic_error& e) {
+    EXPECT_NE(std::string(e.what()).find("noc.widht, seed"), std::string::npos);
+  }
+  c.get_int_list("seed", {});
+  c.get_int("noc.widht");
+  EXPECT_NO_THROW(reject_unread_keys(c));
 }
 
 TEST(Config, ParseTextWithComments) {

@@ -2,7 +2,11 @@
 // behaviour, and cross-metric consistency of RunResult.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "common/config.hpp"
+#include "sim/checkpoint.hpp"
 #include "sim/experiment.hpp"
 
 namespace flov {
@@ -101,7 +105,7 @@ TEST(Experiment, NocParamsFromConfigRoundTrip) {
   cfg.set("noc.buffer_depth", 8ll);
   cfg.set("noc.packet_size", 2ll);
   cfg.set("noc.deadlock_timeout", 64ll);
-  const NocParams p = NocParams::from_config(cfg);
+  const NocParams p = NocParams::from_config(cfg, {});
   EXPECT_EQ(p.width, 6);
   EXPECT_EQ(p.height, 4);
   EXPECT_EQ(p.buffer_depth, 8);
@@ -110,13 +114,52 @@ TEST(Experiment, NocParamsFromConfigRoundTrip) {
   EXPECT_EQ(p.vcs_per_vnet, 4);  // untouched default
 }
 
+// On an empty Config, from_config returns a binary's defaults unchanged.
+// The checkpoint fingerprint covers every field but the energy model and
+// the volatile step/trace knobs, which are checked directly.
+TEST(Experiment, FromConfigOnEmptyConfigReturnsTheDefaults) {
+  SyntheticExperimentConfig d = quick();
+  d.noc.width = 6;
+  d.noc.reliable = true;
+  d.noc.step_threads = 3;
+  d.energy.link_pj = 9.5;
+  d.gating_changes = {300, 400};
+  d.drain_max = 789;
+  d.faults.seed = 17;
+  d.verifier.fatal = false;
+  d.telemetry.trace_mask = 5;
+  const auto r = SyntheticExperimentConfig::from_config(Config{}, d);
+  EXPECT_EQ(sweep_point_fingerprint(r), sweep_point_fingerprint(d));
+  EXPECT_EQ(r.energy.link_pj, 9.5);
+  EXPECT_EQ(r.noc.step_threads, 3);
+  EXPECT_EQ(r.telemetry.trace_mask, 5u);
+}
+
+// The shared keys land in their fields, and a manifest's config drops the
+// plumbing keys and echoes every resolved fault knob.
+TEST(Experiment, FromConfigReadsTheSharedKeys) {
+  const char* argv[] = {"prog", "threads=2", "tiles=2x1", "cycles=20",
+                        "changes=12,15", "fault.seed=8", "jobs=4"};
+  Config cfg;
+  cfg.parse_args(7, const_cast<char**>(argv));
+  const auto r = SyntheticExperimentConfig::from_config(cfg, {});
+  EXPECT_EQ(cfg.unread_keys(), std::vector<std::string>{"jobs"});
+  EXPECT_EQ(r.noc.step_threads, 2);
+  EXPECT_EQ(r.noc.step_tiles_x, 2);
+  EXPECT_EQ(r.measure, 20u);
+  EXPECT_EQ(r.gating_changes, (std::vector<Cycle>{12, 15}));
+  const Config m = manifest_config(cfg, r.faults);
+  EXPECT_EQ(m.keys().size(), 16u);  // changes, cycles + 14 fault knobs
+  EXPECT_EQ(m.get_int("fault.seed"), 8);
+}
+
 TEST(Experiment, InvalidNocParamsRejected) {
   Config cfg;
   cfg.set("noc.width", 1ll);
-  EXPECT_THROW(NocParams::from_config(cfg), std::logic_error);
+  EXPECT_THROW(NocParams::from_config(cfg, {}), std::logic_error);
   Config cfg2;
   cfg2.set("noc.escape_vc", 9ll);
-  EXPECT_THROW(NocParams::from_config(cfg2), std::logic_error);
+  EXPECT_THROW(NocParams::from_config(cfg2, {}), std::logic_error);
 }
 
 TEST(Experiment, TimelineOnlyWhenRequested) {

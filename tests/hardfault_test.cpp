@@ -496,23 +496,5 @@ TEST(Checkpoint, KilledAndResumedSweepMatchesUninterruptedByteForByte) {
   std::remove(path.c_str());
 }
 
-// Retries on a healthy point must be a no-op: same results as retries=0
-// (the retry loop only changes behavior when the body actually throws).
-TEST(Checkpoint, SweepRetriesAreTransparentOnHealthyPoints) {
-  std::vector<SyntheticExperimentConfig> points(
-      1, hard_fault_config(Scheme::kBaseline, 4, 2));
-  SweepOptions opts;
-  opts.jobs = 1;
-  opts.retries = 2;
-  opts.retry_backoff_ms = 1;
-  const std::vector<RunResult> a = run_sweep(points, opts);
-  SweepOptions plain;
-  plain.jobs = 1;
-  const std::vector<RunResult> b = run_sweep(points, plain);
-  ASSERT_EQ(a.size(), 1u);
-  EXPECT_EQ(a[0].avg_latency, b[0].avg_latency);
-  EXPECT_EQ(a[0].packets_acked, b[0].packets_acked);
-}
-
 }  // namespace
 }  // namespace flov

@@ -52,7 +52,7 @@ TEST(EnergyModel, ConfigOverrides) {
   Config c;
   c.set("energy.link_pj", 9.5);
   c.set("energy.router_leak_mw", 3.25);
-  const EnergyParams p = EnergyParams::from_config(c);
+  const EnergyParams p = EnergyParams::from_config(c, {});
   EXPECT_DOUBLE_EQ(p.link_pj, 9.5);
   EXPECT_DOUBLE_EQ(p.router_leak_mw, 3.25);
   EXPECT_DOUBLE_EQ(p.pg_transition_pj, 17.7);  // untouched default

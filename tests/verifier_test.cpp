@@ -262,7 +262,7 @@ TEST(DrainAbort, TimeoutIsConfigurableViaConfig) {
   cfg.set("noc.trigger_retry_timeout", 44ll);
   cfg.set("noc.sleep_reannounce_interval", 55ll);
   cfg.set("noc.psr_block_timeout", 66ll);
-  const NocParams p = NocParams::from_config(cfg);
+  const NocParams p = NocParams::from_config(cfg, {});
   EXPECT_EQ(p.drain_abort_timeout, 123u);
   EXPECT_EQ(p.hs_retry_timeout, 11u);
   EXPECT_EQ(p.hs_retry_limit, 3);
