@@ -18,7 +18,17 @@ class Rng {
   explicit Rng(std::uint64_t seed = 0x9E3779B97F4A7C15ull);
 
   /// Uniform 64-bit value.
-  std::uint64_t next_u64();
+  std::uint64_t next_u64() {
+    const std::uint64_t result = rotl(state_[1] * 5, 7) * 9;
+    const std::uint64_t t = state_[1] << 17;
+    state_[2] ^= state_[0];
+    state_[3] ^= state_[1];
+    state_[1] ^= state_[2];
+    state_[0] ^= state_[3];
+    state_[2] ^= t;
+    state_[3] = rotl(state_[3], 45);
+    return result;
+  }
 
   /// Uniform in [0, bound) without modulo bias (Lemire's method).
   std::uint64_t next_below(std::uint64_t bound);
@@ -27,10 +37,16 @@ class Rng {
   int next_int(int lo, int hi);
 
   /// Uniform double in [0, 1).
-  double next_double();
+  double next_double() {
+    return static_cast<double>(next_u64() >> 11) * 0x1.0p-53;
+  }
 
   /// Bernoulli trial with probability p.
-  bool next_bool(double p);
+  bool next_bool(double p) {
+    if (p <= 0.0) return false;
+    if (p >= 1.0) return true;
+    return next_double() < p;
+  }
 
   /// Fisher-Yates shuffle of a random-access container.
   template <typename Container>
@@ -46,6 +62,10 @@ class Rng {
   Rng split();
 
  private:
+  static constexpr std::uint64_t rotl(std::uint64_t x, int k) {
+    return (x << k) | (x >> (64 - k));
+  }
+
   std::array<std::uint64_t, 4> state_{};
 };
 

@@ -1,6 +1,7 @@
 #include "flov/flov_network.hpp"
 
 #include <algorithm>
+#include <string>
 
 #include "common/log.hpp"
 #include "fault/fault_wiring.hpp"
@@ -28,12 +29,14 @@ FlovNetwork::FlovNetwork(const NocParams& params, FlovMode mode,
   trigger_sent_at_.assign(net_->num_nodes(), 0);
   psr_stamp_.assign(net_->num_nodes(), 0);
   dead_mask_.assign(net_->num_nodes(), 0);
+  hsc_live_.init(net_->num_nodes());
   hscs_.reserve(net_->num_nodes());
   const bool parallel = net_->num_domains() > 1;
   if (parallel) staged_wakeups_.resize(net_->num_domains());
   for (NodeId id = 0; id < net_->num_nodes(); ++id) {
     hscs_.push_back(std::make_unique<HandshakeController>(
         id, mode_, params_, &net_->router(id), &fabric_, this));
+    hscs_.back()->set_wake_target(&hsc_live_);
     net_->router(id).set_dead_mask(&dead_mask_);
     if (parallel) {
       // Workers may not touch HSC/fabric state: stage the request and let
@@ -89,7 +92,19 @@ void FlovNetwork::step(Cycle now) {
     for (auto& stage : staged_wakeups_) stage.clear();
   }
   fabric_.step(now);
-  for (auto& h : hscs_) h->step(now);
+  // Ascending id order, as when every HSC stepped: the signals they send
+  // keep their order in the fabric queue.
+  for (NodeId id = 0; id < net_->num_nodes(); ++id) {
+    if (!hsc_live_.live(id)) continue;
+    hscs_[id]->step(now);
+    if (hscs_[id]->dormant()) hsc_live_.clear(id);
+  }
+#ifndef NDEBUG
+  for (NodeId id = 0; id < net_->num_nodes(); ++id) {
+    FLOV_DCHECK(hsc_live_.live(id) || hscs_[id]->dormant(),
+                "HSC skipped while not dormant: " + std::to_string(id));
+  }
+#endif
   if (fault_) {
     const NodeId t = fault_->spurious_wakeup_target(now);
     if (t != kInvalidNode) {
@@ -273,6 +288,7 @@ void FlovNetwork::wake_handover(NodeId w, Cycle now) {
 
 void FlovNetwork::refresh_view(NodeId w, Cycle now) {
   net_->wake_router(w);  // view changes can unblock held allocations
+  hsc_live_.mark(w);     // ... and can re-block a PSR that times out
   stamp_psr(w, now);
   NeighborhoodView& v = net_->router(w).view();
   const MeshGeometry& g = net_->geom();

@@ -60,6 +60,8 @@ class FlovNetwork final : public NocSystem {
 
   HandshakeController& hsc(NodeId id) { return *hscs_[id]; }
   const HandshakeController& hsc(NodeId id) const { return *hscs_[id]; }
+  /// False once step() found the HSC dormant, until a re-arm event.
+  bool hsc_live(NodeId id) const { return hsc_live_.live(id); }
 
   // --- hooks used by the HSCs ---
   /// Routers in the AON column never power-gate (Section V).
@@ -157,6 +159,10 @@ class FlovNetwork final : public NocSystem {
   std::unique_ptr<Network> net_;
   SignalFabric fabric_;
   std::vector<std::unique_ptr<HandshakeController>> hscs_;
+  /// HSCs that are not dormant(); step() skips the rest. Each HSC re-arms
+  /// its own flag on every outside write to its inputs, refresh_view on a
+  /// view rewrite.
+  WakeList hsc_live_;
   /// One outstanding WakeupTrigger per sleeping target (reset at each
   /// Sleep entry); packet holders re-request every cycle otherwise. The
   /// timestamp re-arms the trigger after `trigger_retry_timeout` (loss

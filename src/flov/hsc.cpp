@@ -21,15 +21,14 @@ HandshakeController::HandshakeController(NodeId id, FlovMode mode,
 }
 
 void HandshakeController::set_core_gated(bool gated, Cycle now) {
+  (void)now;  // the FSM reacts on its next step
+  wake();
   if (dead_) return;  // a corpse's core never comes back
   core_gated_ = gated;
-  if (!gated && state_ == PowerState::kSleep) {
-    // The FSM wakes on its next step; nothing else to do here.
-    (void)now;
-  }
 }
 
 void HandshakeController::kill(Cycle now) {
+  wake();
   if (dead_) return;
   dead_ = true;
   core_gated_ = true;  // directly: set_core_gated now refuses changes
@@ -352,14 +351,40 @@ void HandshakeController::step(Cycle now) {
   }
 }
 
+bool HandshakeController::dormant() const {
+  if (!owed_.empty()) return false;
+  if (params_.psr_block_timeout > 0) {
+    for (bool blocked : router_->view().output_blocked) {
+      if (blocked) return false;
+    }
+  }
+  switch (state_) {
+    case PowerState::kActive:
+      // A gated core outside the AON column drains once the router idles.
+      return !dead_ && (!core_gated_ || owner_->gating_forbidden(id_));
+    case PowerState::kSleep:
+      // The heartbeat fires on a timer even for a corpse; a reliable NI
+      // can refill from its retransmit timer while the core stays gated.
+      if (params_.sleep_reannounce_interval != 0) return false;
+      return dead_ ||
+             (core_gated_ && !wakeup_pending_ && !params_.reliable);
+    case PowerState::kDraining:
+    case PowerState::kWakeup:
+      return false;
+  }
+  return false;
+}
+
 void HandshakeController::trigger_wakeup(Cycle now) {
   (void)now;
+  wake();
   if (dead_) return;  // the dead do not answer
   if (state_ == PowerState::kSleep) wakeup_pending_ = true;
 }
 
 void HandshakeController::recovery_kick(Cycle now) {
   if (state_ != PowerState::kDraining && state_ != PowerState::kWakeup) return;
+  wake();  // defensive: a mid-transition HSC is never dormant
   const HsType type = state_ == PowerState::kDraining
                           ? HsType::kDrainReq
                           : HsType::kWakeupNotify;
@@ -517,6 +542,7 @@ bool HandshakeController::stale_signal(const HsMessage& msg,
 }
 
 bool HandshakeController::on_signal(const HsMessage& msg, Cycle now) {
+  wake();
   const Direction from_dir = opposite(msg.travel);
   if (stale_signal(msg, from_dir)) {
     // A straggler from a previous power episode of the sender (delayed or

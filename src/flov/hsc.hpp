@@ -36,6 +36,7 @@
 #include "common/geometry.hpp"
 #include "common/types.hpp"
 #include "flov/handshake_signals.hpp"
+#include "noc/active_set.hpp"
 #include "noc/noc_params.hpp"
 #include "noc/power_state.hpp"
 
@@ -73,6 +74,17 @@ class HandshakeController {
 
   /// Per-cycle FSM evaluation (after routers and signal deliveries).
   void step(Cycle now);
+
+  /// Active-set hook: every outside write to an input of step() re-arms
+  /// this HSC's liveness flag (set once by FlovNetwork).
+  void set_wake_target(WakeList* list) { wake_ = list; }
+
+  /// True when step() is a provable no-op until one of the re-arm events
+  /// (set_core_gated, kill, on_signal, trigger_wakeup, recovery_kick,
+  /// FlovNetwork::refresh_view) changes an input: nothing owed, no PSR
+  /// block that could time out, and a state with no timer or wake reason
+  /// pending (docs/PERFORMANCE.md §1).
+  bool dormant() const;
 
   /// Signal arrival; returns true if this router absorbs it.
   bool on_signal(const HsMessage& msg, Cycle now);
@@ -119,6 +131,9 @@ class HandshakeController {
   /// Every FSM transition goes through here: it also stamps the node's
   /// PSR-change cycle for the invariant verifier.
   void set_state(PowerState s, Cycle now);
+  void wake() {
+    if (wake_) wake_->mark(id_);
+  }
   bool can_start_drain(Cycle now) const;
   bool can_start_wakeup() const;
   void enter_draining(Cycle now);
@@ -161,6 +176,7 @@ class HandshakeController {
   Router* router_;
   SignalFabric* fabric_;
   FlovNetwork* owner_;
+  WakeList* wake_ = nullptr;
 
   PowerState state_ = PowerState::kActive;
   bool core_gated_ = false;

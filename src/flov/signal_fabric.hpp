@@ -8,8 +8,8 @@
 // behaviour without any router seeing non-local state.
 #pragma once
 
-#include <deque>
 #include <functional>
+#include <vector>
 
 #include "common/geometry.hpp"
 #include "flov/handshake_signals.hpp"
@@ -58,8 +58,10 @@ class SignalFabric {
   PowerTracker* power_;
   Handler handler_;
   FaultInjector* fault_ = nullptr;
-  /// Unsorted when delay faults are armed; step() scans the whole queue.
-  std::deque<InFlight> queue_;
+  /// Unsorted when delay faults are armed; step() scans the whole queue
+  /// and compacts the undelivered rest in place, keeping their order.
+  std::vector<InFlight> queue_;
+  std::vector<InFlight> due_;  ///< step() scratch (no per-cycle allocation)
 };
 
 }  // namespace flov

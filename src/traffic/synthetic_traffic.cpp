@@ -11,20 +11,21 @@ SyntheticTraffic::SyntheticTraffic(NocSystem* sys,
     : sys_(sys),
       pattern_(pattern),
       packet_prob_(inj_rate_flits / packet_size),
-      packet_size_(packet_size) {
+      packet_size_(packet_size),
+      active_(std::vector<bool>(
+          static_cast<std::size_t>(sys->network().num_nodes()), true)) {
   FLOV_CHECK(packet_prob_ <= 1.0, "injection rate exceeds 1 packet/cycle");
   Rng seeder(seed);
   const int n = sys_->network().num_nodes();
   rngs_.reserve(n);
   for (int i = 0; i < n; ++i) rngs_.push_back(seeder.split());
-  active_.assign(n, true);
 }
 
 void SyntheticTraffic::step(Cycle now) {
-  const int n = sys_->network().num_nodes();
-  for (NodeId i = 0; i < n; ++i) active_[i] = !sys_->core_gated(i);
-  for (NodeId src = 0; src < n; ++src) {
-    if (!active_[src]) continue;
+  active_.refresh([this](NodeId n) { return !sys_->core_gated(n); });
+  FLOV_DCHECK(active_.consistent(), "cached active-core ids drifted");
+  // Ascending over the active cores only: the gated ones never draw.
+  for (const NodeId src : active_.ids()) {
     if (!rngs_[src].next_bool(packet_prob_)) continue;
     const NodeId dst = pattern_->dest(src, active_, rngs_[src]);
     if (dst == kInvalidNode) {

@@ -34,7 +34,7 @@ class SyntheticTraffic {
   double packet_prob_;
   int packet_size_;
   std::vector<Rng> rngs_;  ///< one independent stream per node
-  std::vector<bool> active_;
+  ActiveCores active_;  ///< refreshed from NocSystem::core_gated each cycle
   std::uint64_t generated_ = 0;
   std::uint64_t skipped_ = 0;
 };

@@ -48,8 +48,9 @@ TEST_P(GatingChurn, SurvivesRandomToggleStorm) {
       sys.set_core_gated(n, gated[n], now);
     }
     // Traffic between currently active cores.
-    std::vector<bool> active(g.num_nodes());
-    for (NodeId n = 0; n < g.num_nodes(); ++n) active[n] = !gated[n];
+    std::vector<bool> mask(g.num_nodes());
+    for (NodeId n = 0; n < g.num_nodes(); ++n) mask[n] = !gated[n];
+    const ActiveCores active(mask);
     for (NodeId s = 0; s < g.num_nodes(); ++s) {
       if (gated[s] || !rng.next_bool(0.01)) continue;
       const NodeId d = pattern.dest(s, active, rng);

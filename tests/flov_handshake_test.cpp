@@ -3,6 +3,10 @@
 // triggers, credit handover, and PSR consistency.
 #include <gtest/gtest.h>
 
+#include <sstream>
+#include <string>
+
+#include "fault/fault_model.hpp"
 #include "flov/flov_network.hpp"
 #include "noc/noc_params.hpp"
 
@@ -291,6 +295,132 @@ TEST_P(GFlovColumnRuns, WholeColumnSleepsAndColumnTrafficDelivers) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Columns, GFlovColumnRuns, ::testing::Values(1, 2));
+
+// --- HSC wake list: FlovNetwork steps only HSCs that are not dormant ---
+
+/// Everything a step could change about HSC `id` and its PSRs.
+std::string hsc_snapshot(const FlovNetwork& sys, NodeId id, Cycle now) {
+  const HandshakeController& c = sys.hsc(id);
+  const NeighborhoodView& v = sys.network().router(id).view();
+  std::ostringstream os;
+  os << to_string(c.state()) << c.core_gated() << c.wakeup_pending()
+     << c.dead() << ' ' << c.sleep_entries() << ' ' << c.wake_completions()
+     << ' ' << c.drain_aborts() << ' ' << c.hs_resends() << ' '
+     << c.psr_block_clears() << ' ' << c.sleep_cycles(now);
+  for (int d = 0; d < kNumMeshDirs; ++d) {
+    os << ' ' << to_string(v.physical[d]) << v.logical[d]
+       << to_string(v.logical_state[d]) << v.output_blocked[d];
+  }
+  return os.str();
+}
+
+TEST(FlovWakeList, SteppingADormantHscIsANoOp) {
+  NocParams p = small_params();
+  p.psr_block_timeout = 64;  // a set block would keep its HSC live
+  Harness h(FlovMode::kGeneralized, p);
+  h.sys.set_core_gated(5, true, 0);  // sleeps
+  h.sys.set_core_gated(7, true, 0);  // AON column: gated but stays Active
+  h.sys.hsc(0).kill(0);              // dead: drains, then sleeps for good
+  h.run(400);
+  ASSERT_EQ(h.state(5), PowerState::kSleep);
+  ASSERT_EQ(h.state(0), PowerState::kSleep);
+  ASSERT_EQ(h.state(7), PowerState::kActive);
+  for (NodeId id = 0; id < 16; ++id) {
+    ASSERT_FALSE(h.sys.hsc_live(id)) << id;
+    ASSERT_TRUE(h.sys.hsc(id).dormant()) << id;
+    const std::string before = hsc_snapshot(h.sys, id, h.now);
+    const auto signals =
+        h.sys.power().event_count(EnergyEvent::kHandshakeSignal);
+    h.sys.hsc(id).step(h.now);
+    EXPECT_EQ(h.sys.power().event_count(EnergyEvent::kHandshakeSignal),
+              signals)
+        << id;
+    EXPECT_EQ(hsc_snapshot(h.sys, id, h.now), before) << id;
+  }
+}
+
+TEST(FlovWakeList, TimersAndReliableRefillKeepASleeperLive) {
+  for (const bool reliable : {false, true}) {
+    NocParams p = small_params();
+    if (reliable) {
+      p.reliable = true;
+    } else {
+      p.sleep_reannounce_interval = 128;
+    }
+    Harness h(FlovMode::kGeneralized, p);
+    h.sys.set_core_gated(5, true, 0);
+    h.run(400);
+    ASSERT_EQ(h.state(5), PowerState::kSleep);
+    EXPECT_TRUE(h.sys.hsc_live(5)) << reliable;
+    EXPECT_FALSE(h.sys.hsc(5).dormant()) << reliable;
+  }
+}
+
+TEST(FlovWakeList, EachReArmEventMakesTheHscLive) {
+  Harness h(FlovMode::kGeneralized);
+  h.sys.set_core_gated(5, true, 0);
+  h.run(300);
+  for (NodeId id = 0; id < 16; ++id) ASSERT_FALSE(h.sys.hsc_live(id)) << id;
+
+  h.sys.set_core_gated(6, true, h.now);
+  EXPECT_TRUE(h.sys.hsc_live(6));
+  h.sys.set_core_gated(6, false, h.now);
+  h.run(1);
+  EXPECT_FALSE(h.sys.hsc_live(6));
+
+  HsMessage m;  // node 10 announcing itself to its north neighbor 6
+  m.type = HsType::kActiveNotify;
+  m.from = 10;
+  m.travel = Direction::North;
+  m.target = 6;
+  h.sys.hsc(6).on_signal(m, h.now);
+  EXPECT_TRUE(h.sys.hsc_live(6));
+  h.run(1);
+  EXPECT_FALSE(h.sys.hsc_live(6));
+
+  h.sys.hsc(5).trigger_wakeup(h.now);
+  EXPECT_TRUE(h.sys.hsc_live(5));
+  h.run(600);  // wakes, then re-drains: its core is still gated
+  EXPECT_EQ(h.state(5), PowerState::kSleep);
+  EXPECT_EQ(h.sys.hsc(5).wake_completions(), 1u);
+  EXPECT_FALSE(h.sys.hsc_live(5));
+
+  h.sys.hsc(12).kill(h.now);
+  EXPECT_TRUE(h.sys.hsc_live(12));
+  h.run(300);
+  EXPECT_EQ(h.state(12), PowerState::kSleep);
+  EXPECT_FALSE(h.sys.hsc_live(12));
+}
+
+// refresh_view rewrites PSRs from outside the HSC. Every signal is lost
+// here, so router 5's neighbors never hear of its drain and go dormant
+// with clear PSRs; the recovery scrub then blocks their outputs toward
+// the drainer, and only refresh_view's mark gets them stepped again to
+// time that block out. The drainer's own recovery_kick keeps it live.
+TEST(FlovWakeList, RecoveryRefreshAndKickReArm) {
+  NocParams p = small_params();
+  p.psr_block_timeout = 4096;
+  FaultParams f;
+  f.signal_drop_rate = 1.0;
+  FlovNetwork sys(p, FlovMode::kGeneralized, EnergyParams{}, f);
+  sys.set_core_gated(5, true, 0);
+  Cycle now = 0;
+  for (; now < 40; ++now) sys.step(now);
+  ASSERT_EQ(sys.hsc(5).state(), PowerState::kDraining);
+  const NodeId west = 4;  // router 5's west neighbor
+  ASSERT_FALSE(sys.hsc_live(west));
+  ASSERT_FALSE(sys.network().router(west).view().blocked(Direction::East));
+  const auto resends = sys.hsc(5).hs_resends();
+
+  sys.attempt_recovery(now);
+  EXPECT_TRUE(sys.network().router(west).view().blocked(Direction::East));
+  EXPECT_TRUE(sys.hsc_live(west));
+  EXPECT_FALSE(sys.hsc(west).dormant());
+  EXPECT_TRUE(sys.hsc_live(5));
+  EXPECT_GT(sys.hsc(5).hs_resends(), resends);
+  sys.step(now);
+  EXPECT_TRUE(sys.hsc_live(west));
+}
 
 }  // namespace
 }  // namespace flov

@@ -168,8 +168,9 @@ TEST(Integration, CreditConservationAfterDrainGFlov) {
   run(2000);
   // Random traffic burst.
   Rng rng(9);
-  std::vector<bool> active(64);
-  for (NodeId n = 0; n < 64; ++n) active[n] = !sys.core_gated(n);
+  std::vector<bool> mask(64);
+  for (NodeId n = 0; n < 64; ++n) mask[n] = !sys.core_gated(n);
+  const ActiveCores active(mask);
   UniformPattern pat(g);
   for (int i = 0; i < 500; ++i) {
     const NodeId s = rng.next_below(64);
