@@ -28,6 +28,7 @@ FlovNetwork::FlovNetwork(const NocParams& params, FlovMode mode,
   trigger_sent_.assign(net_->num_nodes(), false);
   trigger_sent_at_.assign(net_->num_nodes(), 0);
   psr_stamp_.assign(net_->num_nodes(), 0);
+  core_gated_.assign(net_->num_nodes(), 0);
   dead_mask_.assign(net_->num_nodes(), 0);
   hsc_live_.init(net_->num_nodes());
   hscs_.reserve(net_->num_nodes());
@@ -35,7 +36,8 @@ FlovNetwork::FlovNetwork(const NocParams& params, FlovMode mode,
   if (parallel) staged_wakeups_.resize(net_->num_domains());
   for (NodeId id = 0; id < net_->num_nodes(); ++id) {
     hscs_.push_back(std::make_unique<HandshakeController>(
-        id, mode_, params_, &net_->router(id), &fabric_, this));
+        id, mode_, params_, &net_->router(id), &fabric_, this,
+        &core_gated_[id]));
     hscs_.back()->set_wake_target(&hsc_live_);
     net_->router(id).set_dead_mask(&dead_mask_);
     if (parallel) {
@@ -94,11 +96,10 @@ void FlovNetwork::step(Cycle now) {
   fabric_.step(now);
   // Ascending id order, as when every HSC stepped: the signals they send
   // keep their order in the fabric queue.
-  for (NodeId id = 0; id < net_->num_nodes(); ++id) {
-    if (!hsc_live_.live(id)) continue;
+  hsc_live_.for_each_live(0, net_->num_nodes(), [&](NodeId id) {
     hscs_[id]->step(now);
     if (hscs_[id]->dormant()) hsc_live_.clear(id);
-  }
+  });
 #ifndef NDEBUG
   for (NodeId id = 0; id < net_->num_nodes(); ++id) {
     FLOV_DCHECK(hsc_live_.live(id) || hscs_[id]->dormant(),

@@ -39,11 +39,8 @@ class FlovNetwork final : public NocSystem {
   void step(Cycle now) override;
   bool attempt_recovery(Cycle now) override;
   void set_core_gated(NodeId core, bool gated, Cycle now) override;
-  bool core_gated(NodeId core) const override {
-    return hscs_[core]->core_gated();
-  }
   bool injection_allowed(NodeId src) const override {
-    return !hscs_[src]->core_gated();
+    return !core_gated(src);
   }
   Network& network() override { return *net_; }
   const Network& network() const override { return *net_; }

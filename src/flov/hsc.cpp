@@ -13,10 +13,12 @@ namespace flov {
 HandshakeController::HandshakeController(NodeId id, FlovMode mode,
                                          const NocParams& params,
                                          Router* router, SignalFabric* fabric,
-                                         FlovNetwork* owner)
+                                         FlovNetwork* owner,
+                                         std::uint8_t* core_gated)
     : id_(id), mode_(mode), params_(params), router_(router),
-      fabric_(fabric), owner_(owner) {
-  FLOV_CHECK(router_ && fabric_ && owner_, "HSC missing collaborators");
+      fabric_(fabric), owner_(owner), core_gated_(core_gated) {
+  FLOV_CHECK(router_ && fabric_ && owner_ && core_gated_,
+             "HSC missing collaborators");
   psr_owner_.fill(kInvalidNode);
 }
 
@@ -24,14 +26,14 @@ void HandshakeController::set_core_gated(bool gated, Cycle now) {
   (void)now;  // the FSM reacts on its next step
   wake();
   if (dead_) return;  // a corpse's core never comes back
-  core_gated_ = gated;
+  *core_gated_ = gated;
 }
 
 void HandshakeController::kill(Cycle now) {
   wake();
   if (dead_) return;
   dead_ = true;
-  core_gated_ = true;  // directly: set_core_gated now refuses changes
+  *core_gated_ = 1;  // directly: set_core_gated now refuses changes
   // A drain already in progress must run to completion, never abort.
   if (state_ == PowerState::kDraining) drain_deadline_ = kNeverCycle;
   owner_->stamp_psr(id_, now);  // the verifier reads the dead mask
@@ -277,10 +279,10 @@ void HandshakeController::step(Cycle now) {
         drain_deadline_ = kNeverCycle;  // a corpse never aborts
         break;
       }
-      if (core_gated_ && can_start_drain(now)) enter_draining(now);
+      if (core_gated() && can_start_drain(now)) enter_draining(now);
       break;
     case PowerState::kDraining: {
-      if (!core_gated_) {
+      if (!core_gated()) {
         abort_drain(now);
         break;
       }
@@ -322,7 +324,7 @@ void HandshakeController::step(Cycle now) {
       // Third wake reason (reliable delivery only): a retransmit timer can
       // repopulate a gated NI's queue while the core itself stays gated;
       // the router must power on to flush it or the flow wedges forever.
-      if ((!core_gated_ || wakeup_pending_ ||
+      if ((!core_gated() || wakeup_pending_ ||
            (params_.reliable && !owner_->ni_idle(id_))) &&
           can_start_wakeup()) {
         enter_wakeup(now);
@@ -361,13 +363,13 @@ bool HandshakeController::dormant() const {
   switch (state_) {
     case PowerState::kActive:
       // A gated core outside the AON column drains once the router idles.
-      return !dead_ && (!core_gated_ || owner_->gating_forbidden(id_));
+      return !dead_ && (!core_gated() || owner_->gating_forbidden(id_));
     case PowerState::kSleep:
       // The heartbeat fires on a timer even for a corpse; a reliable NI
       // can refill from its retransmit timer while the core stays gated.
       if (params_.sleep_reannounce_interval != 0) return false;
       return dead_ ||
-             (core_gated_ && !wakeup_pending_ && !params_.reliable);
+             (core_gated() && !wakeup_pending_ && !params_.reliable);
     case PowerState::kDraining:
     case PowerState::kWakeup:
       return false;
@@ -403,7 +405,8 @@ void HandshakeController::dump(Cycle now) const {
                "wakeup_pending=%d wake_drained=%d owed=%zu resends=%llu\n",
                id_, to_string(state_),
                static_cast<unsigned long long>(now - state_since_),
-               static_cast<int>(core_gated_), static_cast<int>(wakeup_pending_),
+               static_cast<int>(core_gated()),
+               static_cast<int>(wakeup_pending_),
                static_cast<int>(wake_drained_), owed_.size(),
                static_cast<unsigned long long>(hs_resends_));
   for (const Expected& e : expected_) {

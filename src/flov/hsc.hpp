@@ -53,13 +53,16 @@ enum class FlovMode : std::uint8_t {
 
 class HandshakeController {
  public:
+  /// `core_gated` is this node's byte in the owner's core-gated mask
+  /// (NocSystem::core_gated_mask); the HSC writes OS events and its own
+  /// death there and reads it back.
   HandshakeController(NodeId id, FlovMode mode, const NocParams& params,
                       Router* router, SignalFabric* fabric,
-                      FlovNetwork* owner);
+                      FlovNetwork* owner, std::uint8_t* core_gated);
 
   NodeId id() const { return id_; }
   PowerState state() const { return state_; }
-  bool core_gated() const { return core_gated_; }
+  bool core_gated() const { return *core_gated_ != 0; }
   bool wakeup_pending() const { return wakeup_pending_; }
 
   void set_core_gated(bool gated, Cycle now);
@@ -177,9 +180,9 @@ class HandshakeController {
   SignalFabric* fabric_;
   FlovNetwork* owner_;
   WakeList* wake_ = nullptr;
+  std::uint8_t* core_gated_;  ///< the owner's mask byte (borrowed)
 
   PowerState state_ = PowerState::kActive;
-  bool core_gated_ = false;
   bool dead_ = false;  ///< hard-faulted; terminal (see kill())
   Cycle state_since_ = 0;
   Cycle drain_deadline_ = kNeverCycle;

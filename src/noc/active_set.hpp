@@ -15,7 +15,9 @@
 // FLOV_DCHECK against a full recount in debug builds.
 #pragma once
 
+#include <bit>
 #include <cstdint>
+#include <cstring>
 #include <memory>
 #include <new>
 
@@ -41,32 +43,75 @@ class WakeList {
  public:
   void init(int n, bool live = true) {
     size_ = n;
-    const std::size_t bytes = round_up(static_cast<std::size_t>(n));
-    buf_.reset(bytes != 0
-                   ? new (std::align_val_t{kCacheLine}) std::uint8_t[bytes]
+    bytes_ = round_up(static_cast<std::size_t>(n));
+    buf_.reset(bytes_ != 0
+                   ? new (std::align_val_t{kCacheLine}) std::uint8_t[bytes_]
                    : nullptr);
-    for (int i = 0; i < n; ++i) buf_[i] = live ? 1 : 0;
+    // The padding past `n` is zeroed too: word reads and word ORs cover it.
+    if (bytes_ != 0) std::memset(buf_.get(), 0, bytes_);
+    if (live && n > 0) std::memset(buf_.get(), 1, static_cast<std::size_t>(n));
   }
   void mark(int i) { buf_[static_cast<std::size_t>(i)] = 1; }
   void clear(int i) { buf_[static_cast<std::size_t>(i)] = 0; }
   bool live(int i) const { return buf_[static_cast<std::size_t>(i)] != 0; }
   int size() const { return size_; }
 
+  /// Calls f(i) for every live i in [begin, end), ascending, with exactly
+  /// the visits of a byte-by-byte scan that tests live(i) on arrival at i:
+  /// a flag the callback sets later in the range is visited, one it clears
+  /// later in the range is not. Eight flags are loaded per read, and the
+  /// word is re-read after each call. Bytes outside [begin, end) are never
+  /// loaded (the edge words are read byte by byte), so a domain worker can
+  /// scan its own rows while other workers write theirs.
+  template <typename F>
+  void for_each_live(int begin, int end, F&& f) {
+    int i = begin;
+    for (; i < end && (i & 7) != 0; ++i) {
+      if (live(i)) f(i);
+    }
+    for (; i + 8 <= end; i += 8) {
+      std::uint64_t w = load_word(i);
+      while (w != 0) {
+        const int b = std::countr_zero(w) >> 3;
+        f(i + b);
+        if (b == 7) break;
+        w = load_word(i) & (~std::uint64_t{0} << (8 * (b + 1)));
+      }
+    }
+    for (; i < end; ++i) {
+      if (live(i)) f(i);
+    }
+  }
+
   /// ORs every set flag into `dst` and clears this list. Used at the
   /// domain-parallel barrier to merge per-domain staged wake marks into the
   /// real liveness list (marks are idempotent, so merge order is free).
+  /// Word-wise: zero words (the common case) cost one load.
   void drain_into(WakeList& dst) {
-    for (int i = 0; i < size_; ++i) {
-      if (buf_[i]) {
-        dst.buf_[i] = 1;
-        buf_[i] = 0;
-      }
+    for (std::size_t at = 0; at < bytes_; at += 8) {
+      std::uint64_t w;
+      std::memcpy(&w, buf_.get() + at, 8);
+      if (w == 0) continue;
+      std::uint64_t d;
+      std::memcpy(&d, dst.buf_.get() + at, 8);
+      d |= w;
+      std::memcpy(dst.buf_.get() + at, &d, 8);
+      w = 0;
+      std::memcpy(buf_.get() + at, &w, 8);
     }
   }
 
  private:
+  static_assert(std::endian::native == std::endian::little,
+                "for_each_live maps the lowest set byte to the lowest id");
+
   static std::size_t round_up(std::size_t n) {
     return (n + kCacheLine - 1) / kCacheLine * kCacheLine;
+  }
+  std::uint64_t load_word(int i) const {
+    std::uint64_t w;
+    std::memcpy(&w, buf_.get() + i, 8);
+    return w;
   }
   struct AlignedDelete {
     void operator()(std::uint8_t* p) const {
@@ -74,6 +119,7 @@ class WakeList {
     }
   };
   std::unique_ptr<std::uint8_t[], AlignedDelete> buf_;
+  std::size_t bytes_ = 0;  ///< allocated bytes (n rounded up to a line)
   int size_ = 0;
 };
 

@@ -13,6 +13,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <optional>
 #include <utility>
 #include <vector>
@@ -55,8 +56,30 @@ class Channel {
   /// Staging mode (domain-parallel stepping): sends append to a
   /// sender-private buffer instead of the receiver-visible queue;
   /// merge_staged() publishes them at the barrier. Only the single sender
-  /// touches staged_ during the parallel phase, so no locks are needed.
-  void set_staging(bool on) { staging_ = on; }
+  /// touches the buffer during the parallel phase, so no locks are needed.
+  /// `sender_list` / `receiver_list` are the two ends' per-domain merge
+  /// lists: the first staged send (first pop) since the last merge appends
+  /// this channel to the sender's (receiver's) list, so the barrier merges
+  /// only channels something happened on. Each list is written only by its
+  /// own domain's worker.
+  using MergeList = std::vector<Channel*>;
+  void set_staging(MergeList* sender_list = nullptr,
+                   MergeList* receiver_list = nullptr) {
+    stage_ = std::make_unique<Stage>();
+    stage_->sender_list = sender_list;
+    stage_->receiver_list = receiver_list;
+  }
+
+  /// Receiver input mask (Router::in_pending_): bit `bit` of `*word` is
+  /// set exactly while the receiver-visible queue is non-empty — on a
+  /// visible enqueue (a non-staging send, merge_staged) — and cleared when
+  /// recv, recv_all or clear empties the queue. The receiver polls only the
+  /// set bits. Null (NIs, unit tests) skips it.
+  void set_pending_bit(std::uint32_t* word, int bit) {
+    pending_ = word;
+    pending_bit_ = static_cast<std::uint8_t>(bit);
+    if (!queue_.empty()) set_pending();
+  }
 
   /// Activity flag (the invariant verifier's input, docs/PERFORMANCE.md
   /// hot-path rule 8): every operation that changes what is on this wire —
@@ -69,16 +92,26 @@ class Channel {
   /// skips it.
   void set_activity_flag(std::uint8_t* flag) { activity_ = flag; }
 
-  /// Moves staged sends into the visible queue (barrier only; single
-  /// sender means staged order == serial send order).
+  /// Moves staged sends into the visible queue (staging channels, barrier
+  /// only; single sender means staged order == serial send order).
   void merge_staged() {
-    if (staged_touch_ || recv_touch_) {
+    Stage& st = *stage_;
+    if (st.sent || st.popped) {
       touch();
-      staged_touch_ = false;
-      recv_touch_ = false;
+      st.sent = false;
+      st.popped = false;
     }
-    for (auto& e : staged_) queue_.push_back(std::move(e));
-    staged_.clear();
+    if (st.items.empty()) return;
+    for (auto& e : st.items) queue_.push_back(std::move(e));
+    st.items.clear();
+    set_pending();
+  }
+
+  /// Staged items or an end's touch note the barrier has not merged yet
+  /// (Debug oracle: none may survive merge_domains).
+  bool merge_pending() const {
+    return stage_ && (!stage_->items.empty() || stage_->sent ||
+                      stage_->popped);
   }
 
   /// Enqueues an item during cycle `now`; it arrives at now + latency.
@@ -86,7 +119,11 @@ class Channel {
     if (wake_list_) wake_list_->mark(wake_index_);
     // Flagged before the fault hook: a dropped item refunds the sender's
     // credit, which is a change the verifier must see too.
-    touch(staged_touch_);
+    if (stage_) {
+      touch_end(stage_->sent, stage_->sender_list);
+    } else {
+      touch();
+    }
     Cycle arrival = now + latency_;
     if (fault_hook_) {
       const std::optional<Cycle> fate = fault_hook_(now, item);
@@ -96,7 +133,7 @@ class Channel {
       // deliverable on the same cycle (single-recv consumers — the FLOV
       // bypass latches — rely on >= 1-cycle spacing). The clamp keys off
       // the last *sent* arrival, not the queue back: with staging on, the
-      // most recent send may still be in staged_, and a consumed item can
+      // most recent send may still be staged, and a consumed item can
       // never clamp anyway (consumers only pop arrivals <= now < arrival).
       if (have_sent_ && arrival <= last_arrival_) {
         arrival = last_arrival_ + 1;
@@ -106,10 +143,11 @@ class Channel {
                 "channel send out of order");
     last_arrival_ = arrival;
     have_sent_ = true;
-    if (staging_) {
-      staged_.emplace_back(arrival, std::move(item));
+    if (stage_) {
+      stage_->items.emplace_back(arrival, std::move(item));
     } else {
       queue_.emplace_back(arrival, std::move(item));
+      set_pending();
     }
   }
 
@@ -118,7 +156,8 @@ class Channel {
     if (queue_.empty() || queue_.front().first > now) return std::nullopt;
     T item = std::move(queue_.front().second);
     queue_.pop_front();
-    touch(recv_touch_);
+    if (queue_.empty()) clear_pending();
+    touch_popped();
     return item;
   }
 
@@ -133,14 +172,17 @@ class Channel {
       scratch_.push_back(std::move(queue_.front().second));
       queue_.pop_front();
     }
-    if (!scratch_.empty()) touch(recv_touch_);
+    if (!scratch_.empty()) {
+      if (queue_.empty()) clear_pending();
+      touch_popped();
+    }
     return scratch_;
   }
 
   // Receiver-side views: deliberately queue-only. During the parallel
-  // phase staged_ belongs to the sender's worker (reading it here would
-  // race AND make a receiver's quiescent check depend on worker timing);
-  // outside the parallel phase staged_ is always empty (merged at the
+  // phase the staged items belong to the sender's worker (reading them
+  // here would race AND make a receiver's quiescent check depend on worker
+  // timing); outside the parallel phase none are staged (merged at the
   // barrier), so external walks see exactly what serial runs see.
   bool empty() const { return queue_.empty(); }
   std::size_t in_flight() const { return queue_.size(); }
@@ -152,14 +194,15 @@ class Channel {
   /// loss this way must not touch the cached getters afterwards).
   void clear() {
     queue_.clear();
-    staged_.clear();
+    if (stage_) stage_->items.clear();
     have_sent_ = false;
+    clear_pending();
     touch();
   }
 
   /// Visits every in-flight item (read-only); used by the FLOV credit
   /// handover to account for flits still on the wire. Control-plane only
-  /// (runs between barriers, when staged_ is empty).
+  /// (runs between barriers, when nothing is staged).
   template <typename F>
   void for_each_in_flight(F&& f) const {
     for (const auto& [cycle, item] : queue_) f(item);
@@ -169,27 +212,48 @@ class Channel {
   void touch() {
     if (activity_) *activity_ = 1;
   }
-  /// An end's operation: flagged now, or at the barrier for a staging
-  /// channel (`deferred` is that end's private note).
-  void touch(bool& deferred) {
-    if (staging_) {
-      deferred = true;
+  /// A staging channel's end operation: flagged at the barrier instead.
+  /// `noted` is that end's private note; its first setting since the merge
+  /// lists the channel on that end's merge list.
+  void touch_end(bool& noted, MergeList* list) {
+    if (noted) return;
+    noted = true;
+    if (list) list->push_back(this);
+  }
+  void touch_popped() {
+    if (stage_) {
+      touch_end(stage_->popped, stage_->receiver_list);
     } else {
       touch();
     }
   }
+  void set_pending() {
+    if (pending_) *pending_ |= std::uint32_t{1} << pending_bit_;
+  }
+  void clear_pending() {
+    if (pending_) *pending_ &= ~(std::uint32_t{1} << pending_bit_);
+  }
+
+  /// Boundary-channel state, allocated by set_staging only: most channels
+  /// never stage, so they do not carry it.
+  struct Stage {
+    std::vector<std::pair<Cycle, T>> items;  ///< sender-private (parallel)
+    MergeList* sender_list = nullptr;
+    MergeList* receiver_list = nullptr;
+    bool sent = false;    ///< sender-private: a send since the merge
+    bool popped = false;  ///< receiver-private: a pop since the merge
+  };
 
   Cycle latency_;
   RingBuffer<std::pair<Cycle, T>> queue_;
-  std::vector<std::pair<Cycle, T>> staged_;  ///< sender-private (parallel)
+  std::unique_ptr<Stage> stage_;  ///< set in staging mode only
   std::vector<T> scratch_;  ///< recv_all reuse buffer (keeps its capacity)
   FaultHook fault_hook_;
   WakeList* wake_list_ = nullptr;
+  std::uint32_t* pending_ = nullptr;
   int wake_index_ = -1;
+  std::uint8_t pending_bit_ = 0;
   bool have_sent_ = false;
-  bool staging_ = false;
-  bool staged_touch_ = false;  ///< sender-private: a send since the merge
-  bool recv_touch_ = false;    ///< receiver-private: a pop since the merge
   Cycle last_arrival_ = 0;   ///< arrival tag of the most recent send
   std::uint8_t* activity_ = nullptr;
 };

@@ -1,6 +1,7 @@
 #include "noc/network.hpp"
 
 #include <algorithm>
+#include <string>
 
 #include "common/log.hpp"
 #include "telemetry/metrics.hpp"
@@ -54,6 +55,7 @@ Network::Network(const NocParams& params, RoutingFunction* routing,
   if (num_domains_ > 1) {
     wake_stages_.resize(static_cast<std::size_t>(num_domains_));
     for (auto& s : wake_stages_) s.init(n, /*live=*/false);
+    merge_lists_.resize(static_cast<std::size_t>(num_domains_));
     eject_stage_.resize(static_cast<std::size_t>(num_domains_));
   }
 
@@ -110,6 +112,7 @@ Network::Network(const NocParams& params, RoutingFunction* routing,
   // column split) are put into staging mode: sends collect sender-side and
   // the wake mark goes to the sender's domain stage, both merged at the
   // barrier.
+  std::vector<std::size_t> boundary_ends(merge_lists_.size(), 0);
   for (NodeId a = 0; a < n; ++a) {
     for (Direction d : kMeshDirections) {
       const NodeId b = geom_.neighbor(a, d);
@@ -125,12 +128,14 @@ Network::Network(const NocParams& params, RoutingFunction* routing,
 
       if (node_domain_[a] != node_domain_[b]) {
         // Flit channel: sender a, receiver b. Credit channel: sender b.
-        fch->set_staging(true);
-        fch->set_wake_target(&wake_stages_[node_domain_[a]], b);
-        boundary_flit_.push_back(fch);
-        cch->set_staging(true);
-        cch->set_wake_target(&wake_stages_[node_domain_[b]], a);
-        boundary_credit_.push_back(cch);
+        const int da = node_domain_[a];
+        const int db = node_domain_[b];
+        fch->set_staging(&merge_lists_[da].flit, &merge_lists_[db].flit);
+        fch->set_wake_target(&wake_stages_[da], b);
+        cch->set_staging(&merge_lists_[db].credit, &merge_lists_[da].credit);
+        cch->set_wake_target(&wake_stages_[db], a);
+        ++boundary_ends[da];
+        ++boundary_ends[db];
       } else {
         fch->set_wake_target(&router_live_, b);
         cch->set_wake_target(&router_live_, a);
@@ -164,6 +169,12 @@ Network::Network(const NocParams& params, RoutingFunction* routing,
   FLOV_CHECK(flit_channels_.size() == flit_cap, "flit channel under-reserve");
   FLOV_CHECK(credit_channels_.size() == credit_cap,
              "credit channel under-reserve");
+  // A channel lists itself at most once per end between merges, and each
+  // boundary link has one flit and one credit channel.
+  for (std::size_t d = 0; d < merge_lists_.size(); ++d) {
+    merge_lists_[d].flit.reserve(boundary_ends[d]);
+    merge_lists_[d].credit.reserve(boundary_ends[d]);
+  }
 
   if (num_domains_ > 1) {
     // With >1 domain the NIs report ejections into per-domain stages
@@ -199,12 +210,12 @@ void Network::step_domain(int dom, Cycle now) {
   // quiescent router is equivalent to stepping it (its step would be a
   // pure no-op; its VA round-robin tick is replayed when it next runs —
   // Router::step).
+  // for_each_live reads only this domain's flag bytes of each row, so the
+  // scan never races another worker's writes to its own rows.
   const DomainRect& rect = domain_rect_[dom];
   for (int y = rect.y0; y < rect.y1; ++y) {
     const NodeId row = y * params_.width;
-    for (int x = rect.x0; x < rect.x1; ++x) {
-      const NodeId id = row + x;
-      if (!router_live_.live(id)) continue;
+    router_live_.for_each_live(row + rect.x0, row + rect.x1, [&](NodeId id) {
       Router& r = routers_[id];
       r.step(now);
       // A quiescent router stays parked until a send/mode-switch re-arms
@@ -213,26 +224,41 @@ void Network::step_domain(int dom, Cycle now) {
       // safe. Cross-domain arrivals the router cannot see yet (staged)
       // re-mark it via the wake-stage merge at the barrier.
       if (r.quiescent()) router_live_.clear(id);
-    }
+    });
   }
   FLOV_PROFILE(kNi);  // covers the NI loop (the remainder of this domain)
   for (int y = rect.y0; y < rect.y1; ++y) {
     const NodeId row = y * params_.width;
-    for (int x = rect.x0; x < rect.x1; ++x) {
-      const NodeId id = row + x;
-      if (!ni_live_.live(id)) continue;
+    ni_live_.for_each_live(row + rect.x0, row + rect.x1, [&](NodeId id) {
       NetworkInterface& ni = nis_[id];
       ni.step(now);
       if (ni.quiescent()) ni_live_.clear(id);
-    }
+    });
   }
 }
 
 void Network::merge_domains() {
-  // All merges below are deterministic folds in fixed (wiring or node-id)
-  // order; none depend on worker timing.
-  for (Channel<Flit>* ch : boundary_flit_) ch->merge_staged();
-  for (Channel<Credit>* ch : boundary_credit_) ch->merge_staged();
+  // Channel merges touch only their own channel (and OR idempotent flag
+  // bits), so the list order is free; the ejection replay below is a
+  // deterministic fold in node-id order. Nothing depends on worker timing.
+  for (MergeLists& lists : merge_lists_) {
+    for (Channel<Flit>* ch : lists.flit) ch->merge_staged();
+    lists.flit.clear();
+    for (Channel<Credit>* ch : lists.credit) ch->merge_staged();
+    lists.credit.clear();
+  }
+#ifndef NDEBUG
+  for (const auto& ch : flit_channels_) {
+    FLOV_DCHECK(!ch.merge_pending(),
+                "boundary channel left unmerged: flit channel " +
+                    std::to_string(channel_index(ch)));
+  }
+  for (const auto& ch : credit_channels_) {
+    FLOV_DCHECK(!ch.merge_pending(),
+                "boundary channel left unmerged: credit channel " +
+                    std::to_string(channel_index(ch)));
+  }
+#endif
   for (auto& stage : wake_stages_) stage.drain_into(router_live_);
   // Ejection replay: each domain's stage is already ascending by node id
   // (stepping order), and domains own disjoint id sets, so a k-way

@@ -230,13 +230,18 @@ class Network {
   /// Per-domain staged router wake marks for cross-domain channel sends;
   /// ORed into router_live_ at the barrier.
   std::vector<WakeList> wake_stages_;
-  /// Channels whose sender and receiver live in different domains; they
-  /// run in staging mode and are merged (in wiring == deterministic order)
-  /// at the barrier. Row splits put N/S links on the boundary, column
-  /// splits E/W links — the generic sender/receiver domain test catches
-  /// both.
-  std::vector<Channel<Flit>*> boundary_flit_;
-  std::vector<Channel<Credit>*> boundary_credit_;
+  /// Per-domain merge lists for the boundary channels: channels whose
+  /// sender and receiver live in different domains run in staging mode
+  /// (row splits put N/S links on the boundary, column splits E/W links)
+  /// and list themselves here on the first staged send or pop since the
+  /// last merge (Channel::set_staging). The barrier merges only listed
+  /// channels. Each domain's lists are written only by its own worker and
+  /// are reserved to their worst case, so they never allocate mid-run.
+  struct alignas(kCacheLine) MergeLists {
+    Channel<Flit>::MergeList flit;
+    Channel<Credit>::MergeList credit;
+  };
+  std::vector<MergeLists> merge_lists_;
   /// Per-domain ejection-record staging, tagged with the ejecting NI's node
   /// id: with >1 domain the NIs' primary callback appends here and the
   /// barrier replays user_eject_cb_ + eject_observers_ through a k-way

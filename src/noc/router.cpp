@@ -1,6 +1,7 @@
 #include "noc/router.hpp"
 
 #include <algorithm>
+#include <bit>
 
 #include "common/log.hpp"
 #include "telemetry/ops/profile.hpp"
@@ -67,6 +68,7 @@ Router::Router(NodeId id, const MeshGeometry& geom, const NocParams& params,
 
 void Router::connect_flit_in(Direction port, Channel<Flit>* ch) {
   in_flit_[dir_index(port)] = ch;
+  if (ch) ch->set_pending_bit(&in_pending_, dir_index(port));
 }
 void Router::connect_flit_out(Direction port, Channel<Flit>* ch) {
   out_flit_[dir_index(port)] = ch;
@@ -76,6 +78,7 @@ void Router::connect_credit_out(Direction port, Channel<Credit>* ch) {
 }
 void Router::connect_credit_in(Direction port, Channel<Credit>* ch) {
   credit_in_[dir_index(port)] = ch;
+  if (ch) ch->set_pending_bit(&in_pending_, kCreditInShift + dir_index(port));
 }
 
 void Router::step(Cycle now) {
@@ -172,8 +175,10 @@ void Router::begin_death(Cycle now) {
 }
 
 void Router::accept_credits(Cycle now) {
-  for (int p = 0; p < kNumPorts; ++p) {
-    if (!credit_in_[p]) continue;
+  // Ports in ascending order, visiting only those with something queued;
+  // the mask is re-read after each port, as a full port walk would see it.
+  for (std::uint32_t m = in_pending_ >> kCreditInShift; m != 0;) {
+    const int p = std::countr_zero(m);
     for (const Credit& c : credit_in_[p]->recv_all(now)) {
       if ((*mode_) == RouterMode::kPipeline) {
         auto& ovc = output_[p].vcs[c.vc];
@@ -197,6 +202,7 @@ void Router::accept_credits(Cycle now) {
         }
       }
     }
+    m = (in_pending_ >> kCreditInShift) & (~std::uint32_t{0} << (p + 1));
   }
 }
 
@@ -221,8 +227,9 @@ void Router::refund_output_credit(Direction out_port, VcId vc, Cycle now) {
 }
 
 void Router::accept_flits(Cycle now) {
-  for (int p = 0; p < kNumPorts; ++p) {
-    if (!in_flit_[p]) continue;
+  // Same ascending, re-read port walk as accept_credits.
+  for (std::uint32_t m = in_pending_ & kFlitInBits; m != 0;) {
+    const int p = std::countr_zero(m);
     while (auto f = in_flit_[p]->recv(now)) {
       auto& vc = input_[p].vcs[f->vc];
       if (dying_) {
@@ -266,6 +273,7 @@ void Router::accept_flits(Cycle now) {
       count(EnergyEvent::kBufferWrite);
       if (p == dir_index(Direction::Local)) last_local_activity_ = now;
     }
+    m = in_pending_ & kFlitInBits & (~std::uint32_t{0} << (p + 1));
   }
 }
 
@@ -756,11 +764,7 @@ bool Router::all_outputs_idle() const {
 }
 
 bool Router::bypass_quiet() const {
-  if (bypass_worms_open_ > 0) return false;
-  for (int p = 0; p < kNumPorts; ++p) {
-    if (in_flit_[p] && !in_flit_[p]->empty()) return false;
-  }
-  return true;
+  return bypass_worms_open_ == 0 && (in_pending_ & kFlitInBits) == 0;
 }
 
 bool Router::completely_empty() const {
@@ -768,6 +772,8 @@ bool Router::completely_empty() const {
               "resident flit counter drifted at router " + std::to_string(id_));
   FLOV_DCHECK(busy_masks_match_vc_states(),
               "busy-VC mask drifted at router " + std::to_string(id_));
+  FLOV_DCHECK(pending_mask_matches_inputs(),
+              "input pending mask drifted at router " + std::to_string(id_));
   return (*resident_) == 0 && pending_st_.empty();
 }
 
@@ -798,6 +804,17 @@ bool Router::busy_masks_match_vc_states() const {
     if (busy != busy_[p]) return false;
   }
   return true;
+}
+
+bool Router::pending_mask_matches_inputs() const {
+  std::uint32_t pending = 0;
+  for (int p = 0; p < kNumPorts; ++p) {
+    if (in_flit_[p] && !in_flit_[p]->empty()) pending |= 1u << p;
+    if (credit_in_[p] && !credit_in_[p]->empty()) {
+      pending |= 1u << (kCreditInShift + p);
+    }
+  }
+  return pending == in_pending_;
 }
 
 void Router::input_free_slots(Direction in_port,

@@ -75,12 +75,7 @@ class Router {
   /// skipped VA round-robin ticks are replayed on the next pipeline step
   /// (see step()), keeping results bit-identical to stepping every cycle.
   bool quiescent() const {
-    if (*resident_ != 0 || !pending_st_.empty()) return false;
-    for (int p = 0; p < kNumPorts; ++p) {
-      if (in_flit_[p] && !in_flit_[p]->empty()) return false;
-      if (credit_in_[p] && !credit_in_[p]->empty()) return false;
-    }
-    return true;
+    return *resident_ == 0 && pending_st_.empty() && in_pending_ == 0;
   }
 
   /// Switches the datapath mode; performs the associated state hygiene
@@ -218,6 +213,13 @@ class Router {
   int recount_resident_flits() const;
   /// Full walk over input VC states (debug cross-check of busy_).
   bool busy_masks_match_vc_states() const;
+  /// Full walk over the input channels (debug cross-check of in_pending_).
+  bool pending_mask_matches_inputs() const;
+
+  /// in_pending_ bit of flit input port p is bit p; of credit input port
+  /// p, bit kNumPorts + p.
+  static constexpr std::uint32_t kFlitInBits = (1u << kNumPorts) - 1;
+  static constexpr int kCreditInShift = kNumPorts;
 
   /// Distance from this router to `n` along direction `d` if `n` lies
   /// exactly along that axis; -1 otherwise.
@@ -253,6 +255,11 @@ class Router {
   std::array<Channel<Flit>*, kNumPorts> out_flit_{};
   std::array<Channel<Credit>*, kNumPorts> credit_out_{};
   std::array<Channel<Credit>*, kNumPorts> credit_in_{};
+  /// One bit per input channel (layout: kFlitInBits / kCreditInShift),
+  /// set exactly while that channel's visible queue is non-empty. The
+  /// channels keep it (Channel::set_pending_bit); accept_flits/credits
+  /// visit only set bits and quiescent() reads it whole.
+  std::uint32_t in_pending_ = 0;
 
   std::array<InputPort, kNumPorts> input_;
   /// Per input port, bit v set exactly when input_[p].vcs[v].state !=

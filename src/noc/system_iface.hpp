@@ -2,11 +2,13 @@
 //
 // The experiment harness drives Baseline / rFLOV / gFLOV / RP uniformly:
 // it reports core (un)gating events from the OS model and steps the system
-// one cycle at a time; the scheme decides how routers react. The fault
-// state every scheme carries (armed injector, hard-fault dead mask) lives
-// here too, so the harness reads it without knowing the scheme.
+// one cycle at a time; the scheme decides how routers react. The per-node
+// state every scheme carries (the core-gated mask, the armed injector, the
+// hard-fault dead mask) lives here too, so the harness reads it without
+// knowing the scheme.
 #pragma once
 
+#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -25,8 +27,18 @@ class NocSystem {
   virtual void step(Cycle now) = 0;
 
   /// OS-level core power event (Section I: FLOV reacts to OS core gating).
+  /// The scheme records it in core_gated_mask() (or refuses it: a dead
+  /// node's core stays gated) and reacts in its own way.
   virtual void set_core_gated(NodeId core, bool gated, Cycle now) = 0;
-  virtual bool core_gated(NodeId core) const = 0;
+  bool core_gated(NodeId core) const {
+    return core_gated_[static_cast<std::size_t>(core)] != 0;
+  }
+  /// Per-node core-gated flags (1 = gated): the one representation of core
+  /// gating. Every write lands here — OS events, hard-fault kills, RP's
+  /// quarantine — so a reader can compare the whole mask with one memcmp.
+  const std::vector<std::uint8_t>& core_gated_mask() const {
+    return core_gated_;
+  }
 
   /// True when `src` may inject new packets this cycle (false for gated
   /// cores, and for everyone during RP's reconfiguration stall).
@@ -102,8 +114,11 @@ class NocSystem {
   }
 
   std::unique_ptr<FaultInjector> fault_;
-  std::vector<char> dead_mask_;  ///< sized to the node count by the scheme
-  int dead_links_ = 0;           ///< dead directed links
+  /// Both sized to the node count by the scheme, before any component
+  /// binds a pointer into them; never resized afterwards.
+  std::vector<std::uint8_t> core_gated_;
+  std::vector<char> dead_mask_;
+  int dead_links_ = 0;  ///< dead directed links
 
  private:
   bool hard_applied_ = false;

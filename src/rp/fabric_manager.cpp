@@ -7,15 +7,17 @@ namespace flov {
 
 FabricManager::FabricManager(Network* net, TableRouting* routing,
                              FabricManagerConfig cfg,
-                             std::vector<bool> always_on)
+                             std::vector<bool> always_on,
+                             std::vector<std::uint8_t>* core_gated)
     : net_(net),
       routing_(routing),
       cfg_(cfg),
       always_on_(std::move(always_on)),
-      gated_core_(net->num_nodes(), false),
+      core_gated_(*core_gated),
       powered_(net->num_nodes(), true) {
-  FLOV_CHECK(static_cast<int>(always_on_.size()) == net_->num_nodes(),
-             "always_on mask size mismatch");
+  FLOV_CHECK(static_cast<int>(always_on_.size()) == net_->num_nodes() &&
+                 static_cast<int>(core_gated_.size()) == net_->num_nodes(),
+             "always_on / core-gated mask size mismatch");
   // Initial tables: everything powered.
   routing_->install(std::make_shared<UpDownRoutes>(
       net_->geom(), std::vector<bool>(net_->num_nodes(), true)));
@@ -24,8 +26,8 @@ FabricManager::FabricManager(Network* net, TableRouting* routing,
 void FabricManager::set_core_gated(NodeId core, bool gated, Cycle now) {
   (void)now;
   if (router_dead(core)) return;  // a dead node's gating is permanent
-  if (gated_core_[core] == gated) return;
-  gated_core_[core] = gated;
+  if ((core_gated_[core] != 0) == gated) return;
+  core_gated_[core] = gated;
   dirty_ = true;
 }
 
@@ -37,7 +39,7 @@ void FabricManager::on_hard_fault(const std::vector<char>& dead_routers,
   for (NodeId i = 0; i < net_->num_nodes(); ++i) {
     // A dead node's core generates nothing; fold it into the gating view
     // so the parking policy sees it as a candidate, not a constraint.
-    if (router_dead(i)) gated_core_[i] = true;
+    if (router_dead(i)) core_gated_[i] = 1;
   }
   dirty_ = true;
   next_allowed_ = now;  // survival reconfigurations bypass the epoch gap
@@ -58,7 +60,7 @@ void FabricManager::apply(Cycle now) {
   // FLYOVER_TRACING.
   [[maybe_unused]] const std::uint64_t purged_before = purged_;
   const bool hard = !dead_routers_.empty();
-  powered_ = compute_parked_set(net_->geom(), gated_core_, always_on_,
+  powered_ = compute_parked_set(net_->geom(), core_gated_, always_on_,
                                 cfg_.policy);
   // Dead routers are excluded unconditionally — always_on cannot save a
   // corpse.
@@ -80,7 +82,7 @@ void FabricManager::apply(Cycle now) {
     for (NodeId i = 0; i < net_->num_nodes(); ++i) {
       if (!powered_[i] || routes->bfs_level(i) >= 0) continue;
       powered_[i] = false;
-      gated_core_[i] = true;
+      core_gated_[i] = 1;
       net_->ni(i).kill(now);
       quarantined_++;
     }

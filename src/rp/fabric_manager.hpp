@@ -35,12 +35,15 @@ struct FabricManagerConfig {
 
 class FabricManager {
  public:
+  /// `core_gated` is the owning system's core-gated mask (NocSystem):
+  /// the FM writes OS events, dead nodes and quarantines into it and parks
+  /// routers from it.
   FabricManager(Network* net, TableRouting* routing,
-                FabricManagerConfig cfg, std::vector<bool> always_on);
+                FabricManagerConfig cfg, std::vector<bool> always_on,
+                std::vector<std::uint8_t>* core_gated);
 
   /// OS event: core gating configuration changed.
   void set_core_gated(NodeId core, bool gated, Cycle now);
-  bool core_gated(NodeId core) const { return gated_core_[core]; }
 
   /// Hard-fault notification (PROTOCOL.md §8): the listed routers/links
   /// died permanently. Dead routers are excluded from every future parked
@@ -80,7 +83,7 @@ class FabricManager {
   TableRouting* routing_;
   FabricManagerConfig cfg_;
   std::vector<bool> always_on_;
-  std::vector<bool> gated_core_;
+  std::vector<std::uint8_t>& core_gated_;  ///< the system's mask (borrowed)
   std::vector<bool> powered_;
 
   Phase phase_ = Phase::kStable;

@@ -38,10 +38,9 @@ bool endpoints_connected(const MeshGeometry& geom,
   return found == want;
 }
 
-std::vector<bool> compute_parked_set(const MeshGeometry& geom,
-                                     const std::vector<bool>& gated_core,
-                                     const std::vector<bool>& always_on,
-                                     RpPolicy policy) {
+std::vector<bool> compute_parked_set(
+    const MeshGeometry& geom, const std::vector<std::uint8_t>& gated_core,
+    const std::vector<bool>& always_on, RpPolicy policy) {
   const int n = geom.num_nodes();
   FLOV_CHECK(static_cast<int>(gated_core.size()) == n &&
                  static_cast<int>(always_on.size()) == n,

@@ -10,6 +10,7 @@
 // trading static power for shorter detours.
 #pragma once
 
+#include <cstdint>
 #include <vector>
 
 #include "common/geometry.hpp"
@@ -26,10 +27,9 @@ enum class RpPolicy {
 /// OS put to sleep; `always_on[id]` marks routers that must stay powered
 /// regardless (MCs, or empty). Guarantees the powered sub-graph connects
 /// all active endpoints (asserts if the input itself is degenerate).
-std::vector<bool> compute_parked_set(const MeshGeometry& geom,
-                                     const std::vector<bool>& gated_core,
-                                     const std::vector<bool>& always_on,
-                                     RpPolicy policy);
+std::vector<bool> compute_parked_set(
+    const MeshGeometry& geom, const std::vector<std::uint8_t>& gated_core,
+    const std::vector<bool>& always_on, RpPolicy policy);
 
 /// True when all `endpoints` lie in one connected component of the powered
 /// sub-graph.

@@ -18,9 +18,10 @@ RpNetwork::RpNetwork(NocParams params, const EnergyParams& energy,
   if (always_on.empty()) always_on.assign(geom_.num_nodes(), false);
   always_on_ = always_on;
   fm_cfg.wakeup_latency = params_.wakeup_latency;
-  fm_ = std::make_unique<FabricManager>(net_.get(), routing_.get(), fm_cfg,
-                                        std::move(always_on));
+  core_gated_.assign(geom_.num_nodes(), 0);
   dead_mask_.assign(geom_.num_nodes(), 0);
+  fm_ = std::make_unique<FabricManager>(net_.get(), routing_.get(), fm_cfg,
+                                        std::move(always_on), &core_gated_);
   if (faults.any()) {
     fault_ = std::make_unique<FaultInjector>(faults, net_->num_nodes());
     arm_link_faults(*net_, *fault_);

@@ -33,11 +33,8 @@ class RpNetwork final : public NocSystem {
   void set_core_gated(NodeId core, bool gated, Cycle now) override {
     fm_->set_core_gated(core, gated, now);
   }
-  bool core_gated(NodeId core) const override {
-    return fm_->core_gated(core);
-  }
   bool injection_allowed(NodeId src) const override {
-    return !fm_->core_gated(src) && !fm_->stalled();
+    return !core_gated(src) && !fm_->stalled();
   }
   Network& network() override { return *net_; }
   const Network& network() const override { return *net_; }

@@ -13,7 +13,7 @@ BaselineNetwork::BaselineNetwork(NocParams params, const EnergyParams& energy,
                                           /*flov_hardware=*/false);
   routing_ = std::make_unique<YxRouting>(geom_);
   net_ = std::make_unique<Network>(params_, routing_.get(), power_.get());
-  gated_.assign(geom_.num_nodes(), false);
+  core_gated_.assign(geom_.num_nodes(), 0);
   dead_mask_.assign(geom_.num_nodes(), 0);
   if (faults.any()) {
     fault_ = std::make_unique<FaultInjector>(faults, net_->num_nodes());
@@ -39,7 +39,7 @@ void BaselineNetwork::apply_hard_faults(Cycle now) {
   for (NodeId id = 0; id < net_->num_nodes(); ++id) {
     if (!fault_->router_dies(id)) continue;
     dead_mask_[id] = 1;
-    gated_[id] = true;  // the attached core is gone with its router
+    core_gated_[id] = 1;  // the attached core is gone with its router
     // Worm-coherent death: finish worms in progress, eat new ones whole,
     // then go dark (see Router::begin_death).
     net_->router(id).begin_death(now);

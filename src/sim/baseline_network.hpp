@@ -27,10 +27,11 @@ class BaselineNetwork final : public NocSystem {
   void set_core_gated(NodeId core, bool gated, Cycle now) override {
     (void)now;
     if (dead_mask_[core]) return;  // a dead node's gating is permanent
-    gated_[core] = gated;
+    core_gated_[core] = gated;
   }
-  bool core_gated(NodeId core) const override { return gated_[core]; }
-  bool injection_allowed(NodeId src) const override { return !gated_[src]; }
+  bool injection_allowed(NodeId src) const override {
+    return !core_gated(src);
+  }
   Network& network() override { return *net_; }
   const Network& network() const override { return *net_; }
   const char* name() const override { return "Baseline"; }
@@ -53,7 +54,6 @@ class BaselineNetwork final : public NocSystem {
   std::unique_ptr<PowerTracker> power_;
   std::unique_ptr<YxRouting> routing_;
   std::unique_ptr<Network> net_;
-  std::vector<bool> gated_;
 };
 
 }  // namespace flov

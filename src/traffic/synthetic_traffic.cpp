@@ -17,12 +17,14 @@ SyntheticTraffic::SyntheticTraffic(NocSystem* sys,
   FLOV_CHECK(packet_prob_ <= 1.0, "injection rate exceeds 1 packet/cycle");
   Rng seeder(seed);
   const int n = sys_->network().num_nodes();
+  FLOV_CHECK(sys_->core_gated_mask().size() == static_cast<std::size_t>(n),
+             "core-gated mask not sized to the node count");
   rngs_.reserve(n);
   for (int i = 0; i < n; ++i) rngs_.push_back(seeder.split());
 }
 
 void SyntheticTraffic::step(Cycle now) {
-  active_.refresh([this](NodeId n) { return !sys_->core_gated(n); });
+  active_.refresh(sys_->core_gated_mask());
   FLOV_DCHECK(active_.consistent(), "cached active-core ids drifted");
   // Ascending over the active cores only: the gated ones never draw.
   for (const NodeId src : active_.ids()) {

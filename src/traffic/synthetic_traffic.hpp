@@ -27,6 +27,8 @@ class SyntheticTraffic {
 
   std::uint64_t generated_packets() const { return generated_; }
   std::uint64_t skipped_inactive_dest() const { return skipped_; }
+  /// The active cores this cycle's draws ran over.
+  const ActiveCores& active_cores() const { return active_; }
 
  private:
   NocSystem* sys_;
@@ -34,7 +36,7 @@ class SyntheticTraffic {
   double packet_prob_;
   int packet_size_;
   std::vector<Rng> rngs_;  ///< one independent stream per node
-  ActiveCores active_;  ///< refreshed from NocSystem::core_gated each cycle
+  ActiveCores active_;  ///< refreshed from NocSystem::core_gated_mask
   std::uint64_t generated_ = 0;
   std::uint64_t skipped_ = 0;
 };

@@ -17,15 +17,15 @@ NodeId checked(NodeId src, NodeId dst, const ActiveCores& active) {
 
 void ActiveCores::rebuild() {
   ids_.clear();
-  for (std::size_t n = 0; n < mask_.size(); ++n) {
-    if (mask_[n]) ids_.push_back(static_cast<NodeId>(n));
+  for (std::size_t n = 0; n < gated_.size(); ++n) {
+    if (gated_[n] == 0) ids_.push_back(static_cast<NodeId>(n));
   }
 }
 
 bool ActiveCores::consistent() const {
   std::size_t next = 0;
-  for (std::size_t n = 0; n < mask_.size(); ++n) {
-    if (!mask_[n]) continue;
+  for (std::size_t n = 0; n < gated_.size(); ++n) {
+    if (gated_[n] != 0) continue;
     if (next >= ids_.size() || ids_[next] != static_cast<NodeId>(n)) {
       return false;
     }

@@ -9,9 +9,10 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
+#include <cstring>
 #include <memory>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "common/geometry.hpp"
@@ -25,26 +26,28 @@ namespace flov {
 /// instead of scanning the mesh twice.
 class ActiveCores {
  public:
-  explicit ActiveCores(std::vector<bool> mask) : mask_(std::move(mask)) {
+  /// `active[n]` marks the cores that may send and receive.
+  explicit ActiveCores(const std::vector<bool>& active)
+      : gated_(active.size()) {
+    for (std::size_t n = 0; n < active.size(); ++n) gated_[n] = !active[n];
     rebuild();
   }
 
-  bool operator[](NodeId n) const { return mask_[static_cast<std::size_t>(n)]; }
+  bool operator[](NodeId n) const {
+    return gated_[static_cast<std::size_t>(n)] == 0;
+  }
   const std::vector<NodeId>& ids() const { return ids_; }
 
-  /// Re-reads every node's flag from `is_active(n)`; the id list is
-  /// rebuilt only when a flag flipped.
-  template <typename IsActive>
-  void refresh(IsActive&& is_active) {
-    bool flipped = false;
-    for (std::size_t n = 0; n < mask_.size(); ++n) {
-      const bool a = is_active(static_cast<NodeId>(n));
-      if (a != mask_[n]) {
-        mask_[n] = a;
-        flipped = true;
-      }
+  /// Catches up with a core-gated mask (NocSystem::core_gated_mask, same
+  /// size): one memcmp against the last-seen copy, and on any difference
+  /// the copy is taken and the id list rebuilt. Called every cycle, so no
+  /// write to the mask can go unseen.
+  void refresh(const std::vector<std::uint8_t>& core_gated) {
+    if (std::memcmp(core_gated.data(), gated_.data(), gated_.size()) == 0) {
+      return;
     }
-    if (flipped) rebuild();
+    gated_ = core_gated;
+    rebuild();
   }
 
   /// ids() equals a fresh recount of the mask (Debug oracle).
@@ -53,7 +56,7 @@ class ActiveCores {
  private:
   void rebuild();
 
-  std::vector<bool> mask_;
+  std::vector<std::uint8_t> gated_;  ///< last-seen core-gated mask
   std::vector<NodeId> ids_;
 };
 

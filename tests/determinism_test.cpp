@@ -335,6 +335,35 @@ TEST(Determinism, TileGridMatchesSerial16x16AllSchemes) {
   }
 }
 
+TEST(Determinism, UnalignedDomainEdgesMatchSerial12x12AllSchemes) {
+  // 12 columns: rows start at ids that are not multiples of 8, so every
+  // domain's word scans of the wake lists begin and end mid-word and its
+  // edge bytes share a word with another domain's bytes (the TSan job
+  // flags a scan that loads them). Row bands (threads=3) and a 3x2 grid,
+  // whose 4-column tiles also split words inside a row.
+  for (Scheme s : kAllSchemes) {
+    SyntheticExperimentConfig ex = sized_config(s, 12, 0.4, 29, 1);
+    ex.warmup = 300;
+    ex.measure = 1500;
+    const RunResult serial = run_synthetic(ex);
+    const std::string serial_manifest = manifest_json(serial, 29);
+    ex.noc.step_threads = 3;
+    const RunResult rows = run_synthetic(ex);
+    {
+      SCOPED_TRACE(std::string(to_string(s)) + " rows threads=3");
+      expect_identical(serial, rows);
+      EXPECT_EQ(serial_manifest, manifest_json(rows, 29));
+    }
+    ex.noc.step_threads = 1;
+    ex.noc.step_tiles_x = 3;
+    ex.noc.step_tiles_y = 2;
+    const RunResult tiles = run_synthetic(ex);
+    SCOPED_TRACE(std::string(to_string(s)) + " tiles=3x2");
+    expect_identical(serial, tiles);
+    EXPECT_EQ(serial_manifest, manifest_json(tiles, 29));
+  }
+}
+
 TEST(Determinism, TileCountAboveMeshDimsClampsAndStaysIdentical) {
   // tiles=16x2 on a 4x4 mesh clamps the columns to the mesh width (4x2 =
   // 8 single-row-pair domains); the clamped grid must still match serial.

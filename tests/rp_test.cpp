@@ -2,6 +2,8 @@
 // protocol, table routing over the parked mesh.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 #include "common/rng.hpp"
 #include "rp/rp_network.hpp"
 
@@ -28,14 +30,16 @@ PacketDescriptor pkt(NodeId s, NodeId d, int size = 4, Cycle gen = 0) {
 
 TEST(ParkingPolicy, NothingGatedNothingParked) {
   MeshGeometry g(4, 4);
-  std::vector<bool> gated(16, false), aon(16, false);
+  std::vector<std::uint8_t> gated(16, false);
+  std::vector<bool> aon(16, false);
   const auto powered = compute_parked_set(g, gated, aon, RpPolicy::kAggressive);
   for (bool on : powered) EXPECT_TRUE(on);
 }
 
 TEST(ParkingPolicy, AggressiveParksIsolatedGatedCore) {
   MeshGeometry g(4, 4);
-  std::vector<bool> gated(16, false), aon(16, false);
+  std::vector<std::uint8_t> gated(16, false);
+  std::vector<bool> aon(16, false);
   gated[5] = true;
   const auto powered = compute_parked_set(g, gated, aon, RpPolicy::kAggressive);
   EXPECT_FALSE(powered[5]);
@@ -48,7 +52,8 @@ TEST(ParkingPolicy, ConnectivityPreserved) {
   MeshGeometry g(4, 4);
   Rng rng(11);
   for (int trial = 0; trial < 30; ++trial) {
-    std::vector<bool> gated(16, false), aon(16, false);
+    std::vector<std::uint8_t> gated(16, false);
+    std::vector<bool> aon(16, false);
     int on = 16;
     for (int i = 0; i < 16; ++i) {
       gated[i] = rng.next_bool(0.6);
@@ -69,7 +74,8 @@ TEST(ParkingPolicy, ConnectivityPreserved) {
 
 TEST(ParkingPolicy, AlwaysOnRespected) {
   MeshGeometry g(4, 4);
-  std::vector<bool> gated(16, true), aon(16, false);
+  std::vector<std::uint8_t> gated(16, true);
+  std::vector<bool> aon(16, false);
   gated[9] = false;
   aon[0] = aon[3] = aon[12] = aon[15] = true;
   const auto powered = compute_parked_set(g, gated, aon, RpPolicy::kAggressive);
@@ -80,7 +86,8 @@ TEST(ParkingPolicy, ConservativeParksSubsetOfAggressive) {
   MeshGeometry g(4, 4);
   Rng rng(13);
   for (int trial = 0; trial < 20; ++trial) {
-    std::vector<bool> gated(16, false), aon(16, false);
+    std::vector<std::uint8_t> gated(16, false);
+    std::vector<bool> aon(16, false);
     for (int i = 0; i < 16; ++i) gated[i] = rng.next_bool(0.5);
     gated[0] = false;
     const auto agg = compute_parked_set(g, gated, aon, RpPolicy::kAggressive);

@@ -4,6 +4,7 @@
 #include <set>
 
 #include "common/rng.hpp"
+#include "rp/rp_network.hpp"
 #include "sim/baseline_network.hpp"
 #include "traffic/gating_scenario.hpp"
 #include "traffic/synthetic_traffic.hpp"
@@ -220,12 +221,49 @@ TEST(TrafficPattern, HotspotPickMatchesMaskScan) {
 TEST(ActiveCores, RefreshRebuildsIdsOnlyOnAFlip) {
   ActiveCores a(std::vector<bool>(8, true));
   EXPECT_EQ(a.ids().size(), 8u);
-  a.refresh([](NodeId n) { return n % 3 != 0; });
+  std::vector<std::uint8_t> gated(8, 0);
+  for (NodeId n = 0; n < 8; n += 3) gated[n] = 1;
+  a.refresh(gated);
   EXPECT_EQ(a.ids(), (std::vector<NodeId>{1, 2, 4, 5, 7}));
   EXPECT_FALSE(a[3]);
   EXPECT_TRUE(a.consistent());
-  a.refresh([](NodeId n) { return n % 3 != 0; });
+  a.refresh(gated);
   EXPECT_EQ(a.ids(), (std::vector<NodeId>{1, 2, 4, 5, 7}));
+}
+
+// Active cores as the per-node refresh saw them: a fresh read of every
+// node's flag.
+std::vector<bool> per_node_active(const std::vector<std::uint8_t>& gated) {
+  std::vector<bool> active(gated.size());
+  for (std::size_t n = 0; n < gated.size(); ++n) active[n] = gated[n] == 0;
+  return active;
+}
+
+TEST(ActiveCores, MaskRefreshMatchesPerNodeRefresh) {
+  const MeshGeometry g(8, 8);
+  const UniformPattern u(g);
+  Rng rng(31);
+  std::vector<std::uint8_t> gated(64, 0);
+  ActiveCores cached(std::vector<bool>(64, true));
+  for (int step = 0; step < 400; ++step) {
+    // Direct writes to the mask, the way every scheme makes them: from
+    // none (the memcmp must then keep the ids) to a burst.
+    const int writes = static_cast<int>(rng.next_below(4));
+    for (int k = 0; k < writes; ++k) {
+      gated[rng.next_below(64)] = rng.next_bool(0.5) ? 1 : 0;
+    }
+    cached.refresh(gated);
+    const ActiveCores fresh(per_node_active(gated));
+    ASSERT_EQ(cached.ids(), fresh.ids()) << "step " << step;
+    ASSERT_TRUE(cached.consistent());
+    Rng a = rng;
+    Rng b = rng;
+    for (const NodeId src : fresh.ids()) {
+      ASSERT_EQ(u.dest(src, cached, a), u.dest(src, fresh, b));
+    }
+    expect_same_stream(a, b);
+    rng.next_u64();
+  }
 }
 
 TEST(GatingScenario, FractionGatesExpectedCount) {
@@ -298,6 +336,56 @@ TEST(SyntheticTraffic, GatedCoresGenerateNothing) {
   for (Cycle c = 0; c < 5000; ++c) t.step(c);
   // Only node 15 is active, and it has no active destination.
   EXPECT_EQ(t.generated_packets(), 0u);
+}
+
+// RP's quarantine writes the core-gated mask from FabricManager::apply, not
+// through set_core_gated. The traffic layer's memcmp refresh must still see
+// it: every cycle its ids equal a per-node read of core_gated(), and its
+// draws consume the per-node RNG streams exactly as a generator over those
+// ids does.
+TEST(SyntheticTraffic, MaskRefreshSeesRpQuarantine) {
+  NocParams p;
+  p.width = 4;
+  p.height = 4;
+  p.reliable = true;
+  const MeshGeometry g(4, 4);
+  const UniformPattern u(g);
+  constexpr double kRate = 0.1;
+  constexpr int kSize = 4;
+  bool quarantined = false;
+  for (std::uint64_t seed = 1; seed <= 40 && !quarantined; ++seed) {
+    FaultParams f;
+    f.hard_link_pct = 0.3;  // dense enough to cut nodes off
+    f.hard_at_cycle = 100;
+    f.seed = seed;
+    RpNetwork sys(p, EnergyParams{}, FabricManagerConfig{}, {}, f);
+    SyntheticTraffic t(&sys, &u, kRate, kSize, seed);
+    Rng seeder(seed);
+    std::vector<Rng> rngs;
+    for (int i = 0; i < 16; ++i) rngs.push_back(seeder.split());
+    std::uint64_t generated = 0, skipped = 0;
+    for (Cycle c = 0; c < 1500; ++c) {
+      t.step(c);
+      std::vector<bool> active(16);
+      for (NodeId n = 0; n < 16; ++n) active[n] = !sys.core_gated(n);
+      const ActiveCores ref(active);
+      ASSERT_EQ(t.active_cores().ids(), ref.ids())
+          << "seed " << seed << " cycle " << c;
+      for (const NodeId src : ref.ids()) {
+        if (!rngs[src].next_bool(kRate / kSize)) continue;
+        if (u.dest(src, ref, rngs[src]) == kInvalidNode) {
+          ++skipped;
+        } else {
+          ++generated;
+        }
+      }
+      ASSERT_EQ(t.generated_packets(), generated) << "cycle " << c;
+      ASSERT_EQ(t.skipped_inactive_dest(), skipped) << "cycle " << c;
+      sys.step(c);
+    }
+    quarantined = sys.fabric_manager().quarantined() > 0;
+  }
+  EXPECT_TRUE(quarantined) << "no seed quarantined a node";
 }
 
 }  // namespace
