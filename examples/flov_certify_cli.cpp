@@ -10,10 +10,11 @@
 //                    fault.hard_router_pct=0.03 fault.hard_at_cycle=1800
 //                    fault.seed=17 vary_faults=0
 //                    metric=delivery confidence=0.95 target=0.9
-//                    max_reps=200 batch=20 jobs=4
-//                    checkpoint=cert.ckpt.jsonl certificate=cert.json
-//   ...killed...
-//   flov_certify_cli <same args> resume=1   # continues the campaign
+//                    max_reps=200 batch=20 jobs=4 certificate=cert.json
+//
+// The certificate is a pure function of the config and the stopping
+// parameters (jobs= does not change it), so a killed campaign recovers by
+// being run again.
 //
 // Keys:
 //   scheme= pattern= inj= gated= k= plus the shared experiment keys:
@@ -24,10 +25,10 @@
 //   metric=delivery|clean_delivery|run_survival confidence=0.95
 //   target=P indifference=E half_width=W interval=wilson|clopper-pearson
 //   min_reps= max_reps= batch= seed_base= vary_faults=0|1
-//   jobs=N checkpoint=path resume=0|1
+//   jobs=N
 //   certificate=path name=...
 //   progress=1                  deterministic stderr progress lines (reps
-//                               folded / cap + checkpoint; off by default)
+//                               folded / cap; off by default)
 //   serve=port ops_stream=path  live ops plane (campaign mode; see
 //                               docs/OBSERVABILITY.md) — never affects
 //                               results or the certificate
@@ -41,7 +42,6 @@
 
 #include "common/config.hpp"
 #include "sim/certify.hpp"
-#include "sim/checkpoint.hpp"
 #include "telemetry/manifest.hpp"
 #include "telemetry/ops/ops_plane.hpp"
 
@@ -91,8 +91,6 @@ int main(int argc, char** argv) try {
   opts.seed_base = static_cast<std::uint64_t>(cfg.get_int("seed_base", 1));
   opts.vary_faults = cfg.get_bool("vary_faults", true);
   opts.jobs = static_cast<int>(cfg.get_int("jobs", 1));
-  opts.checkpoint_path = cfg.get_string("checkpoint", "");
-  opts.resume = cfg.get_bool("resume", false);
   const ops::OpsOptions ops_opt = ops::OpsOptions::from_config(cfg);
   const bool show_progress = cfg.get_bool("progress", false);
   const std::string cert_out = cfg.get_string("certificate", "");
@@ -104,19 +102,17 @@ int main(int argc, char** argv) try {
   std::unique_ptr<ops::OpsPlane> ops_plane;
   if (ops_opt.any()) {
     ops_plane = std::make_unique<ops::OpsPlane>(ops_opt);
-    ops_plane->begin_campaign("certify", opts.max_replications,
-                              opts.checkpoint_path);
+    ops_plane->begin_campaign("certify", opts.max_replications);
   }
-  opts.progress = ops::campaign_progress_fn(
-      ops_plane.get(), show_progress, "certify", "reps", opts.checkpoint_path);
+  opts.progress = ops::campaign_progress_fn(ops_plane.get(), show_progress,
+                                            "certify", "reps");
 
   std::printf(
       "flov_certify: metric=%s confidence=%.3f target=%.4f cap=%llu "
-      "batch=%llu%s\n",
+      "batch=%llu\n",
       opts.metric.c_str(), opts.confidence, opts.target,
       static_cast<unsigned long long>(opts.max_replications),
-      static_cast<unsigned long long>(opts.batch),
-      opts.resume ? " [resume]" : "");
+      static_cast<unsigned long long>(opts.batch));
 
   const auto wall_start = std::chrono::steady_clock::now();
   const CertifyResult res = run_certification(base, opts);

@@ -1,17 +1,12 @@
-// flov_sweep_cli — parallel, resumable sweep runner.
+// flov_sweep_cli — parallel sweep runner.
 //
 // Runs the cross product of comma-separated lists over one base
-// configuration, on a thread pool, with optional crash resilience: a
-// lossless JSONL checkpoint appended after every completed point, and
-// resume= to skip everything the checkpoint already holds. A resumed
-// sweep's merged metrics — and its manifest — are byte-identical to the
-// uninterrupted sweep (CI enforces this with a kill-and-resume diff).
+// configuration, on a thread pool. Every point is a pure function of its
+// config and jobs=N is byte-identical to jobs=1, so a killed sweep
+// recovers by being run again (CI diffs the jobs=1 and jobs=2 manifests).
 //
 //   flov_sweep_cli schemes=baseline,rp,rflov,gflov inj=0.02,0.06
-//                  gated=0.0,0.4 cycles=20000 jobs=4
-//                  checkpoint=sweep.ckpt.jsonl manifest=sweep.json
-//   ...killed...
-//   flov_sweep_cli <same args> resume=1      # re-runs only missing points
+//                  gated=0.0,0.4 cycles=20000 jobs=4 manifest=sweep.json
 //
 // Keys:
 //   schemes=a,b,...  patterns=a,b,...  inj=x,y,...  gated=x,y,...
@@ -23,11 +18,10 @@
 //                                      harness builds on)
 //   warmup= cycles= (40000) timeline= drain= sim.max_cycles_hard=
 //   changes= threads= tiles=
-//   jobs=N checkpoint=path resume=0|1
+//   jobs=N
 //   manifest=path                      flyover-sweep-manifest-v1
 //   progress=1                         deterministic stderr progress lines
-//                                      (points done/total + checkpoint
-//                                      path; off by default)
+//                                      (points done/total; off by default)
 //   serve=port ops_stream=path         live ops plane (campaign mode; see
 //                                      docs/OBSERVABILITY.md) — never
 //                                      affects results or the manifest
@@ -64,7 +58,7 @@ int main(int argc, char** argv) try {
   // Replication axis: reps=N expands to N seeds derived from seed_base the
   // same way the certification harness derives them — a hand-run sweep
   // over reps= and a certify campaign over the same base hit identical
-  // per-replication configs (and hence identical checkpoint fingerprints).
+  // per-replication configs.
   std::vector<std::uint64_t> seeds;
   const auto reps = static_cast<std::uint64_t>(cfg.get_int("reps", 0));
   if (reps > 0) {
@@ -100,8 +94,6 @@ int main(int argc, char** argv) try {
 
   SweepOptions opts;
   opts.jobs = static_cast<int>(cfg.get_int("jobs", 0));
-  opts.checkpoint_path = cfg.get_string("checkpoint", "");
-  opts.resume = cfg.get_bool("resume", false);
   const ops::OpsOptions ops_opt = ops::OpsOptions::from_config(cfg);
   const bool show_progress = cfg.get_bool("progress", false);
   const std::string manifest_out = cfg.get_string("manifest", "");
@@ -111,15 +103,15 @@ int main(int argc, char** argv) try {
   std::unique_ptr<ops::OpsPlane> ops_plane;
   if (ops_opt.any()) {
     ops_plane = std::make_unique<ops::OpsPlane>(ops_opt);
-    ops_plane->begin_campaign("sweep", points.size(), opts.checkpoint_path);
+    ops_plane->begin_campaign("sweep", points.size());
   }
-  opts.progress = ops::campaign_progress_fn(
-      ops_plane.get(), show_progress, "sweep", "points", opts.checkpoint_path);
+  opts.progress = ops::campaign_progress_fn(ops_plane.get(), show_progress,
+                                            "sweep", "points");
 
   std::printf("flov_sweep: %zu points (%zu schemes x %zu patterns x %zu inj "
-              "x %zu gated x %zu seeds)%s\n",
+              "x %zu gated x %zu seeds)\n",
               points.size(), schemes.size(), patterns.size(), injs.size(),
-              gateds.size(), seeds.size(), opts.resume ? " [resume]" : "");
+              gateds.size(), seeds.size());
 
   const auto wall_start = std::chrono::steady_clock::now();
   const std::vector<RunResult> results = run_sweep(points, opts);
@@ -134,10 +126,15 @@ int main(int argc, char** argv) try {
   for (std::size_t i = 0; i < points.size(); ++i) {
     const auto& p = points[i];
     const auto& r = results[i];
-    std::printf("%-9s %-9s %6.3f %6.2f %5llu | %9.2f %9.2f %9llu %6llu%s\n",
+    // A window that measured no packet has no latency: "empty", never 0.00.
+    char latency[32] = "empty";
+    if (r.packets_measured != 0) {
+      std::snprintf(latency, sizeof(latency), "%.2f", r.avg_latency);
+    }
+    std::printf("%-9s %-9s %6.3f %6.2f %5llu | %9s %9.2f %9llu %6llu%s\n",
                 to_string(p.scheme), p.pattern.c_str(), p.inj_rate_flits,
                 p.gated_fraction, static_cast<unsigned long long>(p.seed),
-                r.avg_latency, r.power.total_mw,
+                latency, r.power.total_mw,
                 static_cast<unsigned long long>(r.packets_measured),
                 static_cast<unsigned long long>(r.packets_dead),
                 r.aborted ? " ABORTED" : "");

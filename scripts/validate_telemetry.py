@@ -303,7 +303,7 @@ def validate_snapshot_doc(doc, where):
         fail("%s: progress %r outside [0, 1]" % (where, doc["progress"]))
     w, h = doc["width"], doc["height"]
     if "campaign" in doc:
-        for field in ("points_done", "points_total", "checkpoint_path"):
+        for field in ("points_done", "points_total"):
             if field not in doc["campaign"]:
                 fail("%s: campaign missing %r" % (where, field))
         if doc["campaign"]["points_done"] > doc["campaign"]["points_total"]:

@@ -2,6 +2,7 @@
 
 #include <cstdlib>
 #include <sstream>
+#include <utility>
 
 #include "common/log.hpp"
 
@@ -180,13 +181,25 @@ std::vector<std::string> Config::unread_keys() const {
 }
 
 void reject_removed_keys(const Config& cfg) {
-  for (const char* key : {"procs", "noc.step_procs", "sim.snapshot_period",
-                          "runstate", "sim.max_recoveries"}) {
+  constexpr const char* kMultiProcess =
+      "multi-process stepping was removed; use threads= (intra-run domain "
+      "workers) instead";
+  constexpr const char* kCheckpoint =
+      "sweep checkpoint/resume was removed; a run is a pure function of its "
+      "config, so re-run the sweep instead";
+  const std::pair<const char*, const char*> removed[] = {
+      {"procs", kMultiProcess},
+      {"noc.step_procs", kMultiProcess},
+      {"sim.snapshot_period", kMultiProcess},
+      {"runstate", kMultiProcess},
+      {"sim.max_recoveries", kMultiProcess},
+      {"checkpoint", kCheckpoint},
+      {"resume", kCheckpoint}};
+  for (const auto& [key, why] : removed) {
     if (cfg.has(key)) {
       fatal(__FILE__, __LINE__,
-            std::string("config key ") + key +
-                " is no longer accepted: multi-process stepping was "
-                "removed; use threads= (intra-run domain workers) instead");
+            std::string("config key ") + key + " is no longer accepted: " +
+                why);
     }
   }
 }

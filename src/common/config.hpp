@@ -75,9 +75,10 @@ class Config {
 };
 
 /// flov::fatal naming the key when `cfg` sets a key whose feature was
-/// removed (multi-process stepping: procs=, noc.step_procs,
-/// sim.snapshot_period, runstate=, sim.max_recoveries), with a pointer to
-/// threads= instead of the generic unread-key message.
+/// removed, with what to do instead of the generic unread-key message:
+/// multi-process stepping (procs=, noc.step_procs, sim.snapshot_period,
+/// runstate=, sim.max_recoveries; use threads=) and sweep checkpoint/resume
+/// (checkpoint=, resume=; re-run the sweep).
 void reject_removed_keys(const Config& cfg);
 
 /// flov::fatal naming every key of `cfg` that nothing read (noc.widht=4).

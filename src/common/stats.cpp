@@ -41,19 +41,6 @@ void StatAccumulator::merge(const StatAccumulator& other) {
 
 void StatAccumulator::reset() { *this = StatAccumulator{}; }
 
-StatAccumulator StatAccumulator::restore(std::uint64_t count, double sum,
-                                         double min, double max,
-                                         double welford_mean, double m2) {
-  StatAccumulator a;
-  a.count_ = count;
-  a.sum_ = sum;
-  a.min_ = min;
-  a.max_ = max;
-  a.mean_ = welford_mean;
-  a.m2_ = m2;
-  return a;
-}
-
 double StatAccumulator::variance() const {
   return count_ ? m2_ / static_cast<double>(count_) : 0.0;
 }
@@ -93,18 +80,6 @@ void Histogram::merge(const Histogram& other) {
   total_ += other.total_;
   clamped_low_ += other.clamped_low_;
   clamped_high_ += other.clamped_high_;
-}
-
-Histogram Histogram::restore(double lo, double hi,
-                             std::vector<std::uint64_t> bins,
-                             std::uint64_t total, std::uint64_t clamped_low,
-                             std::uint64_t clamped_high) {
-  Histogram h(lo, hi, static_cast<int>(bins.size()));
-  h.bins_ = std::move(bins);
-  h.total_ = total;
-  h.clamped_low_ = clamped_low;
-  h.clamped_high_ = clamped_high;
-  return h;
 }
 
 double Histogram::percentile(double p) const {
@@ -157,13 +132,6 @@ void TimeSeries::merge(const TimeSeries& other) {
     }
     pos->second.merge(acc);
   }
-}
-
-void TimeSeries::restore_bucket(std::uint64_t window_index,
-                                const StatAccumulator& acc) {
-  FLOV_CHECK(buckets_.empty() || buckets_.back().first < window_index,
-             "time-series buckets must restore in increasing order");
-  buckets_.emplace_back(window_index, acc);
 }
 
 std::vector<TimeSeries::Point> TimeSeries::points() const {

@@ -28,16 +28,6 @@ class StatAccumulator {
   double variance() const;
   double stddev() const;
 
-  // --- lossless persistence (sweep checkpoints) ---
-  /// The raw Welford running mean — NOT mean() (which is sum/count). Both
-  /// fields must round-trip bit-exactly for a restored accumulator to
-  /// merge identically to the original.
-  double welford_mean() const { return mean_; }
-  double m2() const { return m2_; }
-  /// Rebuilds an accumulator from previously captured raw fields.
-  static StatAccumulator restore(std::uint64_t count, double sum, double min,
-                                 double max, double welford_mean, double m2);
-
  private:
   std::uint64_t count_ = 0;
   double sum_ = 0.0;
@@ -73,14 +63,6 @@ class Histogram {
   std::uint64_t clamped_low() const { return clamped_low_; }
   std::uint64_t clamped_high() const { return clamped_high_; }
 
-  /// Rebuilds a histogram from previously captured state (sweep
-  /// checkpoints). `bins` sets the bin count; bounds must match what the
-  /// original was constructed with.
-  static Histogram restore(double lo, double hi,
-                           std::vector<std::uint64_t> bins,
-                           std::uint64_t total, std::uint64_t clamped_low,
-                           std::uint64_t clamped_high);
-
  private:
   double lo_;
   double hi_;
@@ -113,16 +95,6 @@ class TimeSeries {
   /// Windows in increasing time order (empty windows omitted).
   std::vector<Point> points() const;
   Cycle window() const { return window_; }
-
-  /// Lossless persistence (sweep checkpoints): appends one raw bucket.
-  /// Callers must restore buckets in increasing window-index order — the
-  /// series keeps its buckets sorted by construction.
-  void restore_bucket(std::uint64_t window_index, const StatAccumulator& acc);
-  /// Raw bucket view for the checkpoint writer.
-  const std::vector<std::pair<std::uint64_t, StatAccumulator>>& buckets()
-      const {
-    return buckets_;
-  }
 
  private:
   Cycle window_;

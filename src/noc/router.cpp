@@ -635,13 +635,16 @@ void Router::dump_occupancy(Cycle now) const {
       if (vc.state == VcState::kActive) {
         credits = output_[dir_index(vc.out_dir)].vcs[vc.out_vc].credits;
       }
+      // The local output has no PSR block flag.
+      const bool blocked =
+          vc.out_dir != Direction::Local && view_.blocked(vc.out_dir);
       std::fprintf(
           stderr,
           "  router %d port %s vc %d: %d flits, state=%d out=%s out_vc=%d "
           "credits=%d blocked=%d escape=%d front(src=%d dst=%d) wait=%llu\n",
           id_, to_string(dir_from_index(p)), v, vc.occupancy(),
           static_cast<int>(vc.state), to_string(vc.out_dir), vc.out_vc,
-          credits, static_cast<int>(view_.blocked(vc.out_dir)),
+          credits, static_cast<int>(blocked),
           static_cast<int>(vc.escape_route), f.src, f.dest,
           static_cast<unsigned long long>(now - vc.wait_since));
     }

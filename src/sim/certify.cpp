@@ -1,7 +1,6 @@
 #include "sim/certify.hpp"
 
 #include <algorithm>
-#include <cstdio>
 #include <memory>
 
 #include "common/log.hpp"
@@ -116,14 +115,6 @@ CertifyResult run_certification(const SyntheticExperimentConfig& base,
                                       1.0 - opts.confidence);
   }
 
-  // A fresh campaign owns its checkpoint file: stale lines from an
-  // unrelated (or configuration-drifted) campaign would be skipped by the
-  // fingerprint check anyway, but deleting keeps the file from growing
-  // without bound across campaigns.
-  if (!opts.checkpoint_path.empty() && !opts.resume) {
-    std::remove(opts.checkpoint_path.c_str());
-  }
-
   Counts counts;
   CertifyResult out;
   std::uint64_t completed = 0;
@@ -138,14 +129,6 @@ CertifyResult run_certification(const SyntheticExperimentConfig& base,
 
     SweepOptions so;
     so.jobs = opts.jobs;
-    so.checkpoint_path = opts.checkpoint_path;
-    // Every batch resumes against the shared campaign checkpoint: lines
-    // written by OTHER batches carry different per-replication seeds, so
-    // their fingerprints never match this batch's points — they are
-    // skipped, not corrupted. append keeps the file from being truncated
-    // when a batch restores nothing.
-    so.resume = !opts.checkpoint_path.empty();
-    so.checkpoint_append = true;
     const std::vector<RunResult> results = run_sweep(points, so);
 
     // Fold in submission order: the estimator state after this batch is a

@@ -3,8 +3,8 @@
 // NoC", arXiv 2108.13148).
 //
 // A certification campaign replicates ONE experiment configuration across
-// many derived seeds (via run_sweep, so replications parallelize and
-// checkpoint like any sweep), folds each run's delivered/dead/purged packet
+// many derived seeds (via run_sweep, so replications parallelize like any
+// sweep), folds each run's delivered/dead/purged packet
 // accounting and incident counters into per-metric Bernoulli estimators,
 // and turns the counts into confidence intervals (Wilson + Clopper-Pearson)
 // with a sequential stopping rule: stop as soon as the CI is tight enough
@@ -14,8 +14,9 @@
 // Determinism contract: stopping decisions are made ONLY at batch
 // boundaries, and batch results fold in submission order — so the folded
 // counts, the stopping cycle and hence the emitted certificate are
-// byte-identical across jobs=1 vs jobs=N and across kill-and-resume
-// (modulo the volatile jobs/wall_seconds manifest fields).
+// byte-identical across jobs=1 vs jobs=N (modulo the volatile
+// jobs/wall_seconds manifest fields). A killed campaign recovers by being
+// run again.
 #pragma once
 
 #include <cstdint>
@@ -70,12 +71,6 @@ struct CertifyOptions {
 
   // --- sweep plumbing ---
   int jobs = 1;
-  /// Shared JSONL checkpoint for the whole campaign ("" = none). Batches
-  /// append to one file; per-replication config fingerprints keep lines
-  /// from other batches inert on restore.
-  std::string checkpoint_path;
-  /// Resume from checkpoint_path (a fresh campaign deletes it first).
-  bool resume = false;
   /// Overall progress: (replications_folded, max_replications).
   std::function<void(std::uint64_t done, std::uint64_t cap)> progress;
   /// Called after every folded batch with the replication count so far and
@@ -118,13 +113,13 @@ struct CertifyResult {
 /// Seed for replication `rep` of a campaign rooted at `seed_base`:
 /// a splitmix-style hash, so adjacent replications are statistically
 /// independent and replication i's seed never depends on how many
-/// replications ran before it (checkpoint keys stay stable).
+/// replications ran before it.
 std::uint64_t derive_replication_seed(std::uint64_t seed_base,
                                       std::uint64_t rep);
 
 /// The exact config replication `rep` runs: base with the traffic seed
 /// (and, when opts.vary_faults, the fault seed) rederived. Exposed so
-/// tests and the checkpoint layer agree on fingerprints.
+/// tests and benchmarks run exactly the campaign's replications.
 SyntheticExperimentConfig replication_config(
     const SyntheticExperimentConfig& base, const CertifyOptions& opts,
     std::uint64_t rep);

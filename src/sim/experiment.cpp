@@ -1,10 +1,12 @@
 #include "sim/experiment.hpp"
 
+#include <bit>
 #include <cstdio>
 #include <memory>
 #include <utility>
 
 #include "common/log.hpp"
+#include "common/rng.hpp"
 #include "flov/flov_network.hpp"
 #include "telemetry/json.hpp"
 #include "telemetry/ops/ops_plane.hpp"
@@ -17,11 +19,13 @@ namespace flov {
 
 namespace {
 
-/// Diagnostic dump on a watchdog stall: every non-quiescent router's
-/// occupancy, plus the full handshake FSM picture for FLOV schemes.
-void dump_stall_state(NocSystem& sys, Cycle now) {
-  std::fprintf(stderr, "[watchdog] --- %s stalled, state at cycle %llu ---\n",
-               sys.name(), static_cast<unsigned long long>(now));
+/// Diagnostic dump when flits stop moving — a watchdog stall or an
+/// exhausted drain budget, named by `trigger` in the header: every
+/// non-quiescent router's occupancy, plus the full handshake FSM picture
+/// for FLOV schemes. stderr only; the run's record is untouched.
+void dump_stall_state(NocSystem& sys, Cycle now, const char* trigger) {
+  std::fprintf(stderr, "[%s] --- %s stuck, state at cycle %llu ---\n",
+               trigger, sys.name(), static_cast<unsigned long long>(now));
   if (auto* f = dynamic_cast<FlovNetwork*>(&sys)) {
     f->dump_state(now);
     return;
@@ -184,6 +188,87 @@ bool fully_drained(Network& net) {
   return true;
 }
 
+std::uint64_t mix_d(std::uint64_t h, double v) {
+  return hash_mix(h, std::bit_cast<std::uint64_t>(v));
+}
+
+std::uint64_t mix_s(std::uint64_t h, const std::string& s) {
+  h = hash_mix(h, s.size());
+  for (char c : s) h = hash_mix(h, static_cast<unsigned char>(c));
+  return h;
+}
+
+/// Derives every RunResult scalar from a run's metrics registry, the one
+/// result record (absent keys read as 0). The timeline and the telemetry
+/// pointers are left to the caller.
+RunResult fold_run_result(std::string scheme,
+                          const telemetry::MetricsRegistry& reg) {
+  const auto count = [&reg](const char* k) { return reg.counter_value(k); };
+  const auto gauge = [&reg](const char* k) { return reg.gauge_value(k); };
+  const auto mean = [&reg](const char* k) {
+    const auto it = reg.stats().find(k);
+    return it == reg.stats().end() ? 0.0 : it->second.mean();
+  };
+  RunResult r;
+  r.scheme = std::move(scheme);
+  r.avg_latency = mean("latency.total");
+  if (const auto h = reg.histograms().find("latency.histogram");
+      h != reg.histograms().end()) {
+    r.p50_latency = h->second.percentile(50);
+    r.p99_latency = h->second.percentile(99);
+  }
+  r.breakdown.router = mean("latency.router_component");
+  r.breakdown.link = mean("latency.link_component");
+  r.breakdown.serialization = mean("latency.serialization_component");
+  r.breakdown.flov = mean("latency.flov_component");
+  r.breakdown.contention = mean("latency.contention_component");
+  r.power.cycles = static_cast<Cycle>(gauge("power.window_cycles"));
+  r.power.static_mw = gauge("power.static_mw");
+  r.power.dynamic_mw = gauge("power.dynamic_mw");
+  r.power.total_mw = gauge("power.total_mw");
+  r.power.static_energy_pj = gauge("power.static_energy_pj");
+  r.power.dynamic_energy_pj = gauge("power.dynamic_energy_pj");
+  r.power.total_energy_pj = gauge("power.total_energy_pj");
+  r.packets_measured = count("latency.packets_measured");
+  r.packets_generated = count("run.packets_generated");
+  r.injected_flits = count("net.injected_flits");
+  r.ejected_flits = count("net.ejected_flits");
+  r.escape_packets = count("latency.escape_packets");
+  // Gated routers: FLOV's sleep/wakeup population, or RP's parked set
+  // (steady between reconfigurations, so its average is its end value).
+  if (reg.gauges().count("flov.gated_routers_end") != 0) {
+    r.gated_routers_end = static_cast<int>(gauge("flov.gated_routers_end"));
+    r.avg_gated_routers = gauge("flov.avg_gated_routers");
+  } else {
+    r.gated_routers_end = static_cast<int>(gauge("rp.parked_routers"));
+    r.avg_gated_routers = gauge("rp.parked_routers");
+  }
+  r.protocol_sleeps = count("flov.sleeps");
+  r.protocol_wakeups = count("flov.wakeups");
+  r.watchdog_recoveries = count("run.watchdog_recoveries");
+  r.verifier_violations = count("verify.violations");
+  r.verifier_checks = count("verify.checks");
+  r.hs_resends = count("flov.hs_resends");
+  r.trigger_resends = count("flov.trigger_resends");
+  r.self_captures = count("flov.self_captures");
+  r.flits_dropped_by_faults = count("fault.flits_dropped");
+  r.packets_acked = count("run.packets_acked");
+  r.packets_dead = count("run.packets_dead");
+  r.packets_purged = count("run.packets_purged");
+  r.killed_at_source = count("run.killed_at_source");
+  r.retransmits = count("run.retransmits");
+  r.dup_packets = count("run.dup_packets");
+  r.packets_corrupted = count("run.packets_corrupted");
+  r.payload_flips = count("fault.payload_flips");
+  r.psr_flips = count("fault.psr_flips");
+  r.dead_routers = static_cast<int>(gauge("fault.dead_routers"));
+  r.dead_links = static_cast<int>(gauge("fault.dead_links"));
+  r.wake_requests_dropped = count("flov.wake_requests_dropped");
+  r.aborted = count("run.aborted") != 0;
+  r.cycles_run = count("run.cycles");
+  return r;
+}
+
 }  // namespace
 
 SyntheticExperimentConfig SyntheticExperimentConfig::from_config(
@@ -214,13 +299,102 @@ SyntheticExperimentConfig SyntheticExperimentConfig::from_config(
 
 Config manifest_config(const Config& cfg, const FaultParams& faults) {
   Config m = cfg;
-  for (const char* k : {"jobs", "threads", "tiles", "checkpoint", "resume",
-                        "progress", "certificate", "serve", "ops_stream",
-                        "profile", "profile_out", "ops.period"}) {
+  for (const char* k : {"jobs", "threads", "tiles", "progress", "certificate",
+                        "serve", "ops_stream", "profile", "profile_out",
+                        "ops.period"}) {
     m.erase(k);
   }
   faults.echo_to_config(m);
   return m;
+}
+
+std::uint64_t sweep_point_fingerprint(const SyntheticExperimentConfig& cfg) {
+  std::uint64_t h = 0x464c4f56u;  // "FLOV"
+  h = hash_mix(h, static_cast<std::uint64_t>(cfg.scheme));
+  h = mix_s(h, cfg.pattern);
+  h = mix_d(h, cfg.inj_rate_flits);
+  h = mix_d(h, cfg.gated_fraction);
+  h = hash_mix(h, cfg.warmup);
+  h = hash_mix(h, cfg.measure);
+  h = hash_mix(h, cfg.seed);
+  h = hash_mix(h, cfg.gating_changes.size());
+  for (Cycle c : cfg.gating_changes) h = hash_mix(h, c);
+  h = hash_mix(h, cfg.timeline_window);
+  h = hash_mix(h, cfg.watchdog);
+  h = hash_mix(h, cfg.drain_max);
+  h = hash_mix(h, cfg.max_cycles_hard);
+  h = hash_mix(h, cfg.verify ? 1 : 0);
+  h = hash_mix(h, cfg.verifier.check_interval);
+  h = hash_mix(h, cfg.verifier.settle_window);
+  h = hash_mix(h, (cfg.verifier.check_conservation ? 1 : 0) |
+                      (cfg.verifier.check_credits ? 2 : 0) |
+                      (cfg.verifier.check_psr ? 4 : 0) |
+                      (cfg.verifier.fatal ? 8 : 0));
+  h = hash_mix(h, cfg.telemetry.metrics_window);
+
+  // step_threads and step_tiles_x/y excluded: volatile knobs — any tiling
+  // is bit-identical to serial, so threads=8 and threads=1 (and any tiles=)
+  // name the same point.
+  const NocParams& n = cfg.noc;
+  h = hash_mix(h, static_cast<std::uint64_t>(n.width));
+  h = hash_mix(h, static_cast<std::uint64_t>(n.height));
+  h = hash_mix(h, static_cast<std::uint64_t>(n.num_vnets));
+  h = hash_mix(h, static_cast<std::uint64_t>(n.vcs_per_vnet));
+  h = hash_mix(h, static_cast<std::uint64_t>(n.escape_vc + 1));
+  h = hash_mix(h, static_cast<std::uint64_t>(n.buffer_depth));
+  h = hash_mix(h, static_cast<std::uint64_t>(n.packet_size));
+  h = hash_mix(h, n.link_latency);
+  h = hash_mix(h, n.deadlock_timeout);
+  h = hash_mix(h, n.enable_escape_diversion ? 1 : 0);
+  h = hash_mix(h, n.wakeup_latency);
+  h = hash_mix(h, n.drain_idle_threshold);
+  h = hash_mix(h, n.drain_abort_timeout);
+  h = hash_mix(h, n.hs_retry_timeout);
+  h = hash_mix(h, static_cast<std::uint64_t>(n.hs_retry_limit));
+  h = hash_mix(h, n.trigger_retry_timeout);
+  h = hash_mix(h, n.sleep_reannounce_interval);
+  h = hash_mix(h, n.psr_block_timeout);
+  h = hash_mix(h, n.latency_hist_max);
+  h = hash_mix(h, n.reliable ? 1 : 0);
+  h = hash_mix(h, n.retx_timeout);
+  h = hash_mix(h, static_cast<std::uint64_t>(n.retx_backoff_cap));
+  h = hash_mix(h, static_cast<std::uint64_t>(n.retx_limit));
+  h = hash_mix(h, n.ack_delay);
+
+  const FaultParams& f = cfg.faults;
+  h = mix_d(h, f.signal_drop_rate);
+  h = mix_d(h, f.signal_delay_rate);
+  h = hash_mix(h, f.signal_delay_max);
+  h = mix_d(h, f.signal_dup_rate);
+  h = mix_d(h, f.flit_drop_rate);
+  h = mix_d(h, f.flit_delay_rate);
+  h = hash_mix(h, f.flit_delay_max);
+  h = mix_d(h, f.spurious_wakeup_rate);
+  h = mix_d(h, f.soft_flit_flip_rate);
+  h = mix_d(h, f.soft_psr_flip_rate);
+  h = mix_d(h, f.hard_router_pct);
+  h = mix_d(h, f.hard_link_pct);
+  h = hash_mix(h, f.hard_at_cycle);
+  h = hash_mix(h, f.seed);
+
+  const EnergyParams& e = cfg.energy;
+  h = mix_d(h, e.buffer_write_pj);
+  h = mix_d(h, e.buffer_read_pj);
+  h = mix_d(h, e.vc_arb_pj);
+  h = mix_d(h, e.sw_arb_pj);
+  h = mix_d(h, e.crossbar_pj);
+  h = mix_d(h, e.link_pj);
+  h = mix_d(h, e.flov_latch_pj);
+  h = mix_d(h, e.credit_relay_pj);
+  h = mix_d(h, e.handshake_pj);
+  h = mix_d(h, e.pg_transition_pj);
+  h = mix_d(h, e.router_leak_mw);
+  h = mix_d(h, e.link_leak_mw);
+  h = mix_d(h, e.flov_sleep_leak_fraction);
+  h = mix_d(h, e.rp_park_leak_fraction);
+  h = mix_d(h, e.flov_active_overhead_fraction);
+  h = mix_d(h, e.clock_freq_ghz);
+  return h;
 }
 
 RunResult run_synthetic(const SyntheticExperimentConfig& cfg) {
@@ -348,7 +522,7 @@ RunResult run_synthetic(const SyntheticExperimentConfig& cfg) {
         FLOV_TRACE(telemetry::kTraceRecovery,
                    telemetry::TraceEventType::kWatchdogStall, now, -1,
                    now - last_progress, last_ejected);
-        dump_stall_state(sys, now);
+        dump_stall_state(sys, now, "watchdog");
         const bool recovered = recovery_armed && sys.attempt_recovery(now);
         record_stall_incident(sys, *incidents, now, now - last_progress,
                               recovered);
@@ -395,6 +569,7 @@ RunResult run_synthetic(const SyntheticExperimentConfig& cfg) {
     }
     end_cycle = now;
     if (!aborted && now == drain_end && !fully_drained(net)) {
+      dump_stall_state(sys, now, "drain_exhausted");
       record_budget_incident(sys, *incidents, "drain_exhausted", now,
                              cfg.drain_max);
     }
@@ -452,74 +627,6 @@ RunResult run_synthetic(const SyntheticExperimentConfig& cfg) {
   r.metrics = std::move(metrics);
   r.trace = std::move(tracer);
   r.incidents = std::move(incidents);
-  return r;
-}
-
-RunResult fold_run_result(std::string scheme,
-                          const telemetry::MetricsRegistry& reg) {
-  const auto count = [&reg](const char* k) { return reg.counter_value(k); };
-  const auto gauge = [&reg](const char* k) { return reg.gauge_value(k); };
-  const auto mean = [&reg](const char* k) {
-    const auto it = reg.stats().find(k);
-    return it == reg.stats().end() ? 0.0 : it->second.mean();
-  };
-  RunResult r;
-  r.scheme = std::move(scheme);
-  r.avg_latency = mean("latency.total");
-  if (const auto h = reg.histograms().find("latency.histogram");
-      h != reg.histograms().end()) {
-    r.p50_latency = h->second.percentile(50);
-    r.p99_latency = h->second.percentile(99);
-  }
-  r.breakdown.router = mean("latency.router_component");
-  r.breakdown.link = mean("latency.link_component");
-  r.breakdown.serialization = mean("latency.serialization_component");
-  r.breakdown.flov = mean("latency.flov_component");
-  r.breakdown.contention = mean("latency.contention_component");
-  r.power.cycles = static_cast<Cycle>(gauge("power.window_cycles"));
-  r.power.static_mw = gauge("power.static_mw");
-  r.power.dynamic_mw = gauge("power.dynamic_mw");
-  r.power.total_mw = gauge("power.total_mw");
-  r.power.static_energy_pj = gauge("power.static_energy_pj");
-  r.power.dynamic_energy_pj = gauge("power.dynamic_energy_pj");
-  r.power.total_energy_pj = gauge("power.total_energy_pj");
-  r.packets_measured = count("latency.packets_measured");
-  r.packets_generated = count("run.packets_generated");
-  r.injected_flits = count("net.injected_flits");
-  r.ejected_flits = count("net.ejected_flits");
-  r.escape_packets = count("latency.escape_packets");
-  // Gated routers: FLOV's sleep/wakeup population, or RP's parked set
-  // (steady between reconfigurations, so its average is its end value).
-  if (reg.gauges().count("flov.gated_routers_end") != 0) {
-    r.gated_routers_end = static_cast<int>(gauge("flov.gated_routers_end"));
-    r.avg_gated_routers = gauge("flov.avg_gated_routers");
-  } else {
-    r.gated_routers_end = static_cast<int>(gauge("rp.parked_routers"));
-    r.avg_gated_routers = gauge("rp.parked_routers");
-  }
-  r.protocol_sleeps = count("flov.sleeps");
-  r.protocol_wakeups = count("flov.wakeups");
-  r.watchdog_recoveries = count("run.watchdog_recoveries");
-  r.verifier_violations = count("verify.violations");
-  r.verifier_checks = count("verify.checks");
-  r.hs_resends = count("flov.hs_resends");
-  r.trigger_resends = count("flov.trigger_resends");
-  r.self_captures = count("flov.self_captures");
-  r.flits_dropped_by_faults = count("fault.flits_dropped");
-  r.packets_acked = count("run.packets_acked");
-  r.packets_dead = count("run.packets_dead");
-  r.packets_purged = count("run.packets_purged");
-  r.killed_at_source = count("run.killed_at_source");
-  r.retransmits = count("run.retransmits");
-  r.dup_packets = count("run.dup_packets");
-  r.packets_corrupted = count("run.packets_corrupted");
-  r.payload_flips = count("fault.payload_flips");
-  r.psr_flips = count("fault.psr_flips");
-  r.dead_routers = static_cast<int>(gauge("fault.dead_routers"));
-  r.dead_links = static_cast<int>(gauge("fault.dead_links"));
-  r.wake_requests_dropped = count("flov.wake_requests_dropped");
-  r.aborted = count("run.aborted") != 0;
-  r.cycles_run = count("run.cycles");
   return r;
 }
 

@@ -81,13 +81,19 @@ struct SyntheticExperimentConfig {
 };
 
 /// A manifest's `config`: `cfg` minus the keys that cannot change a result
-/// (jobs, threads, tiles, checkpoint, resume, progress, certificate and the
-/// ops plane's), plus every resolved fault.* knob, defaulted ones included,
-/// so two runs cannot silently differ on one.
+/// (jobs, threads, tiles, progress, certificate and the ops plane's), plus
+/// every resolved fault.* knob, defaulted ones included, so two runs cannot
+/// silently differ on one.
 Config manifest_config(const Config& cfg, const FaultParams& faults);
 
+/// Order- and thread-independent hash of every config field that can
+/// influence a point's results (noc/energy/fault/traffic/verifier knobs;
+/// noc.step_threads, the tile grid and trace options are volatile and
+/// excluded). Certificates carry it as config_fingerprint.
+std::uint64_t sweep_point_fingerprint(const SyntheticExperimentConfig& cfg);
+
 /// One run's results. `metrics` plus `incidents` is the record; every
-/// scalar below is folded from `metrics` by fold_run_result.
+/// scalar below is folded from `metrics` at the end of run_synthetic.
 struct RunResult {
   std::string scheme;
   double avg_latency = 0.0;
@@ -149,13 +155,5 @@ struct RunResult {
 };
 
 RunResult run_synthetic(const SyntheticExperimentConfig& cfg);
-
-/// Derives every RunResult scalar from a run's metrics registry, the one
-/// result record (absent keys read as 0). run_synthetic and the sweep
-/// checkpoint decoder both build their results through this fold, so a
-/// resumed sweep cannot drift from a fresh run. The timeline and the
-/// telemetry pointers are left to the caller.
-RunResult fold_run_result(std::string scheme,
-                          const telemetry::MetricsRegistry& reg);
 
 }  // namespace flov

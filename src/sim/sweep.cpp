@@ -8,7 +8,6 @@
 #include <thread>
 
 #include "common/log.hpp"
-#include "sim/checkpoint.hpp"
 
 namespace flov {
 
@@ -84,33 +83,7 @@ std::vector<RunResult> run_sweep(
     const std::vector<SyntheticExperimentConfig>& points,
     const SweepOptions& opts) {
   std::vector<RunResult> results(points.size());
-  std::vector<char> have(points.size(), 0);
   const int n = static_cast<int>(points.size());
-
-  // Resume: restore every intact checkpointed point whose fingerprint still
-  // matches its config; only the remainder runs.
-  int restored = 0;
-  if (opts.resume && !opts.checkpoint_path.empty()) {
-    restored =
-        load_sweep_checkpoint(opts.checkpoint_path, points, &results, &have);
-  }
-  std::vector<int> pending;
-  pending.reserve(points.size());
-  for (int i = 0; i < n; ++i) {
-    if (!have[static_cast<std::size_t>(i)]) pending.push_back(i);
-  }
-
-  // Checkpoint writer: append (resume keeps the restored lines' file) and
-  // flush per line, so a kill -9 loses at most the in-flight points.
-  std::FILE* ck = nullptr;
-  std::mutex ck_mu;
-  if (!opts.checkpoint_path.empty()) {
-    ck = std::fopen(
-        opts.checkpoint_path.c_str(),
-        opts.checkpoint_append || (opts.resume && restored > 0) ? "ab" : "wb");
-    FLOV_CHECK(ck != nullptr,
-               "cannot open sweep checkpoint " + opts.checkpoint_path);
-  }
 
   // Budget jobs against the intra-run parallelism of the points themselves:
   // a sweep of points that each step on 4 domain workers should not also
@@ -121,34 +94,16 @@ std::vector<RunResult> run_sweep(
   }
   const int jobs = resolve_jobs(opts.jobs, max_step_threads);
   std::mutex progress_mu;
-  std::atomic<int> done{restored};
-  auto body = [&](int k) {
-    const std::size_t i =
-        static_cast<std::size_t>(pending[static_cast<std::size_t>(k)]);
-    results[i] = run_synthetic(points[i]);
-    if (ck) {
-      const std::string line = encode_sweep_checkpoint_line(
-          static_cast<int>(i), points[i], results[i]);
-      std::lock_guard<std::mutex> lock(ck_mu);
-      std::fwrite(line.data(), 1, line.size(), ck);
-      std::fputc('\n', ck);
-      std::fflush(ck);
-    }
+  std::atomic<int> done{0};
+  parallel_run(n, jobs, [&](int i) {
+    results[static_cast<std::size_t>(i)] =
+        run_synthetic(points[static_cast<std::size_t>(i)]);
     const int d = done.fetch_add(1, std::memory_order_relaxed) + 1;
     if (opts.progress) {
       std::lock_guard<std::mutex> lock(progress_mu);
       opts.progress(d, n);
     }
-  };
-  try {
-    parallel_run(static_cast<int>(pending.size()), jobs, body);
-  } catch (...) {
-    // Completed points are already checkpointed; close the file so the
-    // caller can resume past them.
-    if (ck) std::fclose(ck);
-    throw;
-  }
-  if (ck) std::fclose(ck);
+  });
   return results;
 }
 

@@ -24,28 +24,10 @@ struct SweepOptions {
   /// Worker threads. 0 = auto (hardware concurrency); 1 = serial in the
   /// calling thread (no pool, the bit-exact reference path).
   int jobs = 0;
-  /// Called on the submitting thread granularity-free: progress(done, total)
-  /// after each point completes (any worker; serialized). May be null.
+  /// progress(done, total) after each point completes. Called from the
+  /// worker that ran the point, under a lock, so calls never overlap; with
+  /// jobs > 1, `done` may arrive out of order. May be null.
   std::function<void(int done, int total)> progress;
-
-  // --- self-healing (sim/checkpoint.hpp) ---
-  // A failing point is not retried: a run is a pure function of its config.
-  /// JSONL checkpoint: one lossless line appended (and flushed) per
-  /// completed point, so a killed sweep can resume. "" = no checkpointing.
-  std::string checkpoint_path;
-  /// Load checkpoint_path first and skip every intact point whose config
-  /// fingerprint still matches; the file keeps growing from there. The
-  /// merged metrics of a resumed sweep are byte-identical to an
-  /// uninterrupted one.
-  bool resume = false;
-  /// Always open the checkpoint file in append mode, even when resume
-  /// restored nothing. Callers that share one checkpoint file across
-  /// several run_sweep invocations over DIFFERENT point slices (the
-  /// certification harness's sequential batches) need this: the default
-  /// truncates when no line matched, which would erase the other batches'
-  /// lines. Fingerprints keep foreign lines harmless — they simply don't
-  /// match and are skipped.
-  bool checkpoint_append = false;
 };
 
 /// `jobs` resolved against the machine: 0 -> hardware_concurrency (>= 1).

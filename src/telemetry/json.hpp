@@ -84,8 +84,8 @@ struct JsonValue {
   /// Parses `text`; aborts (FLOV_CHECK) on malformed input.
   static JsonValue parse(const std::string& text);
 
-  /// Tolerant variant for inputs that may legitimately be damaged (e.g. a
-  /// checkpoint file truncated by a crash): returns false instead of
+  /// Tolerant variant for inputs that may legitimately be malformed (e.g.
+  /// an incident record the ops plane folds): returns false instead of
   /// aborting, leaving `*out` unspecified.
   static bool try_parse(const std::string& text, JsonValue* out);
 };

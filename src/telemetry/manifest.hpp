@@ -86,14 +86,13 @@ struct CertifiedMetric {
 /// Deterministic by construction — every non-volatile field is a pure
 /// function of (config, seed_base, stopping parameters), so two campaigns
 /// over the same inputs emit byte-identical certificates regardless of
-/// jobs= or kill-and-resume (validate_telemetry.py --diff-manifests strips
-/// exactly jobs/wall_seconds before comparing).
+/// jobs= (validate_telemetry.py --diff-manifests strips exactly
+/// jobs/wall_seconds before comparing).
 struct CertificateManifest {
   std::string schema = "flyover-certificate-v1";
   std::string name;
   Config config;  ///< fully resolved base config (fault knobs echoed)
-  /// hex16 sweep-point fingerprint of the base config at seed_base (the
-  /// same fingerprint family the sweep checkpoints key on).
+  /// hex16 sweep_point_fingerprint of the base config.
   std::string config_fingerprint;
   std::uint64_t seed_base = 0;
   std::uint64_t replications = 0;      ///< folded into the estimators

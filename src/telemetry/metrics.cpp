@@ -27,17 +27,6 @@ TimeSeries& MetricsRegistry::series(const std::string& name) {
   return it->second;
 }
 
-TimeSeries& MetricsRegistry::series(const std::string& name, Cycle window) {
-  auto it = series_.find(name);
-  if (it == series_.end()) {
-    it = series_.emplace(name, TimeSeries(window)).first;
-  } else {
-    FLOV_CHECK(it->second.window() == window,
-               "series re-registered with different window: " + name);
-  }
-  return it->second;
-}
-
 std::uint64_t MetricsRegistry::counter_value(const std::string& name) const {
   auto it = counters_.find(name);
   return it == counters_.end() ? 0 : it->second;

@@ -40,10 +40,6 @@ class MetricsRegistry {
                        int bins);
   /// Windowed time-series; add samples with TimeSeries::add(cycle, value).
   TimeSeries& series(const std::string& name);
-  /// As above but with an explicit bucket width on first use (sweep
-  /// checkpoint restore, which must reproduce the original window rather
-  /// than this registry's default). Must match if the series exists.
-  TimeSeries& series(const std::string& name, Cycle window);
 
   bool has_counter(const std::string& name) const {
     return counters_.count(name) != 0;

@@ -169,13 +169,11 @@ void OpsPlane::fold(Cycle now) {
 }
 
 void OpsPlane::begin_campaign(const std::string& kind,
-                              std::uint64_t points_total,
-                              const std::string& checkpoint_path) {
+                              std::uint64_t points_total) {
   std::lock_guard<std::mutex> lock(campaign_mu_);
   campaign_active_ = true;
   campaign_kind_ = kind;
   campaign_total_ = points_total;
-  campaign_checkpoint_ = checkpoint_path;
   campaign_last_done_ = 0;
   seq_ = 0;
   campaign_progress_locked_(0);
@@ -199,7 +197,6 @@ void OpsPlane::campaign_progress_locked_(std::uint64_t points_done) {
   s.scheme = campaign_kind_;
   s.points_done = points_done;
   s.points_total = campaign_total_;
-  s.checkpoint_path = campaign_checkpoint_;
   s.progress = campaign_total_ == 0
                    ? 0.0
                    : static_cast<double>(points_done) /
@@ -296,17 +293,14 @@ HttpResponse OpsPlane::handle(const std::string& path) const {
 }
 
 std::function<void(std::uint64_t, std::uint64_t)> campaign_progress_fn(
-    OpsPlane* plane, bool print, std::string label, std::string unit,
-    std::string checkpoint) {
+    OpsPlane* plane, bool print, std::string label, std::string unit) {
   if (plane == nullptr && !print) return {};
   return [=](std::uint64_t done, std::uint64_t total) {
     if (plane != nullptr) plane->campaign_progress(done);
     if (print) {
-      std::fprintf(stderr, "[%s] %llu/%llu %s%s%s\n", label.c_str(),
+      std::fprintf(stderr, "[%s] %llu/%llu %s\n", label.c_str(),
                    static_cast<unsigned long long>(done),
-                   static_cast<unsigned long long>(total), unit.c_str(),
-                   checkpoint.empty() ? "" : " checkpoint=",
-                   checkpoint.c_str());
+                   static_cast<unsigned long long>(total), unit.c_str());
     }
   };
 }

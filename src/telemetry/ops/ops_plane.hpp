@@ -102,8 +102,7 @@ class OpsPlane {
   void end_run(Cycle now);
 
   // --- campaign mode (sweep / certify drivers) ---
-  void begin_campaign(const std::string& kind, std::uint64_t points_total,
-                      const std::string& checkpoint_path);
+  void begin_campaign(const std::string& kind, std::uint64_t points_total);
   /// Publishes a campaign snapshot; callable from worker callbacks.
   void campaign_progress(std::uint64_t points_done);
 
@@ -158,17 +157,15 @@ class OpsPlane {
   bool campaign_active_ = false;
   std::string campaign_kind_;
   std::uint64_t campaign_total_ = 0;
-  std::string campaign_checkpoint_;
   std::uint64_t campaign_last_done_ = 0;
 };
 
 /// A campaign front end's progress callback: folds each count into `plane`
 /// (when non-null) and, with `print`, writes one full stderr line per call,
-/// "[<label>] done/total <unit>[ checkpoint=<path>]", identical for a given
-/// count so logs diff cleanly across jobs= and kill-and-resume. Empty when
-/// there is neither a plane nor printing.
+/// "[<label>] done/total <unit>", identical for a given count so logs diff
+/// cleanly across jobs=. Empty when there is neither a plane nor printing.
 std::function<void(std::uint64_t done, std::uint64_t total)>
 campaign_progress_fn(OpsPlane* plane, bool print, std::string label,
-                     std::string unit, std::string checkpoint);
+                     std::string unit);
 
 }  // namespace flov::ops

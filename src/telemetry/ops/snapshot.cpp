@@ -71,7 +71,6 @@ std::string OpsSnapshot::to_json() const {
     g.begin_object();
     g.kv("points_done", points_done);
     g.kv("points_total", points_total);
-    g.kv("checkpoint_path", checkpoint_path);
     g.end_object();
     w.raw(g.take());
   }

@@ -53,7 +53,6 @@ struct OpsSnapshot {
   bool campaign = false;
   std::uint64_t points_done = 0;
   std::uint64_t points_total = 0;
-  std::string checkpoint_path;
 
   // --- per-node grids, indexed by node id (row-major) ---
   std::vector<std::uint8_t> mode;          ///< RouterMode numeric value

@@ -2,12 +2,11 @@
 // and sequential-test numerics against closed-form values, the shared
 // backoff helper's overflow edges, jobs-x-threads budgeting, replication
 // seed derivation, and the campaign-level determinism contract — the
-// folded estimates are byte-identical across jobs=1 vs jobs=N and across
-// kill-and-resume, and the sequential rule actually stops before the cap.
+// folded estimates are byte-identical across jobs=1 vs jobs=N, and the
+// sequential rule actually stops before the cap.
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <cstdio>
 #include <set>
 #include <string>
 #include <vector>
@@ -15,7 +14,7 @@
 #include "common/backoff.hpp"
 #include "common/stats.hpp"
 #include "sim/certify.hpp"
-#include "sim/checkpoint.hpp"
+#include "sim/experiment.hpp"
 #include "sim/sweep.hpp"
 
 namespace flov {
@@ -180,7 +179,7 @@ TEST(ReplicationSeeds, NonZeroDistinctAndStable) {
   }
   EXPECT_EQ(seen.size(), 1000u);  // no collisions across the campaign
   // Pure function of (base, rep): stable across calls, distinct across
-  // bases (checkpoint fingerprints depend on this).
+  // bases.
   EXPECT_EQ(derive_replication_seed(42, 7), derive_replication_seed(42, 7));
   EXPECT_NE(derive_replication_seed(42, 7), derive_replication_seed(43, 7));
 }
@@ -201,9 +200,8 @@ TEST(ReplicationSeeds, ConfigDerivationRespectsVaryFaults) {
   const SyntheticExperimentConfig varied = replication_config(base, opts, 3);
   EXPECT_EQ(varied.seed, pinned.seed);
   EXPECT_NE(varied.faults.seed, 99u);
-  // Distinct replications -> distinct checkpoint fingerprints: this is
-  // what keeps batches sharing one campaign checkpoint file inert to each
-  // other's lines.
+  // Distinct replications -> distinct config fingerprints (the
+  // certificate's config_fingerprint tells campaigns apart the same way).
   EXPECT_NE(sweep_point_fingerprint(replication_config(base, opts, 0)),
             sweep_point_fingerprint(replication_config(base, opts, 1)));
 }
@@ -290,64 +288,6 @@ TEST(Certification, EstimatesAreIdenticalAcrossJobCounts) {
   EXPECT_GT(serial.estimates[0].trials, serial.estimates[2].trials);
   EXPECT_EQ(serial.replications, 8u);
   EXPECT_EQ(serial.stop_reason, "max_replications");
-}
-
-TEST(Certification, KilledAndResumedCampaignReproducesTheCertificate) {
-  const SyntheticExperimentConfig base = certify_config(13);
-  CertifyOptions opts;
-  opts.metric = "delivery";
-  opts.min_replications = 4;
-  opts.max_replications = 8;
-  opts.batch = 4;
-  opts.seed_base = 9;
-
-  // Golden: the uninterrupted campaign, no checkpoint.
-  opts.jobs = 1;
-  const CertifyResult golden = run_certification(base, opts);
-
-  // Full campaign with a shared checkpoint file (jobs=2 to also cross the
-  // parallel/serial boundary), then simulate a kill by truncating the
-  // file to its first five replication lines.
-  const std::string path = ::testing::TempDir() + "/flov_cert_ckpt.jsonl";
-  std::remove(path.c_str());
-  opts.checkpoint_path = path;
-  opts.resume = false;
-  opts.jobs = 2;
-  run_certification(base, opts);
-
-  std::string all;
-  {
-    std::FILE* f = std::fopen(path.c_str(), "rb");
-    ASSERT_NE(f, nullptr);
-    char buf[4096];
-    std::size_t n;
-    while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) all.append(buf, n);
-    std::fclose(f);
-  }
-  std::vector<std::string> lines;
-  for (std::size_t pos = 0; pos < all.size();) {
-    const std::size_t nl = all.find('\n', pos);
-    lines.push_back(all.substr(pos, nl - pos));
-    if (nl == std::string::npos) break;
-    pos = nl + 1;
-  }
-  ASSERT_EQ(lines.size(), 8u);  // every replication checkpointed
-  {
-    std::FILE* f = std::fopen(path.c_str(), "wb");
-    ASSERT_NE(f, nullptr);
-    for (std::size_t i = 0; i < 5; ++i) {
-      std::fprintf(f, "%s\n", lines[i].c_str());
-    }
-    // Torn final line: crash mid-write must be skipped, not fatal.
-    std::fprintf(f, "%s", lines[5].substr(0, lines[5].size() / 2).c_str());
-    std::fclose(f);
-  }
-
-  opts.resume = true;
-  opts.jobs = 1;
-  const CertifyResult resumed = run_certification(base, opts);
-  expect_identical(golden, resumed);
-  std::remove(path.c_str());
 }
 
 TEST(Certification, SequentialRuleStopsBeforeTheCap) {

@@ -429,9 +429,27 @@ TEST(Config, ParseArgs) {
   EXPECT_FALSE(c.has("noise"));
 }
 
+// Every removed family: multi-process stepping (use threads=) and sweep
+// checkpoint/resume (re-run the sweep). Each key fails naming itself and
+// what to do instead.
 TEST(Config, RemovedMultiProcessKeysFailLoudly) {
-  for (const char* key : {"procs", "noc.step_procs", "sim.snapshot_period",
-                          "runstate", "sim.max_recoveries"}) {
+  const struct {
+    const char* key;
+    const char* message;
+  } removed[] = {
+      {"procs", "multi-process stepping was removed; use threads="},
+      {"noc.step_procs", "multi-process stepping was removed; use threads="},
+      {"sim.snapshot_period",
+       "multi-process stepping was removed; use threads="},
+      {"runstate", "multi-process stepping was removed; use threads="},
+      {"sim.max_recoveries",
+       "multi-process stepping was removed; use threads="},
+      {"checkpoint", "sweep checkpoint/resume was removed; a run is a pure "
+                     "function of its config, so re-run the sweep"},
+      {"resume", "sweep checkpoint/resume was removed; a run is a pure "
+                 "function of its config, so re-run the sweep"},
+  };
+  for (const auto& [key, message] : removed) {
     SCOPED_TRACE(key);
     Config c;
     c.set(key, std::string("2"));
@@ -440,11 +458,9 @@ TEST(Config, RemovedMultiProcessKeysFailLoudly) {
       FAIL() << "removed key accepted";
     } catch (const std::logic_error& e) {
       const std::string msg = e.what();
-      EXPECT_NE(msg.find(key), std::string::npos) << msg;
-      EXPECT_NE(msg.find("multi-process stepping was removed"),
-                std::string::npos)
+      EXPECT_NE(msg.find(std::string("config key ") + key), std::string::npos)
           << msg;
-      EXPECT_NE(msg.find("threads="), std::string::npos) << msg;
+      EXPECT_NE(msg.find(message), std::string::npos) << msg;
     }
   }
   // parse_args runs the same check, so every CLI and bench rejects them.

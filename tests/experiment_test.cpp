@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "common/config.hpp"
-#include "sim/checkpoint.hpp"
 #include "sim/experiment.hpp"
 
 namespace flov {
@@ -115,7 +114,7 @@ TEST(Experiment, NocParamsFromConfigRoundTrip) {
 }
 
 // On an empty Config, from_config returns a binary's defaults unchanged.
-// The checkpoint fingerprint covers every field but the energy model and
+// The config fingerprint covers every field but the energy model and
 // the volatile step/trace knobs, which are checked directly.
 TEST(Experiment, FromConfigOnEmptyConfigReturnsTheDefaults) {
   SyntheticExperimentConfig d = quick();

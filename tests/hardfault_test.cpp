@@ -9,21 +9,13 @@
 //     and delivery accounting hold even while routers disappear),
 //   * nothing is silently lost: generated == acked + dead + purged +
 //     killed-at-source, and every declared-dead flow has a structured
-//     "packet_dead" incident,
-//   * the lossless sweep checkpoint codec round-trips a RunResult exactly,
-//     rejects damaged and old-format lines, and a killed+resumed sweep
-//     reproduces the uninterrupted sweep's merged metrics byte for byte.
+//     "packet_dead" incident.
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <string>
 #include <tuple>
-#include <vector>
 
-#include "sim/checkpoint.hpp"
 #include "sim/experiment.hpp"
-#include "sim/sweep.hpp"
-#include "telemetry/json.hpp"
 
 namespace flov {
 namespace {
@@ -168,332 +160,6 @@ TEST(HardFaultAcceptance, ReliableLayerIsQuietOnAHealthyFabric) {
   EXPECT_EQ(r.packets_acked, r.packets_generated);
   EXPECT_EQ(r.dead_routers, 0);
   EXPECT_EQ(r.dead_links, 0);
-}
-
-// --- lossless sweep checkpoints -----------------------------------------
-
-std::string registry_json(const telemetry::MetricsRegistry& reg) {
-  telemetry::JsonWriter w;
-  reg.write_json(w);
-  return w.take();
-}
-
-/// Every RunResult field the checkpoint must reproduce: all scalars, the
-/// breakdown, the power report, the timeline, the registry and incidents.
-void expect_same_result(const RunResult& back, const RunResult& r) {
-  EXPECT_EQ(back.scheme, r.scheme);
-  EXPECT_EQ(back.avg_latency, r.avg_latency);
-  EXPECT_EQ(back.p50_latency, r.p50_latency);
-  EXPECT_EQ(back.p99_latency, r.p99_latency);
-  EXPECT_EQ(back.breakdown.router, r.breakdown.router);
-  EXPECT_EQ(back.breakdown.link, r.breakdown.link);
-  EXPECT_EQ(back.breakdown.serialization, r.breakdown.serialization);
-  EXPECT_EQ(back.breakdown.flov, r.breakdown.flov);
-  EXPECT_EQ(back.breakdown.contention, r.breakdown.contention);
-  EXPECT_EQ(back.power.cycles, r.power.cycles);
-  EXPECT_EQ(back.power.static_mw, r.power.static_mw);
-  EXPECT_EQ(back.power.dynamic_mw, r.power.dynamic_mw);
-  EXPECT_EQ(back.power.total_mw, r.power.total_mw);
-  EXPECT_EQ(back.power.static_energy_pj, r.power.static_energy_pj);
-  EXPECT_EQ(back.power.dynamic_energy_pj, r.power.dynamic_energy_pj);
-  EXPECT_EQ(back.power.total_energy_pj, r.power.total_energy_pj);
-  EXPECT_EQ(back.packets_measured, r.packets_measured);
-  EXPECT_EQ(back.packets_generated, r.packets_generated);
-  EXPECT_EQ(back.injected_flits, r.injected_flits);
-  EXPECT_EQ(back.ejected_flits, r.ejected_flits);
-  EXPECT_EQ(back.escape_packets, r.escape_packets);
-  EXPECT_EQ(back.gated_routers_end, r.gated_routers_end);
-  EXPECT_EQ(back.avg_gated_routers, r.avg_gated_routers);
-  EXPECT_EQ(back.protocol_sleeps, r.protocol_sleeps);
-  EXPECT_EQ(back.protocol_wakeups, r.protocol_wakeups);
-  EXPECT_EQ(back.watchdog_recoveries, r.watchdog_recoveries);
-  EXPECT_EQ(back.verifier_violations, r.verifier_violations);
-  EXPECT_EQ(back.verifier_checks, r.verifier_checks);
-  EXPECT_EQ(back.hs_resends, r.hs_resends);
-  EXPECT_EQ(back.trigger_resends, r.trigger_resends);
-  EXPECT_EQ(back.self_captures, r.self_captures);
-  EXPECT_EQ(back.flits_dropped_by_faults, r.flits_dropped_by_faults);
-  EXPECT_EQ(back.packets_acked, r.packets_acked);
-  EXPECT_EQ(back.packets_dead, r.packets_dead);
-  EXPECT_EQ(back.packets_purged, r.packets_purged);
-  EXPECT_EQ(back.killed_at_source, r.killed_at_source);
-  EXPECT_EQ(back.retransmits, r.retransmits);
-  EXPECT_EQ(back.dup_packets, r.dup_packets);
-  EXPECT_EQ(back.packets_corrupted, r.packets_corrupted);
-  EXPECT_EQ(back.payload_flips, r.payload_flips);
-  EXPECT_EQ(back.psr_flips, r.psr_flips);
-  EXPECT_EQ(back.dead_routers, r.dead_routers);
-  EXPECT_EQ(back.dead_links, r.dead_links);
-  EXPECT_EQ(back.wake_requests_dropped, r.wake_requests_dropped);
-  EXPECT_EQ(back.aborted, r.aborted);
-  EXPECT_EQ(back.cycles_run, r.cycles_run);
-  ASSERT_EQ(back.timeline.size(), r.timeline.size());
-  for (std::size_t i = 0; i < r.timeline.size(); ++i) {
-    EXPECT_EQ(back.timeline[i].window_start, r.timeline[i].window_start);
-    EXPECT_EQ(back.timeline[i].mean, r.timeline[i].mean);
-    EXPECT_EQ(back.timeline[i].count, r.timeline[i].count);
-  }
-  // The restored registry must serialize byte-identically — this is what
-  // makes a resumed sweep's merged manifest match the uninterrupted one.
-  ASSERT_TRUE(back.metrics && r.metrics);
-  EXPECT_EQ(registry_json(*back.metrics), registry_json(*r.metrics));
-  // Incidents round-trip verbatim (stored as escaped JSON strings, never
-  // re-serialized through a key-reordering parse).
-  ASSERT_TRUE(back.incidents && r.incidents);
-  EXPECT_EQ(back.incidents->records(), r.incidents->records());
-}
-
-// Every scheme under each fault family: fault-free, transient + soft
-// errors + reliable delivery, hard faults + reliable delivery.
-TEST(Checkpoint, RoundTripsARunResultExactly) {
-  for (Scheme s : kAllSchemes) {
-    for (const char* faults : {"none", "transient", "hard"}) {
-      SCOPED_TRACE(std::string(to_string(s)) + " faults=" + faults);
-      SyntheticExperimentConfig ex = hard_fault_config(s, 4, 9);
-      ex.timeline_window = 500;
-      if (std::string(faults) == "none") {
-        ex.faults = FaultParams{};
-        ex.noc.reliable = false;
-      } else if (std::string(faults) == "transient") {
-        ex.faults.hard_router_pct = 0.0;
-        ex.faults.hard_link_pct = 0.0;
-        ex.faults.hard_at_cycle = 0;
-        ex.faults.flit_drop_rate = 0.002;
-        ex.faults.soft_flit_flip_rate = 0.001;
-        ex.faults.soft_psr_flip_rate = 0.0005;
-      }
-      const RunResult r = run_synthetic(ex);
-      const std::string line = encode_sweep_checkpoint_line(7, ex, r);
-
-      int index = -1;
-      std::uint64_t fp = 0;
-      RunResult back;
-      ASSERT_TRUE(decode_sweep_checkpoint_line(line, &index, &fp, &back));
-      EXPECT_EQ(index, 7);
-      EXPECT_EQ(fp, sweep_point_fingerprint(ex));
-      expect_same_result(back, r);
-    }
-  }
-}
-
-TEST(Checkpoint, RejectsDamagedLinesAndStaleFingerprints) {
-  const SyntheticExperimentConfig ex = hard_fault_config(Scheme::kRFlov, 4, 3);
-  const RunResult r = run_synthetic(ex);
-  const std::string line = encode_sweep_checkpoint_line(0, ex, r);
-
-  int index;
-  std::uint64_t fp;
-  RunResult out;
-  // Truncation (crash mid-write), garbage, wrong schema: all rejected.
-  EXPECT_FALSE(decode_sweep_checkpoint_line(line.substr(0, line.size() / 2),
-                                            &index, &fp, &out));
-  EXPECT_FALSE(decode_sweep_checkpoint_line("not json at all", &index, &fp,
-                                            &out));
-  EXPECT_FALSE(decode_sweep_checkpoint_line("{\"schema\":\"bogus-v9\"}",
-                                            &index, &fp, &out));
-  EXPECT_FALSE(decode_sweep_checkpoint_line("", &index, &fp, &out));
-
-  // A checkpoint written for a DIFFERENT configuration must not leak its
-  // results into this sweep: same index, different knobs -> not restored.
-  const std::string path =
-      ::testing::TempDir() + "/flov_stale_ckpt.jsonl";
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  ASSERT_NE(f, nullptr);
-  std::fputs(line.c_str(), f);
-  std::fputs("\n", f);
-  std::fclose(f);
-
-  SyntheticExperimentConfig edited = ex;
-  edited.inj_rate_flits = 0.06;  // result-affecting edit
-  std::vector<RunResult> results(1);
-  std::vector<char> have(1, 0);
-  EXPECT_EQ(load_sweep_checkpoint(path, {edited}, &results, &have), 0);
-  EXPECT_EQ(have[0], 0);
-  // The unedited sweep restores it fine.
-  EXPECT_EQ(load_sweep_checkpoint(path, {ex}, &results, &have), 1);
-  EXPECT_EQ(have[0], 1);
-  std::remove(path.c_str());
-}
-
-// Numbers a checkpoint line carries are outside input: a value no integer
-// cast can hold rejects the line instead of invoking undefined behaviour.
-TEST(Checkpoint, RejectsNumbersNoIntegerCanHold) {
-  const SyntheticExperimentConfig ex = hard_fault_config(Scheme::kGFlov, 4, 3);
-  const RunResult r = run_synthetic(ex);
-  const std::string line = encode_sweep_checkpoint_line(0, ex, r);
-  int index;
-  std::uint64_t fp;
-  RunResult out;
-  ASSERT_TRUE(decode_sweep_checkpoint_line(line, &index, &fp, &out));
-
-  // Replaces the number after `key` (a counter, the index, the bin count,
-  // gauges that fold into integer RunResult fields).
-  const auto with = [&line](const std::string& key, const std::string& bad) {
-    const std::size_t at = line.find(key);
-    EXPECT_NE(at, std::string::npos) << key;
-    const std::size_t from = at + key.size();
-    const std::size_t to = line.find_first_of(",}", from);
-    return line.substr(0, from) + bad + line.substr(to);
-  };
-  for (const char* bad : {"-1", "1.5", "1e300", "inf"}) {
-    SCOPED_TRACE(bad);
-    for (const char* key :
-         {"\"net.injected_flits\":", "\"index\":", "\"nbins\":",
-          "\"fault.dead_routers\":", "\"power.window_cycles\":"}) {
-      SCOPED_TRACE(key);
-      EXPECT_FALSE(
-          decode_sweep_checkpoint_line(with(key, bad), &index, &fp, &out));
-    }
-  }
-}
-
-SyntheticExperimentConfig small_baseline_point() {
-  SyntheticExperimentConfig ex;
-  ex.noc.width = 4;
-  ex.noc.height = 4;
-  ex.scheme = Scheme::kBaseline;
-  ex.inj_rate_flits = 0.05;
-  ex.warmup = 200;
-  ex.measure = 800;
-  ex.seed = 3;
-  return ex;
-}
-
-// A line of the previous checkpoint format (per-field scalars, schema v1),
-// written for this very point, is not restored: the point re-runs and the
-// sweep reproduces the uninterrupted result.
-TEST(Checkpoint, OldFormatLinesAreRejectedAndThePointReRuns) {
-  const std::vector<SyntheticExperimentConfig> points = {
-      small_baseline_point()};
-  char fp[17];
-  std::snprintf(fp, sizeof(fp), "%016llx",
-                static_cast<unsigned long long>(
-                    sweep_point_fingerprint(points[0])));
-  const std::string v1_line =
-      std::string(
-          "{\"schema\":\"flyover-sweep-checkpoint-v1\",\"index\":0,\"fp\":\"") +
-      fp +
-      "\",\"result\":{\"scheme\":\"Baseline\",\"avg_latency\":18.968944099378881,"
-      "\"p50_latency\":19.5,\"p99_latency\":28.966111111111111,\"breakdown\":"
-      "[10.993788819875776,4.6645962732919255,3,0,0.3105590062111801],"
-      "\"power\":[800,32.799999999999997,44.544250000000005,"
-      "77.344250000000002,13120,17817.700000000001,30937.700000000001],"
-      "\"packets_measured\":161,\"packets_generated\":196,"
-      "\"injected_flits\":784,\"ejected_flits\":763,\"escape_packets\":0,"
-      "\"gated_routers_end\":0,\"avg_gated_routers\":0,"
-      "\"protocol_sleeps\":0,\"protocol_wakeups\":0,"
-      "\"watchdog_recoveries\":0,\"verifier_violations\":0,"
-      "\"verifier_checks\":1001,\"hs_resends\":0,\"trigger_resends\":0,"
-      "\"self_captures\":0,\"flits_dropped_by_faults\":0,"
-      "\"packets_acked\":0,\"packets_dead\":0,\"packets_purged\":0,"
-      "\"killed_at_source\":0,\"retransmits\":0,\"dup_packets\":0,"
-      "\"packets_corrupted\":0,\"payload_flips\":0,\"psr_flips\":0,"
-      "\"dead_routers\":0,\"dead_links\":0,\"wake_requests_dropped\":0,"
-      "\"aborted\":false,\"cycles_run\":1000,\"timeline\":[],"
-      "\"metrics\":null,\"incidents\":[]}}";
-
-  const std::string path = ::testing::TempDir() + "/flov_v1_ckpt.jsonl";
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  ASSERT_NE(f, nullptr);
-  std::fprintf(f, "%s\n", v1_line.c_str());
-  std::fclose(f);
-
-  std::vector<RunResult> results(1);
-  std::vector<char> have(1, 0);
-  EXPECT_EQ(load_sweep_checkpoint(path, points, &results, &have), 0);
-  EXPECT_EQ(have[0], 0);
-
-  SweepOptions plain;
-  plain.jobs = 1;
-  const std::vector<RunResult> uninterrupted = run_sweep(points, plain);
-  SweepOptions resume;
-  resume.jobs = 1;
-  resume.checkpoint_path = path;
-  resume.resume = true;
-  int progress_calls = 0;
-  resume.progress = [&](int, int) { ++progress_calls; };
-  const std::vector<RunResult> resumed = run_sweep(points, resume);
-  EXPECT_EQ(progress_calls, 1);  // the point re-ran
-  ASSERT_EQ(resumed.size(), 1u);
-  expect_same_result(resumed[0], uninterrupted[0]);
-  EXPECT_EQ(registry_json(merge_sweep_metrics(resumed)),
-            registry_json(merge_sweep_metrics(uninterrupted)));
-
-  // The re-run point's line is in the current format and restores.
-  EXPECT_EQ(load_sweep_checkpoint(path, points, &results, &have), 1);
-  std::remove(path.c_str());
-}
-
-TEST(Checkpoint, KilledAndResumedSweepMatchesUninterruptedByteForByte) {
-  std::vector<SyntheticExperimentConfig> points;
-  for (Scheme s : {Scheme::kGFlov, Scheme::kRp}) {
-    for (std::uint64_t seed : {1u, 2u}) {
-      points.push_back(hard_fault_config(s, 4, seed));
-    }
-  }
-
-  SweepOptions plain;
-  plain.jobs = 1;
-  const std::vector<RunResult> uninterrupted = run_sweep(points, plain);
-  const std::string golden_merged =
-      registry_json(merge_sweep_metrics(uninterrupted));
-
-  // Full run with checkpointing, then simulate a kill: keep the first two
-  // lines, plus a torn third line (crash mid-write) and a garbage line.
-  const std::string path = ::testing::TempDir() + "/flov_resume_ckpt.jsonl";
-  std::remove(path.c_str());
-  SweepOptions ck;
-  ck.jobs = 1;
-  ck.checkpoint_path = path;
-  run_sweep(points, ck);
-
-  std::vector<std::string> lines;
-  {
-    std::FILE* f = std::fopen(path.c_str(), "rb");
-    ASSERT_NE(f, nullptr);
-    std::string all;
-    char buf[4096];
-    std::size_t n;
-    while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) all.append(buf, n);
-    std::fclose(f);
-    std::size_t pos = 0;
-    while (pos < all.size()) {
-      const std::size_t nl = all.find('\n', pos);
-      lines.push_back(all.substr(pos, nl - pos));
-      if (nl == std::string::npos) break;
-      pos = nl + 1;
-    }
-  }
-  ASSERT_EQ(lines.size(), points.size());
-  {
-    std::FILE* f = std::fopen(path.c_str(), "wb");
-    ASSERT_NE(f, nullptr);
-    std::fprintf(f, "%s\n%s\n", lines[0].c_str(), lines[1].c_str());
-    std::fprintf(f, "%s", lines[2].substr(0, lines[2].size() / 3).c_str());
-    std::fprintf(f, "\n{\"schema\":\"flyover-sweep-checkpoi");  // torn garbage
-    std::fclose(f);
-  }
-
-  // Resume: only the two missing points re-run...
-  SweepOptions resume = ck;
-  resume.resume = true;
-  int progress_calls = 0;
-  resume.progress = [&](int, int) { ++progress_calls; };
-  const std::vector<RunResult> resumed = run_sweep(points, resume);
-  EXPECT_EQ(progress_calls, 2);
-
-  // ...and the merged metrics are byte-identical to never having died.
-  EXPECT_EQ(registry_json(merge_sweep_metrics(resumed)), golden_merged);
-  for (std::size_t i = 0; i < points.size(); ++i) {
-    SCOPED_TRACE(i);
-    EXPECT_EQ(resumed[i].avg_latency, uninterrupted[i].avg_latency);
-    EXPECT_EQ(resumed[i].packets_acked, uninterrupted[i].packets_acked);
-    EXPECT_EQ(resumed[i].packets_dead, uninterrupted[i].packets_dead);
-    ASSERT_TRUE(resumed[i].incidents && uninterrupted[i].incidents);
-    EXPECT_EQ(resumed[i].incidents->records(),
-              uninterrupted[i].incidents->records());
-  }
-  std::remove(path.c_str());
 }
 
 }  // namespace
