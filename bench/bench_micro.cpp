@@ -48,7 +48,7 @@ void BM_UpDownRouteBuild(benchmark::State& state) {
     benchmark::DoNotOptimize(r.root());
   }
 }
-BENCHMARK(BM_UpDownRouteBuild)->Arg(8)->Arg(16);
+BENCHMARK(BM_UpDownRouteBuild)->Arg(8)->Arg(16)->Arg(32)->Arg(64);
 
 /// Cycles/second of the whole mesh under load (the headline simulator
 /// throughput number): one iteration = one network cycle.

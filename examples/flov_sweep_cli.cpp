@@ -27,7 +27,10 @@
 //                                      affects results or the manifest
 //   plus any noc.* / energy.* / fault.* / verify.* / telemetry.* key.
 // Any other key is a config error. Exit codes: 0 = done; 1 = config error
-// or failure (flov::fatal has printed the cause on stderr).
+// or failure (flov::fatal has printed the cause on stderr). A point that
+// hit sim.max_cycles_hard ends its row in ABORTED; one whose drain budget
+// ran out with flits still in the fabric (flov_sim_cli exits 2 on it) ends
+// its row in UNDRAINED. Neither changes the exit code.
 #include <chrono>
 #include <cstdio>
 #include <exception>
@@ -38,8 +41,25 @@
 #include "common/config.hpp"
 #include "sim/certify.hpp"
 #include "sim/sweep.hpp"
+#include "telemetry/json.hpp"
 #include "telemetry/manifest.hpp"
 #include "telemetry/ops/ops_plane.hpp"
+
+namespace {
+
+/// True when the run recorded the `drain_exhausted` incident.
+bool undrained(const flov::RunResult& r) {
+  if (!r.incidents) return false;
+  for (const std::string& rec : r.incidents->records()) {
+    const auto inc = flov::telemetry::JsonValue::parse(rec);
+    if (inc.has("kind") && inc.at("kind").str == "drain_exhausted") {
+      return true;
+    }
+  }
+  return false;
+}
+
+}  // namespace
 
 int main(int argc, char** argv) try {
   using namespace flov;
@@ -131,13 +151,13 @@ int main(int argc, char** argv) try {
     if (r.packets_measured != 0) {
       std::snprintf(latency, sizeof(latency), "%.2f", r.avg_latency);
     }
-    std::printf("%-9s %-9s %6.3f %6.2f %5llu | %9s %9.2f %9llu %6llu%s\n",
+    std::printf("%-9s %-9s %6.3f %6.2f %5llu | %9s %9.2f %9llu %6llu%s%s\n",
                 to_string(p.scheme), p.pattern.c_str(), p.inj_rate_flits,
                 p.gated_fraction, static_cast<unsigned long long>(p.seed),
                 latency, r.power.total_mw,
                 static_cast<unsigned long long>(r.packets_measured),
                 static_cast<unsigned long long>(r.packets_dead),
-                r.aborted ? " ABORTED" : "");
+                r.aborted ? " ABORTED" : "", undrained(r) ? " UNDRAINED" : "");
   }
 
   if (!manifest_out.empty()) {

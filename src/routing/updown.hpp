@@ -8,8 +8,12 @@
 // makes the channel-dependency graph acyclic (deadlock-free with one VC).
 // Shortest *legal* paths are computed exactly on the (node, went-down)
 // product graph; packets carry the one-bit phase (Flit::updown_went_down).
+// That product graph is a DAG, so its distances come from two queue-free
+// sweeps in (BFS level, id) order (updown.cpp); only the next hop of every
+// (from, dest, phase) is kept, one byte per (from, dest).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <vector>
@@ -39,12 +43,22 @@ class UpDownRoutes {
 
   /// Next hop of a shortest legal path from `from` to `dest` given the
   /// packet's current phase; nullopt if unreachable (or from == dest).
-  std::optional<Hop> next_hop(NodeId from, NodeId dest, bool went_down) const;
+  /// Of several shortest next hops, the first in kMeshDirections order.
+  std::optional<Hop> next_hop(NodeId from, NodeId dest, bool went_down) const {
+    const unsigned code = hop_code(from, dest, went_down);
+    if ((code & kHopValid) == 0) return std::nullopt;
+    return Hop{dir_from_index(static_cast<int>(code & kHopDirMask)),
+               (code & kHopWentDown) != 0};
+  }
 
   /// True if a legal path exists from a fresh (phase = up-allowed) packet.
-  bool reachable(NodeId from, NodeId dest) const;
+  bool reachable(NodeId from, NodeId dest) const {
+    if (from == dest) return powered_[from];
+    return (hop_code(from, dest, false) & kHopValid) != 0;
+  }
 
-  /// Legal shortest path length in hops (-1 if unreachable).
+  /// Legal shortest path length in hops (-1 if unreachable); walks the
+  /// next-hop table.
   int path_len(NodeId from, NodeId dest) const;
 
   bool powered(NodeId n) const { return powered_[n]; }
@@ -59,21 +73,34 @@ class UpDownRoutes {
   bool is_up_link(NodeId a, Direction d) const;
 
  private:
-  int state(NodeId n, bool went_down) const {
-    return 2 * n + (went_down ? 1 : 0);
+  // Each byte of hop_ holds two nibbles: the low one is the next hop for
+  // phase up-allowed, the high one for phase went-down. A nibble is the
+  // direction index, the phase bit after the hop and a valid bit.
+  static constexpr unsigned kHopDirMask = 3;
+  static constexpr unsigned kHopWentDown = 4;
+  static constexpr unsigned kHopValid = 8;
+
+  unsigned hop_code(NodeId from, NodeId dest, bool went_down) const {
+    const unsigned byte =
+        hop_[static_cast<std::size_t>(from) * static_cast<std::size_t>(n_) +
+             static_cast<std::size_t>(dest)];
+    return went_down ? byte >> 4 : byte & 0xFu;
   }
 
-  /// True when the mesh edge from `a` toward `d` survives (both directions
-  /// alive); vacuously true without a dead-link mask.
-  bool edge_ok(NodeId a, Direction d) const;
+  /// Fills hop_ from the two DP sweeps over the nodes in `order`
+  /// (ascending (BFS level, id)), one block of destination columns at a
+  /// time.
+  void build_hops(const std::vector<NodeId>& order,
+                  const std::vector<char>* dead_links);
 
   const MeshGeometry& geom_;
+  int n_;
   std::vector<bool> powered_;
-  std::vector<char> dead_links_;  ///< empty = no hard link faults
   std::vector<int> level_;   ///< BFS level; -1 if unpowered/disconnected
   NodeId root_ = kInvalidNode;
-  /// dist_[dest][state]: legal hops from (node, phase) to dest; -1 = none.
-  std::vector<std::vector<std::int16_t>> dist_;
+  /// hop_[from * n + dest]: the next hop for both phases (see above);
+  /// 0 = unreachable in both.
+  std::vector<std::uint8_t> hop_;
 };
 
 }  // namespace flov
