@@ -19,9 +19,9 @@
 // Keys:
 //   scheme= pattern= inj= gated= k= plus the shared experiment keys:
 //   warmup= (500) cycles= (2500) drain= (30000) sim.max_cycles_hard=
-//   (200000) timeline= changes= threads= tiles= and any noc.*/energy.*/
-//   fault.*/verify.*/telemetry.* key (noc.reliable defaults ON here:
-//   delivery certification needs the packet accounting).
+//   (200000) timeline= changes= threads= (row-band workers) and any
+//   noc.*/energy.*/fault.*/verify.*/telemetry.* key (noc.reliable
+//   defaults ON here: delivery certification needs the packet accounting).
 //   metric=delivery|clean_delivery|run_survival confidence=0.95
 //   target=P indifference=E half_width=W interval=wilson|clopper-pearson
 //   min_reps= max_reps= batch= seed_base= vary_faults=0|1

@@ -69,11 +69,8 @@ void print_usage() {
       "  gated=<0..1>                     fraction of gateable routers off\n"
       "  warmup=<cycles> cycles=<cycles>  warm-up / measurement window\n"
       "  seed=<n>  timeline=<window>  changes=<c1,c2,...>\n"
-      "  threads=<n>                      intra-run domain workers "
-      "(volatile)\n"
-      "  tiles=<TX>x<TY>                  explicit tile-domain grid, e.g.\n"
-      "                                   tiles=2x4 (volatile; default "
-      "auto)\n"
+      "  threads=<n>                      intra-run workers, one row band\n"
+      "                                   each (volatile)\n"
       "\n"
       "Simulation bounds (PROTOCOL.md \xc2\xa7" "8):\n"
       "  drain=<cycles>             post-run drain budget: keep stepping\n"

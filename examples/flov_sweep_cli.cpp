@@ -17,7 +17,8 @@
 //                                      (replaces seeds=; what the certify
 //                                      harness builds on)
 //   warmup= cycles= (40000) timeline= drain= sim.max_cycles_hard=
-//   changes= threads= tiles=
+//   changes= threads=                  threads= steps each point in that
+//                                      many row bands (volatile)
 //   jobs=N
 //   manifest=path                      flyover-sweep-manifest-v1
 //   progress=1                         deterministic stderr progress lines

@@ -25,8 +25,7 @@ must not fall below the checked-in floor. With --expect-early-stop,
 fails unless the sequential rule resolved before the replication cap.
 
 --diff-manifests: strips the VOLATILE fields (wall_seconds, jobs,
-trace_path, threads/tiles, noc.step_threads, noc.step_tiles_x/y —
-the only fields allowed to
+trace_path, threads, noc.step_threads — the only fields allowed to
 differ between a serial and a parallel run/sweep of the same
 configuration) recursively from both documents, then compares
 byte-for-byte. Exit 1 on any other difference: this is the
@@ -53,8 +52,7 @@ import re
 import sys
 
 VOLATILE_KEYS = {"wall_seconds", "jobs", "trace_path", "threads",
-                 "noc.step_threads", "tiles", "noc.step_tiles_x",
-                 "noc.step_tiles_y"}
+                 "noc.step_threads"}
 
 RUN_SCHEMA = "flyover-run-manifest-v1"
 SWEEP_SCHEMA = "flyover-sweep-manifest-v1"

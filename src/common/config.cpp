@@ -187,6 +187,8 @@ void reject_removed_keys(const Config& cfg) {
   constexpr const char* kCheckpoint =
       "sweep checkpoint/resume was removed; a run is a pure function of its "
       "config, so re-run the sweep instead";
+  constexpr const char* kTiles =
+      "2-D tile domains were removed; threads=N steps N row bands";
   const std::pair<const char*, const char*> removed[] = {
       {"procs", kMultiProcess},
       {"noc.step_procs", kMultiProcess},
@@ -194,7 +196,10 @@ void reject_removed_keys(const Config& cfg) {
       {"runstate", kMultiProcess},
       {"sim.max_recoveries", kMultiProcess},
       {"checkpoint", kCheckpoint},
-      {"resume", kCheckpoint}};
+      {"resume", kCheckpoint},
+      {"tiles", kTiles},
+      {"noc.step_tiles_x", kTiles},
+      {"noc.step_tiles_y", kTiles}};
   for (const auto& [key, why] : removed) {
     if (cfg.has(key)) {
       fatal(__FILE__, __LINE__,

@@ -77,8 +77,9 @@ class Config {
 /// flov::fatal naming the key when `cfg` sets a key whose feature was
 /// removed, with what to do instead of the generic unread-key message:
 /// multi-process stepping (procs=, noc.step_procs, sim.snapshot_period,
-/// runstate=, sim.max_recoveries; use threads=) and sweep checkpoint/resume
-/// (checkpoint=, resume=; re-run the sweep).
+/// runstate=, sim.max_recoveries; use threads=), sweep checkpoint/resume
+/// (checkpoint=, resume=; re-run the sweep) and 2-D tile domains (tiles=,
+/// noc.step_tiles_x, noc.step_tiles_y; threads=N steps N row bands).
 void reject_removed_keys(const Config& cfg);
 
 /// flov::fatal naming every key of `cfg` that nothing read (noc.widht=4).

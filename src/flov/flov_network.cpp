@@ -67,31 +67,15 @@ void FlovNetwork::step(Cycle now) {
   net_->step(now);
   // Replay wakeup requests the domain workers staged during net_->step.
   // Each stage is ascending by requester id (routers step in id order
-  // within a domain) and domains own disjoint id sets, so a k-way
-  // min-front merge reproduces the exact order the serial schedule would
-  // have issued them in. (Tile domains are not globally id-ordered, so
-  // plain domain-order concatenation would reorder the trigger dedup.)
+  // within a domain) and the row bands ascend in id, so replaying the
+  // stages in domain order reproduces the exact order the serial schedule
+  // would have issued them in.
   FLOV_PROFILE(kPower);  // scheme machinery: wakeup replay, fabric, HSCs
-  if (!staged_wakeups_.empty()) {
-    auto& pos = wakeup_merge_pos_;
-    pos.assign(staged_wakeups_.size(), 0);
-    for (;;) {
-      int best = -1;
-      NodeId best_id = 0;
-      for (std::size_t d = 0; d < staged_wakeups_.size(); ++d) {
-        if (pos[d] >= staged_wakeups_[d].size()) continue;
-        const NodeId id = staged_wakeups_[d][pos[d]].first;
-        if (best < 0 || id < best_id) {
-          best = static_cast<int>(d);
-          best_id = id;
-        }
-      }
-      if (best < 0) break;
-      const auto& [requester, target] = staged_wakeups_[best][pos[best]];
+  for (auto& stage : staged_wakeups_) {
+    for (const auto& [requester, target] : stage) {
       request_wakeup(requester, target, now);
-      ++pos[best];
     }
-    for (auto& stage : staged_wakeups_) stage.clear();
+    stage.clear();
   }
   fabric_.step(now);
   // Ascending id order, as when every HSC stepped: the signals they send

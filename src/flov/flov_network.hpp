@@ -171,14 +171,11 @@ class FlovNetwork final : public NocSystem {
   /// Per-domain staging for wakeup requests raised inside Network::step when
   /// stepping domain-parallel: request_wakeup mutates HSC/fabric state shared
   /// across domains, so workers only record (requester, target) here and
-  /// step() replays the requests between barriers through a k-way min-front
-  /// merge by requester id: each stage is id-ascending (routers step in id
-  /// order within a domain) and domains own disjoint id sets, so the replay
-  /// equals serial callback order and the schedule stays bit-identical —
-  /// for row bands AND for 2D tile grids, where domain order alone is not
-  /// id order.
+  /// step() replays the stages in domain order between barriers. Each stage
+  /// is id-ascending (routers step in id order within a domain) and the row
+  /// bands ascend in id, so the replay equals serial callback order and the
+  /// schedule stays bit-identical.
   std::vector<std::vector<std::pair<NodeId, NodeId>>> staged_wakeups_;
-  std::vector<std::size_t> wakeup_merge_pos_;  ///< merge scratch (no alloc)
   /// Scratch for Router::input_free_slots during handovers (control-plane
   /// serial code; reused to keep handovers allocation-free).
   std::vector<int> free_slots_scratch_;

@@ -51,6 +51,9 @@ enum class RouterMode : std::uint8_t {
   kDead,
 };
 
+/// "pipeline" / "bypass" / "parked" / "dead" (incident JSON `mode`).
+const char* to_string(RouterMode m);
+
 /// One FLOV bypass output latch (Section III): holds at most one flit for
 /// exactly one cycle before forward_latches pushes it out.
 struct FlovLatch {

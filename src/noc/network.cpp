@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <string>
+#include <utility>
 
 #include "common/log.hpp"
 #include "telemetry/metrics.hpp"
@@ -14,43 +15,19 @@ Network::Network(const NocParams& params, RoutingFunction* routing,
   params_.validate();
   const int n = geom_.num_nodes();
 
-  // Tile-grid domain decomposition. Explicit step_tiles_x/y wins; otherwise
-  // auto-tile from step_threads: row bands first (only N/S links cross a
-  // row split), adding columns only once the thread count exceeds the row
-  // count. Sized FIRST: the NIs below capture pointers into
-  // counter_shards_, and nothing here may move afterwards.
-  if (params_.step_tiles_x > 0 || params_.step_tiles_y > 0) {
-    tiles_x_ = std::clamp(std::max(params_.step_tiles_x, 1), 1, params_.width);
-    tiles_y_ = std::clamp(std::max(params_.step_tiles_y, 1), 1, params_.height);
-  } else {
-    tiles_y_ = std::min(params_.step_threads, params_.height);
-    tiles_x_ = std::min(std::max(1, params_.step_threads / tiles_y_),
-                        params_.width);
-    // Never spin up more domains than requested threads.
-    while (tiles_x_ > 1 && tiles_x_ * tiles_y_ > params_.step_threads) {
-      --tiles_x_;
-    }
-  }
-  num_domains_ = tiles_x_ * tiles_y_;
-  FLOV_CHECK(num_domains_ >= 1, "need at least one step domain");
+  // Row-band domain decomposition: band d covers rows
+  // [d*H/D, (d+1)*H/D), so only N/S links cross a split and each band is
+  // one contiguous id range. Sized FIRST: the NIs below capture pointers
+  // into counter_shards_, and nothing here may move afterwards.
+  num_domains_ = std::min(params_.step_threads, params_.height);
   node_domain_.resize(static_cast<std::size_t>(n));
-  domain_rect_.resize(static_cast<std::size_t>(num_domains_));
+  domain_begin_.resize(static_cast<std::size_t>(num_domains_) + 1);
   counter_shards_.resize(static_cast<std::size_t>(num_domains_));
-  for (int ty = 0; ty < tiles_y_; ++ty) {
-    for (int tx = 0; tx < tiles_x_; ++tx) {
-      const int dom = ty * tiles_x_ + tx;
-      DomainRect& r = domain_rect_[dom];
-      r.x0 = tx * params_.width / tiles_x_;
-      r.x1 = (tx + 1) * params_.width / tiles_x_;
-      r.y0 = ty * params_.height / tiles_y_;
-      r.y1 = (ty + 1) * params_.height / tiles_y_;
-      FLOV_CHECK(r.x0 < r.x1 && r.y0 < r.y1, "empty tile domain");
-      for (int y = r.y0; y < r.y1; ++y) {
-        for (int x = r.x0; x < r.x1; ++x) {
-          node_domain_[y * params_.width + x] = dom;
-        }
-      }
-    }
+  for (int d = 0; d < num_domains_; ++d) {
+    domain_begin_[d + 1] =
+        (d + 1) * params_.height / num_domains_ * params_.width;
+    std::fill(node_domain_.begin() + domain_begin_[d],
+              node_domain_.begin() + domain_begin_[d + 1], d);
   }
   if (num_domains_ > 1) {
     wake_stages_.resize(static_cast<std::size_t>(num_domains_));
@@ -108,10 +85,9 @@ Network::Network(const NocParams& params, RoutingFunction* routing,
   // directed edge. Every channel wakes its RECEIVER on send — the sender is
   // already live (it just stepped), and the receiver must not stay parked
   // while something is in flight toward it. Edges whose endpoints lie in
-  // different domains (N/S links across a row split, E/W links across a
-  // column split) are put into staging mode: sends collect sender-side and
-  // the wake mark goes to the sender's domain stage, both merged at the
-  // barrier.
+  // different domains (N/S links across a band split) are put into staging
+  // mode: sends collect sender-side and the wake mark goes to the sender's
+  // domain stage, both merged at the barrier.
   std::vector<std::size_t> boundary_ends(merge_lists_.size(), 0);
   for (NodeId a = 0; a < n; ++a) {
     for (Direction d : kMeshDirections) {
@@ -177,14 +153,13 @@ Network::Network(const NocParams& params, RoutingFunction* routing,
   }
 
   if (num_domains_ > 1) {
-    // With >1 domain the NIs report ejections into per-domain stages
-    // (tagged with the NI's node id); the barrier replays them in node-id
-    // order through the stored callback + observers (see
-    // set_eject_callback).
+    // With >1 domain the NIs report ejections into per-domain stages; the
+    // barrier replays them in node-id order through the stored callback +
+    // observers (see set_eject_callback).
     for (NodeId id = 0; id < n; ++id) {
       const int dom = node_domain_[id];
-      nis_[id].set_eject_callback([this, dom, id](const PacketRecord& rec) {
-        eject_stage_[dom].emplace_back(id, rec);
+      nis_[id].set_eject_callback([this, dom](const PacketRecord& rec) {
+        eject_stage_[dom].push_back(rec);
       });
     }
     pool_ = std::make_unique<StepPool>(
@@ -202,39 +177,32 @@ Network::Network(const NocParams& params, RoutingFunction* routing,
 }
 
 void Network::step_domain(int dom, Cycle now) {
-  // Node-id order within the domain (ids are row-major, so scanning the
-  // tile rect row by row IS ascending-id order), same as stepping
-  // everything serially: the only cross-router ordering observable within
-  // a cycle is via shared callbacks (e.g. the wakeup-trigger dedup, which
-  // the FLOV layer stages and replays in id order), and skipping a
-  // quiescent router is equivalent to stepping it (its step would be a
-  // pure no-op; its VA round-robin tick is replayed when it next runs —
-  // Router::step).
-  // for_each_live reads only this domain's flag bytes of each row, so the
-  // scan never races another worker's writes to its own rows.
-  const DomainRect& rect = domain_rect_[dom];
-  for (int y = rect.y0; y < rect.y1; ++y) {
-    const NodeId row = y * params_.width;
-    router_live_.for_each_live(row + rect.x0, row + rect.x1, [&](NodeId id) {
-      Router& r = routers_[id];
-      r.step(now);
-      // A quiescent router stays parked until a send/mode-switch re-arms
-      // it. Note this runs AFTER the step: anything the step produced went
-      // out through channels (marking the receivers), so clearing here is
-      // safe. Cross-domain arrivals the router cannot see yet (staged)
-      // re-mark it via the wake-stage merge at the barrier.
-      if (r.quiescent()) router_live_.clear(id);
-    });
-  }
+  // Node-id order within the domain, same as stepping everything serially:
+  // the only cross-router ordering observable within a cycle is via shared
+  // callbacks (e.g. the wakeup-trigger dedup, which the FLOV layer stages
+  // and replays in id order), and skipping a quiescent router is
+  // equivalent to stepping it (its step would be a pure no-op; its VA
+  // round-robin tick is replayed when it next runs — Router::step).
+  // for_each_live reads only this domain's flag bytes, so the scan never
+  // races another worker's writes to its own band.
+  const NodeId begin = domain_begin_[dom];
+  const NodeId end = domain_begin_[dom + 1];
+  router_live_.for_each_live(begin, end, [&](NodeId id) {
+    Router& r = routers_[id];
+    r.step(now);
+    // A quiescent router stays parked until a send/mode-switch re-arms it.
+    // Note this runs AFTER the step: anything the step produced went out
+    // through channels (marking the receivers), so clearing here is safe.
+    // Cross-domain arrivals the router cannot see yet (staged) re-mark it
+    // via the wake-stage merge at the barrier.
+    if (r.quiescent()) router_live_.clear(id);
+  });
   FLOV_PROFILE(kNi);  // covers the NI loop (the remainder of this domain)
-  for (int y = rect.y0; y < rect.y1; ++y) {
-    const NodeId row = y * params_.width;
-    ni_live_.for_each_live(row + rect.x0, row + rect.x1, [&](NodeId id) {
-      NetworkInterface& ni = nis_[id];
-      ni.step(now);
-      if (ni.quiescent()) ni_live_.clear(id);
-    });
-  }
+  ni_live_.for_each_live(begin, end, [&](NodeId id) {
+    NetworkInterface& ni = nis_[id];
+    ni.step(now);
+    if (ni.quiescent()) ni_live_.clear(id);
+  });
 }
 
 void Network::merge_domains() {
@@ -260,32 +228,16 @@ void Network::merge_domains() {
   }
 #endif
   for (auto& stage : wake_stages_) stage.drain_into(router_live_);
-  // Ejection replay: each domain's stage is already ascending by node id
-  // (stepping order), and domains own disjoint id sets, so a k-way
-  // min-front merge reproduces exactly the serial callback order. (With
-  // tile grids, plain stage concatenation would NOT be id-sorted — a tile
-  // in the top-right holds smaller ids than one in the bottom-left but a
-  // larger domain index.)
-  auto& pos = eject_merge_pos_;
-  pos.assign(eject_stage_.size(), 0);
-  for (;;) {
-    int best = -1;
-    NodeId best_id = 0;
-    for (int d = 0; d < num_domains_; ++d) {
-      if (pos[d] >= eject_stage_[d].size()) continue;
-      const NodeId id = eject_stage_[d][pos[d]].first;
-      if (best < 0 || id < best_id) {
-        best = d;
-        best_id = id;
-      }
+  // Ejection replay: each stage is ascending by node id (stepping order)
+  // and the bands ascend in id, so concatenating the stages in domain order
+  // reproduces exactly the serial callback order.
+  for (auto& stage : eject_stage_) {
+    for (const PacketRecord& rec : stage) {
+      if (user_eject_cb_) user_eject_cb_(rec);
+      for (const auto& cb : eject_observers_) cb(rec);
     }
-    if (best < 0) break;
-    const PacketRecord& rec = eject_stage_[best][pos[best]].second;
-    if (user_eject_cb_) user_eject_cb_(rec);
-    for (const auto& cb : eject_observers_) cb(rec);
-    ++pos[best];
+    stage.clear();
   }
-  for (auto& stage : eject_stage_) stage.clear();
 }
 
 void Network::step(Cycle now) {

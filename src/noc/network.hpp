@@ -8,18 +8,17 @@
 // per-mesh arrays — a 64x64 sweep walks linear memory instead of chasing
 // 4096 heap objects.
 //
-// With params.step_threads > 1 (or an explicit step_tiles_x/y grid) the
-// mesh is statically partitioned into rectangular tile domains, each
-// stepped by its own worker under a per-cycle barrier. Because every
-// channel has latency >= 1, a send made at cycle t is only observable at
-// t+1 (docs/PERFORMANCE.md, "The lookahead invariant"), so cross-domain
-// traffic can be staged sender-side and merged at the barrier: the parallel
-// schedule is bit-identical to serial by construction, not by sampling.
+// With params.step_threads > 1 the mesh is statically partitioned into
+// row bands, each stepped by its own worker under a per-cycle barrier.
+// Because every channel has latency >= 1, a send made at cycle t is only
+// observable at t+1 (docs/PERFORMANCE.md, "The lookahead invariant"), so
+// cross-domain traffic can be staged sender-side and merged at the barrier:
+// the parallel schedule is bit-identical to serial by construction, not by
+// sampling.
 #pragma once
 
 #include <functional>
 #include <memory>
-#include <utility>
 #include <vector>
 
 #include "common/geometry.hpp"
@@ -58,11 +57,11 @@ class Network {
   const NetworkInterface& ni(NodeId id) const { return nis_[id]; }
   int num_nodes() const { return geom_.num_nodes(); }
 
-  /// Tile-domain decomposition (1 domain == serial stepping).
+  /// Row-band decomposition (1 domain == serial stepping). Each domain is
+  /// one contiguous id range and the domains ascend in id, so domain order
+  /// is node-id order.
   int num_domains() const { return num_domains_; }
   int domain_of(NodeId id) const { return node_domain_[id]; }
-  int tiles_x() const { return tiles_x_; }
-  int tiles_y() const { return tiles_y_; }
 
   /// Advances the fabric by one cycle. Active-set scheduled: routers and
   /// NIs whose step would provably be a no-op (power-gated with empty
@@ -74,8 +73,7 @@ class Network {
   /// bit-identical to stepping every component every cycle. With more than
   /// one domain, the domains run concurrently and the barrier then merges
   /// staged cross-domain sends, wake marks and ejection records — ejections
-  /// via a k-way merge back into global node-id order, preserving
-  /// bit-identity for any tile grid.
+  /// replayed domain by domain, which is global node-id order.
   void step(Cycle now);
 
   /// Re-arm hooks for scheme layers (FLOV credit handovers, recovery
@@ -177,11 +175,6 @@ class Network {
   std::uint64_t control_epoch() const { return control_epoch_; }
 
  private:
-  /// One rectangular tile domain: columns [x0, x1) x rows [y0, y1).
-  struct DomainRect {
-    int x0, x1, y0, y1;
-  };
-
   /// Steps domain `dom`'s routers then NIs, in node-id order.
   void step_domain(int dom, Cycle now);
   /// Barrier-side merges: staged channel sends, wake marks, ejections.
@@ -219,10 +212,9 @@ class Network {
   // --- domain decomposition (sized before any component is wired; the
   // --- shard pointers handed to NIs must never move) ---
   int num_domains_ = 1;
-  int tiles_x_ = 1;
-  int tiles_y_ = 1;
-  std::vector<int> node_domain_;       ///< node -> domain
-  std::vector<DomainRect> domain_rect_;
+  std::vector<int> node_domain_;  ///< node -> domain
+  /// Band d covers ids [domain_begin_[d], domain_begin_[d + 1]).
+  std::vector<NodeId> domain_begin_;
   /// Per-domain FabricCounters, each padded to its own cache line(s); each
   /// NI (and the fault-drop hook) writes only its own domain's shard.
   /// counters() folds them in domain order.
@@ -232,9 +224,9 @@ class Network {
   std::vector<WakeList> wake_stages_;
   /// Per-domain merge lists for the boundary channels: channels whose
   /// sender and receiver live in different domains run in staging mode
-  /// (row splits put N/S links on the boundary, column splits E/W links)
-  /// and list themselves here on the first staged send or pop since the
-  /// last merge (Channel::set_staging). The barrier merges only listed
+  /// (the N/S links across each band split) and list themselves here on
+  /// the first staged send or pop since the last merge
+  /// (Channel::set_staging). The barrier merges only listed
   /// channels. Each domain's lists are written only by its own worker and
   /// are reserved to their worst case, so they never allocate mid-run.
   struct alignas(kCacheLine) MergeLists {
@@ -242,15 +234,13 @@ class Network {
     Channel<Credit>::MergeList credit;
   };
   std::vector<MergeLists> merge_lists_;
-  /// Per-domain ejection-record staging, tagged with the ejecting NI's node
-  /// id: with >1 domain the NIs' primary callback appends here and the
-  /// barrier replays user_eject_cb_ + eject_observers_ through a k-way
-  /// min-front merge back into global node-id order (LatencyStats
-  /// accumulates doubles — replay order must match serial exactly; with
-  /// tile grids, concatenating stages in domain order is no longer
-  /// id-sorted, so the merge is what preserves bit-identity).
-  std::vector<std::vector<std::pair<NodeId, PacketRecord>>> eject_stage_;
-  std::vector<std::size_t> eject_merge_pos_;  ///< merge scratch (no alloc)
+  /// Per-domain ejection-record staging: with >1 domain the NIs' primary
+  /// callback appends here and the barrier replays user_eject_cb_ +
+  /// eject_observers_ stage by stage in domain order. Each stage is
+  /// ascending by node id and the bands ascend in id, so that is the
+  /// serial callback order (LatencyStats accumulates doubles — replay
+  /// order must match serial exactly).
+  std::vector<std::vector<PacketRecord>> eject_stage_;
   std::function<void(const PacketRecord&)> user_eject_cb_;
   std::vector<std::function<void(const PacketRecord&)>> eject_observers_;
   /// Workers for domains 1..D-1 (domain 0 steps on the calling thread).

@@ -1,8 +1,6 @@
 // Network configuration parameters (the paper's Table I defaults).
 #pragma once
 
-#include <string>
-
 #include "common/config.hpp"
 #include "common/log.hpp"
 #include "common/types.hpp"
@@ -65,32 +63,12 @@ struct NocParams {
   /// already headed to the same node.
   Cycle ack_delay = 8;
   /// Worker threads for intra-run domain-parallel stepping (1 = serial).
-  /// The mesh is split into rectangular tile domains stepped under a
-  /// per-cycle barrier; results are bit-identical to step_threads=1 by
-  /// construction (docs/PERFORMANCE.md, "The lookahead invariant"), so this
-  /// is a purely volatile knob — run manifests treat it like `jobs`.
+  /// The mesh is split into min(step_threads, height) row bands stepped
+  /// under a per-cycle barrier; results are bit-identical to
+  /// step_threads=1 by construction (docs/PERFORMANCE.md, "The lookahead
+  /// invariant"), so this is a purely volatile knob — run manifests treat
+  /// it like `jobs`.
   int step_threads = 1;
-  /// Explicit tile-grid decomposition: the mesh splits into
-  /// step_tiles_x x step_tiles_y rectangular domains. 0 (both) = auto: row
-  /// bands up to `height`, then extra columns when step_threads exceeds the
-  /// row count. Like step_threads, purely volatile — any tiling is
-  /// bit-identical to serial, so manifests exclude it.
-  int step_tiles_x = 0;
-  int step_tiles_y = 0;
-
-  /// Applies the CLI shorthand `tiles=TXxTY` (e.g. "2x4" = 2 tile columns
-  /// x 4 tile rows) to step_tiles_x/step_tiles_y. Empty string = no-op, so
-  /// callers can pass cfg.get_string("tiles", "") unconditionally.
-  void apply_tiles_shorthand(const std::string& s) {
-    if (s.empty()) return;
-    const std::size_t sep = s.find('x');
-    FLOV_CHECK(sep != std::string::npos && sep > 0 && sep + 1 < s.size(),
-               "tiles= expects TXxTY, e.g. tiles=2x4");
-    step_tiles_x = std::stoi(s.substr(0, sep));
-    step_tiles_y = std::stoi(s.substr(sep + 1));
-    FLOV_CHECK(step_tiles_x >= 1 && step_tiles_y >= 1,
-               "tiles= components must be >= 1");
-  }
 
   int total_vcs() const { return num_vnets * vcs_per_vnet; }
   int vnet_of_vc(VcId vc) const { return vc / vcs_per_vnet; }
@@ -140,10 +118,6 @@ struct NocParams {
     p.ack_delay = cfg.get_int("noc.ack_delay", p.ack_delay);
     p.step_threads =
         static_cast<int>(cfg.get_int("noc.step_threads", p.step_threads));
-    p.step_tiles_x =
-        static_cast<int>(cfg.get_int("noc.step_tiles_x", p.step_tiles_x));
-    p.step_tiles_y =
-        static_cast<int>(cfg.get_int("noc.step_tiles_y", p.step_tiles_y));
     p.validate();
     return p;
   }
@@ -157,8 +131,6 @@ struct NocParams {
     FLOV_CHECK(packet_size >= 1, "packet size must be positive");
     FLOV_CHECK(latency_hist_max >= 1, "latency histogram cap must be >= 1");
     FLOV_CHECK(step_threads >= 1, "step_threads must be >= 1");
-    FLOV_CHECK(step_tiles_x >= 0 && step_tiles_y >= 0,
-               "step_tiles must be >= 0 (0 = auto)");
     FLOV_CHECK(retx_timeout >= 1, "retransmit timeout must be >= 1 cycle");
     FLOV_CHECK(retx_backoff_cap >= 0 && retx_backoff_cap < 32,
                "retransmit backoff cap out of range");

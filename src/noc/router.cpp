@@ -34,6 +34,16 @@ const char* to_string(PowerState s) {
   return "?";
 }
 
+const char* to_string(RouterMode m) {
+  switch (m) {
+    case RouterMode::kPipeline: return "pipeline";
+    case RouterMode::kBypass: return "bypass";
+    case RouterMode::kParked: return "parked";
+    case RouterMode::kDead: return "dead";
+  }
+  return "?";
+}
+
 Router::Router(NodeId id, const MeshGeometry& geom, const NocParams& params,
                RoutingFunction* routing, PowerTracker* power,
                MeshHotState* hot)

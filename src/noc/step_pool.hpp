@@ -49,7 +49,7 @@ class StepPool {
     main_work();
     // Barrier wait, attributed to the control thread's profile slot: the
     // gap between its own domain finishing and the slowest worker's — the
-    // tiles= imbalance signal the profile report surfaces.
+    // band imbalance signal the profile report surfaces.
     FLOV_PROFILE(kBarrier);
     for (std::size_t i = 0; i < threads_.size(); ++i) {
       wait_done(i, epoch);

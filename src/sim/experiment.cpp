@@ -37,16 +37,6 @@ void dump_stall_state(NocSystem& sys, Cycle now, const char* trigger) {
   }
 }
 
-const char* router_mode_name(RouterMode m) {
-  switch (m) {
-    case RouterMode::kPipeline: return "pipeline";
-    case RouterMode::kBypass: return "bypass";
-    case RouterMode::kParked: return "parked";
-    case RouterMode::kDead: return "dead";
-  }
-  return "?";
-}
-
 /// Machine-parseable twin of dump_stall_state: one incident object with
 /// every router that holds flits or is not plainly powered (coordinates,
 /// datapath mode, protocol state, occupancy).
@@ -77,7 +67,7 @@ void record_stall_incident(NocSystem& sys, telemetry::StructuredSink& sink,
     w.kv("router", id);
     w.kv("x", c.x);
     w.kv("y", c.y);
-    w.kv("mode", router_mode_name(m));
+    w.kv("mode", to_string(m));
     if (f) w.kv("power_state", to_string(ps));
     w.kv("buffered_flits", flits);
     w.end_object();
@@ -274,12 +264,10 @@ RunResult fold_run_result(std::string scheme,
 SyntheticExperimentConfig SyntheticExperimentConfig::from_config(
     const Config& cfg, SyntheticExperimentConfig ex) {
   ex.noc = NocParams::from_config(cfg, ex.noc);
-  // threads= is shorthand for noc.step_threads=, tiles=TXxTY for
-  // noc.step_tiles_x/y= (intra-run domain workers / explicit tile grid;
-  // bit-identical results at any value — see docs/PERFORMANCE.md).
+  // threads= is shorthand for noc.step_threads= (intra-run row-band
+  // workers; bit-identical results at any value — see docs/PERFORMANCE.md).
   ex.noc.step_threads =
       static_cast<int>(cfg.get_int("threads", ex.noc.step_threads));
-  ex.noc.apply_tiles_shorthand(cfg.get_string("tiles", ""));
   ex.energy = EnergyParams::from_config(cfg, ex.energy);
   ex.warmup = cfg.get_int("warmup", ex.warmup);
   ex.measure = cfg.get_int("cycles", ex.measure);
@@ -299,9 +287,8 @@ SyntheticExperimentConfig SyntheticExperimentConfig::from_config(
 
 Config manifest_config(const Config& cfg, const FaultParams& faults) {
   Config m = cfg;
-  for (const char* k : {"jobs", "threads", "tiles", "progress", "certificate",
-                        "serve", "ops_stream", "profile", "profile_out",
-                        "ops.period"}) {
+  for (const char* k : {"jobs", "threads", "progress", "certificate", "serve",
+                        "ops_stream", "profile", "profile_out", "ops.period"}) {
     m.erase(k);
   }
   faults.echo_to_config(m);
@@ -332,9 +319,8 @@ std::uint64_t sweep_point_fingerprint(const SyntheticExperimentConfig& cfg) {
                       (cfg.verifier.fatal ? 8 : 0));
   h = hash_mix(h, cfg.telemetry.metrics_window);
 
-  // step_threads and step_tiles_x/y excluded: volatile knobs — any tiling
-  // is bit-identical to serial, so threads=8 and threads=1 (and any tiles=)
-  // name the same point.
+  // step_threads excluded: a volatile knob — any band count is
+  // bit-identical to serial, so threads=8 and threads=1 name the same point.
   const NocParams& n = cfg.noc;
   h = hash_mix(h, static_cast<std::uint64_t>(n.width));
   h = hash_mix(h, static_cast<std::uint64_t>(n.height));
@@ -484,18 +470,31 @@ RunResult run_synthetic(const SyntheticExperimentConfig& cfg) {
   bool recovery_armed = true;  ///< one recovery attempt per stall episode
   bool aborted = false;
   Cycle end_cycle = total;  ///< first cycle NOT simulated
-  for (Cycle now = 0; now < total; ++now) {
+  // One cycle of either phase: the hard-cap check (whose incident aborts
+  // the run), then `before_step` (false ends the phase without stepping),
+  // the system step, the verifier and the ops tick. Returns false when the
+  // phase ends at `now`.
+  const auto run_cycle = [&](Cycle now, auto&& before_step) {
     if (hard_cap != 0 && now >= hard_cap) {
       record_budget_incident(sys, *incidents, "hard_cycle_cap", now, hard_cap);
       aborted = true;
-      end_cycle = now;
-      break;
+      return false;
     }
-    scenario.apply(sys, now);
-    traffic.step(now);
+    if (!before_step()) return false;
     sys.step(now);
     if (verifier) verifier->step(now);
     if (cfg.ops != nullptr && cfg.ops->wants_tick(now)) cfg.ops->tick(now);
+    return true;
+  };
+  for (Cycle now = 0; now < total; ++now) {
+    if (!run_cycle(now, [&] {
+          scenario.apply(sys, now);
+          traffic.step(now);
+          return true;
+        })) {
+      end_cycle = now;
+      break;
+    }
     if (now == cfg.warmup) built.power->begin_window(now);
     if (cfg.telemetry.metrics_window != 0 &&
         (now % cfg.telemetry.metrics_window) == 0) {
@@ -556,16 +555,7 @@ RunResult run_synthetic(const SyntheticExperimentConfig& cfg) {
     const Cycle drain_end = total + cfg.drain_max;
     Cycle now = total;
     for (; now < drain_end; ++now) {
-      if (hard_cap != 0 && now >= hard_cap) {
-        record_budget_incident(sys, *incidents, "hard_cycle_cap", now,
-                               hard_cap);
-        aborted = true;
-        break;
-      }
-      if (fully_drained(net)) break;
-      sys.step(now);
-      if (verifier) verifier->step(now);
-      if (cfg.ops != nullptr && cfg.ops->wants_tick(now)) cfg.ops->tick(now);
+      if (!run_cycle(now, [&] { return !fully_drained(net); })) break;
     }
     end_cycle = now;
     if (!aborted && now == drain_end && !fully_drained(net)) {

@@ -71,7 +71,7 @@ struct SyntheticExperimentConfig {
   ops::OpsPlane* ops = nullptr;
 
   /// The one reader of the keys every front end shares: noc.*, threads=,
-  /// tiles=TXxTY, energy.*, warmup=, cycles=, timeline=, drain=,
+  /// energy.*, warmup=, cycles=, timeline=, drain=,
   /// sim.max_cycles_hard=, changes=c1,c2,..., fault.*, verify=, verify.*
   /// and telemetry.*, each overriding its field of the binary's `defaults`.
   /// The axes (scheme, pattern, injection, gated fraction, seed) are left
@@ -81,15 +81,15 @@ struct SyntheticExperimentConfig {
 };
 
 /// A manifest's `config`: `cfg` minus the keys that cannot change a result
-/// (jobs, threads, tiles, progress, certificate and the ops plane's), plus
+/// (jobs, threads, progress, certificate and the ops plane's), plus
 /// every resolved fault.* knob, defaulted ones included, so two runs cannot
 /// silently differ on one.
 Config manifest_config(const Config& cfg, const FaultParams& faults);
 
 /// Order- and thread-independent hash of every config field that can
 /// influence a point's results (noc/energy/fault/traffic/verifier knobs;
-/// noc.step_threads, the tile grid and trace options are volatile and
-/// excluded). Certificates carry it as config_fingerprint.
+/// noc.step_threads and trace options are volatile and excluded).
+/// Certificates carry it as config_fingerprint.
 std::uint64_t sweep_point_fingerprint(const SyntheticExperimentConfig& cfg);
 
 /// One run's results. `metrics` plus `incidents` is the record; every

@@ -1,8 +1,10 @@
 #include "telemetry/ops/ops_plane.hpp"
 
 #include <cstdio>
+#include <string>
 
 #include "common/config.hpp"
+#include "common/log.hpp"
 #include "noc/system_iface.hpp"
 #include "telemetry/json.hpp"
 #include "telemetry/manifest.hpp"
@@ -12,13 +14,20 @@ namespace flov::ops {
 
 OpsOptions OpsOptions::from_config(const Config& cfg) {
   OpsOptions o;
-  if (cfg.has("serve")) o.serve_port = static_cast<int>(cfg.get_int("serve"));
+  if (cfg.has("serve")) {
+    const long long port = cfg.get_int("serve");
+    FLOV_CHECK(port <= 65535, "config key serve must be a TCP port <= 65535 "
+                              "(or < 0 for no server), got " +
+                                  std::to_string(port));
+    o.serve_port = port < 0 ? -1 : static_cast<int>(port);
+  }
   o.stream_path = cfg.get_string("ops_stream", "");
   o.profile = cfg.get_bool("profile", false);
   o.profile_out = cfg.get_string("profile_out", "");
-  o.period =
-      static_cast<std::uint64_t>(cfg.get_int("ops.period", 4096));
-  if (o.period == 0) o.period = 1;
+  const long long period = cfg.get_int("ops.period", 4096);
+  FLOV_CHECK(period >= 1, "config key ops.period must be >= 1, got " +
+                              std::to_string(period));
+  o.period = static_cast<std::uint64_t>(period);
   return o;
 }
 
@@ -83,7 +92,7 @@ void OpsPlane::end_run(Cycle now) {
   if (!run_active_) return;
   // Final fold, even off-period: the last published snapshot always
   // reflects the run's end state (this is what ops_test byte-compares
-  // across threads= / tiles=).
+  // across threads=).
   if (now != last_fold_cycle_ || seq_ == 0) fold(now);
   run_active_ = false;
   ctx_ = RunContext{};

@@ -12,7 +12,7 @@
 //     byte-identical with the ops plane on or off (ops_test.cpp).
 //   * Deterministic snapshots: folds happen at fixed cycle boundaries and
 //     contain no wall-clock values, so the snapshot/JSONL stream of a run
-//     is byte-identical across threads=/tiles=/jobs=. Wall-clock facts
+//     is byte-identical across threads=/jobs=. Wall-clock facts
 //     live only in /healthz and the profile report, both volatile.
 //   * Zero overhead when off: a disabled ops plane costs one null-pointer
 //     branch per cycle in the run loop; the FLOV_PROFILE hook points are
@@ -48,7 +48,8 @@ namespace flov::ops {
 
 struct OpsOptions {
   /// serve=PORT: bind the HTTP server to 127.0.0.1:PORT (0 = ephemeral,
-  /// the bound port is printed to stderr); < 0 = no server.
+  /// the bound port is printed to stderr; above 65535 is a config error);
+  /// < 0 = no server.
   int serve_port = -1;
   /// ops_stream=PATH: append one snapshot JSON object per fold (JSONL).
   std::string stream_path;
@@ -57,7 +58,7 @@ struct OpsOptions {
   bool profile = false;
   /// profile_out=PATH: also write the flyover-profile-v1 report here.
   std::string profile_out;
-  /// ops.period=N: cycles between snapshot folds.
+  /// ops.period=N: cycles between snapshot folds (>= 1).
   std::uint64_t period = 4096;
 
   /// Reads serve= / ops_stream= / profile= / profile_out= / ops.period=.

@@ -5,9 +5,9 @@
 // duration to (current domain, phase). Scopes are placed at the pipeline
 // phases of Router::step (route / VC allocation / switch allocation /
 // link+switch traversal), the NI loop, the FLOV power/handshake machinery,
-// and the step-pool barrier wait — so a profile report shows, per tile
-// domain, how stepping time splits across phases and how long the control
-// thread waited at the barrier (the tiles= imbalance signal).
+// and the step-pool barrier wait — so a profile report shows, per row
+// band, how stepping time splits across phases and how long the control
+// thread waited at the barrier (the band imbalance signal).
 //
 // Cost model (same ladder as the event tracer, docs/OBSERVABILITY.md):
 //   * compiled out (FLYOVER_PROFILING=0, the Release default): every
@@ -97,8 +97,8 @@ class PhaseProfiler {
     std::vector<DomainReport> domains;
     DomainReport merged;  ///< fold of every domain
     /// max/min per-domain busy_ns over domains that did any work — the
-    /// barrier-wait imbalance signal guiding the tiles= auto policy
-    /// (1.0 = perfectly balanced; 0 domains busy reports 1.0).
+    /// barrier-wait imbalance of the row bands (1.0 = perfectly balanced;
+    /// 0 domains busy reports 1.0).
     double busy_imbalance() const;
   };
 

@@ -5,8 +5,8 @@
 //
 // Determinism contract: every field is a pure function of (config, seed,
 // publish cycle). No wall-clock values, no thread counts, no addresses —
-// the final snapshot of a run compares byte-identical across threads=1/N,
-// any tiles= grid, and jobs=1/N (ops_test.cpp locks this in). Wall-clock
+// the final snapshot of a run compares byte-identical across threads=1/N
+// and jobs=1/N (ops_test.cpp locks this in). Wall-clock
 // facts (uptime, stall detection age) live only in /healthz, which is
 // volatile by definition and never diffed.
 #pragma once

@@ -15,20 +15,6 @@
 
 namespace flov {
 
-namespace {
-
-const char* router_mode_name(RouterMode m) {
-  switch (m) {
-    case RouterMode::kPipeline: return "pipeline";
-    case RouterMode::kBypass: return "bypass";
-    case RouterMode::kParked: return "parked";
-    case RouterMode::kDead: return "dead";
-  }
-  return "?";
-}
-
-}  // namespace
-
 InvariantVerifier::InvariantVerifier(FlovNetwork& sys, VerifierOptions opts)
     : net_(sys.network()),
       flov_(&sys),
@@ -88,7 +74,7 @@ void InvariantVerifier::violation(Cycle now, const std::string& what) {
       w.kv("router", id);
       w.kv("x", c.x);
       w.kv("y", c.y);
-      w.kv("mode", router_mode_name(m));
+      w.kv("mode", to_string(m));
       if (flov_) w.kv("power_state", to_string(ps));
       w.end_object();
     }

@@ -448,6 +448,11 @@ TEST(Config, RemovedMultiProcessKeysFailLoudly) {
                      "function of its config, so re-run the sweep"},
       {"resume", "sweep checkpoint/resume was removed; a run is a pure "
                  "function of its config, so re-run the sweep"},
+      {"tiles", "2-D tile domains were removed; threads=N steps N row bands"},
+      {"noc.step_tiles_x",
+       "2-D tile domains were removed; threads=N steps N row bands"},
+      {"noc.step_tiles_y",
+       "2-D tile domains were removed; threads=N steps N row bands"},
   };
   for (const auto& [key, message] : removed) {
     SCOPED_TRACE(key);

@@ -9,8 +9,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <initializer_list>
 #include <string>
-#include <utility>
 
 #include "sim/experiment.hpp"
 #include "sim/sweep.hpp"
@@ -59,6 +59,35 @@ void expect_identical(const RunResult& a, const RunResult& b) {
   EXPECT_EQ(a.protocol_sleeps, b.protocol_sleeps);
   EXPECT_EQ(a.protocol_wakeups, b.protocol_wakeups);
   EXPECT_EQ(a.verifier_violations, b.verifier_violations);
+}
+
+// The run manifest (metrics, order-sensitive floating-point latency stats,
+// incidents, counters): the strongest equality a test can assert.
+std::string manifest_json(const RunResult& r, std::uint64_t seed) {
+  telemetry::RunManifest m;
+  m.name = "determinism_test";
+  m.scheme = r.scheme;
+  m.seed = seed;
+  m.metrics = r.metrics.get();
+  m.incidents = r.incidents.get();
+  return m.to_json();  // volatile fields left at defaults on both sides
+}
+
+// Runs `ex` serially and at each of `threads`, expecting identical results
+// and byte-identical manifests.
+void expect_bands_match_serial(SyntheticExperimentConfig ex,
+                               std::initializer_list<int> threads) {
+  ex.noc.step_threads = 1;
+  const RunResult serial = run_synthetic(ex);
+  const std::string serial_manifest = manifest_json(serial, ex.seed);
+  for (int t : threads) {
+    ex.noc.step_threads = t;
+    const RunResult rows = run_synthetic(ex);
+    SCOPED_TRACE(std::string(to_string(ex.scheme)) +
+                 " threads=" + std::to_string(t));
+    expect_identical(serial, rows);
+    EXPECT_EQ(serial_manifest, manifest_json(rows, ex.seed));
+  }
 }
 
 TEST(Determinism, SameConfigSameSeedTwiceIsBitIdentical) {
@@ -227,15 +256,6 @@ TEST(Determinism, ThreadedHardFaultRunManifestBytesMatchSerial) {
   ex.faults.hard_link_pct = 0.04;
   ex.faults.hard_at_cycle = ex.warmup + ex.measure / 3;
 
-  const auto manifest_of = [](const RunResult& r) {
-    telemetry::RunManifest m;
-    m.name = "determinism_test";
-    m.scheme = r.scheme;
-    m.seed = 31;
-    m.metrics = r.metrics.get();
-    m.incidents = r.incidents.get();
-    return m.to_json();  // volatile fields left at defaults on both sides
-  };
   const RunResult serial = run_synthetic(ex);
   ASSERT_GT(serial.dead_routers, 0);
   ASSERT_FALSE(serial.aborted);
@@ -249,7 +269,7 @@ TEST(Determinism, ThreadedHardFaultRunManifestBytesMatchSerial) {
     EXPECT_EQ(serial.retransmits, par.retransmits);
     EXPECT_EQ(serial.dead_routers, par.dead_routers);
     EXPECT_EQ(serial.dead_links, par.dead_links);
-    EXPECT_EQ(manifest_of(serial), manifest_of(par));
+    EXPECT_EQ(manifest_json(serial, 31), manifest_json(par, 31));
   }
 }
 
@@ -261,58 +281,26 @@ TEST(Determinism, ThreadCountAboveMeshHeightClampsAndStaysIdentical) {
   expect_identical(serial, par);
 }
 
-// --- 2D tile domains (noc.step_tiles_x/y, CLI tiles=TXxTY) ---
-//
-// Row bands are the auto policy; explicit tile grids additionally stage
-// East/West boundary channels and break the "domain order == node-id
-// order" property row bands had, which the barrier-side k-way merges must
-// compensate for. Byte-identical manifests are the strongest equality we
-// can assert: metrics, latency stats (order-sensitive floating point),
-// incidents and counters all have to match.
+// --- Row bands against serial, byte for byte ---
 
-std::string manifest_json(const RunResult& r, std::uint64_t seed) {
-  telemetry::RunManifest m;
-  m.name = "determinism_test";
-  m.scheme = r.scheme;
-  m.seed = seed;
-  m.metrics = r.metrics.get();
-  m.incidents = r.incidents.get();
-  return m.to_json();  // volatile fields left at defaults on both sides
-}
-
-TEST(Determinism, TileGridMatchesRowBandsAndSerial8x8AllSchemes) {
+TEST(Determinism, RowBandsMatchSerial8x8AllSchemes) {
   // Fault-seeded: fates are pure hashes of (seed, packet, link, ...) so no
-  // tiling may perturb them (see ThreadedStepMatchesSerialUnderFaultInjection
-  // for why check_psr is off under signal loss).
+  // band split may perturb them (see
+  // ThreadedStepMatchesSerialUnderFaultInjection for why check_psr is off
+  // under signal loss).
   for (Scheme s : kAllSchemes) {
     SyntheticExperimentConfig ex = sized_config(s, 8, 0.4, 17, 1);
     ex.verifier.check_psr = false;
     ex.faults.seed = 17;
     ex.faults.flit_drop_rate = 0.0005;
     ex.faults.signal_drop_rate = 0.001;
-    const RunResult serial = run_synthetic(ex);
-    const std::string serial_manifest = manifest_json(serial, 17);
-    ex.noc.step_threads = 4;  // auto policy: 4 row bands
-    const RunResult rows = run_synthetic(ex);
-    {
-      SCOPED_TRACE(std::string(to_string(s)) + " rows threads=4");
-      expect_identical(serial, rows);
-      EXPECT_EQ(serial_manifest, manifest_json(rows, 17));
-    }
-    const std::pair<int, int> grids[] = {{2, 2}, {4, 1}, {2, 4}};
-    for (const auto& [tx, ty] : grids) {
-      ex.noc.step_tiles_x = tx;
-      ex.noc.step_tiles_y = ty;
-      const RunResult tiles = run_synthetic(ex);
-      SCOPED_TRACE(std::string(to_string(s)) + " tiles=" +
-                   std::to_string(tx) + "x" + std::to_string(ty));
-      expect_identical(serial, tiles);
-      EXPECT_EQ(serial_manifest, manifest_json(tiles, 17));
-    }
+    expect_bands_match_serial(ex, {4});
   }
 }
 
-TEST(Determinism, TileGridMatchesSerial16x16AllSchemes) {
+TEST(Determinism, RowBandsMatchSerial16x16AllSchemes) {
+  // threads=16 puts every row in its own band, so every N/S link is a
+  // boundary channel.
   for (Scheme s : kAllSchemes) {
     SyntheticExperimentConfig ex = sized_config(s, 16, 0.3, 23, 1);
     ex.warmup = 200;
@@ -320,59 +308,21 @@ TEST(Determinism, TileGridMatchesSerial16x16AllSchemes) {
     ex.verifier.check_psr = false;
     ex.faults.seed = 23;
     ex.faults.flit_drop_rate = 0.0003;
-    const RunResult serial = run_synthetic(ex);
-    const std::string serial_manifest = manifest_json(serial, 23);
-    const std::pair<int, int> grids[] = {{2, 2}, {4, 2}};
-    for (const auto& [tx, ty] : grids) {
-      ex.noc.step_tiles_x = tx;
-      ex.noc.step_tiles_y = ty;
-      const RunResult tiles = run_synthetic(ex);
-      SCOPED_TRACE(std::string(to_string(s)) + " tiles=" +
-                   std::to_string(tx) + "x" + std::to_string(ty));
-      expect_identical(serial, tiles);
-      EXPECT_EQ(serial_manifest, manifest_json(tiles, 23));
-    }
+    expect_bands_match_serial(ex, {4, 16});
   }
 }
 
 TEST(Determinism, UnalignedDomainEdgesMatchSerial12x12AllSchemes) {
-  // 12 columns: rows start at ids that are not multiples of 8, so every
-  // domain's word scans of the wake lists begin and end mid-word and its
-  // edge bytes share a word with another domain's bytes (the TSan job
-  // flags a scan that loads them). Row bands (threads=3) and a 3x2 grid,
-  // whose 4-column tiles also split words inside a row.
+  // 12 columns, threads=4: bands of 3 rows start at ids 36, 72 and 108, and
+  // 36 and 108 are not multiples of 8, so those bands' word scans of the
+  // wake lists begin and end mid-word and their edge bytes share a word
+  // with another band's bytes (the TSan job flags a scan that loads them).
   for (Scheme s : kAllSchemes) {
     SyntheticExperimentConfig ex = sized_config(s, 12, 0.4, 29, 1);
     ex.warmup = 300;
     ex.measure = 1500;
-    const RunResult serial = run_synthetic(ex);
-    const std::string serial_manifest = manifest_json(serial, 29);
-    ex.noc.step_threads = 3;
-    const RunResult rows = run_synthetic(ex);
-    {
-      SCOPED_TRACE(std::string(to_string(s)) + " rows threads=3");
-      expect_identical(serial, rows);
-      EXPECT_EQ(serial_manifest, manifest_json(rows, 29));
-    }
-    ex.noc.step_threads = 1;
-    ex.noc.step_tiles_x = 3;
-    ex.noc.step_tiles_y = 2;
-    const RunResult tiles = run_synthetic(ex);
-    SCOPED_TRACE(std::string(to_string(s)) + " tiles=3x2");
-    expect_identical(serial, tiles);
-    EXPECT_EQ(serial_manifest, manifest_json(tiles, 29));
+    expect_bands_match_serial(ex, {4});
   }
-}
-
-TEST(Determinism, TileCountAboveMeshDimsClampsAndStaysIdentical) {
-  // tiles=16x2 on a 4x4 mesh clamps the columns to the mesh width (4x2 =
-  // 8 single-row-pair domains); the clamped grid must still match serial.
-  SyntheticExperimentConfig ex = sized_config(Scheme::kGFlov, 4, 0.3, 9, 1);
-  const RunResult serial = run_synthetic(ex);
-  ex.noc.step_tiles_x = 16;
-  ex.noc.step_tiles_y = 2;
-  const RunResult par = run_synthetic(ex);
-  expect_identical(serial, par);
 }
 
 TEST(Determinism, CachedCountersMatchRecountsDuringGatedRun) {

@@ -137,19 +137,44 @@ TEST(Experiment, FromConfigOnEmptyConfigReturnsTheDefaults) {
 // The shared keys land in their fields, and a manifest's config drops the
 // plumbing keys and echoes every resolved fault knob.
 TEST(Experiment, FromConfigReadsTheSharedKeys) {
-  const char* argv[] = {"prog", "threads=2", "tiles=2x1", "cycles=20",
-                        "changes=12,15", "fault.seed=8", "jobs=4"};
+  const char* argv[] = {"prog", "threads=2", "cycles=20", "changes=12,15",
+                        "fault.seed=8", "jobs=4"};
   Config cfg;
-  cfg.parse_args(7, const_cast<char**>(argv));
+  cfg.parse_args(6, const_cast<char**>(argv));
   const auto r = SyntheticExperimentConfig::from_config(cfg, {});
   EXPECT_EQ(cfg.unread_keys(), std::vector<std::string>{"jobs"});
   EXPECT_EQ(r.noc.step_threads, 2);
-  EXPECT_EQ(r.noc.step_tiles_x, 2);
   EXPECT_EQ(r.measure, 20u);
   EXPECT_EQ(r.gating_changes, (std::vector<Cycle>{12, 15}));
   const Config m = manifest_config(cfg, r.faults);
   EXPECT_EQ(m.keys().size(), 16u);  // changes, cycles + 14 fault knobs
   EXPECT_EQ(m.get_int("fault.seed"), 8);
+}
+
+// sim.max_cycles_hard stops the run at the cap with one hard_cycle_cap
+// incident, whether the cap falls in the measurement window or the drain.
+TEST(Experiment, HardCycleCapFiresInMeasureAndDrain) {
+  for (const Cycle cap : {Cycle{300}, Cycle{501}}) {
+    SyntheticExperimentConfig c = quick();
+    c.noc.width = 4;
+    c.noc.height = 4;
+    c.inj_rate_flits = 0.1;  // flits still in flight when the window ends
+    c.warmup = 100;
+    c.measure = 400;  // the drain starts at cycle 500
+    c.drain_max = 1000;
+    c.max_cycles_hard = cap;
+    const RunResult r = run_synthetic(c);
+    SCOPED_TRACE(cap);
+    EXPECT_TRUE(r.aborted);
+    EXPECT_EQ(r.cycles_run, cap);
+    ASSERT_TRUE(r.incidents);
+    ASSERT_EQ(r.incidents->records().size(), 1u);
+    const std::string& rec = r.incidents->records()[0];
+    EXPECT_NE(rec.find("\"kind\":\"hard_cycle_cap\""), std::string::npos)
+        << rec;
+    EXPECT_NE(rec.find("\"cycle\":" + std::to_string(cap)), std::string::npos)
+        << rec;
+  }
 }
 
 TEST(Experiment, InvalidNocParamsRejected) {
