@@ -14,16 +14,6 @@ using namespace flov;
 
 namespace {
 
-const char* short_state(PowerState s) {
-  switch (s) {
-    case PowerState::kActive: return "A";
-    case PowerState::kDraining: return "D";
-    case PowerState::kSleep: return "S";
-    case PowerState::kWakeup: return "W";
-  }
-  return "?";
-}
-
 void print_row(FlovNetwork& sys, Cycle now, NodeId focus) {
   const Router& r = sys.network().router(focus);
   const NeighborhoodView& v = r.view();
@@ -42,8 +32,7 @@ void print_row(FlovNetwork& sys, Cycle now, NodeId focus) {
               sys.network()
                   .router(focus - 1)
                   .output_port(Direction::East)
-                  .vcs[0]
-                  .credits);
+                  .credits[0]);
   (void)v;
 }
 

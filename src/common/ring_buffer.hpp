@@ -8,6 +8,12 @@
 // elements pass through. pop_front leaves the vacated slot constructed (the
 // payloads here are trivially-copyable flit/credit PODs), so elements must
 // be default-constructible and cheap to leave alive.
+//
+// The element count is not a member: it lives in the cell bind_count()
+// names, a slot of the mesh's packed occupancy arrays (noc/hot_state.hpp).
+// That cell IS the queue's length — there is no second copy — so the
+// invariant verifier's recount and credit check read packed bytes and words
+// instead of walking queue objects.
 #pragma once
 
 #include <cstddef>
@@ -17,18 +23,25 @@
 
 namespace flov {
 
-template <typename T>
+template <typename T, typename Count>
 class RingBuffer {
  public:
   RingBuffer() = default;
 
-  bool empty() const { return size_ == 0; }
-  std::size_t size() const { return size_; }
+  /// Makes `*count` this (empty) ring's length cell. Must run before any
+  /// other call.
+  void bind_count(Count* count) {
+    count_ = count;
+    *count_ = 0;
+  }
+
+  bool empty() const { return *count_ == 0; }
+  std::size_t size() const { return *count_; }
 
   T& front() { return store_[head_]; }
   const T& front() const { return store_[head_]; }
-  T& back() { return store_[wrap(head_ + size_ - 1)]; }
-  const T& back() const { return store_[wrap(head_ + size_ - 1)]; }
+  T& back() { return store_[wrap(head_ + size() - 1)]; }
+  const T& back() const { return store_[wrap(head_ + size() - 1)]; }
 
   T& operator[](std::size_t i) { return store_[wrap(head_ + i)]; }
   const T& operator[](std::size_t i) const { return store_[wrap(head_ + i)]; }
@@ -43,12 +56,12 @@ class RingBuffer {
 
   void pop_front() {
     head_ = wrap(head_ + 1);
-    --size_;
+    --*count_;
   }
 
   void clear() {
     head_ = 0;
-    size_ = 0;
+    *count_ = 0;
   }
 
   /// Forward iterator over [front, back] in queue order; enough for
@@ -81,24 +94,26 @@ class RingBuffer {
   using const_iterator = Iter<const RingBuffer, const T>;
 
   iterator begin() { return iterator(this, 0); }
-  iterator end() { return iterator(this, size_); }
+  iterator end() { return iterator(this, size()); }
   const_iterator begin() const { return const_iterator(this, 0); }
-  const_iterator end() const { return const_iterator(this, size_); }
+  const_iterator end() const { return const_iterator(this, size()); }
 
  private:
   std::size_t wrap(std::size_t i) const { return i & (store_.size() - 1); }
 
   T* slot_for_push() {
-    if (size_ == store_.size()) grow();
-    T* slot = &store_[wrap(head_ + size_)];
-    ++size_;
+    const std::size_t n = size();
+    if (n == store_.size()) grow();
+    T* slot = &store_[wrap(head_ + n)];
+    ++*count_;
     return slot;
   }
 
   void grow() {
+    const std::size_t n = size();
     const std::size_t cap = store_.empty() ? 8 : store_.size() * 2;
     std::vector<T> next(cap);
-    for (std::size_t i = 0; i < size_; ++i) {
+    for (std::size_t i = 0; i < n; ++i) {
       next[i] = std::move(store_[wrap(head_ + i)]);
     }
     store_ = std::move(next);
@@ -107,7 +122,7 @@ class RingBuffer {
 
   std::vector<T> store_;  ///< power-of-two capacity (or empty)
   std::size_t head_ = 0;
-  std::size_t size_ = 0;
+  Count* count_ = nullptr;  ///< the length cell (bind_count)
 };
 
 }  // namespace flov

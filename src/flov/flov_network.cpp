@@ -142,7 +142,9 @@ bool FlovNetwork::attempt_recovery(Cycle now) {
 void FlovNetwork::dump_state(Cycle now) const {
   for (NodeId id = 0; id < net_->num_nodes(); ++id) {
     const Router& r = net_->router(id);
-    const bool busy = !r.completely_empty();
+    // Ground truth, not the resident cache: this dump explains a
+    // violation, and the cache may be what broke.
+    const bool busy = r.buffered_flits() != 0;
     if (busy || hscs_[id]->state() != PowerState::kActive) {
       hscs_[id]->dump(now);
     }
@@ -191,8 +193,8 @@ std::vector<int> FlovNetwork::inflight_per_vc(NodeId from, Direction dir,
     }
     const NodeId next = g.neighbor(cur, dir);
     if (next == kInvalidNode || next == to) return counts;
-    const auto& latched = net_->router(next).latch_flit(dir);
-    if (latched.has_value()) counts[latched->vc]++;
+    const Router& r = net_->router(next);
+    if (!r.latch_empty(dir)) counts[r.latch_flit(dir).vc]++;
     cur = next;
   }
 }

@@ -25,11 +25,24 @@
 
 namespace flov {
 
+/// Channel queue length cell (MeshHotState::ch_len).
+using ChannelLength = std::uint32_t;
+
 template <typename T>
 class Channel {
  public:
-  explicit Channel(Cycle latency = 1) : latency_(latency) {
+  /// `length` is the cell that holds the receiver-visible queue's length:
+  /// the Network passes this channel's slot of MeshHotState::ch_len (by
+  /// channel_index), the same way it hands out activity flags; null
+  /// (standalone channels in unit tests) gives the channel a private cell.
+  explicit Channel(Cycle latency = 1, ChannelLength* length = nullptr)
+      : latency_(latency) {
     FLOV_CHECK(latency >= 1, "channel latency must be >= 1");
+    if (length == nullptr) {
+      own_length_ = std::make_unique<ChannelLength>(0);
+      length = own_length_.get();
+    }
+    queue_.bind_count(length);
   }
 
   Cycle latency() const { return latency_; }
@@ -183,7 +196,8 @@ class Channel {
   // phase the staged items belong to the sender's worker (reading them
   // here would race AND make a receiver's quiescent check depend on worker
   // timing); outside the parallel phase none are staged (merged at the
-  // barrier), so external walks see exactly what serial runs see.
+  // barrier), so external walks see exactly what serial runs see. Both
+  // read the packed length cell.
   bool empty() const { return queue_.empty(); }
   std::size_t in_flight() const { return queue_.size(); }
 
@@ -245,7 +259,10 @@ class Channel {
   };
 
   Cycle latency_;
-  RingBuffer<std::pair<Cycle, T>> queue_;
+  /// Private length cell of a standalone channel (null when the Network
+  /// supplied a MeshHotState::ch_len slot).
+  std::unique_ptr<ChannelLength> own_length_;
+  RingBuffer<std::pair<Cycle, T>, ChannelLength> queue_;
   std::unique_ptr<Stage> stage_;  ///< set in staging mode only
   std::vector<T> scratch_;  ///< recv_all reuse buffer (keeps its capacity)
   FaultHook fault_hook_;

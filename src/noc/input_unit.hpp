@@ -21,8 +21,13 @@ enum class VcState : std::uint8_t {
   kActive,     ///< output VC held; flits compete for the switch (SA stage)
 };
 
+/// Input-VC buffer length cell (0..buffer_depth; MeshHotState::in_len).
+using VcLength = std::uint8_t;
+
 struct InputVc {
-  RingBuffer<Flit> buffer;
+  /// Flit storage; its length cell is the VC's slot in
+  /// MeshHotState::in_len (bound by the Router).
+  RingBuffer<Flit, VcLength> buffer;
   VcState state = VcState::kIdle;
 
   /// Earliest cycle the next pipeline stage may execute.
@@ -56,13 +61,15 @@ struct InputVc {
 
 /// One router input port: `depth`-deep buffers for every VC. The records
 /// live in the mesh-wide SoA slab (noc/hot_state.hpp); the port is a view
-/// over its slice.
+/// over its slice. `len[v]` is VC v's buffer length (the packed cell its
+/// ring counts in).
 struct InputPort {
   Span<InputVc> vcs;
+  Span<VcLength> len;
 
   bool all_empty() const {
-    for (const auto& vc : vcs) {
-      if (!vc.buffer.empty()) return false;
+    for (const VcLength n : len) {
+      if (n != 0) return false;
     }
     return true;
   }
@@ -71,9 +78,9 @@ struct InputPort {
   /// Fills a caller-provided scratch buffer — callers on per-cycle paths
   /// keep a reusable vector so this never allocates in steady state.
   void free_slots(int depth, std::vector<int>& out) const {
-    out.resize(static_cast<std::size_t>(vcs.size()));
-    for (std::int32_t v = 0; v < vcs.size(); ++v) {
-      out[static_cast<std::size_t>(v)] = depth - vcs[v].occupancy();
+    out.resize(static_cast<std::size_t>(len.size()));
+    for (std::int32_t v = 0; v < len.size(); ++v) {
+      out[static_cast<std::size_t>(v)] = depth - len[v];
     }
   }
 };

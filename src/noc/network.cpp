@@ -1,6 +1,8 @@
 #include "noc/network.hpp"
 
 #include <algorithm>
+#include <bit>
+#include <cstring>
 #include <string>
 #include <utility>
 
@@ -8,6 +10,47 @@
 #include "telemetry/metrics.hpp"
 
 namespace flov {
+
+namespace {
+
+/// Sum of `n` byte cells, eight per 64-bit word: each word folds into four
+/// 16-bit lanes (two bytes each), and a batch of 128 words keeps every lane
+/// below 2^16 before the lanes are folded into the total.
+std::uint64_t sum_bytes(const std::uint8_t* p, std::size_t n) {
+  constexpr std::uint64_t kBytes = 0x00FF00FF00FF00FFull;
+  constexpr std::uint64_t kHalves = 0x0000FFFF0000FFFFull;
+  std::uint64_t total = 0;
+  std::size_t i = 0;
+  const std::size_t words_end = n - n % 8;
+  while (i < words_end) {
+    std::uint64_t lanes = 0;
+    const std::size_t batch_end = std::min(words_end, i + 8 * 128);
+    for (; i < batch_end; i += 8) {
+      std::uint64_t w;
+      std::memcpy(&w, p + i, sizeof w);
+      lanes += (w & kBytes) + ((w >> 8) & kBytes);
+    }
+    lanes = (lanes & kHalves) + ((lanes >> 16) & kHalves);
+    total += (lanes & 0xFFFFFFFFull) + (lanes >> 32);
+  }
+  for (; i < n; ++i) total += p[i];
+  return total;
+}
+
+/// Set bits in `n` bytes, one popcount per eight bytes.
+std::uint64_t count_bits(const std::uint8_t* p, std::size_t n) {
+  std::uint64_t total = 0;
+  std::size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    std::uint64_t w;
+    std::memcpy(&w, p + i, sizeof w);
+    total += static_cast<std::uint64_t>(std::popcount(w));
+  }
+  for (; i < n; ++i) total += static_cast<std::uint64_t>(std::popcount(p[i]));
+  return total;
+}
+
+}  // namespace
 
 Network::Network(const NocParams& params, RoutingFunction* routing,
                  PowerTracker* power)
@@ -36,9 +79,6 @@ Network::Network(const NocParams& params, RoutingFunction* routing,
     eject_stage_.resize(static_cast<std::size_t>(num_domains_));
   }
 
-  // The SoA slab every router/NI binds into — sized once, never resized.
-  hot_.init(n, params_.total_vcs(), params_.buffer_depth);
-
   // Channels, routers and NIs live by value in exact-reserved vectors:
   // everything downstream holds raw pointers into them, so compute the
   // final counts up front and FLOV_CHECK them after wiring.
@@ -47,6 +87,12 @@ Network::Network(const NocParams& params, RoutingFunction* routing,
       (params_.height - 1) * params_.width);
   const std::size_t flit_cap = edges + 2 * static_cast<std::size_t>(n);
   const std::size_t credit_cap = edges + 2 * static_cast<std::size_t>(n);
+
+  // The SoA slab every router/NI/channel binds into — sized once, never
+  // resized.
+  hot_.init(n, params_.total_vcs(), params_.buffer_depth,
+            static_cast<int>(flit_cap + credit_cap));
+
   flit_channels_.reserve(flit_cap);
   credit_channels_.reserve(credit_cap);
   channel_activity_.assign(flit_cap + credit_cap, 1);
@@ -67,17 +113,17 @@ Network::Network(const NocParams& params, RoutingFunction* routing,
 
   auto new_flit_channel = [&](Cycle latency) {
     FLOV_CHECK(flit_channels_.size() < flit_cap, "flit channel over-reserve");
-    flit_channels_.emplace_back(latency);
-    flit_channels_.back().set_activity_flag(
-        &channel_activity_[flit_channels_.size() - 1]);
+    const std::size_t index = flit_channels_.size();
+    flit_channels_.emplace_back(latency, &hot_.ch_len[index]);
+    flit_channels_.back().set_activity_flag(&channel_activity_[index]);
     return &flit_channels_.back();
   };
   auto new_credit_channel = [&](Cycle latency) {
     FLOV_CHECK(credit_channels_.size() < credit_cap,
                "credit channel over-reserve");
-    credit_channels_.emplace_back(latency);
-    credit_channels_.back().set_activity_flag(
-        &channel_activity_[flit_cap + credit_channels_.size() - 1]);
+    const std::size_t index = flit_cap + credit_channels_.size();
+    credit_channels_.emplace_back(latency, &hot_.ch_len[index]);
+    credit_channels_.back().set_activity_flag(&channel_activity_[index]);
     return &credit_channels_.back();
   };
 
@@ -334,13 +380,37 @@ std::uint64_t Network::total_queued_packets() const {
   return counters().queued_packets;
 }
 
+// The three recounts are flat sums over the packed arrays (the components'
+// own length cells and counters), a few KB at 8x8.
 std::uint64_t Network::recount_in_network_flits() const {
-  std::uint64_t n = 0;
-  for (const Router& r : routers_) {
-    n += static_cast<std::uint64_t>(r.buffered_flits());
-  }
-  for (const auto& ch : flit_channels_) n += ch.in_flight();
+  static_assert(sizeof(VcLength) == 1, "sum_bytes sums byte cells");
+  std::uint64_t n = sum_bytes(hot_.in_len.data(), hot_.in_len.size()) +
+                    count_bits(hot_.latch_full.data(), hot_.latch_full.size());
+  const ChannelLength* flit_len = hot_.ch_len.data();
+  for (std::size_t i = 0; i < flit_channels_.size(); ++i) n += flit_len[i];
   return n;
+}
+
+std::uint64_t Network::recount_injected_flits() const {
+  std::uint64_t n = 0;
+  for (const std::uint64_t c : hot_.ni_injected) n += c;
+  return n;
+}
+
+std::uint64_t Network::recount_ejected_flits() const {
+  std::uint64_t n = 0;
+  for (const std::uint64_t c : hot_.ni_ejected) n += c;
+  return n;
+}
+
+bool Network::caches_match_packed_sums() const {
+  for (const Router& r : routers_) {
+    if (!r.resident_matches_recount()) return false;
+  }
+  const FabricCounters c = counters();
+  return c.injected_flits == recount_injected_flits() &&
+         c.ejected_flits == recount_ejected_flits() &&
+         c.in_network() == recount_in_network_flits();
 }
 
 bool Network::recount_idle() const {

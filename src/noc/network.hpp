@@ -125,12 +125,19 @@ class Network {
   std::uint64_t total_ejected_flits() const;
   std::uint64_t total_queued_packets() const;
 
-  /// Ground-truth recounts by walking every component — what the O(1)
-  /// getters above are debug-checked against. The invariant verifier MUST
-  /// use these (a cached counter cannot witness its own drift).
+  /// Ground-truth recounts — what the O(1) getters above are
+  /// debug-checked against. The invariant verifier MUST use these (a
+  /// cached counter cannot witness its own drift). The flit counts are sums
+  /// over the packed arrays of MeshHotState, which are the buffers',
+  /// latches', channels' and NIs' own length cells and counters.
   std::uint64_t recount_in_network_flits() const;
+  std::uint64_t recount_injected_flits() const;
+  std::uint64_t recount_ejected_flits() const;
   bool recount_idle() const;
   bool recount_in_flight_empty() const;
+  /// True when the scheduler's caches — every router's resident count and
+  /// the FabricCounters — equal the packed sums (Debug checks).
+  bool caches_match_packed_sums() const;
 
   /// The cached aggregates (verifier drift check): an ordered fold of the
   /// per-domain shards. Integer addition in fixed domain order, so the
@@ -173,6 +180,10 @@ class Network {
   /// Number of wake_router() calls so far: changes whenever the control
   /// plane touched router state without a channel operation.
   std::uint64_t control_epoch() const { return control_epoch_; }
+  /// The packed arrays (the verifier's credit check reads them; tests
+  /// corrupt them behind the components' backs).
+  const MeshHotState& hot_state() const { return hot_; }
+  MeshHotState& hot_state() { return hot_; }
 
  private:
   /// Steps domain `dom`'s routers then NIs, in node-id order.

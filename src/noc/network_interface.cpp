@@ -19,6 +19,8 @@ NetworkInterface::NetworkInterface(NodeId node, const NocParams& params,
   }
   credits_ = hot->ni_credit_row(slot);
   vc_busy_ = hot->ni_busy_row(slot);
+  injected_flits_ = &hot->ni_injected[slot];
+  ejected_flits_ = &hot->ni_ejected[slot];
 }
 
 void NetworkInterface::step(Cycle now) {
@@ -181,7 +183,7 @@ void NetworkInterface::step_retx_timers(Cycle now) {
 void NetworkInterface::eject(Cycle now) {
   if (!from_router_) return;
   while (auto f = from_router_->recv(now)) {
-    ejected_flits_++;
+    ++*ejected_flits_;
     if (counters_) counters_->ejected_flits++;
     // The NI consumes instantly, so the slot frees immediately.
     FLOV_CHECK(credit_to_ != nullptr, "unwired ejection credit channel");
@@ -354,7 +356,7 @@ void NetworkInterface::inject(Cycle now) {
 
     credits_[v]--;
     to_router_->send(now, f);
-    injected_flits_++;
+    ++*injected_flits_;
     if (counters_) counters_->injected_flits++;
     s.next_flit++;
     if (f.tail) {

@@ -58,8 +58,8 @@ struct DeadPacket {
 class NetworkInterface {
  public:
   /// `hot` points at the mesh-wide SoA slab holding this NI's per-VC credit
-  /// counters and busy flags (indexed by `node`); null (standalone unit
-  /// tests) binds a private single-slot slab.
+  /// counters, busy flags and flit counters (indexed by `node`); null
+  /// (standalone unit tests) binds a private single-slot slab.
   NetworkInterface(NodeId node, const NocParams& params,
                    MeshHotState* hot = nullptr);
 
@@ -136,8 +136,8 @@ class NetworkInterface {
   /// died between generation and injection.
   std::size_t purge_queue(const std::function<bool(const PacketDescriptor&)>& pred);
   std::size_t queued_packets() const { return queue_.size(); }
-  std::uint64_t injected_flits() const { return injected_flits_; }
-  std::uint64_t ejected_flits() const { return ejected_flits_; }
+  std::uint64_t injected_flits() const { return *injected_flits_; }
+  std::uint64_t ejected_flits() const { return *ejected_flits_; }
   std::uint64_t ejected_packets() const { return ejected_packets_; }
 
   // --- reliable-delivery introspection (all zero when noc.reliable off) ---
@@ -227,8 +227,9 @@ class NetworkInterface {
   WakeList* wake_ = nullptr;
   int wake_index_ = -1;
 
-  std::uint64_t injected_flits_ = 0;
-  std::uint64_t ejected_flits_ = 0;
+  /// Flit counters in the slab (MeshHotState::ni_injected / ni_ejected).
+  std::uint64_t* injected_flits_ = nullptr;
+  std::uint64_t* ejected_flits_ = nullptr;
   std::uint64_t ejected_packets_ = 0;
 
   // --- reliable-delivery state (engaged only when params_.reliable) ---

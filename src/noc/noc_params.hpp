@@ -127,7 +127,9 @@ struct NocParams {
     FLOV_CHECK(num_vnets >= 1, "need at least one vnet");
     FLOV_CHECK(vcs_per_vnet >= 1, "need at least one VC per vnet");
     FLOV_CHECK(escape_vc < vcs_per_vnet, "escape VC out of range");
-    FLOV_CHECK(buffer_depth >= 1, "buffer depth must be positive");
+    // Buffer lengths and credits are one-byte cells (noc/hot_state.hpp).
+    FLOV_CHECK(buffer_depth >= 1 && buffer_depth <= 127,
+               "buffer depth must be in 1..127");
     FLOV_CHECK(packet_size >= 1, "packet size must be positive");
     FLOV_CHECK(latency_hist_max >= 1, "latency histogram cap must be >= 1");
     FLOV_CHECK(step_threads >= 1, "step_threads must be >= 1");

@@ -4,6 +4,7 @@
 // Credit Control Logic).
 #pragma once
 
+#include <cstdint>
 #include <vector>
 
 #include "common/log.hpp"
@@ -11,25 +12,28 @@
 
 namespace flov {
 
+/// Credit counter cell: free slots at the logical downstream input VC
+/// (0..buffer_depth; NocParams::validate caps the depth at 127).
+using CreditCount = std::int8_t;
+
 struct OutputVcState {
   bool allocated = false;
   int owner_port = -1;   ///< input port holding this output VC
   VcId owner_vc = -1;    ///< input VC holding this output VC
-  int credits = 0;       ///< free slots at the logical downstream input VC
 };
 
 struct OutputPort {
-  /// View into the mesh-wide SoA slab (noc/hot_state.hpp).
+  /// Views into the mesh-wide SoA slab (noc/hot_state.hpp): allocation
+  /// records, and per VC the credit counter (MeshHotState::out_credits).
   Span<OutputVcState> vcs;
+  Span<CreditCount> credits;
 
   /// Resets every record to fresh-allocation state with `depth` credits
   /// (wakeup re-init; real values follow via the credit handover).
   void init(int num_vcs, int depth) {
     FLOV_CHECK(num_vcs == vcs.size(), "output port VC count mismatch");
-    for (auto& v : vcs) {
-      v = OutputVcState{};
-      v.credits = depth;
-    }
+    for (auto& v : vcs) v = OutputVcState{};
+    for (auto& c : credits) c = static_cast<CreditCount>(depth);
   }
 
   bool any_allocated() const {
@@ -44,8 +48,8 @@ struct OutputPort {
   void reload_credits(const std::vector<int>& free_counts) {
     FLOV_CHECK(static_cast<std::int32_t>(free_counts.size()) == vcs.size(),
                "credit reload size");
-    for (std::int32_t v = 0; v < vcs.size(); ++v) {
-      vcs[v].credits = free_counts[static_cast<std::size_t>(v)];
+    for (std::int32_t v = 0; v < credits.size(); ++v) {
+      credits[v] = static_cast<CreditCount>(free_counts[static_cast<std::size_t>(v)]);
     }
   }
 };

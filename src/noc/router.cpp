@@ -63,9 +63,15 @@ Router::Router(NodeId id, const MeshGeometry& geom, const NocParams& params,
   mode_ = &hot->mode[slot];
   resident_ = &hot->resident[slot];
   latch_ = hot->latches(slot);
+  latch_full_ = &hot->latch_full[slot];
   for (int p = 0; p < kNumPorts; ++p) {
     input_[p].vcs = hot->input_vcs(slot, p);
+    input_[p].len = hot->input_lengths(slot, p);
+    for (int v = 0; v < nvc; ++v) {
+      input_[p].vcs[v].buffer.bind_count(&input_[p].len[v]);
+    }
     output_[p].vcs = hot->output_vcs(slot, p);
+    output_[p].credits = hot->output_credits(slot, p);
     sa_input_arb_.emplace_back(nvc);
     sa_output_arb_.emplace_back(kNumPorts);
   }
@@ -191,9 +197,9 @@ void Router::accept_credits(Cycle now) {
     const int p = std::countr_zero(m);
     for (const Credit& c : credit_in_[p]->recv_all(now)) {
       if ((*mode_) == RouterMode::kPipeline) {
-        auto& ovc = output_[p].vcs[c.vc];
-        ovc.credits++;
-        FLOV_DCHECK(ovc.credits <= params_.buffer_depth,
+        CreditCount& credits = output_[p].credits[c.vc];
+        credits++;
+        FLOV_DCHECK(credits <= params_.buffer_depth,
                     "credit overflow at router " + std::to_string(id_));
       } else if (p == dir_index(Direction::Local)) {
         // Gated router: NI ejection credits are meaningless (the output
@@ -219,9 +225,9 @@ void Router::accept_credits(Cycle now) {
 void Router::refund_output_credit(Direction out_port, VcId vc, Cycle now) {
   const int p = dir_index(out_port);
   if ((*mode_) == RouterMode::kPipeline) {
-    auto& ovc = output_[p].vcs[vc];
-    ovc.credits++;
-    FLOV_DCHECK(ovc.credits <= params_.buffer_depth,
+    CreditCount& credits = output_[p].credits[vc];
+    credits++;
+    FLOV_DCHECK(credits <= params_.buffer_depth,
                 "credit refund overflow at router " + std::to_string(id_));
   } else if ((*mode_) == RouterMode::kBypass) {
     // The credit belongs to the active router upstream of the bypass
@@ -289,10 +295,10 @@ void Router::accept_flits(Cycle now) {
 
 void Router::forward_latches(Cycle now) {
   for (int d = 0; d < kNumMeshDirs; ++d) {
-    auto& l = latch_[d];
-    if (!l.flit.has_value() || l.write_cycle >= now) continue;
-    Flit f = *l.flit;
-    l.flit.reset();
+    const FlovLatch& l = latch_[d];
+    if ((*latch_full_ & latch_bit(d)) == 0 || l.write_cycle >= now) continue;
+    Flit f = l.flit;
+    *latch_full_ &= static_cast<std::uint8_t>(~latch_bit(d));
     (*resident_)--;
     if (f.head) {
       f.flov_hops++;
@@ -342,11 +348,12 @@ void Router::accept_flits_bypass(Cycle now) {
                      std::to_string(f->dest) + " escape=" +
                      std::to_string(f->escape) + " vc=" +
                      std::to_string(f->vc) + ")");
-      auto& l = latch_[dir_index(outd)];
-      FLOV_CHECK(!l.flit.has_value(),
+      const int od = dir_index(outd);
+      FLOV_CHECK((*latch_full_ & latch_bit(od)) == 0,
                  "FLOV latch overrun at router " + std::to_string(id_));
-      l.flit = *f;
-      l.write_cycle = now;
+      latch_[od].flit = *f;
+      latch_[od].write_cycle = now;
+      *latch_full_ |= latch_bit(od);
       (*resident_)++;
     }
   }
@@ -368,8 +375,9 @@ void Router::do_switch_traversal(Cycle now) {
 
     const int outp = dir_index(vc.out_dir);
     auto& ovc = output_[outp].vcs[vc.out_vc];
-    FLOV_CHECK(ovc.credits > 0, "switch traversal without credit");
-    ovc.credits--;
+    CreditCount& credits = output_[outp].credits[vc.out_vc];
+    FLOV_CHECK(credits > 0, "switch traversal without credit");
+    credits--;
 
     f.vc = vc.out_vc;
     f.escape = vc.escape_route;
@@ -585,9 +593,10 @@ void Router::do_switch_allocation(Cycle now) {
     std::uint64_t req = 0;
     for_each_bit(busy_[p], [&](VcId v) {
       const auto& vc = input_[p].vcs[v];
-      if (vc.state != VcState::kActive || vc.buffer.empty()) return;
-      const auto& ovc = output_[dir_index(vc.out_dir)].vcs[vc.out_vc];
-      if (ovc.credits > 0) req |= vc_bit(v);
+      if (vc.state != VcState::kActive || input_[p].len[v] == 0) return;
+      if (output_[dir_index(vc.out_dir)].credits[vc.out_vc] > 0) {
+        req |= vc_bit(v);
+      }
     });
     if (req != 0) {
       nominee[p] = sa_input_arb_[p].arbitrate(req);
@@ -643,7 +652,7 @@ void Router::dump_occupancy(Cycle now) const {
       const Flit& f = vc.buffer.front();
       int credits = -1;
       if (vc.state == VcState::kActive) {
-        credits = output_[dir_index(vc.out_dir)].vcs[vc.out_vc].credits;
+        credits = output_[dir_index(vc.out_dir)].credits[vc.out_vc];
       }
       // The local output has no PSR block flag.
       const bool blocked =
@@ -660,9 +669,9 @@ void Router::dump_occupancy(Cycle now) const {
     }
   }
   for (int d = 0; d < kNumMeshDirs; ++d) {
-    if (latch_[d].flit.has_value()) {
+    if ((*latch_full_ & latch_bit(d)) != 0) {
       std::fprintf(stderr, "  router %d latch %s occupied (dst=%d)\n", id_,
-                   to_string(dir_from_index(d)), latch_[d].flit->dest);
+                   to_string(dir_from_index(d)), latch_[d].flit.dest);
     }
   }
 }
@@ -688,12 +697,11 @@ void Router::set_mode(RouterMode m, Cycle now) {
       }
     }
     busy_.fill(0);
-    for (auto& l : latch_) {
-      if (l.flit.has_value()) {
-        if (kill_cb_) kill_cb_(*l.flit);
-        l.flit.reset();
-        (*resident_)--;
-      }
+    for (int d = 0; d < kNumMeshDirs; ++d) {
+      if ((*latch_full_ & latch_bit(d)) == 0) continue;
+      if (kill_cb_) kill_cb_(latch_[d].flit);
+      *latch_full_ &= static_cast<std::uint8_t>(~latch_bit(d));
+      (*resident_)--;
     }
     pending_st_.clear();
     (*mode_) = m;
@@ -724,14 +732,14 @@ void Router::set_mode(RouterMode m, Cycle now) {
     // NI, or their credits on the way back. Both land after the wake, so
     // the slots they stand for must not be counted free twice.
     const int local = dir_index(Direction::Local);
-    auto& local_vcs = output_[local].vcs;
+    const Span<CreditCount> local_credits = output_[local].credits;
     if (out_flit_[local]) {
       out_flit_[local]->for_each_in_flight(
-          [&](const Flit& f) { local_vcs[f.vc].credits--; });
+          [&](const Flit& f) { local_credits[f.vc]--; });
     }
     if (credit_in_[local]) {
       credit_in_[local]->for_each_in_flight(
-          [&](const Credit& c) { local_vcs[c.vc].credits--; });
+          [&](const Credit& c) { local_credits[c.vc]--; });
     }
     last_local_activity_ = now;
     // VA ticks resume at the next step; gated cycles never ticked.
@@ -758,12 +766,7 @@ bool Router::input_buffers_empty() const {
   return true;
 }
 
-bool Router::latches_empty() const {
-  for (const auto& l : latch_) {
-    if (l.flit.has_value()) return false;
-  }
-  return true;
-}
+bool Router::latches_empty() const { return *latch_full_ == 0; }
 
 bool Router::output_port_idle(Direction d) const {
   return !output_[dir_index(d)].any_allocated();
@@ -781,7 +784,7 @@ bool Router::bypass_quiet() const {
 }
 
 bool Router::completely_empty() const {
-  FLOV_DCHECK((*resident_) == recount_resident_flits(),
+  FLOV_DCHECK(resident_matches_recount(),
               "resident flit counter drifted at router " + std::to_string(id_));
   FLOV_DCHECK(busy_masks_match_vc_states(),
               "busy-VC mask drifted at router " + std::to_string(id_));
@@ -791,20 +794,10 @@ bool Router::completely_empty() const {
 }
 
 int Router::buffered_flits() const {
-  const int n = recount_resident_flits();
-  FLOV_DCHECK((*resident_) == n, "resident flit counter drifted at router " +
-                                        std::to_string(id_));
-  FLOV_DCHECK(busy_masks_match_vc_states(),
-              "busy-VC mask drifted at router " + std::to_string(id_));
-  return n;
-}
-
-int Router::recount_resident_flits() const {
-  int n = 0;
-  for (int p = 0; p < kNumPorts; ++p) {
-    for (const auto& vc : input_[p].vcs) n += vc.occupancy();
-  }
-  for (const auto& l : latch_) n += l.flit.has_value() ? 1 : 0;
+  // The ports' length runs are one [port][vc] stripe of the slab.
+  const VcLength* len = input_[0].len.begin();
+  int n = std::popcount(*latch_full_);
+  for (int i = 0; i < kNumPorts * params_.total_vcs(); ++i) n += len[i];
   return n;
 }
 

@@ -17,7 +17,6 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <optional>
 #include <vector>
 
 #include "common/geometry.hpp"
@@ -102,10 +101,11 @@ class Router {
   bool latches_empty() const;
   /// True when the FLOV output latch toward `d` holds no flit.
   bool latch_empty(Direction d) const {
-    return !latch_[dir_index(d)].flit.has_value();
+    return (*latch_full_ & latch_bit(dir_index(d))) == 0;
   }
-  /// The flit (if any) currently held in the output latch toward `d`.
-  const std::optional<Flit>& latch_flit(Direction d) const {
+  /// The flit held in the output latch toward `d`; valid only while
+  /// !latch_empty(d).
+  const Flit& latch_flit(Direction d) const {
     return latch_[dir_index(d)].flit;
   }
   /// True when output port `d` has no allocated output VCs (no in-flight
@@ -182,9 +182,13 @@ class Router {
   /// timeout fired); the escape-VC path's registry metric.
   std::uint64_t escape_diversions() const { return escape_diversions_; }
   /// Flits resident in this router right now (input VC buffers + FLOV
-  /// latches); used by the verifier's conservation sum. Always a full
-  /// ground-truth recount (the verifier must not trust cached counters).
+  /// latches): a ground-truth recount over its packed in_len stripe and
+  /// latch_full bits, never the resident_ cache.
   int buffered_flits() const;
+  /// True when the resident_ cache equals buffered_flits() (Debug checks).
+  bool resident_matches_recount() const {
+    return *resident_ == buffered_flits();
+  }
   /// Self-destined flits captured to the NI while gated (faults only).
   std::uint64_t self_captures() const { return self_captures_; }
   /// Writes a human-readable description of every non-empty input VC and
@@ -209,8 +213,6 @@ class Router {
   void do_switch_allocation(Cycle now);
   void do_route_computation(Cycle now);
 
-  /// Full walk over input VCs and latches (debug cross-check + verifier).
-  int recount_resident_flits() const;
   /// Full walk over input VC states (debug cross-check of busy_).
   bool busy_masks_match_vc_states() const;
   /// Full walk over the input channels (debug cross-check of in_pending_).
@@ -220,6 +222,10 @@ class Router {
   /// p, bit kNumPorts + p.
   static constexpr std::uint32_t kFlitInBits = (1u << kNumPorts) - 1;
   static constexpr int kCreditInShift = kNumPorts;
+
+  static std::uint8_t latch_bit(int d) {
+    return static_cast<std::uint8_t>(1u << d);
+  }
 
   /// Distance from this router to `n` along direction `d` if `n` lies
   /// exactly along that axis; -1 otherwise.
@@ -245,9 +251,11 @@ class Router {
   std::unique_ptr<MeshHotState> self_hot_;
   /// Hot fields in the SoA slab (this router's slots). mode_/resident_
   /// point at mode[id]/resident[id]; the port views cover the per-VC
-  /// stripes; latch_ the FLOV latches.
+  /// stripes; latch_ the FLOV latches and latch_full_ their occupancy
+  /// bits.
   RouterMode* mode_ = nullptr;
   std::int32_t* resident_ = nullptr;
+  std::uint8_t* latch_full_ = nullptr;
 
   NeighborhoodView view_;
 

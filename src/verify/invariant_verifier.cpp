@@ -156,11 +156,15 @@ void InvariantVerifier::run_checks(Cycle now, bool full) {
   }
 
   if (opts_.check_credits) {
-    gather_fresh_channels();
     update_segments(all);
-    for (std::size_t i = 0; i < segments_.size(); ++i) {
-      if (segment_due_[i]) {
-        segment_due_[i] = eval_segment(segments_[i], hops_, findings_) ? 0 : 1;
+    // Due segments in ascending index order, as the full pass visits them;
+    // one that holds leaves the set.
+    for (std::size_t w = 0; w < segment_due_.size(); ++w) {
+      for (std::uint64_t due = segment_due_[w]; due != 0; due &= due - 1) {
+        const int bit = std::countr_zero(due);
+        if (eval_segment(segments_[w * 64 + bit], hops_, findings_)) {
+          segment_due_[w] &= ~(std::uint64_t{1} << bit);
+        }
       }
     }
   }
@@ -190,32 +194,6 @@ void InvariantVerifier::run_checks(Cycle now, bool full) {
 #endif
   last_check_ = now;
   for (const std::string& what : findings_) violation(now, what);
-}
-
-void InvariantVerifier::gather_fresh_channels() {
-  // The fixed cost every check pays: eight flags per word, a quiet word
-  // skipped whole. Gathering clears the flags, so the next check sees only
-  // newer operations.
-  static_assert(std::endian::native == std::endian::little,
-                "byte index = countr_zero / 8 assumes little-endian words");
-  std::vector<std::uint8_t>& flags = *activity_;
-  const int count = static_cast<int>(flags.size());
-  fresh_channels_.clear();
-  int i = 0;
-  for (; i + 8 <= count; i += 8) {
-    std::uint64_t word;
-    std::memcpy(&word, &flags[i], sizeof word);
-    if (word == 0) continue;
-    std::memset(&flags[i], 0, sizeof word);
-    for (; word != 0; word &= word - 1) {
-      fresh_channels_.push_back(i + std::countr_zero(word) / 8);
-    }
-  }
-  for (; i < count; ++i) {
-    if (flags[i] == 0) continue;
-    flags[i] = 0;
-    fresh_channels_.push_back(i);
-  }
 }
 
 void InvariantVerifier::oracle_check(Cycle now, Streaks streaks) {
@@ -250,15 +228,14 @@ void InvariantVerifier::oracle_check(Cycle now, Streaks streaks) {
 // --- flit conservation -----------------------------------------------------
 
 InvariantVerifier::FlitSums InvariantVerifier::count_flits() const {
-  // Ground truth only: per-NI counters summed directly and a full component
-  // walk for the in-flight population. The network's O(1) cached aggregates
-  // must NOT be used here — a cache that drifted would make the equation
-  // tautologically true (the cache IS injected - ejected - dropped).
+  // Ground truth only: the per-NI counters and every buffer, latch and
+  // flit channel's own length, summed over the packed arrays. The
+  // network's O(1) cached aggregates must NOT be used here — a cache that
+  // drifted would make the equation tautologically true (the cache IS
+  // injected - ejected - dropped).
   FlitSums s;
-  for (NodeId id = 0; id < net_.num_nodes(); ++id) {
-    s.injected += net_.ni(id).injected_flits();
-    s.ejected += net_.ni(id).ejected_flits();
-  }
+  s.injected = net_.recount_injected_flits();
+  s.ejected = net_.recount_ejected_flits();
   s.inside = net_.recount_in_network_flits();
   return s;
 }
@@ -286,7 +263,11 @@ void InvariantVerifier::eval_conservation(const FlitSums& sums,
        << c.dropped_flits << "/" << dropped << " in_network="
        << c.in_network() << "/" << sums.inside;
     out.push_back(os.str());
+    return;
   }
+  FLOV_DCHECK(net_.caches_match_packed_sums(),
+              "a router's resident-flit cache drifted from its packed "
+              "buffer lengths and latch bits");
 }
 
 void InvariantVerifier::check_delivery(Findings& out) const {
@@ -328,36 +309,70 @@ void InvariantVerifier::build_segments(std::vector<Segment>& segments,
       if (c == kInvalidNode) continue;
       const int first = static_cast<int>(hops.size());
       for (NodeId r = u; r != c; r = g.neighbor(r, d)) {
-        Router& router = net_.router(r);
-        hops.push_back(Hop{net_.flit_channel(r, d), router.credit_in(d),
-                           r == u ? nullptr : &router.latch_flit(d)});
+        const Channel<Flit>* flit = net_.flit_channel(r, d);
+        const Channel<Credit>* credit = net_.router(r).credit_in(d);
+        hops.push_back(Hop{flit, credit, net_.channel_index(*flit),
+                           net_.channel_index(*credit),
+                           r == u ? kInvalidNode : r});
       }
-      segments.push_back(
-          Segment{u, d, c, first, static_cast<int>(hops.size())});
+      const MeshHotState& hot = net_.hot_state();
+      segments.push_back(Segment{u, d, c, first,
+                                 static_cast<int>(hops.size()),
+                                 hot.vc_slot(u, dir_index(d)),
+                                 hot.vc_slot(c, dir_index(opposite(d)))});
     }
   }
 }
 
 void InvariantVerifier::update_segments(bool all) {
+  std::vector<std::uint8_t>& flags = *activity_;
+  const std::size_t count = flags.size();
   if (all) {
     build_segments(segments_, hops_);
-    channel_segment_.assign(activity_->size(), -1);
-    for (std::size_t i = 0; i < segments_.size(); ++i) {
+    const int n = static_cast<int>(segments_.size());
+    channel_segment_.assign(count, n);
+    for (int i = 0; i < n; ++i) {
       const Segment& s = segments_[i];
       for (int h = s.first_hop; h < s.end_hop; ++h) {
-        channel_segment_[net_.channel_index(*hops_[h].flit)] =
-            static_cast<int>(i);
-        channel_segment_[net_.channel_index(*hops_[h].credit)] =
-            static_cast<int>(i);
+        channel_segment_[hops_[h].flit_index] = i;
+        channel_segment_[hops_[h].credit_index] = i;
       }
     }
-    segment_due_.assign(segments_.size(), 1);
+    // One bit per segment plus the sink's, which stays clear.
+    segment_due_.assign(static_cast<std::size_t>(n) / 64 + 1, 0);
+    for (int i = 0; i < n; ++i) {
+      segment_due_[i / 64] |= std::uint64_t{1} << (i % 64);
+    }
+    std::fill(flags.begin(), flags.end(), 0);
     return;
   }
-  for (const int i : fresh_channels_) {
-    const int seg = channel_segment_[i];
-    if (seg >= 0) segment_due_[seg] = 1;
+  // The fixed cost every check pays, without a data-dependent branch until
+  // the flagged channels themselves: each word of eight 0/1 flags packs
+  // into eight bits of a fresh-channel bitmap (byte b's flag to bit b), the
+  // flags are cleared wholesale, and only the set bits are visited.
+  // Channels outside every segment mark the sink bit, cleared after.
+  static_assert(std::endian::native == std::endian::little,
+                "flag b of a word is byte b assumes little-endian words");
+  constexpr std::uint64_t kPackLowBits = 0x0102040810204080ull;
+  fresh_.assign((count + 63) / 64, 0);
+  std::size_t i = 0;
+  for (; i + 8 <= count; i += 8) {
+    std::uint64_t word;
+    std::memcpy(&word, &flags[i], sizeof word);
+    fresh_[i / 64] |= ((word * kPackLowBits) >> 56) << (i % 64);
   }
+  for (; i < count; ++i) {
+    fresh_[i / 64] |= std::uint64_t{flags[i]} << (i % 64);
+  }
+  std::fill(flags.begin(), flags.end(), 0);
+  for (std::size_t w = 0; w < fresh_.size(); ++w) {
+    for (std::uint64_t bits = fresh_[w]; bits != 0; bits &= bits - 1) {
+      const int seg = channel_segment_[w * 64 + std::countr_zero(bits)];
+      segment_due_[seg / 64] |= std::uint64_t{1} << (seg % 64);
+    }
+  }
+  const std::size_t sink = segments_.size();
+  segment_due_[sink / 64] &= ~(std::uint64_t{1} << (sink % 64));
 }
 
 bool InvariantVerifier::eval_segment(const Segment& s,
@@ -365,28 +380,40 @@ bool InvariantVerifier::eval_segment(const Segment& s,
                                      Findings& out) {
   // Inputs: u's output credits toward d, the segment's flit channels,
   // credit back-channels and latches, and c's input buffers — each changes
-  // only with an operation on one of the segment's channels.
+  // only with an operation on one of the segment's channels. All but the
+  // per-VC contents of a non-empty wire or a full latch are packed cells:
+  // a quiet hop costs two length loads and a latch bit.
   const NocParams& p = net_.params();
+  const MeshHotState& hot = net_.hot_state();
   const int nvc = p.total_vcs();
+  const int di = dir_index(s.d);
+  const std::uint8_t latch_bit = static_cast<std::uint8_t>(1u << di);
   int* flits = flits_scratch_.data();
   int* credits_back = credits_scratch_.data();
   std::fill_n(flits, nvc, 0);
   std::fill_n(credits_back, nvc, 0);
   for (int h = s.first_hop; h < s.end_hop; ++h) {
     const Hop& hop = hops[h];
-    hop.flit->for_each_in_flight([&](const Flit& f) { flits[f.vc]++; });
-    hop.credit->for_each_in_flight(
-        [&](const Credit& cr) { credits_back[cr.vc]++; });
-    if (hop.latch != nullptr && hop.latch->has_value()) {
-      flits[(*hop.latch)->vc]++;
+    if (hot.ch_len[hop.flit_index] != 0) {
+      hop.flit->for_each_in_flight([&](const Flit& f) { flits[f.vc]++; });
+    }
+    if (hot.ch_len[hop.credit_index] != 0) {
+      hop.credit->for_each_in_flight(
+          [&](const Credit& cr) { credits_back[cr.vc]++; });
+    }
+    if (hop.latch_node != kInvalidNode &&
+        (hot.latch_full[hop.latch_node] & latch_bit) != 0) {
+      const std::size_t l =
+          static_cast<std::size_t>(hop.latch_node) * kNumMeshDirs + di;
+      flits[hot.latch[l].flit.vc]++;
     }
   }
-  const InputPort& in = net_.router(s.c).input_port(opposite(s.d));
-  const OutputPort& port = net_.router(s.u).output_port(s.d);
+  const VcLength* in_len = &hot.in_len[s.occupied];
+  const CreditCount* out_credits = &hot.out_credits[s.credits];
   bool holds = true;
   for (int v = 0; v < nvc; ++v) {
-    const int occupied = in.vcs[v].occupancy();
-    const int credits = port.vcs[v].credits;
+    const int occupied = in_len[v];
+    const int credits = out_credits[v];
     const int sum = credits + flits[v] + credits_back[v] + occupied;
     const bool bad =
         credits_exact_ ? sum != p.buffer_depth : sum > p.buffer_depth;

@@ -45,9 +45,19 @@
 // same violations in the same order (the oracle), so a missed signal fails
 // the Debug test suite instead of hiding a violation. Verdicts, violation
 // cycles and messages are those of a full pass every check. Two checks are
-// full passes every time: flit conservation (a sequential recount of every
-// buffer, latch and channel) and reliable-delivery accounting (NI
-// retransmit timers declare flows dead without any channel operation).
+// full passes every time: flit conservation and reliable-delivery
+// accounting (NI retransmit timers declare flows dead without any channel
+// operation).
+//
+// Both conservation checks read the packed arrays of MeshHotState, which
+// are the components' own length cells, credit counters, latch bits and NI
+// counters, not caches of them: flit conservation is a sum over a few KB,
+// and a credit segment reads one input-length run, one credit run and per
+// hop two channel lengths and a latch bit, walking a wire's items only when
+// its length is not 0. The scheduler's caches (each router's resident
+// count, the FabricCounters) are held to those sums: a drifted
+// FabricCounters is a reported violation, a drifted resident count a Debug
+// FLOV_DCHECK.
 //
 // A violation dumps the offending neighborhood and either aborts via
 // FLOV_CHECK (fatal=true, the default) or is counted (for tests that
@@ -56,7 +66,6 @@
 
 #include <array>
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -139,22 +148,30 @@ class InvariantVerifier {
     std::uint64_t ejected = 0;
     std::uint64_t inside = 0;  ///< router buffers + latches + flit channels
   };
-  /// One link of a credit segment: router r's flit wire toward d, its
-  /// credit back-channel, and r's FLOV latch toward d (null for r == u).
+  /// One link of a credit segment: router r's flit wire toward d and its
+  /// credit back-channel (with their channel indices, the slots of their
+  /// packed lengths), and r's FLOV latch toward d (latch_node is r, or
+  /// kInvalidNode for r == u).
   struct Hop {
     const Channel<Flit>* flit;
     const Channel<Credit>* credit;
-    const std::optional<Flit>* latch;
+    int flit_index;
+    int credit_index;
+    NodeId latch_node;
   };
   /// One credit-conservation segment: powered `u`, its outputs toward `d`,
   /// across sleeping routers to the nearest powered router `c`; its links
-  /// are hops[first_hop, end_hop).
+  /// are hops[first_hop, end_hop). `credits` and `occupied` are the first
+  /// slots of u's output-credit run and c's input-length run in the packed
+  /// arrays (MeshHotState::vc_slot).
   struct Segment {
     NodeId u;
     Direction d;
     NodeId c;
     int first_hop;
     int end_hop;
+    std::size_t credits;
+    std::size_t occupied;
   };
 
   /// Runs every armed check over the changed items (full = all items) and
@@ -163,12 +180,9 @@ class InvariantVerifier {
   /// The full pass over pre-check PSR streaks `streaks`; FLOV_DCHECKs that
   /// it finds exactly what the incremental check found.
   void oracle_check(Cycle now, Streaks streaks);
-  /// Collects into fresh_channels_ (ascending) the channels operated on
-  /// since the previous check, clearing their activity flags.
-  void gather_fresh_channels();
 
   // --- flit conservation ---
-  /// Ground truth by walking every component.
+  /// Ground truth: sums over the packed arrays (never the caches).
   FlitSums count_flits() const;
   void eval_conservation(const FlitSums& sums, Findings& out) const;
   void check_delivery(Findings& out) const;
@@ -176,8 +190,9 @@ class InvariantVerifier {
   // --- credit conservation ---
   void build_segments(std::vector<Segment>& segments,
                       std::vector<Hop>& hops) const;
-  /// Rebuilds the segment table (all) or marks the segments a freshly
-  /// flagged channel belongs to as due.
+  /// Rebuilds the segment table (all) or marks the segments a channel
+  /// operated on since the previous check belongs to as due; either way it
+  /// clears the channel activity flags.
   void update_segments(bool all);
   /// Returns true when the segment holds.
   bool eval_segment(const Segment& s, const std::vector<Hop>& hops,
@@ -216,11 +231,15 @@ class InvariantVerifier {
   Cycle last_check_ = 0;  ///< cycle of the previous check
   Cycle last_step_ = 0;  ///< cycle of the previous step() call
   std::uint64_t seen_epoch_ = ~std::uint64_t{0};  ///< control epoch seen
-  std::vector<int> fresh_channels_;  ///< flagged since the previous check
   std::vector<Segment> segments_;
   std::vector<Hop> hops_;
-  std::vector<int> channel_segment_;  ///< channel index -> segment or -1
-  std::vector<std::uint8_t> segment_due_;  ///< flagged or failed last time
+  /// Channel index -> its segment, or segments_.size() (the sink) for a
+  /// channel no segment reads.
+  std::vector<int> channel_segment_;
+  /// Bit i of word i / 64: segment i was flagged or failed last time.
+  std::vector<std::uint64_t> segment_due_;
+  /// update_segments' scratch: bit c set when channel c was flagged.
+  std::vector<std::uint64_t> fresh_;
   /// Per node, the first check that must evaluate it again: eval_psr's
   /// answer, or 0 once a PSR stamp reached it (mark_psr_readers).
   std::vector<Cycle> psr_due_;

@@ -100,6 +100,46 @@ TEST(Channel, EveryWireChangeSetsTheActivityFlag) {
   EXPECT_EQ(flag, 1) << "dropped send";
 }
 
+TEST(Channel, PackedLengthCellMatchesTheQueueAfterEveryOperation) {
+  for (const bool staging : {false, true}) {
+    ChannelLength len = 99;
+    Channel<int> ch(1, &len);
+    if (staging) ch.set_staging();
+    auto expect_len = [&](const char* op) {
+      std::size_t walked = 0;
+      ch.for_each_in_flight([&](int) { ++walked; });
+      EXPECT_EQ(len, walked) << op << (staging ? " (staging)" : "");
+      EXPECT_EQ(ch.in_flight(), walked) << op;
+    };
+    // The barrier merge on a staging channel; a plain one has none.
+    auto merge = [&] {
+      if (!staging) return;
+      ch.merge_staged();
+      expect_len("merge_staged");
+    };
+    expect_len("construction");
+    ch.send(0, 1);
+    expect_len("send");
+    ch.send(0, 2);
+    expect_len("second send");
+    merge();
+    ASSERT_TRUE(ch.recv(1).has_value());
+    expect_len("recv");
+    merge();
+    ch.send(1, 3);
+    merge();
+    EXPECT_EQ(ch.recv_all(2).size(), 2u);
+    expect_len("recv_all");
+    merge();
+    ch.send(2, 4);
+    ch.send(2, 5);
+    merge();
+    ch.clear();
+    expect_len("clear");
+    EXPECT_EQ(len, 0u);
+  }
+}
+
 TEST(Channel, StagingChannelFlagsAtTheMerge) {
   std::uint8_t flag = 0;
   Channel<int> ch(1);

@@ -516,10 +516,13 @@ TEST(Config, KeysSortedAndRoundTrip) {
 }
 
 TEST(RingBuffer, FifoOrderAcrossGrowth) {
-  RingBuffer<int> rb;
+  std::size_t len = 7;
+  RingBuffer<int, std::size_t> rb;
+  rb.bind_count(&len);
   EXPECT_TRUE(rb.empty());
   for (int i = 0; i < 100; ++i) rb.push_back(i);
   EXPECT_EQ(rb.size(), 100u);
+  EXPECT_EQ(len, 100u) << "the bound cell is the length";
   EXPECT_EQ(rb.front(), 0);
   EXPECT_EQ(rb.back(), 99);
   for (int i = 0; i < 100; ++i) {
@@ -530,7 +533,9 @@ TEST(RingBuffer, FifoOrderAcrossGrowth) {
 }
 
 TEST(RingBuffer, WrapAroundReusesStorage) {
-  RingBuffer<int> rb;
+  std::size_t len = 0;
+  RingBuffer<int, std::size_t> rb;
+  rb.bind_count(&len);
   for (int i = 0; i < 8; ++i) rb.push_back(i);
   // Steady-state churn: pop one, push one — must wrap, never grow.
   for (int i = 8; i < 1000; ++i) {
@@ -544,7 +549,9 @@ TEST(RingBuffer, WrapAroundReusesStorage) {
 }
 
 TEST(RingBuffer, GrowWhileWrappedPreservesOrder) {
-  RingBuffer<int> rb;
+  std::size_t len = 0;
+  RingBuffer<int, std::size_t> rb;
+  rb.bind_count(&len);
   for (int i = 0; i < 8; ++i) rb.push_back(i);
   for (int i = 0; i < 5; ++i) rb.pop_front();  // head_ now mid-array
   for (int i = 8; i < 40; ++i) rb.push_back(i);  // forces growth while wrapped
@@ -556,7 +563,9 @@ TEST(RingBuffer, GrowWhileWrappedPreservesOrder) {
 }
 
 TEST(RingBuffer, IndexEmplaceAndClear) {
-  RingBuffer<std::pair<int, int>> rb;
+  std::uint8_t len = 0;
+  RingBuffer<std::pair<int, int>, std::uint8_t> rb;
+  rb.bind_count(&len);
   rb.emplace_back(1, 2);
   rb.emplace_back(3, 4);
   EXPECT_EQ(rb[0].first, 1);

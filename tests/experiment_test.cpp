@@ -184,6 +184,12 @@ TEST(Experiment, InvalidNocParamsRejected) {
   Config cfg2;
   cfg2.set("noc.escape_vc", 9ll);
   EXPECT_THROW(NocParams::from_config(cfg2, {}), std::logic_error);
+  // Buffer lengths and credits are one-byte cells.
+  Config deep;
+  deep.set("noc.buffer_depth", 128ll);
+  EXPECT_THROW(NocParams::from_config(deep, {}), std::logic_error);
+  deep.set("noc.buffer_depth", 127ll);
+  EXPECT_EQ(NocParams::from_config(deep, {}).buffer_depth, 127);
 }
 
 TEST(Experiment, TimelineOnlyWhenRequested) {

@@ -54,10 +54,10 @@ TEST(FlovCredits, UpstreamTracksLogicalDownstreamAfterSleep) {
   h.sleep_and_settle({5}, 200);
   // Router 4's East output credits must equal router 6's (empty) buffers.
   const auto& port = h.sys.network().router(4).output_port(Direction::East);
-  for (const auto& ovc : port.vcs) {
-    EXPECT_EQ(ovc.credits, params4().buffer_depth);
-    EXPECT_FALSE(ovc.allocated);
+  for (const int credits : port.credits) {
+    EXPECT_EQ(credits, params4().buffer_depth);
   }
+  for (const auto& ovc : port.vcs) EXPECT_FALSE(ovc.allocated);
 }
 
 TEST(FlovCredits, CreditsReturnAfterTrafficAcrossSleeper) {
@@ -68,8 +68,8 @@ TEST(FlovCredits, CreditsReturnAfterTrafficAcrossSleeper) {
   ASSERT_EQ(h.records.size(), 8u);
   // Steady state restored: full credits again at the upstream.
   const auto& port = h.sys.network().router(4).output_port(Direction::East);
-  for (const auto& ovc : port.vcs) {
-    EXPECT_EQ(ovc.credits, params4().buffer_depth);
+  for (const int credits : port.credits) {
+    EXPECT_EQ(credits, params4().buffer_depth);
   }
 }
 
@@ -124,10 +124,14 @@ TEST(FlovCredits, WakeupRestoresFullCreditsUpstream) {
   h.run(200);
   ASSERT_EQ(h.sys.hsc(5).state(), PowerState::kActive);
   const auto& p4 = h.sys.network().router(4).output_port(Direction::East);
-  for (const auto& ovc : p4.vcs) EXPECT_EQ(ovc.credits, params4().buffer_depth);
+  for (const int credits : p4.credits) {
+    EXPECT_EQ(credits, params4().buffer_depth);
+  }
   // And router 5's own credits track router 6.
   const auto& p5 = h.sys.network().router(5).output_port(Direction::East);
-  for (const auto& ovc : p5.vcs) EXPECT_EQ(ovc.credits, params4().buffer_depth);
+  for (const int credits : p5.credits) {
+    EXPECT_EQ(credits, params4().buffer_depth);
+  }
   // Traffic flows normally again.
   h.send(4, 6);
   h.run(100);

@@ -197,10 +197,11 @@ TEST(Integration, CreditConservationAfterDrainGFlov) {
           PowerState::kActive) {
         continue;
       }
-      for (const auto& ovc : r.output_port(d).vcs) {
-        EXPECT_EQ(ovc.credits, p.buffer_depth)
+      const OutputPort& port = r.output_port(d);
+      for (int v = 0; v < port.vcs.size(); ++v) {
+        EXPECT_EQ(port.credits[v], p.buffer_depth)
             << "router " << n << " dir " << to_string(d);
-        EXPECT_FALSE(ovc.allocated);
+        EXPECT_FALSE(port.vcs[v].allocated);
       }
     }
   }

@@ -110,9 +110,9 @@ TEST(RouterModes, WakeResetsOutputAllocationState) {
   h.run(2);
   r.set_mode(RouterMode::kPipeline, h.now);
   for (Direction d : kMeshDirections) {
-    for (const auto& ovc : r.output_port(d).vcs) {
-      EXPECT_FALSE(ovc.allocated);
-      EXPECT_EQ(ovc.credits, h.params.buffer_depth);
+    for (const auto& ovc : r.output_port(d).vcs) EXPECT_FALSE(ovc.allocated);
+    for (const int credits : r.output_port(d).credits) {
+      EXPECT_EQ(credits, h.params.buffer_depth);
     }
   }
 }

@@ -161,8 +161,8 @@ TEST(RouterUnit, WakeCountsInFlightLocalCreditsOnce) {
       }
       b.step();
     }
-    for (const auto& ovc : b.router.output_port(Direction::Local).vcs) {
-      EXPECT_EQ(ovc.credits, b.params.buffer_depth);
+    for (const int credits : b.router.output_port(Direction::Local).credits) {
+      EXPECT_EQ(credits, b.params.buffer_depth);
     }
   }
 }

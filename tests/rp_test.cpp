@@ -44,7 +44,7 @@ TEST(ParkingPolicy, AggressiveParksIsolatedGatedCore) {
   const auto powered = compute_parked_set(g, gated, aon, RpPolicy::kAggressive);
   EXPECT_FALSE(powered[5]);
   for (NodeId n = 0; n < 16; ++n) {
-    if (n != 5) EXPECT_TRUE(powered[n]) << n;
+    if (n != 5) { EXPECT_TRUE(powered[n]) << n; }
   }
 }
 
@@ -67,7 +67,7 @@ TEST(ParkingPolicy, ConnectivityPreserved) {
     EXPECT_TRUE(endpoints_connected(g, powered, endpoints));
     // Active endpoints are never parked.
     for (int i = 0; i < 16; ++i) {
-      if (!gated[i]) EXPECT_TRUE(powered[i]) << i;
+      if (!gated[i]) { EXPECT_TRUE(powered[i]) << i; }
     }
   }
 }

@@ -70,7 +70,7 @@ TEST(UpDown, LegalityNoUpAfterDown) {
         auto hop = r.next_hop(cur, b, phase);
         ASSERT_TRUE(hop.has_value()) << a << "->" << b;
         // Once the phase bit is set, up links are forbidden.
-        if (phase) ASSERT_FALSE(r.is_up_link(cur, hop->dir));
+        if (phase) { ASSERT_FALSE(r.is_up_link(cur, hop->dir)); }
         cur = g.neighbor(cur, hop->dir);
         phase = hop->went_down_after;
         ASSERT_LE(++steps, 64);
@@ -87,7 +87,7 @@ TEST(UpDown, PhaseBitMonotone) {
       if (g.neighbor(a, d) == kInvalidNode) continue;
       // From phase=true, any legal hop keeps phase=true.
       auto hop = r.next_hop(a, g.neighbor(a, d), true);
-      if (hop.has_value()) EXPECT_TRUE(hop->went_down_after);
+      if (hop.has_value()) { EXPECT_TRUE(hop->went_down_after); }
     }
   }
 }
@@ -147,7 +147,7 @@ TEST_P(UpDownRandom, RandomSubgraphsRouteWithinComponent) {
       while (cur != b) {
         auto hop = r.next_hop(cur, b, phase);
         ASSERT_TRUE(hop.has_value());
-        if (phase) ASSERT_FALSE(r.is_up_link(cur, hop->dir));
+        if (phase) { ASSERT_FALSE(r.is_up_link(cur, hop->dir)); }
         cur = g.neighbor(cur, hop->dir);
         ASSERT_TRUE(p[cur]);  // never routes through an unpowered node
         phase = hop->went_down_after;

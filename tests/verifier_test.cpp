@@ -8,6 +8,7 @@
 // (PROTOCOL.md §2) and the new recovery knobs' config plumbing.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "common/config.hpp"
@@ -128,6 +129,72 @@ TEST(VerifierDeath, VanishedFlitAborts) {
   const std::string msg = expect_fatal([&] { verifier.step(now); });
   EXPECT_NE(msg.find("flit conservation broken"), std::string::npos) << msg;
   EXPECT_EQ(verifier.last_violation_cycle(), now);
+}
+
+// --- packed occupancy: the checks read the components' own cells --------
+// Flit conservation sums the packed buffer lengths and the credit check
+// reads the packed credit run, so a cell changed behind its component's
+// back must be reported on that cycle. A check that read a cache (the
+// routers' resident counts, the FabricCounters) would stay silent.
+
+TEST(VerifierPacked, DecrementedVcLengthBreaksFlitConservation) {
+  FlovNetwork sys(small_mesh(), FlovMode::kGeneralized, EnergyParams{});
+  VerifierOptions vo;
+  vo.fatal = false;
+  vo.check_credits = false;  // the same loss would also break a segment
+  InvariantVerifier verifier(sys, vo);
+  PacketDescriptor pd;
+  pd.src = 0;
+  pd.dest = 3;
+  pd.size_flits = 4;
+  sys.network().enqueue(pd);
+  std::vector<VcLength>& in_len = sys.network().hot_state().in_len;
+  Cycle now = 0;
+  for (;; ++now) {
+    ASSERT_LT(now, 50u) << "no flit was ever buffered";
+    sys.step(now);
+    const auto buffered = std::find_if(in_len.begin(), in_len.end(),
+                                       [](VcLength n) { return n > 0; });
+    if (buffered != in_len.end()) {
+      --*buffered;
+      verifier.step(now);
+      break;
+    }
+    verifier.step(now);
+    ASSERT_EQ(verifier.violations(), 0u);
+  }
+  EXPECT_EQ(verifier.violations(), 1u);
+  EXPECT_EQ(verifier.last_violation_cycle(), now);
+  EXPECT_NE(verifier.last_violation().find("flit conservation broken"),
+            std::string::npos)
+      << verifier.last_violation();
+}
+
+TEST(VerifierPacked, BumpedOutputCreditBreaksCreditConservation) {
+  FlovNetwork sys(small_mesh(), FlovMode::kGeneralized, EnergyParams{});
+  VerifierOptions vo;
+  vo.fatal = false;
+  InvariantVerifier verifier(sys, vo);
+  Cycle now = 0;
+  for (; now < 20; ++now) {
+    sys.step(now);
+    verifier.step(now);
+  }
+  ASSERT_EQ(verifier.violations(), 0u);
+  // Router 5 gains an East credit for VC 2 that router 6's buffer does not
+  // back. wake_router announces it the way a credit handover would, so the
+  // incremental check re-reads every segment.
+  MeshHotState& hot = sys.network().hot_state();
+  hot.out_credits[hot.vc_slot(5, dir_index(Direction::East)) + 2]++;
+  sys.network().wake_router(5);
+  sys.step(now);
+  verifier.step(now);
+  EXPECT_EQ(verifier.violations(), 1u);
+  EXPECT_EQ(verifier.last_violation_cycle(), now);
+  EXPECT_NE(verifier.last_violation().find(
+                "credit conservation broken on segment 5 -> 6 dir=E vc=2"),
+            std::string::npos)
+      << verifier.last_violation();
 }
 
 // --- incremental checking: exact on long-quiet state ---------------------
