@@ -2,10 +2,13 @@
 // and Phase-I reconfiguration latency (how much of RP's Fig.-10 spike is
 // the stall itself).
 #include <algorithm>
+#include <cstdio>
 #include <memory>
 
-#include "bench_util.hpp"
+#include "common/config.hpp"
 #include "rp/rp_network.hpp"
+#include "sim/latency_stats.hpp"
+#include "sim/sweep.hpp"
 #include "traffic/gating_scenario.hpp"
 #include "traffic/synthetic_traffic.hpp"
 #include "traffic/traffic_pattern.hpp"
@@ -54,11 +57,16 @@ RpRun run_rp(FabricManagerConfig fm, double gated, Cycle measure,
   return out;
 }
 
+void print_header(const char* title) {
+  std::printf("\n================================================================\n");
+  std::printf("%s\n", title);
+  std::printf("================================================================\n");
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   using namespace flov;
-  using namespace flov::bench;
   Config cfg;
   cfg.parse_args(argc, argv);
   const Cycle measure = cfg.get_int("cycles", 40000);

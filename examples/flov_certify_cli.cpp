@@ -4,7 +4,9 @@
 // sequential stopping rule resolves (SPRT against a target reliability
 // and/or a CI half-width bound) or the hard replication cap is hit, then
 // emits a flyover-certificate-v1 manifest with statistically certified
-// bounds ("delivery >= 0.95 at 95% confidence under fault model F").
+// bounds ("delivery >= 0.95 at 95% confidence under fault model F"). It
+// prints one convergence row per folded batch (running Wilson bound vs
+// replications spent) on the way.
 //
 //   flov_certify_cli scheme=gflov k=8 gated=0.3 inj=0.05
 //                    fault.hard_router_pct=0.03 fault.hard_at_cycle=1800
@@ -41,6 +43,7 @@
 #include <string>
 
 #include "common/config.hpp"
+#include "common/log.hpp"
 #include "sim/certify.hpp"
 #include "telemetry/manifest.hpp"
 #include "telemetry/ops/ops_plane.hpp"
@@ -62,16 +65,18 @@ int main(int argc, char** argv) try {
   // A fatal verifier would abort the whole campaign on one bad
   // replication; certification counts violations instead.
   defaults.verifier.fatal = false;
+  defaults.scheme = Scheme::kGFlov;
+  if (cfg.has("seed")) {
+    fatal(__FILE__, __LINE__,
+          "config key seed is not an option of flov_certify_cli: every "
+          "replication's seed derives from seed_base=");
+  }
   SyntheticExperimentConfig base =
       SyntheticExperimentConfig::from_config(cfg, defaults);
   if (cfg.has("k")) {
     base.noc.width = static_cast<int>(cfg.get_int("k"));
     base.noc.height = base.noc.width;
   }
-  base.scheme = scheme_from_string(cfg.get_string("scheme", "gflov"));
-  base.pattern = cfg.get_string("pattern", "uniform");
-  base.inj_rate_flits = cfg.get_double("inj", 0.02);
-  base.gated_fraction = cfg.get_double("gated", 0.0);
 
   CertifyOptions opts;
   opts.metric = cfg.get_string("metric", "delivery");
@@ -113,6 +118,19 @@ int main(int argc, char** argv) try {
       opts.metric.c_str(), opts.confidence, opts.target,
       static_cast<unsigned long long>(opts.max_replications),
       static_cast<unsigned long long>(opts.batch));
+
+  // Convergence: one row per folded batch, the target metric's running
+  // Wilson bound against the replications spent so far.
+  std::printf("%6s %10s %8s %8s %14s %14s %11s\n", "reps", "successes",
+              "trials", "point", "wilson_lower", "wilson_upper",
+              "half_width");
+  opts.batch_hook = [](std::uint64_t reps, const CertifyEstimate& e) {
+    std::printf("%6llu %10llu %8llu %8.5f %14.5f %14.5f %11.5f\n",
+                static_cast<unsigned long long>(reps),
+                static_cast<unsigned long long>(e.successes),
+                static_cast<unsigned long long>(e.trials), e.point,
+                e.wilson.lower, e.wilson.upper, e.wilson.half_width());
+  };
 
   const auto wall_start = std::chrono::steady_clock::now();
   const CertifyResult res = run_certification(base, opts);

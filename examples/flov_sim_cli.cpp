@@ -145,13 +145,10 @@ int main(int argc, char** argv) try {
   Config cfg;
   cfg.parse_args(argc, argv);
 
+  SyntheticExperimentConfig defaults;
+  defaults.scheme = Scheme::kGFlov;
   SyntheticExperimentConfig ex =
-      SyntheticExperimentConfig::from_config(cfg, {});
-  ex.scheme = scheme_from_string(cfg.get_string("scheme", "gflov"));
-  ex.pattern = cfg.get_string("pattern", "uniform");
-  ex.inj_rate_flits = cfg.get_double("inj", 0.02);
-  ex.gated_fraction = cfg.get_double("gated", 0.0);
-  ex.seed = cfg.get_int("seed", 1);
+      SyntheticExperimentConfig::from_config(cfg, defaults);
   const std::string trace_out = cfg.get_string("trace_out", "");
   const std::string manifest_out = cfg.get_string("manifest", "");
   const std::string incidents_out = cfg.get_string("incidents_out", "");
@@ -258,10 +255,11 @@ int main(int argc, char** argv) try {
                 static_cast<unsigned long long>(r.verifier_checks),
                 static_cast<unsigned long long>(r.verifier_violations));
   }
-  if (!r.timeline.empty()) {
+  if (const auto ts = r.metrics->all_series().find("latency.timeline");
+      ts != r.metrics->all_series().end()) {
     std::printf("\nlatency timeline (window %llu):\n",
                 static_cast<unsigned long long>(ex.timeline_window));
-    for (const auto& p : r.timeline) {
+    for (const auto& p : ts->second.points()) {
       std::printf("  %8llu %10.2f  (%llu pkts)\n",
                   static_cast<unsigned long long>(p.window_start), p.mean,
                   static_cast<unsigned long long>(p.count));

@@ -7,6 +7,7 @@
 #include <cstdio>
 
 #include "common/config.hpp"
+#include "common/log.hpp"
 #include "sim/experiment.hpp"
 
 int main(int argc, char** argv) {
@@ -14,14 +15,15 @@ int main(int argc, char** argv) {
   Config cfg;
   cfg.parse_args(argc, argv);
 
+  if (cfg.has("gated")) {
+    fatal(__FILE__, __LINE__,
+          "gating_sweep sweeps the gated fraction itself; use steps=");
+  }
   SyntheticExperimentConfig defaults;
   defaults.measure = 40000;
+  defaults.scheme = Scheme::kGFlov;
   SyntheticExperimentConfig ex =
       SyntheticExperimentConfig::from_config(cfg, defaults);
-  ex.scheme = scheme_from_string(cfg.get_string("scheme", "gflov"));
-  ex.pattern = cfg.get_string("pattern", "uniform");
-  ex.inj_rate_flits = cfg.get_double("inj", 0.02);
-  ex.seed = cfg.get_int("seed", 1);
   const int steps = static_cast<int>(cfg.get_int("steps", 9));
   reject_unread_keys(cfg);
 

@@ -7,6 +7,7 @@
 #include <cstdio>
 
 #include "common/config.hpp"
+#include "common/log.hpp"
 #include "sim/experiment.hpp"
 
 int main(int argc, char** argv) {
@@ -14,12 +15,14 @@ int main(int argc, char** argv) {
   Config cfg;
   cfg.parse_args(argc, argv);
 
+  if (cfg.has("scheme")) {
+    fatal(__FILE__, __LINE__,
+          "quickstart runs every scheme; flov_sim_cli takes scheme=");
+  }
+  SyntheticExperimentConfig defaults;
+  defaults.gated_fraction = 0.5;
   SyntheticExperimentConfig ex =
-      SyntheticExperimentConfig::from_config(cfg, {});
-  ex.pattern = cfg.get_string("pattern", "uniform");
-  ex.inj_rate_flits = cfg.get_double("inj", 0.02);
-  ex.gated_fraction = cfg.get_double("gated", 0.5);
-  ex.seed = cfg.get_int("seed", 1);
+      SyntheticExperimentConfig::from_config(cfg, defaults);
   reject_unread_keys(cfg);
 
   std::printf("FLOV quickstart: %dx%d mesh, %s traffic, inj=%.3f "
@@ -39,6 +42,7 @@ int main(int argc, char** argv) {
                 r.gated_routers_end);
   }
   std::printf("\nLatency breakdown (cycles): router / link / serialization / "
-              "contention / FLOV — see bench_fig8_breakdown for the sweep.\n");
+              "contention / FLOV — see flov_sweep_cli "
+              "spec=experiments/fig8ab.args for the sweep.\n");
   return 0;
 }

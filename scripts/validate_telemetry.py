@@ -15,7 +15,8 @@ async begin/end pairs balance per (cat, id).
 
 --manifest: checks a flyover-run-manifest-v1 / flyover-sweep-manifest-v1
 document has its required fields and a well-formed embedded metrics
-registry.
+registry; each sweep point must carry a config that resolves every
+experiment axis to one value.
 
 --certificate: checks a flyover-certificate-v1 document is well-formed
 and internally consistent (counts, interval ordering, stop reason).
@@ -70,6 +71,10 @@ PROMETHEUS_REQUIRED = {
     "flyover_watchdog_stall_incidents_total",
     "flyover_stalled",
 }
+
+# Keys every sweep point's config resolves, whatever the sweep left unset.
+POINT_CONFIG_KEYS = ("scheme", "pattern", "inj", "gated", "seed", "warmup",
+                     "cycles")
 
 STOP_REASONS = {"target_certified", "target_refuted", "half_width",
                 "max_replications"}
@@ -155,6 +160,22 @@ def validate_registry(reg, where):
                 fail("%s: histogram %r missing %r" % (where, name, field))
 
 
+def validate_point_config(cfg, where):
+    """A sweep point's config reruns it with flov_sim_cli: flat string
+    values, every experiment axis and the window resolved, no comma list
+    but changes= and telemetry.trace=."""
+    if not isinstance(cfg, dict):
+        fail("%s: config is not an object" % where)
+    for key in POINT_CONFIG_KEYS:
+        if key not in cfg:
+            fail("%s: config missing %r" % (where, key))
+    for key, value in cfg.items():
+        if not isinstance(value, str):
+            fail("%s: config %r is not a string" % (where, key))
+        if "," in value and key not in ("changes", "telemetry.trace"):
+            fail("%s: config %r is a list: %r" % (where, key, value))
+
+
 def validate_manifest(path):
     doc = load(path)
     schema = doc.get("schema")
@@ -179,10 +200,10 @@ def validate_manifest(path):
         if not isinstance(doc["points"], list):
             fail("%s: points is not an array" % path)
         for i, p in enumerate(doc["points"]):
-            for field in ("scheme", "pattern", "inj", "gated", "seed",
-                          "metrics"):
+            for field in ("config", "metrics"):
                 if field not in p:
                     fail("%s: points[%d] missing %r" % (path, i, field))
+            validate_point_config(p["config"], "%s points[%d]" % (path, i))
             validate_registry(p["metrics"], "%s points[%d]" % (path, i))
         n_points = len(doc["points"])
     extra = "" if n_points is None else ", %d points" % n_points

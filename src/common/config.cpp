@@ -189,6 +189,9 @@ void reject_removed_keys(const Config& cfg) {
       "config, so re-run the sweep instead";
   constexpr const char* kTiles =
       "2-D tile domains were removed; threads=N steps N row bands";
+  constexpr const char* kPlural =
+      "flov_sweep_cli sweeps any key given a comma list; use the singular "
+      "key (scheme=, pattern=, seed=)";
   const std::pair<const char*, const char*> removed[] = {
       {"procs", kMultiProcess},
       {"noc.step_procs", kMultiProcess},
@@ -199,7 +202,10 @@ void reject_removed_keys(const Config& cfg) {
       {"resume", kCheckpoint},
       {"tiles", kTiles},
       {"noc.step_tiles_x", kTiles},
-      {"noc.step_tiles_y", kTiles}};
+      {"noc.step_tiles_y", kTiles},
+      {"schemes", kPlural},
+      {"patterns", kPlural},
+      {"seeds", kPlural}};
   for (const auto& [key, why] : removed) {
     if (cfg.has(key)) {
       fatal(__FILE__, __LINE__,

@@ -78,8 +78,10 @@ class Config {
 /// removed, with what to do instead of the generic unread-key message:
 /// multi-process stepping (procs=, noc.step_procs, sim.snapshot_period,
 /// runstate=, sim.max_recoveries; use threads=), sweep checkpoint/resume
-/// (checkpoint=, resume=; re-run the sweep) and 2-D tile domains (tiles=,
-/// noc.step_tiles_x, noc.step_tiles_y; threads=N steps N row bands).
+/// (checkpoint=, resume=; re-run the sweep), 2-D tile domains (tiles=,
+/// noc.step_tiles_x, noc.step_tiles_y; threads=N steps N row bands) and
+/// the sweep's plural axis keys (schemes=, patterns=, seeds=; any key
+/// takes a comma list).
 void reject_removed_keys(const Config& cfg);
 
 /// flov::fatal naming every key of `cfg` that nothing read (noc.widht=4).

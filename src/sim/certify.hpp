@@ -74,7 +74,7 @@ struct CertifyOptions {
   /// Overall progress: (replications_folded, max_replications).
   std::function<void(std::uint64_t done, std::uint64_t cap)> progress;
   /// Called after every folded batch with the replication count so far and
-  /// the target metric's running estimate — the bench convergence hook.
+  /// the target metric's running estimate (flov_certify_cli prints it).
   std::function<void(std::uint64_t reps, const struct CertifyEstimate& e)>
       batch_hook;
 };

@@ -189,8 +189,8 @@ std::uint64_t mix_s(std::uint64_t h, const std::string& s) {
 }
 
 /// Derives every RunResult scalar from a run's metrics registry, the one
-/// result record (absent keys read as 0). The timeline and the telemetry
-/// pointers are left to the caller.
+/// result record (absent keys read as 0). The telemetry pointers are left
+/// to the caller.
 RunResult fold_run_result(std::string scheme,
                           const telemetry::MetricsRegistry& reg) {
   const auto count = [&reg](const char* k) { return reg.counter_value(k); };
@@ -263,6 +263,14 @@ RunResult fold_run_result(std::string scheme,
 
 SyntheticExperimentConfig SyntheticExperimentConfig::from_config(
     const Config& cfg, SyntheticExperimentConfig ex) {
+  if (cfg.has("scheme")) {
+    ex.scheme = scheme_from_string(cfg.get_string("scheme"));
+  }
+  ex.pattern = cfg.get_string("pattern", ex.pattern);
+  ex.inj_rate_flits = cfg.get_double("inj", ex.inj_rate_flits);
+  ex.gated_fraction = cfg.get_double("gated", ex.gated_fraction);
+  ex.seed = static_cast<std::uint64_t>(
+      cfg.get_int("seed", static_cast<long long>(ex.seed)));
   ex.noc = NocParams::from_config(cfg, ex.noc);
   // threads= is shorthand for noc.step_threads= (intra-run row-band
   // workers; bit-identical results at any value — see docs/PERFORMANCE.md).
@@ -285,12 +293,17 @@ SyntheticExperimentConfig SyntheticExperimentConfig::from_config(
   return ex;
 }
 
-Config manifest_config(const Config& cfg, const FaultParams& faults) {
+Config manifest_config(const Config& cfg) {
   Config m = cfg;
   for (const char* k : {"jobs", "threads", "progress", "certificate", "serve",
                         "ops_stream", "profile", "profile_out", "ops.period"}) {
     m.erase(k);
   }
+  return m;
+}
+
+Config manifest_config(const Config& cfg, const FaultParams& faults) {
+  Config m = manifest_config(cfg);
   faults.echo_to_config(m);
   return m;
 }
@@ -613,7 +626,6 @@ RunResult run_synthetic(const SyntheticExperimentConfig& cfg) {
   if (cfg.ops != nullptr) cfg.ops->end_run(end_cycle);
 
   RunResult r = fold_run_result(to_string(cfg.scheme), *metrics);
-  if (const TimeSeries* ts = stats.timeline()) r.timeline = ts->points();
   r.metrics = std::move(metrics);
   r.trace = std::move(tracer);
   r.incidents = std::move(incidents);

@@ -70,20 +70,22 @@ struct SyntheticExperimentConfig {
   /// affect the run's results or its manifest.
   ops::OpsPlane* ops = nullptr;
 
-  /// The one reader of the keys every front end shares: noc.*, threads=,
-  /// energy.*, warmup=, cycles=, timeline=, drain=,
-  /// sim.max_cycles_hard=, changes=c1,c2,..., fault.*, verify=, verify.*
-  /// and telemetry.*, each overriding its field of the binary's `defaults`.
-  /// The axes (scheme, pattern, injection, gated fraction, seed) are left
-  /// to the binary.
+  /// The one reader of the keys every front end shares: scheme=, pattern=,
+  /// inj=, gated=, seed=, noc.*, threads=, energy.*, warmup=, cycles=,
+  /// timeline=, drain=, sim.max_cycles_hard=, changes=c1,c2,..., fault.*,
+  /// verify=, verify.* and telemetry.*, each overriding its field of the
+  /// binary's `defaults`.
   static SyntheticExperimentConfig from_config(
       const Config& cfg, SyntheticExperimentConfig defaults);
 };
 
-/// A manifest's `config`: `cfg` minus the keys that cannot change a result
-/// (jobs, threads, progress, certificate and the ops plane's), plus
-/// every resolved fault.* knob, defaulted ones included, so two runs cannot
-/// silently differ on one.
+/// `cfg` minus the keys that cannot change a result (jobs, threads,
+/// progress, certificate and the ops plane's).
+Config manifest_config(const Config& cfg);
+
+/// A run's manifest `config`: manifest_config(cfg) plus every resolved
+/// fault.* knob, defaulted ones included, so two runs cannot silently
+/// differ on one.
 Config manifest_config(const Config& cfg, const FaultParams& faults);
 
 /// Order- and thread-independent hash of every config field that can
@@ -93,7 +95,8 @@ Config manifest_config(const Config& cfg, const FaultParams& faults);
 std::uint64_t sweep_point_fingerprint(const SyntheticExperimentConfig& cfg);
 
 /// One run's results. `metrics` plus `incidents` is the record; every
-/// scalar below is folded from `metrics` at the end of run_synthetic.
+/// scalar below is folded from `metrics` at the end of run_synthetic. The
+/// latency timeline (timeline=) is the series "latency.timeline".
 struct RunResult {
   std::string scheme;
   double avg_latency = 0.0;
@@ -143,7 +146,6 @@ struct RunResult {
   /// Cycles actually simulated (warmup + measure + any drain tail; less
   /// when aborted).
   Cycle cycles_run = 0;
-  std::vector<TimeSeries::Point> timeline;
   // --- telemetry (always populated; shared so RunResult stays copyable) ---
   /// Full metrics registry for this run (merged across runs by sweeps).
   std::shared_ptr<telemetry::MetricsRegistry> metrics;

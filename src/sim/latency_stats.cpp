@@ -51,6 +51,9 @@ void LatencyStats::publish_metrics(telemetry::MetricsRegistry& reg) const {
   reg.counter("latency.packets_measured") += latency_.count();
   reg.counter("latency.escape_packets") += escape_packets_;
   reg.counter("latency.hist_overflow") += hist_.clamped_high();
+  if (timeline_window_) {
+    reg.series("latency.timeline", timeline_window_).merge(timeline_);
+  }
 }
 
 LatencyBreakdown LatencyStats::avg_breakdown() const {

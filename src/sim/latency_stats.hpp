@@ -59,7 +59,8 @@ class LatencyStats {
   /// percentile contribution saturates at hist_max - 1).
   std::uint64_t hist_overflow() const { return hist_.clamped_high(); }
 
-  /// Registers/updates this collector's metrics ("latency.*") in `reg`.
+  /// Registers/updates this collector's metrics ("latency.*") in `reg`;
+  /// the timeline, when on, is the series "latency.timeline".
   void publish_metrics(telemetry::MetricsRegistry& reg) const;
 
   const TimeSeries* timeline() const {

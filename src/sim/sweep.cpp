@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <exception>
 #include <mutex>
+#include <sstream>
 #include <thread>
 
 #include "common/log.hpp"
@@ -116,20 +117,86 @@ telemetry::MetricsRegistry merge_sweep_metrics(
   return merged;
 }
 
+std::vector<Config> parse_sweep_spec(const std::string& text) {
+  std::vector<Config> blocks;
+  std::string block;
+  const auto flush = [&] {
+    Config c;
+    c.parse_text(block);
+    block.clear();
+    if (c.keys().empty()) return;
+    reject_removed_keys(c);
+    blocks.push_back(std::move(c));
+  };
+  std::istringstream is(text);
+  for (std::string line; std::getline(is, line);) {
+    if (line.substr(0, line.find_last_not_of(" \t\r") + 1) == "---") {
+      flush();
+    } else {
+      block += line + '\n';
+    }
+  }
+  flush();
+  return blocks;
+}
+
+std::vector<SweepPoint> expand_sweep(const Config& block,
+                                     const Config& defaults) {
+  Config base = block;
+  for (const std::string& k : defaults.keys()) {
+    if (!base.has(k)) base.set(k, defaults.get_string(k));
+  }
+  constexpr std::size_t kFixed = 5;
+  std::vector<std::string> order = {"scheme", "pattern", "inj", "gated",
+                                    "seed"};
+  for (const std::string& k : base.keys()) {
+    if (std::find(order.begin(), order.begin() + kFixed, k) ==
+            order.begin() + kFixed &&
+        k != "changes" && k != "telemetry.trace") {
+      order.push_back(k);
+    }
+  }
+  // Read the lists off a copy: the points' configs must start unread.
+  const Config probe = base;
+  std::vector<std::pair<std::string, std::vector<std::string>>> axes;
+  std::vector<std::string> extra_axes;
+  for (std::size_t i = 0; i < order.size(); ++i) {
+    std::vector<std::string> values = probe.get_string_list(order[i], {});
+    if (values.size() < 2) continue;
+    if (i >= kFixed) extra_axes.push_back(order[i]);
+    axes.emplace_back(order[i], std::move(values));
+  }
+
+  std::vector<SweepPoint> points;
+  std::vector<std::size_t> at(axes.size(), 0);
+  while (true) {
+    SweepPoint p;
+    p.config = base;
+    for (std::size_t a = 0; a < axes.size(); ++a) {
+      p.config.set(axes[a].first, axes[a].second[at[a]]);
+    }
+    p.experiment = SyntheticExperimentConfig::from_config(p.config, {});
+    p.config.set("scheme", std::string(to_string(p.experiment.scheme)));
+    p.extra_axes = extra_axes;
+    points.push_back(std::move(p));
+    std::size_t a = axes.size();
+    for (; a > 0; --a) {
+      if (++at[a - 1] < axes[a - 1].second.size()) break;
+      at[a - 1] = 0;
+    }
+    if (a == 0) return points;
+  }
+}
+
 void write_sweep_manifest(telemetry::SweepManifest m, const std::string& path,
-                          const std::vector<SyntheticExperimentConfig>& points,
+                          const std::vector<SweepPoint>& points,
                           const std::vector<RunResult>& results) {
   const telemetry::MetricsRegistry merged = merge_sweep_metrics(results);
   telemetry::StructuredSink incidents;
   for (std::size_t i = 0; i < points.size(); ++i) {
-    telemetry::SweepPointEntry e;
-    e.scheme = to_string(points[i].scheme);
-    e.pattern = points[i].pattern;
-    e.inj_rate = points[i].inj_rate_flits;
-    e.gated_fraction = points[i].gated_fraction;
-    e.seed = points[i].seed;
-    e.metrics = results[i].metrics.get();
-    m.points.push_back(e);
+    m.points.push_back({manifest_config(points[i].config,
+                                        points[i].experiment.faults),
+                        results[i].metrics.get()});
     if (results[i].incidents) {
       for (const std::string& rec : results[i].incidents->records()) {
         incidents.add(rec);

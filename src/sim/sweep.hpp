@@ -57,11 +57,38 @@ std::vector<RunResult> run_sweep(
 telemetry::MetricsRegistry merge_sweep_metrics(
     const std::vector<RunResult>& results);
 
+/// One sweep point: the key=value config that reproduces it with
+/// flov_sim_cli, and the experiment SyntheticExperimentConfig::from_config
+/// built from that config.
+struct SweepPoint {
+  Config config;
+  SyntheticExperimentConfig experiment;
+  /// The point's axes beyond scheme, pattern, inj, gated and seed.
+  std::vector<std::string> extra_axes;
+};
+
+/// Splits a sweep spec into blocks at `---` lines. Each block is parsed
+/// with Config::parse_text and checked by reject_removed_keys; a block
+/// without keys is dropped.
+std::vector<Config> parse_sweep_spec(const std::string& text);
+
+/// The points of one sweep block, in submission order. `defaults` fills
+/// each key the block leaves unset. Every key whose value is a comma list
+/// is an axis, except the list-valued changes= and telemetry.trace=. The
+/// points are the cross product of the axes, ordered scheme, pattern, inj,
+/// gated, seed, then the rest by key; the last axis varies fastest. Each
+/// point's experiment is read from its own config by from_config, so every
+/// list element is type-checked, and its scheme= is rewritten to the
+/// scheme's name.
+std::vector<SweepPoint> expand_sweep(const Config& block,
+                                     const Config& defaults);
+
 /// Writes `m` (name, config, jobs, wall_seconds set) to `path` with one
-/// entry per point, the merged registry and every incident, in submission
-/// order; `points` and `results` are index-aligned, as run_sweep returns.
+/// entry per point (its manifest_config and registry), the merged registry
+/// and every incident, in submission order; `points` and `results` are
+/// index-aligned, as run_sweep returns.
 void write_sweep_manifest(telemetry::SweepManifest m, const std::string& path,
-                          const std::vector<SyntheticExperimentConfig>& points,
+                          const std::vector<SweepPoint>& points,
                           const std::vector<RunResult>& results);
 
 }  // namespace flov

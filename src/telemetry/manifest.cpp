@@ -80,11 +80,8 @@ std::string SweepManifest::to_json() const {
   w.begin_array();
   for (const SweepPointEntry& p : points) {
     w.begin_object();
-    w.kv("scheme", p.scheme);
-    w.kv("pattern", p.pattern);
-    w.kv("inj", p.inj_rate);
-    w.kv("gated", p.gated_fraction);
-    w.kv("seed", p.seed);
+    w.key("config");
+    write_config(w, p.config);
     w.key("metrics");
     if (p.metrics) {
       p.metrics->write_json(w);

@@ -45,11 +45,7 @@ struct RunManifest {
 
 /// One sweep point inside a SweepManifest.
 struct SweepPointEntry {
-  std::string scheme;
-  std::string pattern;
-  double inj_rate = 0.0;
-  double gated_fraction = 0.0;
-  std::uint64_t seed = 0;
+  Config config;  ///< resolved key=value set; flov_sim_cli reruns the point
   const MetricsRegistry* metrics = nullptr;  ///< borrowed; may be null
 };
 

@@ -18,11 +18,11 @@ Histogram& MetricsRegistry::histogram(const std::string& name, double lo,
   return it->second;
 }
 
-TimeSeries& MetricsRegistry::series(const std::string& name) {
+TimeSeries& MetricsRegistry::series(const std::string& name, Cycle window) {
   auto it = series_.find(name);
   if (it == series_.end()) {
-    const Cycle w = series_window_ ? series_window_ : 1024;
-    it = series_.emplace(name, TimeSeries(w)).first;
+    if (window == 0) window = series_window_ ? series_window_ : 1024;
+    it = series_.emplace(name, TimeSeries(window)).first;
   }
   return it->second;
 }
@@ -53,7 +53,7 @@ void MetricsRegistry::merge(const MetricsRegistry& other) {
     auto it = series_.find(name);
     if (it == series_.end()) {
       series_.emplace(name, ts);
-    } else {
+    } else if (it->second.window() == ts.window()) {
       it->second.merge(ts);
     }
   }

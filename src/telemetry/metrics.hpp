@@ -39,7 +39,8 @@ class MetricsRegistry {
   Histogram& histogram(const std::string& name, double lo, double hi,
                        int bins);
   /// Windowed time-series; add samples with TimeSeries::add(cycle, value).
-  TimeSeries& series(const std::string& name);
+  /// `window` fixes the bucket width of a new series (0 = the registry's).
+  TimeSeries& series(const std::string& name, Cycle window = 0);
 
   bool has_counter(const std::string& name) const {
     return counters_.count(name) != 0;
@@ -66,6 +67,9 @@ class MetricsRegistry {
   /// of other's GAUGES becomes one sample of this registry's stat of the
   /// same name (a per-run point value aggregates into a distribution —
   /// e.g. 36 runs' "power.total_mw" gauges merge into count/mean/min/max).
+  /// A series whose window differs from this registry's series of that
+  /// name is not folded (a sweep over timeline=500,1000): windows of
+  /// different widths have no common bucket.
   void merge(const MetricsRegistry& other);
 
   /// Serializes the full registry as one JSON object. A stat with no

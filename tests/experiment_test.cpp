@@ -138,16 +138,24 @@ TEST(Experiment, FromConfigOnEmptyConfigReturnsTheDefaults) {
 // plumbing keys and echoes every resolved fault knob.
 TEST(Experiment, FromConfigReadsTheSharedKeys) {
   const char* argv[] = {"prog", "threads=2", "cycles=20", "changes=12,15",
-                        "fault.seed=8", "jobs=4"};
+                        "fault.seed=8", "jobs=4", "scheme=rp",
+                        "pattern=tornado", "inj=0.07", "gated=0.25",
+                        "seed=9"};
   Config cfg;
-  cfg.parse_args(6, const_cast<char**>(argv));
+  cfg.parse_args(11, const_cast<char**>(argv));
   const auto r = SyntheticExperimentConfig::from_config(cfg, {});
   EXPECT_EQ(cfg.unread_keys(), std::vector<std::string>{"jobs"});
   EXPECT_EQ(r.noc.step_threads, 2);
   EXPECT_EQ(r.measure, 20u);
   EXPECT_EQ(r.gating_changes, (std::vector<Cycle>{12, 15}));
+  EXPECT_EQ(r.scheme, Scheme::kRp);
+  EXPECT_EQ(r.pattern, "tornado");
+  EXPECT_EQ(r.inj_rate_flits, 0.07);
+  EXPECT_EQ(r.gated_fraction, 0.25);
+  EXPECT_EQ(r.seed, 9u);
   const Config m = manifest_config(cfg, r.faults);
-  EXPECT_EQ(m.keys().size(), 16u);  // changes, cycles + 14 fault knobs
+  // changes, cycles, the five axes + 14 fault knobs
+  EXPECT_EQ(m.keys().size(), 21u);
   EXPECT_EQ(m.get_int("fault.seed"), 8);
 }
 
@@ -195,10 +203,12 @@ TEST(Experiment, InvalidNocParamsRejected) {
 TEST(Experiment, TimelineOnlyWhenRequested) {
   SyntheticExperimentConfig c = quick();
   const RunResult off = run_synthetic(c);
-  EXPECT_TRUE(off.timeline.empty());
+  EXPECT_EQ(off.metrics->all_series().count("latency.timeline"), 0u);
   c.timeline_window = 500;
   const RunResult on = run_synthetic(c);
-  EXPECT_FALSE(on.timeline.empty());
+  const TimeSeries& ts = on.metrics->all_series().at("latency.timeline");
+  EXPECT_EQ(ts.window(), 500u);
+  EXPECT_FALSE(ts.points().empty());
 }
 
 TEST(Experiment, GatedRoutersMonotoneInFractionForGFlov) {

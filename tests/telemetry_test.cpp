@@ -111,6 +111,22 @@ TEST(Metrics, MergeCountersAddStatsFoldGaugesSample) {
   EXPECT_DOUBLE_EQ(a.stats().at("lat").mean(), 2.0);
 }
 
+// A sweep over timeline=100,200 folds registries whose same-named series
+// have different windows: the first window's series is kept, the other is
+// left out of the fold.
+TEST(Metrics, MergeLeavesOutASeriesOfAnotherWindow) {
+  MetricsRegistry a, b, c;
+  a.series("t", 100).add(0, 1.0);
+  b.series("t", 200).add(0, 3.0);
+  c.series("t", 100).add(50, 5.0);
+  a.merge(b);
+  a.merge(c);
+  const TimeSeries& t = a.all_series().at("t");
+  EXPECT_EQ(t.window(), 100u);
+  ASSERT_EQ(t.points().size(), 1u);
+  EXPECT_DOUBLE_EQ(t.points()[0].mean, 3.0);
+}
+
 TEST(Metrics, MergedJsonIsFoldOrderDeterministic) {
   // The same per-run registries folded in the same submission order must
   // serialize byte-identically — this is what makes a jobs=N sweep's
@@ -308,15 +324,16 @@ TEST(Manifest, SweepManifestEmitsPointsAndMergedMetrics) {
   telemetry::SweepManifest m;
   m.name = "fig6";
   m.jobs = 4;
-  telemetry::SweepPointEntry e0{"gFLOV", "uniform", 0.02, 0.4, 1, &p0};
-  telemetry::SweepPointEntry e1{"RP", "uniform", 0.02, 0.4, 1, &p1};
-  m.points = {e0, e1};
+  Config c0, c1;
+  c0.set("scheme", std::string("gFLOV"));
+  c1.set("scheme", std::string("RP"));
+  m.points = {{c0, &p0}, {c1, &p1}};
   m.merged = &merged;
 
   const JsonValue v = JsonValue::parse(m.to_json());
   EXPECT_EQ(v.at("schema").str, "flyover-sweep-manifest-v1");
   ASSERT_EQ(v.at("points").arr.size(), 2u);
-  EXPECT_EQ(v.at("points").arr[0].at("scheme").str, "gFLOV");
+  EXPECT_EQ(v.at("points").arr[0].at("config").at("scheme").str, "gFLOV");
   EXPECT_DOUBLE_EQ(v.at("points").arr[1].at("metrics").at("counters").at("n").num,
                    2.0);
   EXPECT_DOUBLE_EQ(v.at("merged_metrics").at("counters").at("n").num, 3.0);
