@@ -1,5 +1,6 @@
 #include "common/config.hpp"
 
+#include <cerrno>
 #include <cstdlib>
 #include <sstream>
 #include <utility>
@@ -18,9 +19,12 @@ std::string trim(const std::string& s) {
 
 long long to_int(const std::string& key, const std::string& v) {
   char* end = nullptr;
+  errno = 0;
   const long long r = std::strtoll(v.c_str(), &end, 10);
   FLOV_CHECK(!v.empty() && end && *end == '\0',
              "config key " + key + " is not an int: " + v);
+  FLOV_CHECK(errno != ERANGE,
+             "config key " + key + " is out of range: " + v);
   return r;
 }
 

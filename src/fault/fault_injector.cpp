@@ -60,14 +60,15 @@ bool FaultInjector::link_dies(std::uint32_t link_key) const {
                    params_.hard_link_pct);
 }
 
-void FaultInjector::note_hard_killed(const Flit& f) {
+void FaultInjector::note_hard_killed(std::uint64_t packet_id) {
   counters_.flits_dropped.fetch_add(1, std::memory_order_relaxed);
   counters_.hard_killed.fetch_add(1, std::memory_order_relaxed);
   std::lock_guard<std::mutex> lock(dropped_packets_mu_);
-  dropped_packets_.insert(f.packet_id);
+  dropped_packets_.insert(packet_id);
 }
 
 std::optional<Cycle> FaultInjector::flit_fate(const Flit& f,
+                                              std::uint64_t packet_id,
                                               std::uint32_t link_key,
                                               Cycle now) {
   // A dead link eats everything sent after the death cycle — except the
@@ -80,7 +81,7 @@ std::optional<Cycle> FaultInjector::flit_fate(const Flit& f,
   // transient streams stay aligned with a hard-fault-free run up to
   // hard_at_cycle (stateless hashes: consulting order never matters).
   if (params_.hard_faults_armed() && link_dies(link_key)) {
-    const std::uint64_t gkey = f.packet_id * 0x10000ull + link_key;
+    const std::uint64_t gkey = packet_id * 0x10000ull + link_key;
     bool killed_here = false;
     {
       std::lock_guard<std::mutex> lock(link_grace_mu_);
@@ -97,7 +98,7 @@ std::optional<Cycle> FaultInjector::flit_fate(const Flit& f,
       }
     }
     if (killed_here) {
-      note_hard_killed(f);
+      note_hard_killed(packet_id);
       return std::nullopt;
     }
   }
@@ -111,19 +112,19 @@ std::optional<Cycle> FaultInjector::flit_fate(const Flit& f,
   // same per-link rolls too.)
   if (params_.flit_drop_rate > 0.0) {
     const std::uint64_t h =
-        hash_mix(hash_mix(flit_drop_seed_, f.packet_id), link_key);
+        hash_mix(hash_mix(flit_drop_seed_, packet_id), link_key);
     if (hash_bool(h, params_.flit_drop_rate)) {
       counters_.flits_dropped.fetch_add(1, std::memory_order_relaxed);
       if (f.head) {
         std::lock_guard<std::mutex> lock(dropped_packets_mu_);
-        dropped_packets_.insert(f.packet_id);
+        dropped_packets_.insert(packet_id);
       }
       return std::nullopt;
     }
   }
   if (params_.flit_delay_rate > 0.0) {
     const std::uint64_t h = hash_mix(
-        hash_mix(hash_mix(hash_mix(flit_delay_seed_, f.packet_id),
+        hash_mix(hash_mix(hash_mix(flit_delay_seed_, packet_id),
                           static_cast<std::uint64_t>(f.flit_index)),
                  link_key),
         static_cast<std::uint64_t>(now));
@@ -138,12 +139,13 @@ std::optional<Cycle> FaultInjector::flit_fate(const Flit& f,
 }
 
 std::uint64_t FaultInjector::payload_flip_mask(const Flit& f,
+                                               std::uint64_t packet_id,
                                                std::uint32_t link_key) {
   if (params_.soft_flit_flip_rate <= 0.0) return 0;
   // Keyed per (packet, flit, link): a retransmitted copy has a fresh
   // packet_id, so it re-rolls — exactly what a wire-noise model should do.
   const std::uint64_t h =
-      hash_mix(hash_mix(hash_mix(soft_flit_seed_, f.packet_id),
+      hash_mix(hash_mix(hash_mix(soft_flit_seed_, packet_id),
                         static_cast<std::uint64_t>(
                             static_cast<std::uint32_t>(f.flit_index))),
                link_key);
@@ -151,7 +153,7 @@ std::uint64_t FaultInjector::payload_flip_mask(const Flit& f,
   counters_.payload_flips.fetch_add(1, std::memory_order_relaxed);
   {
     std::lock_guard<std::mutex> lock(corrupted_packets_mu_);
-    corrupted_packets_.insert(f.packet_id);
+    corrupted_packets_.insert(packet_id);
   }
   return 1ull << (mix_u64(h) & 63);
 }

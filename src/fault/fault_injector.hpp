@@ -62,8 +62,9 @@ class FaultInjector {
   /// depend on the global order links consult the injector in — the
   /// property domain-parallel stepping needs. May be called concurrently
   /// from domain workers.
-  std::optional<Cycle> flit_fate(const Flit& f, std::uint32_t link_key,
-                                 Cycle now);
+  /// `packet_id` is the flit's packet's (from its PacketTable entry).
+  std::optional<Cycle> flit_fate(const Flit& f, std::uint64_t packet_id,
+                                 std::uint32_t link_key, Cycle now);
 
   /// Spurious wakeup roll for this cycle; kInvalidNode when none fires.
   NodeId spurious_wakeup_target(Cycle now);
@@ -74,7 +75,8 @@ class FaultInjector {
   /// hash of (seed, packet, flit, link) — safe from domain workers, like
   /// flit_fate. A non-zero return has already recorded the packet as
   /// corrupted and bumped the counter; the caller just applies the mask.
-  std::uint64_t payload_flip_mask(const Flit& f, std::uint32_t link_key);
+  std::uint64_t payload_flip_mask(const Flit& f, std::uint64_t packet_id,
+                                  std::uint32_t link_key);
 
   /// PSR-corruption fate for one signal hop: rewrites msg.logical_beyond
   /// (kSleepNotify) or msg.target (kWakeupTrigger) to a different node id —
@@ -104,7 +106,7 @@ class FaultInjector {
   /// arriving flit, or a dead NI purging its queue). Packet-coherent
   /// bookkeeping: the whole packet is marked faulted so the verifier
   /// exempts it. Safe from domain workers.
-  void note_hard_killed(const Flit& f);
+  void note_hard_killed(std::uint64_t packet_id);
 
   /// Packets that lost at least one flit to a drop fault (the verifier
   /// exempts them from exact conservation). Serial control-plane callers

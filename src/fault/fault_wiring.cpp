@@ -20,28 +20,33 @@ void arm_link_faults(Network& net, FaultInjector& fault) {
       // per kill would wedge its output VC permanently.
       ch->set_fault_hook([f = &fault, n = &net, id, d, link_key](
                              Cycle now, Flit& flit) -> std::optional<Cycle> {
-        const std::optional<Cycle> fate = f->flit_fate(flit, link_key, now);
+        PacketTable::Entry& pkt = n->packets()[flit.packet];
+        const std::optional<Cycle> fate =
+            f->flit_fate(flit, pkt.packet_id, link_key, now);
         if (!fate.has_value()) {
-          n->note_flit_dropped(id);
-          n->router(id).refund_output_credit(d, flit.vc, now);
           FLOV_TRACE(telemetry::kTraceFault,
                      telemetry::TraceEventType::kFaultFlitDrop, now, id,
-                     flit.packet_id, flit.flit_index);
+                     pkt.packet_id, flit.flit_index);
+          n->note_flit_dropped(id, flit);
+          n->router(id).refund_output_credit(d, flit.vc, now);
           return fate;
         }
         // Survivors can still take a soft error: one payload bit flips in
         // transit. Routing metadata is untouched — the flit delivers, the
-        // packet is just marked corrupted.
-        if (const std::uint64_t flip = f->payload_flip_mask(flit, link_key)) {
-          flit.payload ^= flip;
+        // packet is just marked corrupted. The packet has one payload, in
+        // its table entry, and the head carries it: a body or tail flip is
+        // counted but changes nothing the destination reads.
+        if (const std::uint64_t flip =
+                f->payload_flip_mask(flit, pkt.packet_id, link_key)) {
+          if (flit.head) pkt.payload ^= flip;
           FLOV_TRACE(telemetry::kTraceFault,
                      telemetry::TraceEventType::kFaultPayloadFlip, now, id,
-                     flit.packet_id, flit.flit_index);
+                     pkt.packet_id, flit.flit_index);
         }
         if (*fate > 0) {
           FLOV_TRACE(telemetry::kTraceFault,
                      telemetry::TraceEventType::kFaultFlitDelay, now, id,
-                     flit.packet_id, *fate);
+                     pkt.packet_id, *fate);
         }
         return fate;
       });

@@ -1,67 +1,45 @@
 // Flit, credit and packet descriptors.
 //
 // Wormhole switching: a packet is a head flit, zero or more body flits and a
-// tail flit (a 1-flit packet is head+tail). Every flit carries the routing
-// metadata it needs; per-hop state (current VC) is rewritten as it moves.
+// tail flit (a 1-flit packet is head+tail). A flit is a 12-byte handle: it
+// carries only what routing, VC/switch allocation, the FLOV latches and the
+// credit loop read at every hop — destination, current VC and the per-hop
+// flags. Everything that belongs to the packet (id, source, cycles,
+// payload, reliable-delivery fields, hop counters) is stored once in the
+// packet's PacketTable entry (noc/packet_table.hpp), named by `packet`.
 #pragma once
 
 #include <cstdint>
 
 #include "common/geometry.hpp"
 #include "common/types.hpp"
+#include "noc/packet_table.hpp"
 
 namespace flov {
 
 struct Flit {
-  std::uint64_t packet_id = 0;
-  std::int32_t flit_index = 0;   ///< position within the packet
-  std::int32_t packet_size = 1;  ///< flits in the packet (serialization term)
-  bool head = false;
-  bool tail = false;
-
-  NodeId src = kInvalidNode;
+  /// The packet's PacketTable entry.
+  PacketTable::Handle packet = 0;
   NodeId dest = kInvalidNode;
-  VnetId vnet = 0;
-
-  /// Cycle the packet was created at the source queue (includes queuing
-  /// delay in end-to-end latency, as in BookSim).
-  Cycle gen_cycle = 0;
-  /// Cycle the flit entered the network (left the source queue).
-  Cycle inject_cycle = 0;
-
+  std::uint16_t flit_index = 0;  ///< position within the packet
   /// VC the flit occupies/will occupy at the (logical) downstream input
   /// port; computed by the upstream VA, preserved across fly-over hops.
-  VcId vc = -1;
-
+  /// The packet's vnet is vc / vcs_per_vnet.
+  std::uint8_t vc = 0;
+  bool head : 1 = false;
+  bool tail : 1 = false;
   /// True once the packet is committed to the escape sub-network (it then
   /// stays there until ejection — Section V).
-  bool escape = false;
-
+  bool escape : 1 = false;
   /// Up*/down* phase bit for RP table routing (false until the path takes
   /// its first "down" link).
-  bool updown_went_down = false;
-
-  // --- end-to-end reliable delivery (noc.reliable; PROTOCOL.md §8) ---
-  /// Per-(src,dest) flow sequence number; 0 = unsequenced (reliable layer
-  /// off, or a control packet). Retransmitted copies keep their seq but get
-  /// a fresh packet_id.
-  std::uint32_t seq = 0;
-  /// True for the 1-flit ack control packet class: never reported to the
-  /// ejection callback, exists only to carry the ack fields below.
-  bool ctrl = false;
-  /// Piggybacked cumulative-free ack: "src acks your seq `ack_seq`" — valid
-  /// on head flits when ack_valid is set (data head or ctrl flit).
-  std::uint32_t ack_seq = 0;
-  bool ack_valid = false;
-
-  // --- latency-breakdown counters, accumulated on the head flit ---
-  std::uint16_t router_hops = 0;  ///< powered-router pipeline traversals
-  std::uint16_t link_hops = 0;    ///< inter-router link traversals
-  std::uint16_t flov_hops = 0;    ///< FLOV latch traversals
-
-  /// Opaque handle for higher layers (the CMP substrate stores message ids).
-  std::uint64_t payload = 0;
+  bool updown_went_down : 1 = false;
+  /// The 1-flit ack control packet class of the reliable layer: never
+  /// reported to the ejection callback, exists only to carry its entry's
+  /// ack fields.
+  bool ctrl : 1 = false;
 };
+static_assert(sizeof(Flit) <= 16, "a flit is one 128-bit link word");
 
 /// Credit returned upstream when a flit leaves an input buffer slot.
 struct Credit {
@@ -78,9 +56,9 @@ struct PacketDescriptor {
   Cycle gen_cycle = 0;
   std::uint64_t payload = 0;
 
-  /// Reliable-delivery metadata (see Flit): seq != 0 marks a descriptor
-  /// already owned by the retransmit buffer; ctrl marks the ack packet
-  /// class generated inside the NI.
+  /// Reliable-delivery metadata (see PacketTable::Entry): seq != 0 marks a
+  /// descriptor already owned by the retransmit buffer; ctrl marks the ack
+  /// packet class generated inside the NI.
   std::uint32_t seq = 0;
   bool ctrl = false;
   std::uint32_t ack_seq = 0;

@@ -2,11 +2,13 @@
 //
 // Everything Router::step and NetworkInterface::step touch every cycle —
 // datapath mode, resident-flit tallies, per-VC input/output records, FLOV
-// bypass latches, NI credit counters — lives in contiguous per-mesh slabs
-// indexed by router id, owned by the Network and handed to each component
-// as raw pointers/Spans at construction. A 4096-router sweep then walks
-// linear memory in node-id order instead of chasing 4096 heap objects each
-// holding a dozen small vectors. Cold state (handshake episodes, fault
+// bypass latches, NI credit counters and injection streams — lives in
+// contiguous per-mesh slabs indexed by router id, owned by the Network and
+// handed to each component as raw pointers/Spans at construction. A
+// 4096-router sweep then walks linear memory in node-id order instead of
+// chasing 4096 heap objects each holding a dozen small vectors. Each
+// in-flight packet's metadata is stored once, in the packet table, and its
+// flits name it by handle. Cold state (handshake episodes, fault
 // bookkeeping, reliable-delivery maps, telemetry) stays object-resident.
 //
 // Components constructed WITHOUT a mesh slab (standalone unit tests) bind
@@ -44,6 +46,7 @@
 #include "noc/flit.hpp"
 #include "noc/input_unit.hpp"
 #include "noc/output_unit.hpp"
+#include "noc/packet_table.hpp"
 
 namespace flov {
 
@@ -74,6 +77,17 @@ struct FlovLatch {
   Cycle write_cycle = 0;
 };
 
+/// One NI local VC's packet injection in progress; live while the VC's bit
+/// is set in the NI's open-stream mask. The packet's metadata is in its
+/// table entry.
+struct NiStream {
+  PacketTable::Handle packet = 0;
+  NodeId dest = kInvalidNode;
+  std::int32_t next_flit = 0;
+  std::int32_t size_flits = 0;
+  bool ctrl = false;
+};
+
 struct MeshHotState {
   int nodes = 0;
   int num_vcs = 0;
@@ -92,7 +106,9 @@ struct MeshHotState {
   std::vector<std::uint64_t> ni_injected;  ///< [node] flits sent to router
   std::vector<std::uint64_t> ni_ejected;   ///< [node] flits consumed
   std::vector<std::int32_t> ni_credits;   ///< [node][vc] free local slots
-  std::vector<std::uint8_t> ni_vc_busy;   ///< [node][vc] mid-packet flag
+  std::vector<NiStream> ni_streams;       ///< [node][vc] open injections
+  /// Metadata of every in-flight packet, named by the flits' handles.
+  PacketTable packets;
 
   /// Sizes every slab. Must run before any component binds into it; the
   /// vectors never resize afterwards (bound pointers must stay put).
@@ -114,33 +130,21 @@ struct MeshHotState {
     ni_injected.assign(n, 0);
     ni_ejected.assign(n, 0);
     ni_credits.assign(nv, buffer_depth);
-    ni_vc_busy.assign(nv, 0);
+    ni_streams.assign(nv, NiStream{});
   }
 
   std::size_t vc_slot(NodeId n, int port) const {
     return (static_cast<std::size_t>(n) * kNumPorts + port) * num_vcs;
   }
 
-  Span<InputVc> input_vcs(NodeId n, int port) {
-    return {&in_vc[vc_slot(n, port)], num_vcs};
-  }
-  Span<VcLength> input_lengths(NodeId n, int port) {
-    return {&in_len[vc_slot(n, port)], num_vcs};
-  }
-  Span<OutputVcState> output_vcs(NodeId n, int port) {
-    return {&out_vc[vc_slot(n, port)], num_vcs};
-  }
-  Span<CreditCount> output_credits(NodeId n, int port) {
-    return {&out_credits[vc_slot(n, port)], num_vcs};
-  }
   Span<FlovLatch> latches(NodeId n) {
     return {&latch[static_cast<std::size_t>(n) * kNumMeshDirs], kNumMeshDirs};
   }
   Span<std::int32_t> ni_credit_row(NodeId n) {
     return {&ni_credits[static_cast<std::size_t>(n) * num_vcs], num_vcs};
   }
-  Span<std::uint8_t> ni_busy_row(NodeId n) {
-    return {&ni_vc_busy[static_cast<std::size_t>(n) * num_vcs], num_vcs};
+  Span<NiStream> ni_stream_row(NodeId n) {
+    return {&ni_streams[static_cast<std::size_t>(n) * num_vcs], num_vcs};
   }
 };
 

@@ -92,6 +92,7 @@ Network::Network(const NocParams& params, RoutingFunction* routing,
   // resized.
   hot_.init(n, params_.total_vcs(), params_.buffer_depth,
             static_cast<int>(flit_cap + credit_cap));
+  hot_.packets.init(num_domains_);
 
   flit_channels_.reserve(flit_cap);
   credit_channels_.reserve(credit_cap);
@@ -107,7 +108,7 @@ Network::Network(const NocParams& params, RoutingFunction* routing,
     nis_.emplace_back(id, params_, &hot_);
     routers_[id].set_wake_target(&router_live_, id);
     nis_[id].set_fabric_hooks(&counter_shards_[node_domain_[id]].c, &ni_live_,
-                              id);
+                              id, node_domain_[id]);
     flit_out_[id].fill(nullptr);
   }
 
@@ -274,6 +275,9 @@ void Network::merge_domains() {
   }
 #endif
   for (auto& stage : wake_stages_) stage.drain_into(router_live_);
+  // Entries released during the parallel phase return to their owners'
+  // free lists only now, with every worker stopped.
+  hot_.packets.apply_releases();
   // Ejection replay: each stage is ascending by node id (stepping order)
   // and the bands ascend in id, so concatenating the stages in domain order
   // reproduces exactly the serial callback order.

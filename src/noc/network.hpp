@@ -86,14 +86,21 @@ class Network {
     ++control_epoch_;
   }
   void wake_ni(NodeId id) { ni_live_.mark(id); }
-  /// Counter hook for the fault layer: a flit was dropped on the wire after
-  /// injection, so it will never reach an NI (keeps in_network_flits()
-  /// exact under flit-drop faults). `sender` routes the increment to the
-  /// sending router's domain shard — fault hooks run on the sender's
-  /// worker during the parallel phase.
-  void note_flit_dropped(NodeId sender) {
-    counter_shards_[node_domain_[sender]].c.dropped_flits++;
+  /// Hook for the fault layer: flit `f` was destroyed after injection —
+  /// dropped on the wire leaving `sender`, or eaten by dead router
+  /// `sender` — so it will never reach an NI (keeps in_network_flits()
+  /// exact under faults). A tail takes its packet's table entry with it.
+  /// `sender` routes both to its domain's shard and release list — fault
+  /// hooks and kills run on that router's worker during the parallel
+  /// phase.
+  void note_flit_dropped(NodeId sender, const Flit& f) {
+    const int dom = node_domain_[sender];
+    counter_shards_[dom].c.dropped_flits++;
+    if (f.tail) hot_.packets.release(dom, f.packet);
   }
+
+  /// Metadata of every in-flight packet (Flit::packet names an entry).
+  PacketTable& packets() { return hot_.packets; }
 
   void enqueue(const PacketDescriptor& pkt) { nis_[pkt.src].enqueue(pkt); }
 
@@ -188,7 +195,8 @@ class Network {
  private:
   /// Steps domain `dom`'s routers then NIs, in node-id order.
   void step_domain(int dom, Cycle now);
-  /// Barrier-side merges: staged channel sends, wake marks, ejections.
+  /// Barrier-side merges: staged channel sends, wake marks, ejections,
+  /// packet-table releases.
   void merge_domains();
 
   NocParams params_;

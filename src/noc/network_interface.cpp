@@ -17,8 +17,11 @@ NetworkInterface::NetworkInterface(NodeId node, const NocParams& params,
     hot = self_hot_.get();
     slot = 0;
   }
+  FLOV_CHECK(params.total_vcs() <= kMaxVcsPerPort,
+             "an NI's open-stream mask holds 64 VCs");
   credits_ = hot->ni_credit_row(slot);
-  vc_busy_ = hot->ni_busy_row(slot);
+  packets_ = &hot->packets;
+  streams_ = hot->ni_stream_row(slot);
   injected_flits_ = &hot->ni_injected[slot];
   ejected_flits_ = &hot->ni_ejected[slot];
 }
@@ -92,10 +95,10 @@ void NetworkInterface::kill(Cycle now) {
   }
   if (counters_) counters_->queued_packets -= queue_.size();
   queue_.clear();
-  // Half-ejected worms will never see their tail reported; drop the heads.
-  pending_heads_.clear();
-  // Open injection streams intentionally survive: they keep draining flits
-  // into the fabric until the tail, so no headless worm is left behind.
+  // Half-ejected worms are never reported: in sink mode their tails only
+  // release the packets' table entries. Open injection streams
+  // intentionally survive: they keep draining flits into the fabric until
+  // the tail, so no headless worm is left behind.
 }
 
 std::size_t NetworkInterface::purge_queue(
@@ -188,58 +191,61 @@ void NetworkInterface::eject(Cycle now) {
     // The NI consumes instantly, so the slot frees immediately.
     FLOV_CHECK(credit_to_ != nullptr, "unwired ejection credit channel");
     credit_to_->send(now, Credit{f->vc});
-    if (dead_) continue;  // sink mode: consume + credit, report nothing
-    if (params_.reliable && f->head && f->ack_valid) {
-      // The peer acks our (dest = f->src, seq = f->ack_seq) flow.
-      auto it = tx_.find(flow_key(f->src, f->ack_seq));
+    PacketTable::Entry& e = (*packets_)[f->packet];
+    if (dead_) {  // sink mode: consume + credit, report nothing
+      if (f->tail) packets_->release(band_, f->packet);
+      continue;
+    }
+    if (params_.reliable && f->head && e.ack_valid) {
+      // The peer acks our (dest = e.src, seq = e.ack_seq) flow.
+      auto it = tx_.find(flow_key(e.src, e.ack_seq));
       if (it != tx_.end()) {
         acked_++;
         tx_.erase(it);
       }
     }
-    if (f->ctrl) continue;  // 1-flit ack carrier: never reported
+    if (f->ctrl) {  // 1-flit ack carrier: never reported
+      packets_->release(band_, f->packet);
+      continue;
+    }
     if (f->head) {
-      FLOV_CHECK(pending_heads_.count(f->packet_id) == 0,
-                 "duplicate head flit");
-      pending_heads_[f->packet_id] = *f;
+      FLOV_CHECK(!e.head_ejected, "duplicate head flit");
+      e.head_ejected = true;
+      e.head_escape = f->escape;
     }
-    if (f->tail) {
-      auto it = pending_heads_.find(f->packet_id);
-      FLOV_CHECK(it != pending_heads_.end(), "tail without head");
-      const Flit& head = it->second;
-      if (params_.reliable && head.seq != 0) {
-        schedule_ack(head.src, head.seq, now);
-        if (already_delivered(head.src, head.seq)) {
-          // Retransmitted copy of a packet we already reported: re-ack
-          // (above) but suppress the duplicate delivery.
-          dup_packets_++;
-          pending_heads_.erase(it);
-          continue;
-        }
-        mark_delivered(head.src, head.seq);
+    if (!f->tail) continue;
+    FLOV_CHECK(e.head_ejected, "tail without head");
+    if (params_.reliable && e.seq != 0) {
+      schedule_ack(e.src, e.seq, now);
+      if (already_delivered(e.src, e.seq)) {
+        // Retransmitted copy of a packet we already reported: re-ack
+        // (above) but suppress the duplicate delivery.
+        dup_packets_++;
+        packets_->release(band_, f->packet);
+        continue;
       }
-      PacketRecord rec;
-      rec.packet_id = head.packet_id;
-      rec.src = head.src;
-      rec.dest = head.dest;
-      rec.vnet = head.vnet;
-      rec.size_flits = head.packet_size;
-      rec.gen_cycle = head.gen_cycle;
-      rec.inject_cycle = head.inject_cycle;
-      rec.eject_cycle = now;
-      rec.router_hops = head.router_hops;
-      rec.link_hops = head.link_hops;
-      rec.flov_hops = head.flov_hops;
-      rec.used_escape = head.escape || f->escape;
-      rec.payload = head.payload;
-      ejected_packets_++;
-      pending_heads_.erase(it);
-      FLOV_TRACE(telemetry::kTraceFlit,
-                 telemetry::TraceEventType::kPacketEject, now, node_,
-                 rec.packet_id, rec.total_latency());
-      if (eject_cb_) eject_cb_(rec);
-      for (const auto& cb : eject_observers_) cb(rec);
+      mark_delivered(e.src, e.seq);
     }
+    PacketRecord rec;
+    rec.packet_id = e.packet_id;
+    rec.src = e.src;
+    rec.dest = f->dest;
+    rec.vnet = e.vnet;
+    rec.size_flits = e.size_flits;
+    rec.gen_cycle = e.gen_cycle;
+    rec.inject_cycle = e.inject_cycle;
+    rec.eject_cycle = now;
+    rec.router_hops = e.router_hops;
+    rec.link_hops = e.link_hops;
+    rec.flov_hops = e.flov_hops;
+    rec.used_escape = e.head_escape || f->escape;
+    rec.payload = e.payload;
+    ejected_packets_++;
+    packets_->release(band_, f->packet);
+    FLOV_TRACE(telemetry::kTraceFlit, telemetry::TraceEventType::kPacketEject,
+               now, node_, rec.packet_id, rec.total_latency());
+    if (eject_cb_) eject_cb_(rec);
+    for (const auto& cb : eject_observers_) cb(rec);
   }
 }
 
@@ -272,34 +278,51 @@ void NetworkInterface::inject(Cycle now) {
     for (int w = 0; w < params_.vcs_per_vnet; ++w) {
       if (params_.escape_vc >= 0 && w == params_.escape_vc) continue;
       const VcId abs = base + w;
-      if (!vc_busy_[abs]) {
+      if ((open_vcs_ >> abs & 1) == 0) {
         chosen = abs;
         break;
       }
     }
     if (chosen >= 0) {
-      Stream s;
-      s.pkt = pkt;
-      s.packet_id = 1 + static_cast<std::uint64_t>(node_) +
-                    next_packet_seq_++ *
-                        static_cast<std::uint64_t>(params_.width) *
-                        static_cast<std::uint64_t>(params_.height);
-      s.next_flit = 0;
-      s.inject_cycle = now;
-      if (params_.reliable && !s.pkt.ctrl) {
-        if (s.pkt.seq == 0) {
+      PacketDescriptor pd = pkt;
+      if (params_.reliable && !pd.ctrl) {
+        if (pd.seq == 0) {
           // First transmission: allocate the flow's sequence number and
           // open its retransmit-buffer entry.
-          s.pkt.seq = ++tx_next_seq_[s.pkt.dest];
+          pd.seq = ++tx_next_seq_[pd.dest];
           TxEntry e;
-          e.pkt = s.pkt;
-          tx_.emplace(flow_key(s.pkt.dest, s.pkt.seq), e);
+          e.pkt = pd;
+          tx_.emplace(flow_key(pd.dest, pd.seq), e);
           seq_allocated_++;
         }
         // else: retransmit copy — its entry exists with in_flight set.
       }
-      vc_busy_[chosen] = true;
-      streams_.emplace(chosen, s);
+      FLOV_CHECK(pd.size_flits >= 1 && pd.size_flits <= kMaxPacketFlits,
+                 "packet size outside 1.." + std::to_string(kMaxPacketFlits) +
+                     " flits");
+      NiStream& s = streams_[chosen];
+      s.packet = packets_->alloc(band_);
+      s.dest = pd.dest;
+      s.next_flit = 0;
+      s.size_flits = pd.size_flits;
+      s.ctrl = params_.reliable && pd.ctrl;
+      PacketTable::Entry& e = (*packets_)[s.packet];
+      e.packet_id = 1 + static_cast<std::uint64_t>(node_) +
+                    next_packet_seq_++ *
+                        static_cast<std::uint64_t>(params_.width) *
+                        static_cast<std::uint64_t>(params_.height);
+      e.src = pd.src;
+      e.vnet = static_cast<std::uint8_t>(pd.vnet);
+      e.size_flits = pd.size_flits;
+      e.gen_cycle = pd.gen_cycle;
+      e.inject_cycle = now;
+      e.payload = pd.payload;
+      e.seq = params_.reliable ? pd.seq : 0;
+      if (s.ctrl) {
+        e.ack_seq = pd.ack_seq;
+        e.ack_valid = true;
+      }
+      open_vcs_ |= std::uint64_t{1} << chosen;
       queue_.pop_front();
       if (counters_) {
         counters_->queued_packets--;
@@ -307,64 +330,54 @@ void NetworkInterface::inject(Cycle now) {
       }
       FLOV_TRACE(telemetry::kTraceFlit,
                  telemetry::TraceEventType::kPacketInject, now, node_,
-                 s.packet_id, s.pkt.dest);
+                 e.packet_id, s.dest);
     }
   }
 
-  // Send one flit this cycle from one stream (round-robin across VCs).
-  if (streams_.empty() || !to_router_) return;
+  // Send one flit this cycle from one stream: the first open VC with a
+  // credit, round-robin from rr_vc_.
+  if (open_vcs_ == 0 || !to_router_) return;
   const int nvc = params_.total_vcs();
   for (int k = 0; k < nvc; ++k) {
     const VcId v = (rr_vc_ + k) % nvc;
-    auto it = streams_.find(v);
-    if (it == streams_.end()) continue;
-    if (credits_[v] <= 0) continue;
-    Stream& s = it->second;
+    if ((open_vcs_ >> v & 1) == 0 || credits_[v] <= 0) continue;
+    NiStream& s = streams_[v];
 
     Flit f;
-    f.packet_id = s.packet_id;
-    f.flit_index = s.next_flit;
-    f.packet_size = s.pkt.size_flits;
-    f.head = (s.next_flit == 0);
-    f.tail = (s.next_flit == s.pkt.size_flits - 1);
-    f.src = s.pkt.src;
-    f.dest = s.pkt.dest;
-    f.vnet = s.pkt.vnet;
-    f.gen_cycle = s.pkt.gen_cycle;
-    f.inject_cycle = s.inject_cycle;
-    f.vc = v;
-    f.payload = s.pkt.payload;
-    if (params_.reliable) {
-      f.seq = s.pkt.seq;
-      f.ctrl = s.pkt.ctrl;
-      if (f.head) {
-        if (s.pkt.ctrl) {
-          f.ack_seq = s.pkt.ack_seq;
-          f.ack_valid = true;
-        } else if (!dead_) {
-          // Piggyback one pending ack on a data head already going there.
-          for (auto a = acks_.begin(); a != acks_.end(); ++a) {
-            if (a->to != s.pkt.dest) continue;
-            f.ack_seq = a->seq;
-            f.ack_valid = true;
-            acks_.erase(a);
-            break;
-          }
-        }
+    f.packet = s.packet;
+    f.dest = s.dest;
+    f.flit_index = static_cast<std::uint16_t>(s.next_flit);
+    f.vc = static_cast<std::uint8_t>(v);
+    f.head = s.next_flit == 0;
+    f.tail = s.next_flit == s.size_flits - 1;
+    f.ctrl = s.ctrl;
+    if (f.head && params_.reliable && !s.ctrl && !dead_) {
+      // Piggyback one pending ack on a data head already going there.
+      for (auto a = acks_.begin(); a != acks_.end(); ++a) {
+        if (a->to != s.dest) continue;
+        PacketTable::Entry& e = (*packets_)[s.packet];
+        e.ack_seq = a->seq;
+        e.ack_valid = true;
+        acks_.erase(a);
+        break;
       }
     }
 
+    // Read before send(): once the tail is in the network, its entry may
+    // be released.
+    const std::uint32_t seq = f.tail ? (*packets_)[s.packet].seq : 0;
     credits_[v]--;
     to_router_->send(now, f);
     ++*injected_flits_;
     if (counters_) counters_->injected_flits++;
     s.next_flit++;
     if (f.tail) {
-      if (params_.reliable && !s.pkt.ctrl && s.pkt.seq != 0) {
-        auto tx = tx_.find(flow_key(s.pkt.dest, s.pkt.seq));
+      // Sequenced data packet (ctrl packets never carry a seq).
+      if (seq != 0) {
+        auto tx = tx_.find(flow_key(s.dest, seq));
         if (tx != tx_.end()) {  // absent after kill(): flow already dead
           if (tx->second.doomed) {
-            declare_dead(tx->second, s.pkt.seq, now);
+            declare_dead(tx->second, seq, now);
             tx_.erase(tx);
           } else {
             TxEntry& e = tx->second;
@@ -374,8 +387,7 @@ void NetworkInterface::inject(Cycle now) {
           }
         }
       }
-      vc_busy_[v] = false;
-      streams_.erase(it);
+      open_vcs_ &= ~(std::uint64_t{1} << v);
       if (counters_) counters_->open_streams--;
     }
     rr_vc_ = (v + 1) % nvc;

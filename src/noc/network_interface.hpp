@@ -58,8 +58,8 @@ struct DeadPacket {
 class NetworkInterface {
  public:
   /// `hot` points at the mesh-wide SoA slab holding this NI's per-VC credit
-  /// counters, busy flags and flit counters (indexed by `node`); null
-  /// (standalone unit tests) binds a private single-slot slab.
+  /// counters and flit counters (indexed by `node`) and the packet table;
+  /// null (standalone unit tests) binds a private single-slot slab.
   NetworkInterface(NodeId node, const NocParams& params,
                    MeshHotState* hot = nullptr);
 
@@ -80,12 +80,15 @@ class NetworkInterface {
     eject_observers_.push_back(std::move(cb));
   }
 
-  /// Network-level aggregates + liveness flag (set once by the Network;
-  /// null for standalone NIs in unit tests).
-  void set_fabric_hooks(FabricCounters* counters, WakeList* wake, int index) {
+  /// Network-level aggregates + liveness flag, and the row band whose
+  /// packet-table free list this NI allocates from and releases into (set
+  /// once by the Network; null / band 0 for standalone NIs in unit tests).
+  void set_fabric_hooks(FabricCounters* counters, WakeList* wake, int index,
+                        int band) {
     counters_ = counters;
     wake_ = wake;
     wake_index_ = index;
+    band_ = band;
   }
 
   /// Queues a packet for injection. A dead (hard-faulted) NI silently
@@ -113,20 +116,20 @@ class NetworkInterface {
 
   void step(Cycle now);
 
-  bool idle() const { return queue_.empty() && streams_.empty(); }
+  bool idle() const { return queue_.empty() && open_vcs_ == 0; }
   /// True when stepping this NI would be a no-op: nothing queued, nothing
   /// mid-injection, and nothing (present or future) on the incoming wires.
   /// Network::step may park a quiescent NI until something re-arms it.
   /// A reliable NI additionally stays live while its retransmit buffer or
   /// pending-ack list is non-empty (both are timer-driven).
   bool quiescent() const {
-    return queue_.empty() && streams_.empty() &&
+    return queue_.empty() && open_vcs_ == 0 &&
            (!from_router_ || from_router_->empty()) &&
            (!credit_from_ || credit_from_->empty()) &&
            (!params_.reliable || (tx_.empty() && acks_.empty()));
   }
   /// True while a packet is mid-injection (some flits sent, tail pending).
-  bool streams_active() const { return !streams_.empty(); }
+  bool streams_active() const { return open_vcs_ != 0; }
   /// Removes queued (not yet started) packets matching `pred` and — with
   /// the reliable layer on — fails tracked flows matching `pred` fast:
   /// queued retransmit copies and timed-out entries are declared dead
@@ -164,12 +167,6 @@ class NetworkInterface {
   bool dead() const { return dead_; }
 
  private:
-  struct Stream {
-    PacketDescriptor pkt;
-    std::uint64_t packet_id = 0;
-    int next_flit = 0;
-    Cycle inject_cycle = 0;
-  };
   /// Source-side state of one tracked (dest, seq) flow.
   struct TxEntry {
     PacketDescriptor pkt;
@@ -211,14 +208,15 @@ class NetworkInterface {
   Channel<Credit>* credit_to_ = nullptr;
 
   std::deque<PacketDescriptor> queue_;
-  std::map<VcId, Stream> streams_;   ///< in-flight injection per local VC
+  Span<NiStream> streams_;      ///< per local VC (slab)
+  std::uint64_t open_vcs_ = 0;  ///< bit v: local VC v is mid-packet
+  PacketTable* packets_ = nullptr;
+  int band_ = 0;
   /// Private single-slot slab for standalone construction (unit tests).
   std::unique_ptr<MeshHotState> self_hot_;
   Span<std::int32_t> credits_;   ///< free slots per local input VC (slab)
-  Span<std::uint8_t> vc_busy_;   ///< local VC mid-packet until tail (slab)
   int rr_vc_ = 0;
 
-  std::map<std::uint64_t, Flit> pending_heads_;  ///< head held until tail
   std::function<void(const PacketRecord&)> eject_cb_;
   std::vector<std::function<void(const PacketRecord&)>> eject_observers_;
   bool stalled_ = false;

@@ -1,11 +1,25 @@
 // Network configuration parameters (the paper's Table I defaults).
 #pragma once
 
+#include <limits>
+#include <string>
+
 #include "common/config.hpp"
 #include "common/log.hpp"
 #include "common/types.hpp"
+#include "noc/flit.hpp"
 
 namespace flov {
+
+/// Largest packet whose flits a Flit::flit_index can number.
+inline constexpr int kMaxPacketFlits = 1 << 16;
+/// Most VCs per port: Flit::vc is one byte, and the router's busy and eat
+/// masks and the NI's open-stream mask are 64-bit words.
+inline constexpr int kMaxVcsPerPort = 64;
+static_assert(kMaxPacketFlits - 1 <=
+              std::numeric_limits<decltype(Flit::flit_index)>::max());
+static_assert(kMaxVcsPerPort - 1 <=
+              std::numeric_limits<decltype(Flit::vc)>::max());
 
 struct NocParams {
   int width = 8;
@@ -79,16 +93,23 @@ struct NocParams {
 
   /// Overrides the fields of `p` whose noc.* key `cfg` sets.
   static NocParams from_config(const Config& cfg, NocParams p) {
-    p.width = static_cast<int>(cfg.get_int("noc.width", p.width));
-    p.height = static_cast<int>(cfg.get_int("noc.height", p.height));
-    p.num_vnets = static_cast<int>(cfg.get_int("noc.num_vnets", p.num_vnets));
-    p.vcs_per_vnet =
-        static_cast<int>(cfg.get_int("noc.vcs_per_vnet", p.vcs_per_vnet));
-    p.escape_vc = static_cast<int>(cfg.get_int("noc.escape_vc", p.escape_vc));
-    p.buffer_depth =
-        static_cast<int>(cfg.get_int("noc.buffer_depth", p.buffer_depth));
-    p.packet_size =
-        static_cast<int>(cfg.get_int("noc.packet_size", p.packet_size));
+    // Every int field rejects a value outside int instead of truncating.
+    const auto get_int32 = [](const Config& c, const std::string& key,
+                              int dflt) {
+      const long long v = c.get_int(key, dflt);
+      FLOV_CHECK(v >= std::numeric_limits<int>::min() &&
+                     v <= std::numeric_limits<int>::max(),
+                 "config key " + key + " is out of int range: " +
+                     std::to_string(v));
+      return static_cast<int>(v);
+    };
+    p.width = get_int32(cfg, "noc.width", p.width);
+    p.height = get_int32(cfg, "noc.height", p.height);
+    p.num_vnets = get_int32(cfg, "noc.num_vnets", p.num_vnets);
+    p.vcs_per_vnet = get_int32(cfg, "noc.vcs_per_vnet", p.vcs_per_vnet);
+    p.escape_vc = get_int32(cfg, "noc.escape_vc", p.escape_vc);
+    p.buffer_depth = get_int32(cfg, "noc.buffer_depth", p.buffer_depth);
+    p.packet_size = get_int32(cfg, "noc.packet_size", p.packet_size);
     p.link_latency = cfg.get_int("noc.link_latency", p.link_latency);
     p.deadlock_timeout =
         cfg.get_int("noc.deadlock_timeout", p.deadlock_timeout);
@@ -100,8 +121,7 @@ struct NocParams {
     p.drain_abort_timeout =
         cfg.get_int("noc.drain_abort_timeout", p.drain_abort_timeout);
     p.hs_retry_timeout = cfg.get_int("noc.hs_retry_timeout", p.hs_retry_timeout);
-    p.hs_retry_limit =
-        static_cast<int>(cfg.get_int("noc.hs_retry_limit", p.hs_retry_limit));
+    p.hs_retry_limit = get_int32(cfg, "noc.hs_retry_limit", p.hs_retry_limit);
     p.trigger_retry_timeout =
         cfg.get_int("noc.trigger_retry_timeout", p.trigger_retry_timeout);
     p.sleep_reannounce_interval = cfg.get_int("noc.sleep_reannounce_interval",
@@ -113,11 +133,10 @@ struct NocParams {
     p.reliable = cfg.get_bool("noc.reliable", p.reliable);
     p.retx_timeout = cfg.get_int("noc.retx_timeout", p.retx_timeout);
     p.retx_backoff_cap =
-        static_cast<int>(cfg.get_int("noc.retx_backoff_cap", p.retx_backoff_cap));
-    p.retx_limit = static_cast<int>(cfg.get_int("noc.retx_limit", p.retx_limit));
+        get_int32(cfg, "noc.retx_backoff_cap", p.retx_backoff_cap);
+    p.retx_limit = get_int32(cfg, "noc.retx_limit", p.retx_limit);
     p.ack_delay = cfg.get_int("noc.ack_delay", p.ack_delay);
-    p.step_threads =
-        static_cast<int>(cfg.get_int("noc.step_threads", p.step_threads));
+    p.step_threads = get_int32(cfg, "noc.step_threads", p.step_threads);
     p.validate();
     return p;
   }
@@ -130,7 +149,15 @@ struct NocParams {
     // Buffer lengths and credits are one-byte cells (noc/hot_state.hpp).
     FLOV_CHECK(buffer_depth >= 1 && buffer_depth <= 127,
                "buffer depth must be in 1..127");
-    FLOV_CHECK(packet_size >= 1, "packet size must be positive");
+    FLOV_CHECK(packet_size >= 1 && packet_size <= kMaxPacketFlits,
+               "packet size must be in 1.." + std::to_string(kMaxPacketFlits));
+    FLOV_CHECK(static_cast<long long>(num_vnets) * vcs_per_vnet <=
+                   kMaxVcsPerPort,
+               "num_vnets x vcs_per_vnet must be at most " +
+                   std::to_string(kMaxVcsPerPort) + " VCs per port");
+    FLOV_CHECK(static_cast<long long>(width) * height <=
+                   std::numeric_limits<NodeId>::max(),
+               "mesh has more nodes than a NodeId can name");
     FLOV_CHECK(latency_hist_max >= 1, "latency histogram cap must be >= 1");
     FLOV_CHECK(step_threads >= 1, "step_threads must be >= 1");
     FLOV_CHECK(retx_timeout >= 1, "retransmit timeout must be >= 1 cycle");

@@ -64,14 +64,17 @@ Router::Router(NodeId id, const MeshGeometry& geom, const NocParams& params,
   resident_ = &hot->resident[slot];
   latch_ = hot->latches(slot);
   latch_full_ = &hot->latch_full[slot];
+  const std::size_t stripe = hot->vc_slot(slot, 0);
+  in_vc_ = &hot->in_vc[stripe];
+  in_len_ = &hot->in_len[stripe];
+  out_vc_ = &hot->out_vc[stripe];
+  out_credits_ = &hot->out_credits[stripe];
+  nvc_ = nvc;
+  packets_ = &hot->packets;
+  for (int i = 0; i < kNumPorts * nvc; ++i) {
+    in_vc_[i].buffer.bind_count(&in_len_[i]);
+  }
   for (int p = 0; p < kNumPorts; ++p) {
-    input_[p].vcs = hot->input_vcs(slot, p);
-    input_[p].len = hot->input_lengths(slot, p);
-    for (int v = 0; v < nvc; ++v) {
-      input_[p].vcs[v].buffer.bind_count(&input_[p].len[v]);
-    }
-    output_[p].vcs = hot->output_vcs(slot, p);
-    output_[p].credits = hot->output_credits(slot, p);
     sa_input_arb_.emplace_back(nvc);
     sa_output_arb_.emplace_back(kNumPorts);
   }
@@ -197,7 +200,7 @@ void Router::accept_credits(Cycle now) {
     const int p = std::countr_zero(m);
     for (const Credit& c : credit_in_[p]->recv_all(now)) {
       if ((*mode_) == RouterMode::kPipeline) {
-        CreditCount& credits = output_[p].credits[c.vc];
+        CreditCount& credits = credit(p, c.vc);
         credits++;
         FLOV_DCHECK(credits <= params_.buffer_depth,
                     "credit overflow at router " + std::to_string(id_));
@@ -225,7 +228,7 @@ void Router::accept_credits(Cycle now) {
 void Router::refund_output_credit(Direction out_port, VcId vc, Cycle now) {
   const int p = dir_index(out_port);
   if ((*mode_) == RouterMode::kPipeline) {
-    CreditCount& credits = output_[p].credits[vc];
+    CreditCount& credits = credit(p, vc);
     credits++;
     FLOV_DCHECK(credits <= params_.buffer_depth,
                 "credit refund overflow at router " + std::to_string(id_));
@@ -247,7 +250,7 @@ void Router::accept_flits(Cycle now) {
   for (std::uint32_t m = in_pending_ & kFlitInBits; m != 0;) {
     const int p = std::countr_zero(m);
     while (auto f = in_flit_[p]->recv(now)) {
-      auto& vc = input_[p].vcs[f->vc];
+      auto& vc = in_vc(p, f->vc);
       if (dying_) {
         // Worms already admitted finish; every NEW worm (its head arrives
         // after begin_death) is eaten whole with the kDead black-hole
@@ -274,10 +277,12 @@ void Router::accept_flits(Cycle now) {
                        to_string(dir_from_index(p)) + " vc " +
                        std::to_string(f->vc) + " holds " +
                        std::to_string(vc.occupancy()) + " flits (front pkt " +
-                       std::to_string(vc.buffer.front().packet_id) +
+                       std::to_string(
+                           (*packets_)[vc.buffer.front().packet].packet_id) +
                        " head=" + std::to_string(vc.buffer.front().head) +
                        " tail=" + std::to_string(vc.buffer.front().tail) +
-                       ") while head of pkt " + std::to_string(f->packet_id) +
+                       ") while head of pkt " +
+                       std::to_string((*packets_)[f->packet].packet_id) +
                        " arrives");
         vc.state = VcState::kRouting;
         vc.stage_ready = now + 1;  // RC occupies the next cycle
@@ -300,9 +305,13 @@ void Router::forward_latches(Cycle now) {
     Flit f = l.flit;
     *latch_full_ &= static_cast<std::uint8_t>(~latch_bit(d));
     (*resident_)--;
+    // Read before send(): a drop on the wire may release the entry.
+    [[maybe_unused]] std::uint64_t packet_id = 0;
     if (f.head) {
-      f.flov_hops++;
-      f.link_hops++;
+      PacketTable::Entry& e = (*packets_)[f.packet];
+      e.flov_hops++;
+      e.link_hops++;
+      packet_id = e.packet_id;
     }
     FLOV_CHECK(out_flit_[d] != nullptr, "FLOV latch without output link");
     out_flit_[d]->send(now, f);
@@ -311,7 +320,7 @@ void Router::forward_latches(Cycle now) {
     flits_flown_over_++;
     if (f.head) {
       FLOV_TRACE(telemetry::kTraceFlit, telemetry::TraceEventType::kFlovLatch,
-                 now, id_, f.packet_id, d);
+                 now, id_, packet_id, d);
     }
   }
 }
@@ -344,7 +353,7 @@ void Router::accept_flits_bypass(Cycle now) {
       FLOV_CHECK(geom_.neighbor(id_, outd) != kInvalidNode,
                  "fly-over would exit the mesh at router " +
                      std::to_string(id_) + " (flit src=" +
-                     std::to_string(f->src) + " dest=" +
+                     std::to_string((*packets_)[f->packet].src) + " dest=" +
                      std::to_string(f->dest) + " escape=" +
                      std::to_string(f->escape) + " vc=" +
                      std::to_string(f->vc) + ")");
@@ -366,7 +375,7 @@ void Router::accept_flits_bypass(Cycle now) {
 
 void Router::do_switch_traversal(Cycle now) {
   for (const SwitchGrant& g : pending_st_) {
-    auto& vc = input_[g.in_port].vcs[g.in_vc];
+    auto& vc = in_vc(g.in_port, g.in_vc);
     FLOV_CHECK(vc.state == VcState::kActive && !vc.buffer.empty(),
                "stale switch grant");
     Flit f = vc.buffer.front();
@@ -374,8 +383,8 @@ void Router::do_switch_traversal(Cycle now) {
     (*resident_)--;
 
     const int outp = dir_index(vc.out_dir);
-    auto& ovc = output_[outp].vcs[vc.out_vc];
-    CreditCount& credits = output_[outp].credits[vc.out_vc];
+    auto& ovc = out_vc(outp, vc.out_vc);
+    CreditCount& credits = credit(outp, vc.out_vc);
     FLOV_CHECK(credits > 0, "switch traversal without credit");
     credits--;
 
@@ -387,9 +396,13 @@ void Router::do_switch_traversal(Cycle now) {
       const RouteContext ctx{id_, dir_from_index(g.in_port), &view_};
       routing_->annotate(ctx, RouteDecision{vc.out_dir, vc.escape_route}, f);
     }
+    // Read before send(): a drop on the wire may release the entry.
+    [[maybe_unused]] std::uint64_t packet_id = 0;
     if (f.head) {
-      f.router_hops++;
-      if (vc.out_dir != Direction::Local) f.link_hops++;
+      PacketTable::Entry& e = (*packets_)[f.packet];
+      e.router_hops++;
+      if (vc.out_dir != Direction::Local) e.link_hops++;
+      packet_id = e.packet_id;
     }
     FLOV_CHECK(out_flit_[outp] != nullptr, "unwired output port");
     out_flit_[outp]->send(now, f);
@@ -400,7 +413,7 @@ void Router::do_switch_traversal(Cycle now) {
     if (f.head) {
       FLOV_TRACE(telemetry::kTraceFlit,
                  telemetry::TraceEventType::kSwitchTraversal, now, id_,
-                 f.packet_id, outp);
+                 packet_id, outp);
     }
     if (g.in_port == dir_index(Direction::Local) ||
         outp == dir_index(Direction::Local)) {
@@ -437,7 +450,7 @@ void Router::do_timeout_checks(Cycle now) {
   if (params_.escape_vc < 0 || !params_.enable_escape_diversion) return;
   for (int p = 0; p < kNumPorts; ++p) {
     for_each_bit(busy_[p], [&](VcId v) {
-      auto& vc = input_[p].vcs[v];
+      auto& vc = in_vc(p, v);
       const bool eligible =
           (vc.state == VcState::kWaitVc ||
            (vc.state == VcState::kActive && !vc.sent_any)) &&
@@ -450,7 +463,7 @@ void Router::do_timeout_checks(Cycle now) {
       // Divert to the escape sub-network: release any held output VC and
       // re-route with the escape algorithm (costs one RC cycle).
       if (vc.state == VcState::kActive) {
-        auto& ovc = output_[dir_index(vc.out_dir)].vcs[vc.out_vc];
+        auto& ovc = out_vc(dir_index(vc.out_dir), vc.out_vc);
         ovc.allocated = false;
         ovc.owner_port = -1;
         ovc.owner_vc = -1;
@@ -460,7 +473,7 @@ void Router::do_timeout_checks(Cycle now) {
       escape_diversions_++;
       FLOV_TRACE(telemetry::kTraceFlit,
                  telemetry::TraceEventType::kEscapeDivert, now, id_,
-                 head.packet_id, now - vc.wait_since);
+                 (*packets_)[head.packet].packet_id, now - vc.wait_since);
       const RouteContext ctx{id_, dir_from_index(p), &view_};
       const RouteDecision d = routing_->escape_route(ctx, head);
       vc.out_dir = d.out;
@@ -515,7 +528,7 @@ void Router::do_vc_allocation(Cycle now) {
   const int nvc = params_.total_vcs();
   if (++va_rotate_ == kNumPorts * nvc) va_rotate_ = 0;
   auto try_allocate = [&](int p, VcId v) {
-    auto& vc = input_[p].vcs[v];
+    auto& vc = in_vc(p, v);
     if (vc.state != VcState::kWaitVc || vc.stage_ready > now) return;
     FLOV_CHECK(!vc.buffer.empty() && vc.buffer.front().head,
                "kWaitVc without head flit");
@@ -539,20 +552,22 @@ void Router::do_vc_allocation(Cycle now) {
       if (must_hold_for_wakeup(vc, head)) return;
     }
     // Pick a free output VC of the right class within the packet's vnet.
-    const int base = head.vnet * params_.vcs_per_vnet;
+    FLOV_DCHECK(params_.vnet_of_vc(head.vc) == (*packets_)[head.packet].vnet,
+                "flit VC outside its packet's vnet");
+    const int base = params_.vnet_of_vc(head.vc) * params_.vcs_per_vnet;
     VcId grant = -1;
     for (int w = 0; w < params_.vcs_per_vnet; ++w) {
       const bool is_escape =
           params_.escape_vc >= 0 && w == params_.escape_vc;
       if (vc.escape_route != is_escape) continue;
       const VcId abs = base + w;
-      if (!output_[outp].vcs[abs].allocated) {
+      if (!out_vc(outp, abs).allocated) {
         grant = abs;
         break;
       }
     }
     if (grant < 0) return;
-    auto& ovc = output_[outp].vcs[grant];
+    auto& ovc = out_vc(outp, grant);
     ovc.allocated = true;
     ovc.owner_port = p;
     ovc.owner_vc = v;
@@ -561,7 +576,7 @@ void Router::do_vc_allocation(Cycle now) {
     vc.wait_since = now;
     count(EnergyEvent::kVcArb);
     FLOV_TRACE(telemetry::kTraceFlit, telemetry::TraceEventType::kVcAlloc,
-               now, id_, head.packet_id, grant);
+               now, id_, (*packets_)[head.packet].packet_id, grant);
   };
   // Round-robin over the slots p * nvc + v, starting at va_rotate_ and
   // wrapping: the busy slots of [va_rotate_, total) in order, then those
@@ -592,15 +607,15 @@ void Router::do_switch_allocation(Cycle now) {
   for (int p = 0; p < kNumPorts; ++p) {
     std::uint64_t req = 0;
     for_each_bit(busy_[p], [&](VcId v) {
-      const auto& vc = input_[p].vcs[v];
-      if (vc.state != VcState::kActive || input_[p].len[v] == 0) return;
-      if (output_[dir_index(vc.out_dir)].credits[vc.out_vc] > 0) {
+      const auto& vc = in_vc(p, v);
+      if (vc.state != VcState::kActive || in_len_[p * nvc_ + v] == 0) return;
+      if (credit(dir_index(vc.out_dir), vc.out_vc) > 0) {
         req |= vc_bit(v);
       }
     });
     if (req != 0) {
       nominee[p] = sa_input_arb_[p].arbitrate(req);
-      out_req[dir_index(input_[p].vcs[nominee[p]].out_dir)] |=
+      out_req[dir_index(in_vc(p, nominee[p]).out_dir)] |=
           std::uint64_t{1} << p;
     }
   }
@@ -613,11 +628,11 @@ void Router::do_switch_allocation(Cycle now) {
     count(EnergyEvent::kSwArb);
 #if defined(FLYOVER_TRACING) && FLYOVER_TRACING
     {
-      const auto& gvc = input_[winner].vcs[nominee[winner]];
+      const auto& gvc = in_vc(winner, nominee[winner]);
       if (!gvc.buffer.empty() && gvc.buffer.front().head) {
         FLOV_TRACE(telemetry::kTraceFlit,
                    telemetry::TraceEventType::kSwitchGrant, now, id_,
-                   gvc.buffer.front().packet_id, outp);
+                   (*packets_)[gvc.buffer.front().packet].packet_id, outp);
       }
     }
 #endif
@@ -627,7 +642,7 @@ void Router::do_switch_allocation(Cycle now) {
 void Router::do_route_computation(Cycle now) {
   for (int p = 0; p < kNumPorts; ++p) {
     for_each_bit(busy_[p], [&](VcId v) {
-      auto& vc = input_[p].vcs[v];
+      auto& vc = in_vc(p, v);
       if (vc.state != VcState::kRouting || vc.stage_ready > now) return;
       FLOV_CHECK(!vc.buffer.empty() && vc.buffer.front().head,
                  "kRouting without head flit");
@@ -646,13 +661,13 @@ void Router::do_route_computation(Cycle now) {
 
 void Router::dump_occupancy(Cycle now) const {
   for (int p = 0; p < kNumPorts; ++p) {
-    for (VcId v = 0; v < static_cast<VcId>(input_[p].vcs.size()); ++v) {
-      const auto& vc = input_[p].vcs[v];
+    for (VcId v = 0; v < nvc_; ++v) {
+      const auto& vc = in_vc(p, v);
       if (vc.buffer.empty()) continue;
       const Flit& f = vc.buffer.front();
       int credits = -1;
       if (vc.state == VcState::kActive) {
-        credits = output_[dir_index(vc.out_dir)].credits[vc.out_vc];
+        credits = credit(dir_index(vc.out_dir), vc.out_vc);
       }
       // The local output has no PSR block flag.
       const bool blocked =
@@ -664,7 +679,8 @@ void Router::dump_occupancy(Cycle now) const {
           id_, to_string(dir_from_index(p)), v, vc.occupancy(),
           static_cast<int>(vc.state), to_string(vc.out_dir), vc.out_vc,
           credits, static_cast<int>(blocked),
-          static_cast<int>(vc.escape_route), f.src, f.dest,
+          static_cast<int>(vc.escape_route), (*packets_)[f.packet].src,
+          f.dest,
           static_cast<unsigned long long>(now - vc.wait_since));
     }
   }
@@ -684,8 +700,8 @@ void Router::set_mode(RouterMode m, Cycle now) {
     // buffer slots are surrendered back upstream so senders mid-worm can
     // keep streaming (into the black hole) and free their own VC state.
     for (int p = 0; p < kNumPorts; ++p) {
-      for (VcId v = 0; v < static_cast<VcId>(input_[p].vcs.size()); ++v) {
-        auto& vc = input_[p].vcs[v];
+      for (VcId v = 0; v < nvc_; ++v) {
+        auto& vc = in_vc(p, v);
         while (!vc.buffer.empty()) {
           const Flit f = vc.buffer.front();
           vc.buffer.pop_front();
@@ -714,7 +730,7 @@ void Router::set_mode(RouterMode m, Cycle now) {
                "gating a router with buffered flits: " + std::to_string(id_));
     FLOV_CHECK(pending_st_.empty(), "gating a router mid-traversal");
     for (int p = 0; p < kNumPorts; ++p) {
-      FLOV_CHECK(!output_[p].any_allocated(),
+      FLOV_CHECK(!output(p).any_allocated(),
                  "gating a router with live output VCs");
     }
     count(EnergyEvent::kPgTransition);  // one charge per gate/wake pair
@@ -725,14 +741,14 @@ void Router::set_mode(RouterMode m, Cycle now) {
     // Fresh allocation state; real credit values are installed by the
     // credit-handover transaction right after this call.
     for (int p = 0; p < kNumPorts; ++p) {
-      output_[p].init(params_.total_vcs(), params_.buffer_depth);
+      output(p).init(params_.total_vcs(), params_.buffer_depth);
     }
     // The NI side has no handover: a gated router drops its ejection
     // credits, but flits it self-captured may still be on the wire to the
     // NI, or their credits on the way back. Both land after the wake, so
     // the slots they stand for must not be counted free twice.
     const int local = dir_index(Direction::Local);
-    const Span<CreditCount> local_credits = output_[local].credits;
+    const Span<CreditCount> local_credits = output(local).credits;
     if (out_flit_[local]) {
       out_flit_[local]->for_each_in_flight(
           [&](const Flit& f) { local_credits[f.vc]--; });
@@ -761,7 +777,7 @@ void Router::set_mode(RouterMode m, Cycle now) {
 
 bool Router::input_buffers_empty() const {
   for (int p = 0; p < kNumPorts; ++p) {
-    if (!input_[p].all_empty()) return false;
+    if (!input(p).all_empty()) return false;
   }
   return true;
 }
@@ -769,12 +785,12 @@ bool Router::input_buffers_empty() const {
 bool Router::latches_empty() const { return *latch_full_ == 0; }
 
 bool Router::output_port_idle(Direction d) const {
-  return !output_[dir_index(d)].any_allocated();
+  return !output(dir_index(d)).any_allocated();
 }
 
 bool Router::all_outputs_idle() const {
   for (int p = 0; p < kNumPorts; ++p) {
-    if (output_[p].any_allocated()) return false;
+    if (output(p).any_allocated()) return false;
   }
   return true;
 }
@@ -795,17 +811,16 @@ bool Router::completely_empty() const {
 
 int Router::buffered_flits() const {
   // The ports' length runs are one [port][vc] stripe of the slab.
-  const VcLength* len = input_[0].len.begin();
   int n = std::popcount(*latch_full_);
-  for (int i = 0; i < kNumPorts * params_.total_vcs(); ++i) n += len[i];
+  for (int i = 0; i < kNumPorts * nvc_; ++i) n += in_len_[i];
   return n;
 }
 
 bool Router::busy_masks_match_vc_states() const {
   for (int p = 0; p < kNumPorts; ++p) {
     std::uint64_t busy = 0;
-    for (VcId v = 0; v < input_[p].vcs.size(); ++v) {
-      if (input_[p].vcs[v].state != VcState::kIdle) busy |= vc_bit(v);
+    for (VcId v = 0; v < nvc_; ++v) {
+      if (in_vc(p, v).state != VcState::kIdle) busy |= vc_bit(v);
     }
     if (busy != busy_[p]) return false;
   }
@@ -825,17 +840,17 @@ bool Router::pending_mask_matches_inputs() const {
 
 void Router::input_free_slots(Direction in_port,
                               std::vector<int>& out) const {
-  input_[dir_index(in_port)].free_slots(params_.buffer_depth, out);
+  input(dir_index(in_port)).free_slots(params_.buffer_depth, out);
 }
 
 void Router::reload_output_credits(Direction out_port,
                                    const std::vector<int>& free_counts) {
-  output_[dir_index(out_port)].reload_credits(free_counts);
+  output(dir_index(out_port)).reload_credits(free_counts);
 }
 
 void Router::reset_output_credits_full(Direction out_port) {
   std::vector<int> full(params_.total_vcs(), params_.buffer_depth);
-  output_[dir_index(out_port)].reload_credits(full);
+  output(dir_index(out_port)).reload_credits(full);
 }
 
 }  // namespace flov

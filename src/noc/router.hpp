@@ -170,13 +170,13 @@ class Router {
   /// always-on NI sink.
   void set_dead_mask(const std::vector<char>* mask) { dead_mask_ = mask; }
 
+  /// The packet table this router's flits name their packets in (the
+  /// mesh's, or the private slab's for a standalone router).
+  PacketTable& packets() const { return *packets_; }
+
   // --- introspection for tests ---
-  const InputPort& input_port(Direction d) const {
-    return input_[dir_index(d)];
-  }
-  const OutputPort& output_port(Direction d) const {
-    return output_[dir_index(d)];
-  }
+  InputPort input_port(Direction d) const { return input(dir_index(d)); }
+  OutputPort output_port(Direction d) const { return output(dir_index(d)); }
   std::uint64_t flits_traversed() const { return flits_traversed_; }
   /// Packets this router diverted into the escape sub-network (deadlock
   /// timeout fired); the escape-VC path's registry metric.
@@ -234,6 +234,19 @@ class Router {
   /// a sleeping run along the chosen direction, so it must be woken first.
   bool must_hold_for_wakeup(const InputVc& vc, const Flit& head);
 
+  // Views of port p's stripes in the slab ([port][vc] from the bases).
+  InputVc& in_vc(int p, VcId v) const { return in_vc_[p * nvc_ + v]; }
+  OutputVcState& out_vc(int p, VcId v) const { return out_vc_[p * nvc_ + v]; }
+  CreditCount& credit(int p, VcId v) const {
+    return out_credits_[p * nvc_ + v];
+  }
+  InputPort input(int p) const {
+    return {{in_vc_ + p * nvc_, nvc_}, {in_len_ + p * nvc_, nvc_}};
+  }
+  OutputPort output(int p) const {
+    return {{out_vc_ + p * nvc_, nvc_}, {out_credits_ + p * nvc_, nvc_}};
+  }
+
   void count(EnergyEvent e, std::uint64_t n = 1) {
     // Per-node counting: domain workers may count concurrently, and the
     // per-node cells fold back deterministically (PowerTracker).
@@ -250,12 +263,18 @@ class Router {
   /// unused when the Network hands us its mesh slab.
   std::unique_ptr<MeshHotState> self_hot_;
   /// Hot fields in the SoA slab (this router's slots). mode_/resident_
-  /// point at mode[id]/resident[id]; the port views cover the per-VC
-  /// stripes; latch_ the FLOV latches and latch_full_ their occupancy
-  /// bits.
+  /// point at mode[id]/resident[id]; the four stripe bases at this
+  /// router's [port][vc] runs of in_vc, in_len, out_vc and out_credits;
+  /// latch_ the FLOV latches and latch_full_ their occupancy bits.
   RouterMode* mode_ = nullptr;
   std::int32_t* resident_ = nullptr;
   std::uint8_t* latch_full_ = nullptr;
+  InputVc* in_vc_ = nullptr;
+  VcLength* in_len_ = nullptr;
+  OutputVcState* out_vc_ = nullptr;
+  CreditCount* out_credits_ = nullptr;
+  int nvc_ = 0;  ///< VCs per port (params_.total_vcs())
+  PacketTable* packets_ = nullptr;
 
   NeighborhoodView view_;
 
@@ -269,13 +288,11 @@ class Router {
   /// visit only set bits and quiescent() reads it whole.
   std::uint32_t in_pending_ = 0;
 
-  std::array<InputPort, kNumPorts> input_;
-  /// Per input port, bit v set exactly when input_[p].vcs[v].state !=
+  /// Per input port, bit v set exactly when in_vc(p, v).state !=
   /// kIdle. Route computation, VC/switch allocation and the timeout checks
   /// visit only these bits instead of every VC slot. Written only where a
   /// VC leaves or enters kIdle (head arrival, tail departure, death).
   std::array<std::uint64_t, kNumPorts> busy_{};
-  std::array<OutputPort, kNumPorts> output_;
   Span<FlovLatch> latch_;
 
   std::vector<SwitchGrant> pending_st_;

@@ -28,8 +28,8 @@ RpNetwork::RpNetwork(NocParams params, const EnergyParams& energy,
     for (NodeId id = 0; id < net_->num_nodes(); ++id) {
       net_->router(id).set_kill_callback(
           [f = fault_.get(), n = net_.get(), id](const Flit& fl) {
-            f->note_hard_killed(fl);
-            n->note_flit_dropped(id);
+            f->note_hard_killed(n->packets()[fl.packet].packet_id);
+            n->note_flit_dropped(id, fl);
           });
     }
   }

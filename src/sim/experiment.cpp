@@ -576,6 +576,12 @@ RunResult run_synthetic(const SyntheticExperimentConfig& cfg) {
       record_budget_incident(sys, *incidents, "drain_exhausted", now,
                              cfg.drain_max);
     }
+    // Every tail that left took its packet's table entry with it, whether
+    // it ejected, died in a dead router or dropped on a wire.
+    FLOV_DCHECK(aborted || !fully_drained(net) || net.packets().live() == 0,
+                "packet table still holds " +
+                    std::to_string(net.packets().live()) +
+                    " entries after the run drained");
   }
 
   // Every subsystem registers its metrics under its own prefix. The

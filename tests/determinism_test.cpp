@@ -273,6 +273,35 @@ TEST(Determinism, ThreadedHardFaultRunManifestBytesMatchSerial) {
   }
 }
 
+TEST(Determinism, RowBandsMatchSerialWhenFaultsReleasePacketsAcrossBands) {
+  // Every way a packet's table entry goes back: tails ejected, eaten by
+  // dead routers (Baseline and RP kill flits; FLOV routers do not), and
+  // dropped on dead or lossy wires, with soft flips writing head payloads
+  // in flight. Bands release into their own queues and the barrier
+  // returns each entry to the band that allocated it; threads=4 must
+  // match threads=1 byte for byte.
+  for (Scheme s : kAllSchemes) {
+    SyntheticExperimentConfig ex = sized_config(s, 8, 0.3, 37, 1);
+    ex.drain_max = 3000;
+    ex.max_cycles_hard = 100000;
+    ex.verifier.fatal = false;
+    ex.verifier.check_psr = false;
+    ex.verifier.settle_window = 512;
+    ex.faults.seed = 37;
+    ex.faults.hard_router_pct = 0.08;
+    ex.faults.hard_link_pct = 0.04;
+    ex.faults.hard_at_cycle = ex.warmup + ex.measure / 3;
+    ex.faults.soft_flit_flip_rate = 0.002;
+    ex.faults.flit_drop_rate = 0.0005;
+    SCOPED_TRACE(to_string(s));
+    const RunResult serial = run_synthetic(ex);
+    ASSERT_GT(serial.dead_routers + serial.dead_links, 0);
+    ASSERT_GT(serial.payload_flips, 0u);
+    ASSERT_GT(serial.flits_dropped_by_faults, 0u);
+    expect_bands_match_serial(ex, {4});
+  }
+}
+
 TEST(Determinism, ThreadCountAboveMeshHeightClampsAndStaysIdentical) {
   // step_threads > height cannot create more row bands than rows; the
   // clamped pool must still match serial exactly.

@@ -15,7 +15,9 @@
 
 #include "common/rng.hpp"
 #include "fault/fault_model.hpp"
+#include "fault/fault_wiring.hpp"
 #include "flov/flov_network.hpp"
+#include "sim/baseline_network.hpp"
 #include "traffic/traffic_pattern.hpp"
 #include "verify/invariant_verifier.hpp"
 
@@ -222,6 +224,46 @@ TEST(FaultFuzzFlitLoss, ConservationHoldsWithDroppedFlits) {
   ASSERT_GT(sys.fault_injector()->counters().flits_dropped, 0u)
       << "fault rate too low to exercise the drop path";
   EXPECT_EQ(verifier.violations(), 0u);
+}
+
+TEST(SoftFlitFlips, HeadFlipReachesTheRecordAndBodyFlipsDoNot) {
+  // A packet has one payload, and the head carries it: a bit flipped on
+  // the head's wire is what the destination reads, while flips on body
+  // and tail flits are counted (the packet is corrupted) but change
+  // nothing delivered. Every flit flips here; the packet crosses one link.
+  FaultParams faults;
+  faults.seed = 9;
+  faults.soft_flit_flip_rate = 1.0;
+  NocParams p;
+  p.width = 4;
+  p.height = 4;
+  BaselineNetwork sys(p, EnergyParams{}, faults);
+  std::vector<PacketRecord> got;
+  sys.network().set_eject_callback(
+      [&](const PacketRecord& r) { got.push_back(r); });
+  PacketDescriptor pd;
+  pd.src = 0;
+  pd.dest = 1;  // one hop East
+  pd.size_flits = 4;
+  pd.payload = 0x0123456789ABCDEFull;
+  sys.network().enqueue(pd);
+  for (Cycle now = 0; now < 50 && got.empty(); ++now) sys.step(now);
+  ASSERT_EQ(got.size(), 1u);
+
+  FaultInjector twin(faults, 16);
+  const std::uint32_t link = link_fate_key(0, Direction::East);
+  std::uint64_t masks[4];
+  for (int i = 0; i < 4; ++i) {
+    Flit f;
+    f.flit_index = static_cast<std::uint16_t>(i);
+    masks[i] = twin.payload_flip_mask(f, got[0].packet_id, link);
+    ASSERT_NE(masks[i], 0u);
+  }
+  ASSERT_NE(masks[1] ^ masks[2] ^ masks[3], 0u)
+      << "body flips cancel out; pick another seed";
+  EXPECT_EQ(got[0].payload, pd.payload ^ masks[0]);
+  EXPECT_EQ(sys.fault_injector()->counters().payload_flips, 4u);
+  EXPECT_TRUE(sys.fault_injector()->packet_corrupted(got[0].packet_id));
 }
 
 }  // namespace

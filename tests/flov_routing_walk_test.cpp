@@ -45,7 +45,6 @@ struct Walker {
     int steps = 0;
     Flit f;
     f.head = true;
-    f.src = src;
     f.dest = dest;
     while (pos != dest) {
       Direction out;

@@ -10,11 +10,12 @@
 namespace flov {
 namespace {
 
-Flit make_flit(NodeId src, NodeId dest, bool escape = false) {
+// Routing reads only the destination; `src` names the packet's source at
+// the call sites.
+Flit make_flit(NodeId /*src*/, NodeId dest, bool escape = false) {
   Flit f;
   f.head = true;
   f.tail = true;
-  f.src = src;
   f.dest = dest;
   f.escape = escape;
   return f;

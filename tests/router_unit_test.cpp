@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <array>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -30,17 +31,29 @@ struct Bench {
     }
   }
 
+  /// A flit of packet `id`; the packet's table entry is made on its first
+  /// flit.
   Flit flit(VcId vc, bool head, bool tail, std::uint64_t id,
-            NodeId dest = kEastOf) const {
+            NodeId dest = kEastOf) {
+    auto [it, fresh] = handles.try_emplace(id);
+    if (fresh) {
+      PacketTable& table = router.packets();
+      it->second = table.alloc(0);
+      table[it->second].packet_id = id;
+      table[it->second].src = kCenter;
+      table[it->second].vnet =
+          static_cast<std::uint8_t>(vc / params.vcs_per_vnet);
+    }
     Flit f;
-    f.packet_id = id;
+    f.packet = it->second;
     f.head = head;
     f.tail = tail;
-    f.src = kCenter;
     f.dest = dest;
-    f.vc = vc;
-    f.vnet = vc / params.vcs_per_vnet;
+    f.vc = static_cast<std::uint8_t>(vc);
     return f;
+  }
+  std::uint64_t packet_id(const Flit& f) const {
+    return router.packets()[f.packet].packet_id;
   }
   void send(Direction in, const Flit& f) {
     flit_in[dir_index(in)].send(now, f);
@@ -57,6 +70,7 @@ struct Bench {
   std::array<Channel<Flit>, kNumPorts> flit_in, flit_out;
   std::array<Channel<Credit>, kNumPorts> credit_out, credit_in;
   Router router;
+  std::map<std::uint64_t, PacketTable::Handle> handles;
   Cycle now = 0;
 };
 
@@ -178,7 +192,7 @@ TEST(RouterUnit, DyingRouterEatsAWormOnVc33WhileVc1Streams) {
   Bench b(p);
   int killed = 0;
   b.router.set_kill_callback([&](const Flit& f) {
-    EXPECT_EQ(f.packet_id, 2u);
+    EXPECT_EQ(b.packet_id(f), 2u);
     ++killed;
   });
   std::vector<Flit> east_out;
@@ -205,7 +219,7 @@ TEST(RouterUnit, DyingRouterEatsAWormOnVc33WhileVc1Streams) {
   run(8);
   EXPECT_EQ(killed, 2);
   ASSERT_EQ(east_out.size(), 3u);
-  for (const Flit& f : east_out) EXPECT_EQ(f.packet_id, 1u);
+  for (const Flit& f : east_out) EXPECT_EQ(b.packet_id(f), 1u);
   EXPECT_TRUE(east_out.back().tail);
   EXPECT_EQ(b.router.mode(), RouterMode::kDead);
 }
