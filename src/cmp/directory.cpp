@@ -22,7 +22,7 @@ void DirectoryBank::send(MsgType t, Addr a, NodeId dst, NodeId requester,
 }
 
 void DirectoryBank::touch_l2(Addr addr) {
-  if (l2_.emplace(addr, true).second) {
+  if (l2_.insert(addr).second) {
     l2_fifo_.push_back(addr);
     while (static_cast<int>(l2_.size()) > cfg_.l2_capacity_blocks) {
       const Addr victim = l2_fifo_.front();
@@ -93,10 +93,13 @@ void DirectoryBank::pump(Addr addr, Cycle now) {
   // entry each round: handle() may mutate the map indirectly.
   while (true) {
     Entry& e = dir_[addr];
-    if (e.busy || e.waiting.empty()) return;
-    const CoherenceMsg next = e.waiting.front();
-    e.waiting.pop_front();
-    handle(dir_[addr], next, now);
+    if (e.busy) return;
+    const auto q = waiting_.find(addr);
+    if (q == waiting_.end()) return;
+    const CoherenceMsg next = q->second.front();
+    q->second.pop_front();
+    if (q->second.empty()) waiting_.erase(q);
+    handle(e, next, now);
   }
 }
 
@@ -108,8 +111,8 @@ void DirectoryBank::process(const CoherenceMsg& msg, Cycle now) {
       msg.type == MsgType::kPutS;
   // Requests serialize per block: behind a live transaction AND behind any
   // already-waiting requests (FIFO).
-  if (is_request && (e.busy || !e.waiting.empty())) {
-    e.waiting.push_back(msg);
+  if (is_request && (e.busy || waiting_.count(msg.addr))) {
+    waiting_[msg.addr].push_back(msg);
     return;
   }
   handle(e, msg, now);
@@ -214,6 +217,9 @@ void DirectoryBank::step(Cycle now) {
 }
 
 bool DirectoryBank::idle() const {
+  // Every queued request sits behind a busy block.
+  FLOV_DCHECK(!busy_blocks_.empty() || waiting_.empty(),
+              "directory queues a request while no block is busy");
   if (!incoming_.empty()) return false;
   return busy_blocks_.empty();
 }

@@ -5,6 +5,13 @@
 // capacity-managed; a miss adds DRAM latency before the response. The bank
 // processes one message per cycle (plus timer completions), so the corner
 // tiles behave like real MC hotspots.
+//
+// Memory: a bank keeps an entry for every block it has ever seen (about
+// 5,000 per bank in a parsec run), so an entry owns no heap memory besides
+// its sharer set. Requests queued behind a busy block live in one
+// bank-level map, which holds a block's queue only while it is non-empty.
+// `Entry::sharers` keeps its container type: its iteration order is the
+// Inv fan-out order, which reaches the simulated outputs.
 #pragma once
 
 #include <cstdint>
@@ -63,13 +70,12 @@ class DirectoryBank {
     Cycle data_ready_at = 0;   ///< L2/DRAM access completes
     bool waiting_memory = false;
     bool waiting_owner = false;
-    std::deque<CoherenceMsg> waiting;  ///< requests queued behind busy
   };
 
   void process(const CoherenceMsg& msg, Cycle now);
   /// Executes a message against its entry (no queueing decisions).
   void handle(Entry& e, const CoherenceMsg& msg, Cycle now);
-  /// Drains the entry's waiting queue while it remains non-busy.
+  /// Drains the block's waiting queue while its entry remains non-busy.
   void pump(Addr addr, Cycle now);
   void start_transaction(Entry& e, const CoherenceMsg& msg, Cycle now);
   void finish_transaction(Addr addr, Entry& e, Cycle now);
@@ -84,7 +90,10 @@ class DirectoryBank {
   std::function<bool(NodeId)> gated_;
 
   std::unordered_map<Addr, Entry> dir_;
-  std::unordered_map<Addr, bool> l2_;  ///< resident blocks (value unused)
+  /// Requests queued behind a busy block, FIFO per block. A block has a
+  /// queue here only while it is non-empty.
+  std::unordered_map<Addr, std::deque<CoherenceMsg>> waiting_;
+  std::unordered_set<Addr> l2_;        ///< resident blocks
   std::deque<Addr> l2_fifo_;           ///< FIFO eviction order
   std::deque<CoherenceMsg> incoming_;
   std::vector<Addr> busy_blocks_;      ///< blocks with timers to poll

@@ -65,12 +65,12 @@ void L1Cache::evict(Addr addr, L1State st) {
   m.requester = tile_;
   if (st == L1State::kM) {
     m.type = MsgType::kPutM;  // dirty data travels back
-    wb_pending_[addr] = true;
+    wb_pending_.insert(addr);
   } else if (st == L1State::kE) {
     // Clean-exclusive eviction: control-only, but acked and held in the
     // writeback-pending set so a racing Fwd can still be served.
     m.type = MsgType::kPutE;
-    wb_pending_[addr] = true;
+    wb_pending_.insert(addr);
   } else {
     m.type = MsgType::kPutS;
   }

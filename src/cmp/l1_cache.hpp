@@ -10,6 +10,7 @@
 #include <functional>
 #include <optional>
 #include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -65,9 +66,11 @@ class L1Cache {
   SendFn send_;
   HomeFn home_of_;
 
+  /// Keeps its container type: evict_one() picks the victim by position in
+  /// its iteration order, which reaches the simulated outputs.
   std::unordered_map<Addr, L1State> blocks_;
   /// Dirty blocks with a PutM in flight (awaiting PutAck).
-  std::unordered_map<Addr, bool> wb_pending_;
+  std::unordered_set<Addr> wb_pending_;
   std::optional<Mshr> mshr_;
 
   bool flushing_ = false;
