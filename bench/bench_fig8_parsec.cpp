@@ -5,6 +5,7 @@
 // energy vs RP, with ~1% performance degradation.
 #include <cmath>
 #include <cstdio>
+#include <exception>
 #include <string>
 #include <vector>
 
@@ -12,7 +13,7 @@
 #include "common/config.hpp"
 #include "sim/sweep.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace flov;
   Config cfg;
   cfg.parse_args(argc, argv);
@@ -23,13 +24,15 @@ int main(int argc, char** argv) {
   base.energy = EnergyParams::from_config(cfg, {});
   base.seed = cfg.get_int("seed", 1);
   reject_unread_keys(cfg);
+  base.validate();
 
   const auto suite = BenchmarkProfile::parsec_suite();
   std::printf(
       "\n================================================================\n"
-      "Fig. 8(c,d) — PARSEC-like full-system: energy & runtime (8x8, 3 "
+      "Fig. 8(c,d) — PARSEC-like full-system: energy & runtime (%dx%d, 3 "
       "vnets, MESI, 4 corner MCs)\n"
-      "================================================================\n");
+      "================================================================\n",
+      base.noc.width, base.noc.height);
   std::printf("%-14s %-9s | %10s %12s %12s %9s\n", "benchmark", "scheme",
               "runtime", "static(uJ)", "total(uJ)", "gated@end");
 
@@ -91,4 +94,6 @@ int main(int argc, char** argv) {
   std::printf("RP   runtime vs Baseline       : %+.1f%%\n",
               100.0 * (geo_mean_ratio(1, 0, &Norm::runtime) - 1.0));
   return 0;
+} catch (const std::exception&) {
+  return 1;  // flov::fatal already printed the message
 }

@@ -4,11 +4,12 @@
 //
 // Usage: parsec_workload [bench=canneal] [scheme=gflov] [seed=1]
 #include <cstdio>
+#include <exception>
 
 #include "cmp/cmp_system.hpp"
 #include "common/config.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace flov;
   Config cfg;
   cfg.parse_args(argc, argv);
@@ -20,6 +21,7 @@ int main(int argc, char** argv) {
   c.scheme = scheme_from_string(cfg.get_string("scheme", "gflov"));
   c.seed = cfg.get_int("seed", 1);
   reject_unread_keys(cfg);
+  c.validate();
 
   std::printf("Running %s on %s (%dx%d mesh, 3 vnets, 4 corner MCs)...\n",
               c.profile.name.c_str(), to_string(c.scheme), c.noc.width,
@@ -41,4 +43,6 @@ int main(int argc, char** argv) {
               (unsigned long long)r.l2_misses);
   std::printf("  cores gated at end: %d\n", r.final_gated_cores);
   return 0;
+} catch (const std::exception&) {
+  return 1;  // flov::fatal already printed the message
 }

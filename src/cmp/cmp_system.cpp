@@ -3,12 +3,23 @@
 #include <algorithm>
 
 #include "common/log.hpp"
-#include "flov/flov_network.hpp"
-#include "rp/rp_network.hpp"
+#include "noc/router.hpp"
 
 namespace flov {
 
+void CmpConfig::validate() const {
+  // The eject callback enqueues replies during an NI's eject(), and the
+  // same NI's inject() sends them that cycle; row bands replay ejections
+  // after the barrier, so the replies would leave a cycle later.
+  FLOV_CHECK(noc.step_threads == 1,
+             "config key noc.step_threads must be 1 for CMP runs (got " +
+                 std::to_string(noc.step_threads) +
+                 "): replies sent from the eject callback leave in the "
+                 "ejection cycle only when stepped serially");
+}
+
 CmpSystem::CmpSystem(const CmpConfig& cfg) : cfg_(cfg) {
+  cfg_.validate();
   cfg_.noc.num_vnets = 3;  // request / forward / response (Table I)
   const MeshGeometry geom(cfg_.noc.width, cfg_.noc.height);
   mc_tiles_ = {geom.id(0, 0), geom.id(geom.width() - 1, 0),
@@ -18,10 +29,8 @@ CmpSystem::CmpSystem(const CmpConfig& cfg) : cfg_(cfg) {
   // RP must never park the MC routers.
   std::vector<bool> always_on(geom.num_nodes(), false);
   for (NodeId m : mc_tiles_) always_on[m] = true;
-  built_ = build_system(cfg_.scheme, cfg_.noc, cfg_.energy, always_on);
-  if (auto* rp = dynamic_cast<RpNetwork*>(built_.system.get())) {
-    rp->fabric_manager().set_min_epoch_gap(cfg_.rp_epoch_gap);
-  }
+  built_ = build_system(cfg_.scheme, cfg_.noc, cfg_.energy, always_on,
+                        /*faults=*/{}, cfg_.rp_epoch_gap);
 
   Rng seeder(cfg_.seed * 1299721 + 17);
   const int n = geom.num_nodes();
@@ -167,7 +176,7 @@ CmpResult CmpSystem::run() {
     std::fprintf(stderr, "  net in_flight_empty=%d idle=%d queued=%llu\n",
                  net.in_flight_empty(), net.idle(),
                  static_cast<unsigned long long>(net.total_queued_packets()));
-    for (NodeId t = 0; t < n; ++t) net.router(t).dump_occupancy(now_);
+    sys.dump_state(now_);
     // Trace a few more cycles to expose livelock loops.
     for (int extra = 0; extra < 40; ++extra) {
       for (auto& b : banks_) b->step(now_);
@@ -176,14 +185,6 @@ CmpResult CmpSystem::run() {
       std::fprintf(stderr, " --- cycle %llu ---\n",
                    static_cast<unsigned long long>(now_));
       for (NodeId t = 0; t < n; ++t) net.router(t).dump_occupancy(now_);
-    }
-    if (auto* f = dynamic_cast<FlovNetwork*>(&sys)) {
-      for (NodeId t = 0; t < n; ++t) {
-        const PowerState s = f->hsc(t).state();
-        if (s != PowerState::kActive && s != PowerState::kSleep) {
-          std::fprintf(stderr, "  router %d hsc=%s\n", t, to_string(s));
-        }
-      }
     }
     FLOV_CHECK(false, std::string("CMP run hit the cycle bound: ") +
                           cfg_.profile.name + " on " + sys.name());

@@ -35,6 +35,11 @@ struct CmpConfig {
   Cycle max_cycles = 2000000;  ///< hard safety bound
   /// RP reconfigures at most this often (epoch batching of core sleeps).
   Cycle rp_epoch_gap = 20000;
+
+  /// Fatal (naming the key) unless noc.step_threads is 1: the coherence
+  /// layer sends replies from the eject callback, and only the serial
+  /// schedule sends them in the cycle they were ejected.
+  void validate() const;
 };
 
 struct CmpResult {

@@ -24,7 +24,7 @@ Addr Core::pick_address() {
   return priv_base + rng_.next_below(profile_.private_blocks);
 }
 
-bool Core::step(Cycle now) {
+bool Core::step(Cycle /*now*/) {
   switch (state_) {
     case State::kRunning: {
       if (l1_->miss_outstanding()) return false;  // stalled on memory
@@ -44,7 +44,6 @@ bool Core::step(Cycle now) {
       l1_->flush_step();
       if (l1_->flush_done()) {
         state_ = State::kIdle;
-        finish_cycle_ = now;
         return true;  // gate me
       }
       return false;

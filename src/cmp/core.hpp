@@ -36,7 +36,6 @@ class Core {
   bool done() const { return state_ == State::kIdle; }
   std::uint64_t retired() const { return retired_; }
   std::uint64_t instructions() const { return instructions_; }
-  Cycle finish_cycle() const { return finish_cycle_; }
 
  private:
   Addr pick_address();
@@ -49,7 +48,6 @@ class Core {
 
   State state_ = State::kRunning;
   std::uint64_t retired_ = 0;
-  Cycle finish_cycle_ = 0;
 };
 
 }  // namespace flov

@@ -60,13 +60,6 @@ bool FaultInjector::link_dies(std::uint32_t link_key) const {
                    params_.hard_link_pct);
 }
 
-void FaultInjector::note_hard_killed(std::uint64_t packet_id) {
-  counters_.flits_dropped.fetch_add(1, std::memory_order_relaxed);
-  counters_.hard_killed.fetch_add(1, std::memory_order_relaxed);
-  std::lock_guard<std::mutex> lock(dropped_packets_mu_);
-  dropped_packets_.insert(packet_id);
-}
-
 std::optional<Cycle> FaultInjector::flit_fate(const Flit& f,
                                               std::uint64_t packet_id,
                                               std::uint32_t link_key,
@@ -98,7 +91,7 @@ std::optional<Cycle> FaultInjector::flit_fate(const Flit& f,
       }
     }
     if (killed_here) {
-      note_hard_killed(packet_id);
+      note_hard_killed();
       return std::nullopt;
     }
   }
@@ -115,10 +108,6 @@ std::optional<Cycle> FaultInjector::flit_fate(const Flit& f,
         hash_mix(hash_mix(flit_drop_seed_, packet_id), link_key);
     if (hash_bool(h, params_.flit_drop_rate)) {
       counters_.flits_dropped.fetch_add(1, std::memory_order_relaxed);
-      if (f.head) {
-        std::lock_guard<std::mutex> lock(dropped_packets_mu_);
-        dropped_packets_.insert(packet_id);
-      }
       return std::nullopt;
     }
   }

@@ -102,18 +102,13 @@ class FaultInjector {
   bool link_dies(std::uint32_t link_key) const;
   Cycle hard_at() const { return params_.hard_at_cycle; }
 
-  /// Accounts one flit destroyed by a hard fault (dead router sinking an
-  /// arriving flit, or a dead NI purging its queue). Packet-coherent
-  /// bookkeeping: the whole packet is marked faulted so the verifier
-  /// exempts it. Safe from domain workers.
-  void note_hard_killed(std::uint64_t packet_id);
-
-  /// Packets that lost at least one flit to a drop fault (the verifier
-  /// exempts them from exact conservation). Serial control-plane callers
-  /// only — runs between step barriers, which publish the workers' inserts.
-  bool packet_faulted(std::uint64_t packet_id) const {
-    return dropped_packets_.count(packet_id) != 0;
+  /// Accounts one flit destroyed by a hard fault (a dead link, or a dead
+  /// router sinking a flit). Safe from domain workers.
+  void note_hard_killed() {
+    counters_.flits_dropped.fetch_add(1, std::memory_order_relaxed);
+    counters_.hard_killed.fetch_add(1, std::memory_order_relaxed);
   }
+
   std::uint64_t dropped_flits() const { return counters_.flits_dropped; }
   std::uint64_t hard_killed_flits() const { return counters_.hard_killed; }
 
@@ -128,10 +123,6 @@ class FaultInjector {
   std::uint64_t soft_flit_seed_;
   std::uint64_t soft_psr_seed_;
   Counters counters_;
-  /// Guards dropped_packets_ against concurrent inserts from domain
-  /// workers (head-drop bookkeeping only — never on the fault-free path).
-  std::mutex dropped_packets_mu_;
-  std::unordered_set<std::uint64_t> dropped_packets_;
   /// Guards corrupted_packets_ against concurrent inserts from domain
   /// workers (payload flips only — never on the fault-free path).
   std::mutex corrupted_packets_mu_;

@@ -24,9 +24,9 @@ struct FaultParams {
   double signal_dup_rate = 0.0;
 
   // --- data-plane faults, applied per link traversal ---
-  /// Flit loss is diagnostic-only: there is no retransmission layer, so a
-  /// dropped flit loses its packet (the verifier exempts it from the
-  /// conservation check instead of flagging a violation).
+  /// A dropped flit loses its packet unless noc.reliable retransmits it;
+  /// the verifier's conservation check balances it with the dropped-flit
+  /// count instead of flagging a violation.
   double flit_drop_rate = 0.0;
   double flit_delay_rate = 0.0;
   Cycle flit_delay_max = 4;

@@ -3,9 +3,12 @@
 #include <optional>
 
 #include "noc/network.hpp"
+#include "noc/router.hpp"
 #include "telemetry/trace.hpp"
 
 namespace flov {
+
+namespace {
 
 void arm_link_faults(Network& net, FaultInjector& fault) {
   for (NodeId id = 0; id < net.num_nodes(); ++id) {
@@ -52,6 +55,23 @@ void arm_link_faults(Network& net, FaultInjector& fault) {
       });
     }
   }
+}
+
+}  // namespace
+
+std::unique_ptr<FaultInjector> arm_faults(Network& net,
+                                          const FaultParams& faults) {
+  if (!faults.any()) return nullptr;
+  auto fault = std::make_unique<FaultInjector>(faults, net.num_nodes());
+  arm_link_faults(net, *fault);
+  for (NodeId id = 0; id < net.num_nodes(); ++id) {
+    net.router(id).set_kill_callback(
+        [f = fault.get(), n = &net, id](const Flit& fl) {
+          f->note_hard_killed();
+          n->note_flit_dropped(id, fl);
+        });
+  }
+  return fault;
 }
 
 int mark_dead_links(const Network& net, const FaultInjector& fault,

@@ -1,14 +1,16 @@
 // Shared glue between a FaultInjector and a Network's link channels.
 //
-// Every scheme (FLOV, RP, Baseline) arms faults the same way: each
-// inter-router flit channel gets a fate hook keyed by
+// Every scheme (FLOV, RP, Baseline) arms faults the same way, through
+// arm_faults: each inter-router flit channel gets a fate hook keyed by
 // link_key = node * 4 + dir_index(dir) (the sender side of the directed
-// link), and dropped flits are reported back to the network so its cached
-// in-flight count stays truthful. Local NI channels and credit wires stay
-// reliable: credit loss without a credit-recovery protocol would be an
-// unrecoverable leak, not an interesting fault.
+// link), and every flit a dropped wire or a dead router destroys is
+// reported back to the network so its cached in-flight count stays
+// truthful. Local NI channels and credit wires stay reliable: credit loss
+// without a credit-recovery protocol would be an unrecoverable leak, not
+// an interesting fault.
 #pragma once
 
+#include <memory>
 #include <vector>
 
 #include "common/types.hpp"
@@ -24,8 +26,13 @@ inline std::uint32_t link_fate_key(NodeId node, Direction d) {
          static_cast<std::uint32_t>(dir_index(d));
 }
 
-/// Installs the per-flit fault hook on every inter-router flit channel.
-void arm_link_faults(Network& net, FaultInjector& fault);
+/// Creates the injector for `faults` and arms `net` with it: the per-flit
+/// fault hook on every inter-router flit channel, and on every router the
+/// callback that accounts each flit it destroys while dead (FLOV routers
+/// never die that way: a dead FLOV tile flies flits over). Null, arming
+/// nothing, when `faults` injects nothing.
+std::unique_ptr<FaultInjector> arm_faults(Network& net,
+                                          const FaultParams& faults);
 
 /// Evaluates the hard-fault fate of every directed inter-router link and
 /// writes the link_key-indexed mask (size num_nodes * 4). Returns the

@@ -14,22 +14,18 @@ namespace flov {
 
 FlovNetwork::FlovNetwork(const NocParams& params, FlovMode mode,
                          const EnergyParams& energy, const FaultParams& faults)
-    : params_(params),
+    : NocSystem(params, energy, /*flov_hardware=*/true),
       mode_(mode),
-      geom_(params.width, params.height),
-      power_(std::make_unique<PowerTracker>(geom_, energy,
-                                            /*flov_hardware=*/true)),
       routing_(std::make_unique<FlovRouting>(geom_)),
-      net_(std::make_unique<Network>(params_, routing_.get(), power_.get())),
       fabric_(geom_, power_.get()) {
+  build_network(routing_.get(), faults);
+  fabric_.set_fault_injector(fault_.get());
   fabric_.set_handler([this](NodeId at, const HsMessage& m) {
     return hscs_[at]->on_signal(m, current_cycle_);
   });
   trigger_sent_.assign(net_->num_nodes(), false);
   trigger_sent_at_.assign(net_->num_nodes(), 0);
   psr_stamp_.assign(net_->num_nodes(), 0);
-  core_gated_.assign(net_->num_nodes(), 0);
-  dead_mask_.assign(net_->num_nodes(), 0);
   hsc_live_.init(net_->num_nodes());
   hscs_.reserve(net_->num_nodes());
   const bool parallel = net_->num_domains() > 1;
@@ -53,11 +49,6 @@ FlovNetwork::FlovNetwork(const NocParams& params, FlovMode mode,
         request_wakeup(id, target, current_cycle_);
       });
     }
-  }
-  if (faults.any()) {
-    fault_ = std::make_unique<FaultInjector>(faults, net_->num_nodes());
-    fabric_.set_fault_injector(fault_.get());
-    arm_link_faults(*net_, *fault_);
   }
 }
 
@@ -101,6 +92,8 @@ void FlovNetwork::step(Cycle now) {
 }
 
 void FlovNetwork::apply_hard_faults(Cycle now) {
+  std::vector<char> dead_links;
+  dead_links_ = mark_dead_links(*net_, *fault_, dead_links);
   for (NodeId id = 0; id < net_->num_nodes(); ++id) {
     // The AON column shares the gating exemption: its routers (and their
     // NIs) are the survivability anchor every escape route relies on.
@@ -111,15 +104,11 @@ void FlovNetwork::apply_hard_faults(Cycle now) {
       net_->wake_router(id);
     }
     for (Direction d : kMeshDirections) {
-      if (net_->geom().neighbor(id, d) == kInvalidNode) continue;
-      const std::uint32_t link_key = static_cast<std::uint32_t>(id) * 4u +
-                                     static_cast<std::uint32_t>(dir_index(d));
-      if (fault_->link_dies(link_key)) {
+      if (dead_links[link_fate_key(id, d)]) {
         // Poisoned-edge mark: routing demotes this turn (flov_routing);
         // the channel's fault hook does the actual killing.
         net_->router(id).view().link_dead[dir_index(d)] = true;
         net_->wake_router(id);
-        dead_links_++;
       }
     }
   }
@@ -362,16 +351,6 @@ FlovNetwork::ProtocolStats FlovNetwork::protocol_stats(Cycle now) const {
         static_cast<double>(s.sleep_cycles) / static_cast<double>(now);
   }
   return s;
-}
-
-int FlovNetwork::gated_router_count() const {
-  int n = 0;
-  for (const auto& h : hscs_) {
-    if (h->state() == PowerState::kSleep || h->state() == PowerState::kWakeup) {
-      ++n;
-    }
-  }
-  return n;
 }
 
 void FlovNetwork::publish_metrics(telemetry::MetricsRegistry& reg,

@@ -18,12 +18,9 @@
 #include <vector>
 
 #include "common/types.hpp"
-#include "fault/fault_injector.hpp"
 #include "flov/hsc.hpp"
 #include "flov/signal_fabric.hpp"
-#include "noc/network.hpp"
 #include "noc/system_iface.hpp"
-#include "power/power_tracker.hpp"
 #include "routing/flov_routing.hpp"
 
 namespace flov {
@@ -42,17 +39,15 @@ class FlovNetwork final : public NocSystem {
   bool injection_allowed(NodeId src) const override {
     return !core_gated(src);
   }
-  Network& network() override { return *net_; }
-  const Network& network() const override { return *net_; }
-  std::uint8_t power_state_code(NodeId node) const override {
-    return static_cast<std::uint8_t>(hscs_[node]->state());
+  std::optional<PowerState> power_state(NodeId node) const override {
+    return hscs_[node]->state();
   }
+  /// HSC + occupancy dump of every non-quiescent router.
+  void dump_state(Cycle now) const override;
   const char* name() const override {
     return mode_ == FlovMode::kRestricted ? "rFLOV" : "gFLOV";
   }
 
-  PowerTracker& power() { return *power_; }
-  const PowerTracker& power() const { return *power_; }
   FlovMode mode() const { return mode_; }
 
   HandshakeController& hsc(NodeId id) { return *hscs_[id]; }
@@ -102,12 +97,6 @@ class FlovNetwork final : public NocSystem {
   /// The newest PSR stamp of any node.
   Cycle psr_latest() const { return psr_latest_; }
 
-  /// Stall diagnostics: HSC + occupancy dump of every non-quiescent router.
-  void dump_state(Cycle now) const;
-
-  // Aggregate stats.
-  int gated_router_count() const;
-
   struct ProtocolStats {
     std::uint64_t sleeps = 0;         ///< completed Sleep entries
     std::uint64_t wakeups = 0;        ///< completed wakeups
@@ -148,12 +137,8 @@ class FlovNetwork final : public NocSystem {
   /// hooks do the actual flit killing). Serial — called before net_->step.
   void apply_hard_faults(Cycle now);
 
-  NocParams params_;
   FlovMode mode_;
-  MeshGeometry geom_;  ///< shared by routing/power (Network keeps its own copy)
-  std::unique_ptr<PowerTracker> power_;
   std::unique_ptr<FlovRouting> routing_;
-  std::unique_ptr<Network> net_;
   SignalFabric fabric_;
   std::vector<std::unique_ptr<HandshakeController>> hscs_;
   /// HSCs that are not dormant(); step() skips the rest. Each HSC re-arms

@@ -112,7 +112,6 @@ class NetworkInterface {
     stalled_ = stalled;
     if (wake_ && !stalled) wake_->mark(wake_index_);
   }
-  bool injection_stalled() const { return stalled_; }
 
   void step(Cycle now);
 

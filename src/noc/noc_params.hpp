@@ -78,18 +78,16 @@ struct NocParams {
   Cycle ack_delay = 8;
   /// Worker threads for intra-run domain-parallel stepping (1 = serial).
   /// The mesh is split into min(step_threads, height) row bands stepped
-  /// under a per-cycle barrier; results are bit-identical to
+  /// under a per-cycle barrier; synthetic runs are bit-identical to
   /// step_threads=1 by construction (docs/PERFORMANCE.md, "The lookahead
-  /// invariant"), so this is a purely volatile knob — run manifests treat
-  /// it like `jobs`.
+  /// invariant"), so there it is a purely volatile knob — run manifests
+  /// treat it like `jobs`. CMP runs are serial only: their eject callback
+  /// sends replies that bands would delay a cycle (CmpConfig::validate).
   int step_threads = 1;
 
   int total_vcs() const { return num_vnets * vcs_per_vnet; }
   int vnet_of_vc(VcId vc) const { return vc / vcs_per_vnet; }
   int vc_in_vnet(VcId vc) const { return vc % vcs_per_vnet; }
-  bool is_escape_vc(VcId vc) const {
-    return escape_vc >= 0 && vc_in_vnet(vc) == escape_vc;
-  }
 
   /// Overrides the fields of `p` whose noc.* key `cfg` sets.
   static NocParams from_config(const Config& cfg, NocParams p) {

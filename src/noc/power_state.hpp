@@ -49,9 +49,6 @@ struct NeighborhoodView {
   /// edge as a last-resort turn; unlike output_blocked it never clears.
   std::array<bool, kNumMeshDirs> link_dead{false, false, false, false};
 
-  PowerState physical_state(Direction d) const {
-    return physical[dir_index(d)];
-  }
   NodeId logical_neighbor(Direction d) const { return logical[dir_index(d)]; }
   bool blocked(Direction d) const { return output_blocked[dir_index(d)]; }
   bool dead_link(Direction d) const { return link_dead[dir_index(d)]; }

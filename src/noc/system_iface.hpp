@@ -1,27 +1,35 @@
-// Common interface over a mesh network plus a power-gating scheme.
+// Common base of a mesh network plus a power-gating scheme.
 //
 // The experiment harness drives Baseline / rFLOV / gFLOV / RP uniformly:
 // it reports core (un)gating events from the OS model and steps the system
-// one cycle at a time; the scheme decides how routers react. The per-node
-// state every scheme carries (the core-gated mask, the armed injector, the
-// hard-fault dead mask) lives here too, so the harness reads it without
-// knowing the scheme.
+// one cycle at a time; the scheme decides how routers react. Everything
+// every scheme builds lives here: the parameters, the geometry, the power
+// tracker, the network, the core-gated and dead masks and the armed fault
+// injector. The harness reads them, and the scheme's power states and
+// stall dump, without knowing the scheme.
 #pragma once
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <vector>
 
+#include "common/geometry.hpp"
 #include "common/types.hpp"
 #include "fault/fault_injector.hpp"
 #include "noc/network.hpp"
+#include "noc/noc_params.hpp"
+#include "noc/power_state.hpp"
+#include "power/power_tracker.hpp"
 #include "telemetry/metrics.hpp"
 
 namespace flov {
 
+class RoutingFunction;
+
 class NocSystem {
  public:
-  virtual ~NocSystem() = default;
+  virtual ~NocSystem();
 
   /// Advances network + scheme machinery by one cycle.
   virtual void step(Cycle now) = 0;
@@ -53,23 +61,30 @@ class NocSystem {
     return false;
   }
 
-  /// Numeric scheme power state of `node`'s router for observability
-  /// surfaces (the ops-plane snapshot grids). FLOV schemes report their
-  /// HSC PowerState; schemes without one report 0 (== kActive).
-  virtual std::uint8_t power_state_code(NodeId node) const {
+  /// The protocol power state of `node`'s router (FLOV's HSC state), or
+  /// nullopt for a scheme without a per-router power FSM.
+  virtual std::optional<PowerState> power_state(NodeId node) const {
     (void)node;
-    return 0;
+    return std::nullopt;
   }
+  /// Routers whose power FSM is Sleep or Wakeup (0 without power states).
+  int gated_router_count() const;
+
+  /// Stall diagnostics on stderr: the occupancy of every router that holds
+  /// anything. Schemes with protocol state add it.
+  virtual void dump_state(Cycle now) const;
 
   /// Registers/updates the scheme's end-of-run metrics ("flov.*", "rp.*",
   /// "fault.*") in `reg`; `now` is the first cycle not simulated.
   virtual void publish_metrics(telemetry::MetricsRegistry& reg,
                                Cycle now) const = 0;
 
-  virtual Network& network() = 0;
-  virtual const Network& network() const = 0;
-
   virtual const char* name() const = 0;
+
+  Network& network() { return *net_; }
+  const Network& network() const { return *net_; }
+  PowerTracker& power() { return *power_; }
+  const PowerTracker& power() const { return *power_; }
 
   /// The armed fault injector, or null when running fault-free.
   FaultInjector* fault_injector() { return fault_.get(); }
@@ -86,6 +101,16 @@ class NocSystem {
   int dead_link_count() const { return dead_links_; }
 
  protected:
+  /// Builds the geometry and the power tracker; `flov_hardware` selects the
+  /// FLOV latch leakage overhead. The scheme then builds its routing over
+  /// geom_ and calls build_network.
+  NocSystem(const NocParams& params, const EnergyParams& energy,
+            bool flov_hardware);
+
+  /// Builds the network over `routing` (borrowed: the scheme owns it), sizes
+  /// both masks, and arms `faults` (nothing when they are all zero).
+  void build_network(RoutingFunction* routing, const FaultParams& faults);
+
   /// True exactly once: on the first step at or after fault.hard_at_cycle
   /// (never on a build without armed hard faults).
   bool hard_faults_due(Cycle now) {
@@ -97,24 +122,25 @@ class NocSystem {
     return true;
   }
 
+  /// The worm-coherent hard-fault sweep of the schemes without a handshake
+  /// fabric (Baseline, RP): writes the link_key-indexed dead-link mask,
+  /// then every fated router not in `exempt` (empty: none) and its core go
+  /// dead. The router finishes worms in progress, eats new ones whole, then
+  /// goes dark (Router::begin_death); its NI is sealed.
+  std::vector<char> kill_fated_routers(Cycle now,
+                                       const std::vector<bool>& exempt);
+
   /// The flit-link "fault.*" metrics every scheme shares; the hard-fault
   /// keys exist only when the hard knobs are armed, so transient-only
   /// manifests carry none of them. No-op fault-free.
-  void publish_fault_metrics(telemetry::MetricsRegistry& reg) const {
-    if (!fault_) return;
-    const FaultInjector::Counters& f = fault_->counters();
-    reg.counter("fault.flits_dropped") += f.flits_dropped;
-    reg.counter("fault.flits_delayed") += f.flits_delayed;
-    if (fault_->hard_at() > 0) {
-      reg.counter("fault.hard_killed_flits") += f.hard_killed;
-      reg.gauge("fault.dead_routers") =
-          static_cast<double>(dead_router_count());
-      reg.gauge("fault.dead_links") = static_cast<double>(dead_links_);
-    }
-  }
+  void publish_fault_metrics(telemetry::MetricsRegistry& reg) const;
 
+  NocParams params_;
+  MeshGeometry geom_;  ///< shared by routing/power (Network keeps its own)
+  std::unique_ptr<PowerTracker> power_;
+  std::unique_ptr<Network> net_;
   std::unique_ptr<FaultInjector> fault_;
-  /// Both sized to the node count by the scheme, before any component
+  /// Both sized to the node count by build_network, before any component
   /// binds a pointer into them; never resized afterwards.
   std::vector<std::uint8_t> core_gated_;
   std::vector<char> dead_mask_;

@@ -36,11 +36,6 @@ void FabricManager::on_hard_fault(const std::vector<char>& dead_routers,
                                   Cycle now) {
   dead_routers_ = dead_routers;
   dead_links_ = dead_links;
-  for (NodeId i = 0; i < net_->num_nodes(); ++i) {
-    // A dead node's core generates nothing; fold it into the gating view
-    // so the parking policy sees it as a candidate, not a constraint.
-    if (router_dead(i)) core_gated_[i] = 1;
-  }
   dirty_ = true;
   next_allowed_ = now;  // survival reconfigurations bypass the epoch gap
 }

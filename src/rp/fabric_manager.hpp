@@ -46,11 +46,13 @@ class FabricManager {
   void set_core_gated(NodeId core, bool gated, Cycle now);
 
   /// Hard-fault notification (PROTOCOL.md §8): the listed routers/links
-  /// died permanently. Dead routers are excluded from every future parked
-  /// set and up*/down* graph; live routers the deaths disconnect from the
-  /// surviving root component are quarantined (NI killed, core treated as
-  /// gated, router parked) at the next apply. Schedules an immediate
-  /// reconfiguration, bypassing the epoch gap.
+  /// died permanently; the owner has already gated their cores, so the
+  /// parking policy sees them as candidates, not constraints. Dead routers
+  /// are excluded from every future parked set and up*/down* graph; live
+  /// routers the deaths disconnect from the surviving root component are
+  /// quarantined (NI killed, core treated as gated, router parked) at the
+  /// next apply. Schedules an immediate reconfiguration, bypassing the
+  /// epoch gap.
   void on_hard_fault(const std::vector<char>& dead_routers,
                      const std::vector<char>& dead_links, Cycle now);
   bool router_dead(NodeId id) const {
@@ -58,9 +60,6 @@ class FabricManager {
   }
 
   void step(Cycle now);
-
-  /// Adjusts the epoch batching interval at run time (full-system runs).
-  void set_min_epoch_gap(Cycle gap) { cfg_.min_epoch_gap = gap; }
 
   /// True while the network-wide injection stall is in force.
   bool stalled() const { return phase_ != Phase::kStable; }

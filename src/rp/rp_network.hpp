@@ -5,10 +5,7 @@
 #include <vector>
 
 #include "common/types.hpp"
-#include "fault/fault_injector.hpp"
-#include "noc/network.hpp"
 #include "noc/system_iface.hpp"
-#include "power/power_tracker.hpp"
 #include "routing/table_routing.hpp"
 #include "rp/fabric_manager.hpp"
 
@@ -36,12 +33,8 @@ class RpNetwork final : public NocSystem {
   bool injection_allowed(NodeId src) const override {
     return !core_gated(src) && !fm_->stalled();
   }
-  Network& network() override { return *net_; }
-  const Network& network() const override { return *net_; }
   const char* name() const override { return "RP"; }
 
-  PowerTracker& power() { return *power_; }
-  const PowerTracker& power() const { return *power_; }
   FabricManager& fabric_manager() { return *fm_; }
   const FabricManager& fabric_manager() const { return *fm_; }
 
@@ -53,16 +46,7 @@ class RpNetwork final : public NocSystem {
                        Cycle now = 0) const override;
 
  private:
-  /// Applies the armed hard faults once, at fault.hard_at_cycle: fate-hashed
-  /// routers turn kDead (flit black holes) with their NIs sealed, and the
-  /// FM is notified so its next epoch excludes the corpses and dead links.
-  void apply_hard_faults(Cycle now);
-
-  NocParams params_;
-  MeshGeometry geom_;
-  std::unique_ptr<PowerTracker> power_;
   std::unique_ptr<TableRouting> routing_;
-  std::unique_ptr<Network> net_;
   std::unique_ptr<FabricManager> fm_;
   std::vector<bool> always_on_;
 };

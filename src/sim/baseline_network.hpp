@@ -4,12 +4,8 @@
 #pragma once
 
 #include <memory>
-#include <vector>
 
-#include "fault/fault_injector.hpp"
-#include "noc/network.hpp"
 #include "noc/system_iface.hpp"
-#include "power/power_tracker.hpp"
 #include "routing/yx_routing.hpp"
 
 namespace flov {
@@ -32,12 +28,7 @@ class BaselineNetwork final : public NocSystem {
   bool injection_allowed(NodeId src) const override {
     return !core_gated(src);
   }
-  Network& network() override { return *net_; }
-  const Network& network() const override { return *net_; }
   const char* name() const override { return "Baseline"; }
-
-  PowerTracker& power() { return *power_; }
-  const PowerTracker& power() const { return *power_; }
 
   /// Registers/updates the fault metrics in `reg` (no-op fault-free; `now`
   /// is unused).
@@ -47,13 +38,7 @@ class BaselineNetwork final : public NocSystem {
   }
 
  private:
-  void apply_hard_faults(Cycle now);
-
-  NocParams params_;
-  MeshGeometry geom_;
-  std::unique_ptr<PowerTracker> power_;
   std::unique_ptr<YxRouting> routing_;
-  std::unique_ptr<Network> net_;
 };
 
 }  // namespace flov

@@ -37,9 +37,12 @@ struct BuiltSystem {
 /// the handshake fabric and the flit links; RP and Baseline have no
 /// handshake fabric, so only the flit-link fates (transient drop/delay and
 /// the hard router/link deaths of PROTOCOL.md §8) apply there.
+/// `rp_epoch_gap`: RP's minimum spacing between reconfigurations
+/// (FabricManagerConfig::min_epoch_gap); ignored by other schemes.
 BuiltSystem build_system(Scheme scheme, const NocParams& params,
                          const EnergyParams& energy,
                          std::vector<bool> always_on = {},
-                         const FaultParams& faults = {});
+                         const FaultParams& faults = {},
+                         Cycle rp_epoch_gap = 0);
 
 }  // namespace flov

@@ -3,11 +3,12 @@
 #include <bit>
 #include <cstdio>
 #include <memory>
+#include <optional>
 #include <utility>
 
 #include "common/log.hpp"
 #include "common/rng.hpp"
-#include "flov/flov_network.hpp"
+#include "noc/router.hpp"
 #include "telemetry/json.hpp"
 #include "telemetry/ops/ops_plane.hpp"
 #include "traffic/gating_scenario.hpp"
@@ -20,21 +21,13 @@ namespace flov {
 namespace {
 
 /// Diagnostic dump when flits stop moving — a watchdog stall or an
-/// exhausted drain budget, named by `trigger` in the header: every
-/// non-quiescent router's occupancy, plus the full handshake FSM picture
-/// for FLOV schemes. stderr only; the run's record is untouched.
-void dump_stall_state(NocSystem& sys, Cycle now, const char* trigger) {
+/// exhausted drain budget, named by `trigger` in the header, then the
+/// scheme's own state dump (NocSystem::dump_state). stderr only; the run's
+/// record is untouched.
+void dump_stall_state(const NocSystem& sys, Cycle now, const char* trigger) {
   std::fprintf(stderr, "[%s] --- %s stuck, state at cycle %llu ---\n",
                trigger, sys.name(), static_cast<unsigned long long>(now));
-  if (auto* f = dynamic_cast<FlovNetwork*>(&sys)) {
-    f->dump_state(now);
-    return;
-  }
-  Network& net = sys.network();
-  for (NodeId id = 0; id < net.num_nodes(); ++id) {
-    const Router& r = net.router(id);
-    if (!r.completely_empty()) r.dump_occupancy(now);
-  }
+  sys.dump_state(now);
 }
 
 /// Machine-parseable twin of dump_stall_state: one incident object with
@@ -43,7 +36,6 @@ void dump_stall_state(NocSystem& sys, Cycle now, const char* trigger) {
 void record_stall_incident(NocSystem& sys, telemetry::StructuredSink& sink,
                            Cycle now, Cycle stalled_for, bool recovered) {
   Network& net = sys.network();
-  auto* f = dynamic_cast<FlovNetwork*>(&sys);
   telemetry::JsonWriter w;
   w.begin_object();
   w.kv("kind", "watchdog_stall");
@@ -57,9 +49,9 @@ void record_stall_incident(NocSystem& sys, telemetry::StructuredSink& sink,
     const Router& r = net.router(id);
     const int flits = r.buffered_flits();
     const RouterMode m = r.mode();
-    const PowerState ps = f ? f->hsc(id).state() : PowerState::kActive;
+    const std::optional<PowerState> ps = sys.power_state(id);
     if (flits == 0 && m == RouterMode::kPipeline &&
-        ps == PowerState::kActive) {
+        ps.value_or(PowerState::kActive) == PowerState::kActive) {
       continue;
     }
     const Coord c = net.geom().coord(id);
@@ -68,7 +60,7 @@ void record_stall_incident(NocSystem& sys, telemetry::StructuredSink& sink,
     w.kv("x", c.x);
     w.kv("y", c.y);
     w.kv("mode", to_string(m));
-    if (f) w.kv("power_state", to_string(ps));
+    if (ps) w.kv("power_state", to_string(*ps));
     w.kv("buffered_flits", flits);
     w.end_object();
   }
@@ -401,7 +393,7 @@ RunResult run_synthetic(const SyntheticExperimentConfig& cfg) {
                                    /*always_on=*/{}, cfg.faults);
   NocSystem& sys = *built.system;
   Network& net = sys.network();
-  auto* flov_sys = dynamic_cast<FlovNetwork*>(&sys);
+  const bool power_states = sys.power_state(0).has_value();
 
   auto metrics =
       std::make_shared<telemetry::MetricsRegistry>(cfg.telemetry.metrics_window);
@@ -455,12 +447,7 @@ RunResult run_synthetic(const SyntheticExperimentConfig& cfg) {
   if (cfg.verify) {
     VerifierOptions vopts = cfg.verifier;
     vopts.sink = incidents.get();  // violations also land as JSON incidents
-    // FLOV gets the PSR checks too; the conservation-only form needs the
-    // scheme's armed injector so faulted flit drops (and hard-killed flits)
-    // balance the equation.
-    verifier = flov_sys
-                   ? std::make_unique<InvariantVerifier>(*flov_sys, vopts)
-                   : std::make_unique<InvariantVerifier>(net, vopts, fault);
+    verifier = std::make_unique<InvariantVerifier>(sys, vopts);
   }
 
   const Cycle total = cfg.warmup + cfg.measure;
@@ -515,9 +502,9 @@ RunResult run_synthetic(const SyntheticExperimentConfig& cfg) {
           .add(now, static_cast<double>(net.in_network_flits()));
       metrics->series("series.queued_packets")
           .add(now, static_cast<double>(net.total_queued_packets()));
-      if (flov_sys) {
+      if (power_states) {
         metrics->series("series.gated_routers")
-            .add(now, static_cast<double>(flov_sys->gated_router_count()));
+            .add(now, static_cast<double>(sys.gated_router_count()));
       }
     }
     // Progress probe: total_ejected_flits()/in_flight_empty() are O(1)

@@ -77,9 +77,6 @@ struct JsonValue {
   bool is_array() const { return kind == Kind::kArray; }
   bool has(const std::string& k) const { return obj.count(k) != 0; }
   const JsonValue& at(const std::string& k) const;
-  double number_or(double dflt) const {
-    return kind == Kind::kNumber ? num : dflt;
-  }
 
   /// Parses `text`; aborts (FLOV_CHECK) on malformed input.
   static JsonValue parse(const std::string& text);

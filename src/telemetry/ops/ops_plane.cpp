@@ -127,7 +127,8 @@ void OpsPlane::fold(Cycle now) {
   for (NodeId id = 0; id < n; ++id) {
     const RouterMode m = net.router(id).mode();
     s.mode[id] = static_cast<std::uint8_t>(m);
-    s.power_state[id] = ctx_.sys->power_state_code(id);
+    s.power_state[id] = static_cast<std::uint8_t>(
+        ctx_.sys->power_state(id).value_or(PowerState::kActive));
     s.occupancy[id] =
         static_cast<std::uint32_t>(net.router(id).buffered_flits());
     s.queued[id] = static_cast<std::uint32_t>(net.ni(id).queued_packets());

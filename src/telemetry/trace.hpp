@@ -141,7 +141,6 @@ class alignas(64) Tracer {
   /// n ways, >= 1024 each) so each domain worker records into its own ring
   /// with zero synchronization. Export merges on demand (events()).
   void ensure_shards(int n);
-  int num_shards() const { return static_cast<int>(shards_.size()); }
   Tracer* shard(int i) const { return shards_[static_cast<std::size_t>(i)].get(); }
 
   /// Chrome-trace-event JSON (object form, {"traceEvents": [...]}).

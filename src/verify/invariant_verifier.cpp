@@ -15,13 +15,31 @@
 
 namespace flov {
 
-InvariantVerifier::InvariantVerifier(FlovNetwork& sys, VerifierOptions opts)
-    : net_(sys.network()),
-      flov_(&sys),
-      fault_(sys.fault_injector()),
+InvariantVerifier::InvariantVerifier(NocSystem& sys, VerifierOptions opts)
+    : InvariantVerifier(sys.network(), opts, sys.fault_injector(), &sys) {}
+
+InvariantVerifier::InvariantVerifier(Network& net, VerifierOptions opts,
+                                     const FaultInjector* fault)
+    : InvariantVerifier(net, opts, fault, nullptr) {}
+
+InvariantVerifier::InvariantVerifier(Network& net, VerifierOptions opts,
+                                     const FaultInjector* fault,
+                                     NocSystem* sys)
+    : net_(net),
+      sys_(sys),
+      flov_(dynamic_cast<FlovNetwork*>(sys)),
+      fault_(fault),
       opts_(opts) {
   FLOV_CHECK(opts_.check_interval >= 1, "verifier interval must be >= 1");
   const int n = net_.num_nodes();
+  ejected_.resize(n);
+  net_.add_eject_callback(
+      [this](const PacketRecord& rec) { observe_eject(rec); });
+  if (!flov_) {
+    opts_.check_credits = false;  // meaningful only with the FLOV handover
+    opts_.check_psr = false;
+    return;
+  }
   prev_state_.assign(n, PowerState::kActive);
   last_fsm_change_.assign(n, 0);
   psr_fail_streak_.assign(n, {0, 0, 0, 0});
@@ -29,20 +47,6 @@ InvariantVerifier::InvariantVerifier(FlovNetwork& sys, VerifierOptions opts)
   activity_ = &net_.claim_channel_activity();
   credits_exact_ = !fault_ || (fault_->params().flit_drop_rate <= 0.0 &&
                                !fault_->params().hard_faults_armed());
-  ejected_.resize(n);
-  net_.add_eject_callback(
-      [this](const PacketRecord& rec) { observe_eject(rec); });
-}
-
-InvariantVerifier::InvariantVerifier(Network& net, VerifierOptions opts,
-                                     const FaultInjector* fault)
-    : net_(net), fault_(fault), opts_(opts) {
-  FLOV_CHECK(opts_.check_interval >= 1, "verifier interval must be >= 1");
-  opts_.check_credits = false;  // meaningful only with the FLOV handover
-  opts_.check_psr = false;
-  ejected_.resize(net_.num_nodes());
-  net_.add_eject_callback(
-      [this](const PacketRecord& rec) { observe_eject(rec); });
 }
 
 PowerState InvariantVerifier::state_of(NodeId id) const {
@@ -52,7 +56,7 @@ PowerState InvariantVerifier::state_of(NodeId id) const {
 void InvariantVerifier::violation(Cycle now, const std::string& what) {
   std::fprintf(stderr, "[verifier] cycle %llu: %s\n",
                static_cast<unsigned long long>(now), what.c_str());
-  if (flov_) flov_->dump_state(now);
+  if (sys_) sys_->dump_state(now);
   if (opts_.sink) {
     // Machine-parseable mirror of the stderr dump: the violated invariant
     // plus the coordinates / datapath mode / protocol state of every router

@@ -83,6 +83,7 @@ class StructuredSink;
 
 class FlovNetwork;
 class FaultInjector;
+class NocSystem;
 
 struct VerifierOptions {
   Cycle check_interval = 1;  ///< run the per-cycle checks every N cycles
@@ -111,14 +112,17 @@ struct VerifierOptions {
 
 class InvariantVerifier {
  public:
-  /// Full verifier for a FLOV system (conservation + credits + PSRs).
-  /// Registers itself as an ejection observer on every NI.
-  InvariantVerifier(FlovNetwork& sys, VerifierOptions opts = {});
-
-  /// Conservation-only verifier for any bare Network (Baseline; RP parks
+  /// The verifier for any scheme: the full form (conservation + credits +
+  /// PSRs) for a FLOV system, the conservation-only form with the scheme's
+  /// armed injector otherwise (Baseline has no credit handover; RP parks
   /// routers and voids credits by design, so only flit conservation is a
-  /// meaningful invariant there). `fault` (optional): the scheme's armed
-  /// injector, so faulted flit drops balance the conservation equation.
+  /// meaningful invariant there). Registers itself as an ejection observer
+  /// on every NI, and dumps the scheme's state on a violation.
+  InvariantVerifier(NocSystem& sys, VerifierOptions opts = {});
+
+  /// Conservation-only verifier for a bare Network. `fault` (optional): the
+  /// armed injector, so faulted flit drops balance the conservation
+  /// equation.
   InvariantVerifier(Network& net, VerifierOptions opts = {},
                     const FaultInjector* fault = nullptr);
 
@@ -138,6 +142,10 @@ class InvariantVerifier {
   Cycle last_violation_cycle() const { return last_violation_cycle_; }
 
  private:
+  /// The FLOV checks are armed when `sys` is a FlovNetwork.
+  InvariantVerifier(Network& net, VerifierOptions opts,
+                    const FaultInjector* fault, NocSystem* sys);
+
   /// Violation messages of one check, in report order.
   using Findings = std::vector<std::string>;
   /// Consecutive failing samples per (node, dir) pointer check.
@@ -212,6 +220,7 @@ class InvariantVerifier {
   void violation(Cycle now, const std::string& what);
 
   Network& net_;
+  const NocSystem* sys_ = nullptr;  ///< null for a bare Network
   FlovNetwork* flov_ = nullptr;  ///< null for the conservation-only form
   const FaultInjector* fault_ = nullptr;
   VerifierOptions opts_;

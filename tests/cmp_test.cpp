@@ -4,6 +4,8 @@
 
 #include <deque>
 #include <iterator>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "cmp/cmp_system.hpp"
@@ -458,6 +460,22 @@ TEST(CmpSystem, WorkloadIsDeterministicPerSeed) {
   EXPECT_EQ(a.runtime, b.runtime);
   EXPECT_EQ(a.packets, b.packets);
   EXPECT_EQ(a.l1_misses, b.l1_misses);
+}
+
+// Replies the eject callback enqueues leave in the ejection cycle only on
+// the serial schedule (row bands replay ejections after the barrier), so a
+// banded CMP system is refused, naming the key.
+TEST(CmpSystem, RejectsRowBandsNamingTheKey) {
+  CmpConfig c = small_cmp(Scheme::kBaseline);
+  c.noc.step_threads = 2;
+  try {
+    CmpSystem sys(c);
+    FAIL() << "a CMP system with noc.step_threads=2 was built";
+  } catch (const std::logic_error& e) {
+    EXPECT_NE(std::string(e.what()).find("noc.step_threads"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(CmpSystem, GFlovSavesStaticEnergyAtSmallRuntimeCost) {

@@ -2,10 +2,12 @@
 // behaviour, and cross-metric consistency of RunResult.
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "common/config.hpp"
+#include "flov/flov_network.hpp"
 #include "sim/experiment.hpp"
 
 namespace flov {
@@ -26,6 +28,45 @@ TEST(Builder, ProducesEverySchemeWithPowerTracker) {
     ASSERT_NE(b.system, nullptr);
     ASSERT_NE(b.power, nullptr);
     EXPECT_STREQ(b.system->name(), to_string(s));
+  }
+}
+
+// NocSystem::power_state is the harness's one view of a scheme's power FSM:
+// empty where there is none, the HSC's state on FLOV — checked every cycle
+// while every core gates and half of them wake again.
+TEST(Builder, PowerStateIsEmptyWithoutAnFsmAndTheHscStateOnFlov) {
+  NocParams p;
+  p.width = 4;
+  p.height = 4;
+  for (Scheme s : kAllSchemes) {
+    SCOPED_TRACE(to_string(s));
+    BuiltSystem b = build_system(s, p, EnergyParams{});
+    NocSystem& sys = *b.system;
+    const auto* flov = dynamic_cast<const FlovNetwork*>(&sys);
+    const int n = sys.network().num_nodes();
+    int not_active = 0;
+    for (Cycle now = 0; now < 400; ++now) {
+      for (NodeId id = 0; id < n; ++id) {
+        if (now == 10) sys.set_core_gated(id, true, now);
+        if (now == 200 && id % 2 == 0) sys.set_core_gated(id, false, now);
+      }
+      sys.step(now);
+      for (NodeId id = 0; id < n; ++id) {
+        const std::optional<PowerState> ps = sys.power_state(id);
+        if (flov == nullptr) {
+          ASSERT_FALSE(ps.has_value()) << "router " << id;
+          continue;
+        }
+        ASSERT_TRUE(ps.has_value()) << "router " << id;
+        ASSERT_EQ(*ps, flov->hsc(id).state()) << "router " << id;
+        not_active += *ps != PowerState::kActive;
+      }
+    }
+    if (flov != nullptr) {
+      EXPECT_GT(not_active, 0);
+    } else {
+      EXPECT_EQ(sys.gated_router_count(), 0);
+    }
   }
 }
 
