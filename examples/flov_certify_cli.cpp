@@ -159,7 +159,7 @@ int main(int argc, char** argv) try {
     telemetry::CertificateManifest m;
     m.name = cert_name;
     // jobs and wall_seconds stay as the schema's dedicated volatile fields.
-    m.config = manifest_config(cfg, base.faults);
+    m.config = manifest_config(cfg, base);
     char fp[17];
     std::snprintf(fp, sizeof(fp), "%016llx",
                   static_cast<unsigned long long>(

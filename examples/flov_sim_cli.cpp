@@ -1,11 +1,13 @@
 // flov_sim_cli — general-purpose simulation driver (BookSim-style).
 //
-// Runs one fully-configurable synthetic experiment and prints every metric
-// the harness collects; optionally emits the latency-vs-time series.
-// Example:
+// Runs one fully-configurable synthetic experiment, or one full-system
+// CMP run of a PARSEC-like profile (bench=), and prints every metric the
+// harness collects; optionally emits the latency-vs-time series.
+// Examples:
 //   flov_sim_cli scheme=gflov pattern=tornado inj=0.04 gated=0.6
 //                noc.width=16 noc.height=16 warmup=5000 cycles=50000
 //                timeline=1000 seed=3
+//   flov_sim_cli bench=canneal scheme=gflov
 // Run with --help for the full knob list; any other key is a config error.
 #include <chrono>
 #include <cstdio>
@@ -71,6 +73,9 @@ void print_usage() {
       "  seed=<n>  timeline=<window>  changes=<c1,c2,...>\n"
       "  threads=<n>                      intra-run workers, one row band\n"
       "                                   each (volatile)\n"
+      "  bench=<profile>                  full-system CMP run (canneal, x264,\n"
+      "                                   ...); no traffic/window/fault key\n"
+      "  rp.policy=aggressive|conservative  rp.phase1_latency=<cycles>\n"
       "\n"
       "Simulation bounds (PROTOCOL.md \xc2\xa7" "8):\n"
       "  drain=<cycles>             post-run drain budget: keep stepping\n"
@@ -157,6 +162,11 @@ int main(int argc, char** argv) try {
   }
   const ops::OpsOptions ops_opt = ops::OpsOptions::from_config(cfg);
   reject_unread_keys(cfg);
+  if (ex.cmp() && ops_opt.any()) {
+    fatal(__FILE__, __LINE__,
+          "the ops plane (serve=, ops_stream=, profile=) follows synthetic "
+          "runs only, not bench=" + ex.profile.name);
+  }
 
   // Ops plane: constructed only when requested — the disabled path adds a
   // single null check per cycle inside run_synthetic and nothing else.
@@ -170,11 +180,14 @@ int main(int argc, char** argv) try {
   telemetry::ProfileScope profile_scope(
       ops_plane ? ops_plane->profiler() : nullptr, 0);
 
-  std::printf("flov_sim: %s | %dx%d mesh | %s | inj %.4f flits/node/cycle | "
-              "%.0f%% gated | seed %llu\n",
-              to_string(ex.scheme), ex.noc.width, ex.noc.height,
-              ex.pattern.c_str(), ex.inj_rate_flits,
-              100 * ex.gated_fraction,
+  char workload[96];
+  std::snprintf(workload, sizeof(workload),
+                ex.cmp() ? "%s full system (3 vnets, MESI, 4 corner MCs)"
+                         : "%s | inj %.4f flits/node/cycle | %.0f%% gated",
+                (ex.cmp() ? ex.profile.name : ex.pattern).c_str(),
+                ex.inj_rate_flits, 100 * ex.gated_fraction);
+  std::printf("flov_sim: %s | %dx%d mesh | %s | seed %llu\n",
+              to_string(ex.scheme), ex.noc.width, ex.noc.height, workload,
               static_cast<unsigned long long>(ex.seed));
 
   const auto wall_start = std::chrono::steady_clock::now();
@@ -185,9 +198,26 @@ int main(int argc, char** argv) try {
           .count();
   if (ops_plane) ops_plane->finish_profile(stderr);
 
-  std::printf("\npackets measured      : %llu (generated %llu)\n",
-              static_cast<unsigned long long>(r.packets_measured),
-              static_cast<unsigned long long>(r.packets_generated));
+  if (ex.cmp()) {
+    const auto count = [&r](const char* k) {
+      return static_cast<unsigned long long>(r.metrics->counter_value(k));
+    };
+    std::printf("\nruntime               : %llu cycles (drained at %llu)\n"
+                "L1 hits / misses      : %llu / %llu\n"
+                "dir transactions      : %llu (L2 misses %llu)\n"
+                "cores gated at end    : %llu",
+                count("cmp.runtime_cycles"), count("cmp.drained_cycles"),
+                count("cmp.l1_hits"), count("cmp.l1_misses"),
+                count("cmp.dir_transactions"), count("cmp.l2_misses"),
+                count("cmp.final_gated_cores"));
+  }
+  std::printf("\npackets measured      : %llu",
+              static_cast<unsigned long long>(r.packets_measured));
+  if (!ex.cmp()) {
+    std::printf(" (generated %llu)",
+                static_cast<unsigned long long>(r.packets_generated));
+  }
+  std::printf("\n");
   std::printf("flits injected/ejected: %llu / %llu\n",
               static_cast<unsigned long long>(r.injected_flits),
               static_cast<unsigned long long>(r.ejected_flits));
@@ -246,8 +276,7 @@ int main(int argc, char** argv) try {
                 static_cast<unsigned long long>(r.wake_requests_dropped));
   }
   if (r.aborted) {
-    std::printf("ABORTED at cycle %llu (sim.max_cycles_hard); stats are "
-                "partial\n",
+    std::printf("ABORTED at cycle %llu (cycle bound); stats are partial\n",
                 static_cast<unsigned long long>(r.cycles_run));
   }
   if (ex.verify) {
@@ -288,7 +317,7 @@ int main(int argc, char** argv) try {
     telemetry::RunManifest m;
     m.name = "flov_sim_cli";
     m.scheme = r.scheme;
-    m.config = manifest_config(cfg, ex.faults);
+    m.config = manifest_config(cfg, ex);
     m.seed = ex.seed;
     m.wall_seconds = wall_seconds;
     m.trace_path = trace_out;

@@ -21,11 +21,15 @@
 //                                      that key in every block.
 //   scheme= pattern= inj= gated= seed= (gflov, uniform, 0.02, 0, 1)
 //   warmup= cycles= (40000) timeline= drain= sim.max_cycles_hard=
-//   changes= threads= plus any noc.* / energy.* / fault.* / verify.* /
-//   telemetry.* key. Each one takes a comma list, except the list-valued
-//   changes= and telemetry.trace=. Axis order: scheme, pattern, inj,
-//   gated, seed, then the others by key; the last varies fastest.
-//   threads= steps each point in that many row bands (volatile).
+//   changes= threads= plus any noc.* / energy.* / rp.* / fault.* /
+//   verify.* / telemetry.* key. Each one takes a comma list, except the
+//   list-valued changes= and telemetry.trace=. Axis order: bench, scheme,
+//   pattern, inj, gated, seed, then the others by key; the last varies
+//   fastest. threads= steps each point in that many row bands (volatile).
+//   bench=<profile>                    a full-system CMP point (fig8cd.args);
+//                                      inj=, fault.*, ... or threads>1 fail
+// Each row ends with accepted/offered flits ("-" for CMP rows; above 1
+// under noc.reliable, whose acks and retransmissions are injected flits).
 //   reps=N seed_base=S                 replication axis: N seeds derived
 //                                      from S via derive_replication_seed
 //                                      (replaces seed=; what the certify
@@ -158,9 +162,9 @@ int main(int argc, char** argv) try {
                                     wall_start)
           .count();
 
-  std::printf("%-9s %-9s %6s %6s %5s | %9s %9s %9s %6s\n", "scheme",
+  std::printf("%-9s %-12s %6s %6s %5s | %9s %9s %9s %6s %5s\n", "scheme",
               "pattern", "inj", "gated", "seed", "latency", "total_mW",
-              "pkts", "dead");
+              "pkts", "dead", "acc");
   for (std::size_t i = 0; i < points.size(); ++i) {
     const auto& p = points[i].experiment;
     const auto& r = results[i];
@@ -169,17 +173,31 @@ int main(int argc, char** argv) try {
     if (r.packets_measured != 0) {
       std::snprintf(latency, sizeof(latency), "%.2f", r.avg_latency);
     }
+    // A CMP row names its profile as its pattern and has no inj or gated.
+    char inj[32] = "-", gated[32] = "-";
+    if (!p.cmp()) {
+      std::snprintf(inj, sizeof(inj), "%.3f", p.inj_rate_flits);
+      std::snprintf(gated, sizeof(gated), "%.2f", p.gated_fraction);
+    }
+    // Accepted / offered flits: well below 1 on a wedged point.
+    char acc[32] = "-";
+    const double offered = static_cast<double>(r.packets_generated) *
+                           static_cast<double>(p.noc.packet_size);
+    if (offered > 0) {
+      std::snprintf(acc, sizeof(acc), "%.2f",
+                    static_cast<double>(r.injected_flits) / offered);
+    }
     std::string axes;
     for (const std::string& k : points[i].extra_axes) {
       axes += " " + k + "=" + points[i].config.get_string(k);
     }
-    std::printf("%-9s %-9s %6.3f %6.2f %5llu | %9s %9.2f %9llu %6llu%s%s%s\n",
-                to_string(p.scheme), p.pattern.c_str(), p.inj_rate_flits,
-                p.gated_fraction, static_cast<unsigned long long>(p.seed),
-                latency, r.power.total_mw,
-                static_cast<unsigned long long>(r.packets_measured),
-                static_cast<unsigned long long>(r.packets_dead), axes.c_str(),
-                r.aborted ? " ABORTED" : "", undrained(r) ? " UNDRAINED" : "");
+    std::printf(
+        "%-9s %-12s %6s %6s %5llu | %9s %9.2f %9llu %6llu %5s%s%s%s\n",
+        to_string(p.scheme), (p.cmp() ? p.profile.name : p.pattern).c_str(),
+        inj, gated, static_cast<unsigned long long>(p.seed), latency,
+        r.power.total_mw, static_cast<unsigned long long>(r.packets_measured),
+        static_cast<unsigned long long>(r.packets_dead), acc, axes.c_str(),
+        r.aborted ? " ABORTED" : "", undrained(r) ? " UNDRAINED" : "");
   }
 
   if (!manifest_out.empty()) {

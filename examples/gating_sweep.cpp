@@ -15,9 +15,10 @@ int main(int argc, char** argv) {
   Config cfg;
   cfg.parse_args(argc, argv);
 
-  if (cfg.has("gated")) {
+  if (cfg.has("gated") || cfg.has("bench")) {
     fatal(__FILE__, __LINE__,
-          "gating_sweep sweeps the gated fraction itself; use steps=");
+          "gating_sweep sweeps a synthetic run's gated fraction itself; use "
+          "steps= (flov_sim_cli runs bench=)");
   }
   SyntheticExperimentConfig defaults;
   defaults.measure = 40000;

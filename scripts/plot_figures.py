@@ -6,14 +6,16 @@ Usage:
     python3 scripts/plot_figures.py fig6.json [more manifests ...]
 
 A manifest's name (the spec's file stem) picks its tables: fig6, fig7,
-fig8ab, fig9, fig10, fault_sweep and ablation_flov are the EXPERIMENTS.md
-tables; any other sweep prints one row per point. Points are found by
+fig8ab, fig8cd, fig9, fig10, fault_sweep, ablation_flov and ablation_rp
+are the EXPERIMENTS.md tables; any other sweep prints one row per
+point. Points are found by
 their config, so a spec's point order does not matter. A point that
 measured no packet prints `empty` in every latency cell, never 0.00.
 When matplotlib imports, the line figures are also written as PNGs next
 to the manifest; the tables never need it.
 """
 import json
+import math
 import os
 import sys
 
@@ -174,6 +176,51 @@ def fig10(points, base):
          {name: list(s.items()) for name, s in series.items()})
 
 
+def fig8cd(points, base):
+    """Fig. 8(c,d): one CMP run per profile and scheme, then the paper's
+    headline averages (geometric means over the profiles)."""
+    cfg = points[0].cfg
+    header("Fig. 8(c,d) — PARSEC-like full-system: energy & runtime (%sx%s, "
+           "3 vnets, MESI, 4 corner MCs)"
+           % (cfg.get("noc.width", "8"), cfg.get("noc.height", "8")))
+    print("%-14s %-9s | %10s %12s %12s %9s" % (
+        "benchmark", "scheme", "runtime", "static(uJ)", "total(uJ)",
+        "gated@end"))
+    grid = {(p.cfg["bench"], p.cfg["scheme"]): p for p in points}
+    benches = list(dict.fromkeys(p.cfg["bench"] for p in points))
+    for b in benches:
+        for s in SCHEMES:
+            p = grid[b, s]
+            print("%-14s %-9s | %10d %12.2f %12.2f %9d" % (
+                b, s, p.counter("cmp.runtime_cycles"),
+                p.gauge("power.static_energy_pj") * 1e-6,
+                p.gauge("power.total_energy_pj") * 1e-6,
+                p.counter("cmp.final_gated_cores")))
+        print()
+
+    def change(a, b, metric):
+        """Geometric-mean ratio of scheme a over scheme b, as a change."""
+        logs = [math.log(metric(grid[x, a]) / metric(grid[x, b]))
+                for x in benches]
+        return "%+.1f%%" % (100.0 * (math.exp(sum(logs) / len(logs)) - 1.0))
+
+    static = lambda p: p.gauge("power.static_energy_pj")
+    total = lambda p: p.gauge("power.total_energy_pj")
+    runtime = lambda p: p.counter("cmp.runtime_cycles")
+    print("---- headline averages (geometric mean over %d benchmarks) ----"
+          % len(benches))
+    print("FLOV static energy vs Baseline : %s  (paper: -43%%)"
+          % change("gFLOV", "Baseline", static))
+    print("FLOV static energy vs RP       : %s  (paper: -22%%)"
+          % change("gFLOV", "RP", static))
+    print("FLOV total  energy vs RP       : %s  (paper: -18%%)"
+          % change("gFLOV", "RP", total))
+    print("FLOV runtime vs Baseline       : %s  (paper: ~+1%%)"
+          % change("gFLOV", "Baseline", runtime))
+    print("RP   runtime vs Baseline       : %s"
+          % change("RP", "Baseline", runtime))
+
+
 def fault_sweep(points, base):
     lossy = [p for p in points if p.cfg.get("noc.reliable") != "1"]
     hard = [p for p in points if p.cfg.get("noc.reliable") == "1"]
@@ -242,15 +289,38 @@ def ablation_flov(points, base):
                   + (" %8d" % p.gated_routers() if extra else ""))
 
 
+def ablation_rp(points, base):
+    policy = [p for p in points if "rp.policy" in p.cfg]
+    header("RP ablation — parking policy at %.0f%% gated cores"
+           % (100 * policy[0].num("gated")))
+    print("%-14s %12s %12s %8s" % ("policy", "avg latency", "static mW",
+                                   "parked"))
+    for p in policy:
+        print("%-14s %s %12.2f %8d" % (
+            p.cfg["rp.policy"], cell(p.latency(), 12),
+            p.gauge("power.static_mw"), p.gated_routers()))
+    header("RP ablation — Phase-I latency vs reconfiguration spike")
+    print("%-14s %12s %14s" % ("phase1", "avg latency", "peak window"))
+    for p in sorted((p for p in points if "rp.phase1_latency" in p.cfg),
+                    key=lambda p: p.num("rp.phase1_latency")):
+        ts = p.reg["series"].get("latency.timeline", {"points": []})
+        peak = max((mean for _, mean, _ in ts["points"]), default=None)
+        print("%-14s %s %s" % (p.cfg["rp.phase1_latency"],
+                               cell(p.latency(), 12), cell(peak, 14)))
+
+
 def points_table(points, base):
-    print("%-9s %-9s %6s %6s %5s | %9s %9s %9s" % (
+    """One row per point; a CMP point names its profile as its pattern."""
+    print("%-9s %-12s %6s %6s %5s | %9s %9s %9s" % (
         "scheme", "pattern", "inj", "gated", "seed", "latency", "total_mW",
         "pkts"))
     for p in points:
-        print("%-9s %-9s %6.3f %6.2f %5s | %s %9.2f %9d" % (
-            p.cfg["scheme"], p.cfg["pattern"], p.num("inj"), p.num("gated"),
-            p.cfg["seed"], cell(p.latency(), 9),
-            p.gauge("power.total_mw"),
+        cmp = "bench" in p.cfg
+        print("%-9s %-12s %6s %6s %5s | %s %9.2f %9d" % (
+            p.cfg["scheme"], p.cfg["bench" if cmp else "pattern"],
+            "-" if cmp else "%.3f" % p.num("inj"),
+            "-" if cmp else "%.2f" % p.num("gated"), p.cfg["seed"],
+            cell(p.latency(), 9), p.gauge("power.total_mw"),
             p.counter("latency.packets_measured")))
 
 
@@ -258,10 +328,12 @@ RENDERERS = {
     "fig6": load_figure,
     "fig7": load_figure,
     "fig8ab": fig8ab,
+    "fig8cd": fig8cd,
     "fig9": fig9,
     "fig10": fig10,
     "fault_sweep": fault_sweep,
     "ablation_flov": ablation_flov,
+    "ablation_rp": ablation_rp,
 }
 
 

@@ -16,7 +16,8 @@ async begin/end pairs balance per (cat, id).
 --manifest: checks a flyover-run-manifest-v1 / flyover-sweep-manifest-v1
 document has its required fields and a well-formed embedded metrics
 registry; each sweep point must carry a config that resolves every
-experiment axis to one value.
+experiment axis to one value (a CMP point, bench= set: bench, scheme
+and seed).
 
 --certificate: checks a flyover-certificate-v1 document is well-formed
 and internally consistent (counts, interval ordering, stop reason).
@@ -72,9 +73,11 @@ PROMETHEUS_REQUIRED = {
     "flyover_stalled",
 }
 
-# Keys every sweep point's config resolves, whatever the sweep left unset.
+# Keys every sweep point's config resolves, whatever the sweep left unset
+# (a CMP point, bench= set, reads no traffic or window key).
 POINT_CONFIG_KEYS = ("scheme", "pattern", "inj", "gated", "seed", "warmup",
                      "cycles")
+CMP_POINT_CONFIG_KEYS = ("bench", "scheme", "seed")
 
 STOP_REASONS = {"target_certified", "target_refuted", "half_width",
                 "max_replications"}
@@ -166,7 +169,7 @@ def validate_point_config(cfg, where):
     but changes= and telemetry.trace=."""
     if not isinstance(cfg, dict):
         fail("%s: config is not an object" % where)
-    for key in POINT_CONFIG_KEYS:
+    for key in CMP_POINT_CONFIG_KEYS if "bench" in cfg else POINT_CONFIG_KEYS:
         if key not in cfg:
             fail("%s: config missing %r" % (where, key))
     for key, value in cfg.items():

@@ -26,10 +26,13 @@ std::vector<BenchmarkProfile> BenchmarkProfile::parsec_suite() {
 }
 
 BenchmarkProfile BenchmarkProfile::by_name(const std::string& name) {
+  std::string names;
   for (const auto& p : parsec_suite()) {
     if (p.name == name) return p;
+    names += (names.empty() ? "" : ", ") + p.name;
   }
-  FLOV_CHECK(false, "unknown benchmark profile: " + name);
+  FLOV_CHECK(false, "unknown benchmark profile " + name + " (one of " +
+                        names + ")");
   return {};
 }
 

@@ -1,9 +1,9 @@
 #include "cmp/cmp_system.hpp"
 
 #include <algorithm>
+#include <cstdio>
 
 #include "common/log.hpp"
-#include "noc/router.hpp"
 
 namespace flov {
 
@@ -30,7 +30,7 @@ CmpSystem::CmpSystem(const CmpConfig& cfg) : cfg_(cfg) {
   std::vector<bool> always_on(geom.num_nodes(), false);
   for (NodeId m : mc_tiles_) always_on[m] = true;
   built_ = build_system(cfg_.scheme, cfg_.noc, cfg_.energy, always_on,
-                        /*faults=*/{}, cfg_.rp_epoch_gap);
+                        /*faults=*/{}, cfg_.rp);
 
   Rng seeder(cfg_.seed * 1299721 + 17);
   const int n = geom.num_nodes();
@@ -117,11 +117,12 @@ void CmpSystem::deliver(const CoherenceMsg& msg) {
   }
 }
 
-CmpResult CmpSystem::run() {
+void CmpSystem::run(telemetry::MetricsRegistry& reg) {
   NocSystem& sys = *built_.system;
   Network& net = sys.network();
 
-  LatencyStats pkt_stats(/*router_pipeline_cycles=*/3);
+  LatencyStats pkt_stats(/*router_pipeline_cycles=*/3, /*timeline_window=*/0,
+                         cfg_.noc.latency_hist_max);
   net.set_eject_callback([this, &pkt_stats](const PacketRecord& r) {
     pkt_stats.record(r);
     const CoherenceMsg msg = msg_table_[r.payload];
@@ -157,8 +158,9 @@ CmpResult CmpSystem::run() {
       if (banks_idle && local_loop_.empty() && net.idle()) break;
     }
   }
-  if (now_ >= cfg_.max_cycles) {
-    // Stall diagnostics: identify what is stuck before aborting.
+  const bool aborted = now_ >= cfg_.max_cycles;
+  if (aborted) {
+    // Stall diagnostics: what is stuck when the bound stopped the run.
     std::fprintf(stderr, "[cmp stall] %s on %s: %d/%d cores done\n",
                  cfg_.profile.name.c_str(), sys.name(), cores_done, n);
     for (NodeId t = 0; t < n; ++t) {
@@ -177,38 +179,48 @@ CmpResult CmpSystem::run() {
                  net.in_flight_empty(), net.idle(),
                  static_cast<unsigned long long>(net.total_queued_packets()));
     sys.dump_state(now_);
-    // Trace a few more cycles to expose livelock loops.
-    for (int extra = 0; extra < 40; ++extra) {
-      for (auto& b : banks_) b->step(now_);
-      sys.step(now_);
-      ++now_;
-      std::fprintf(stderr, " --- cycle %llu ---\n",
-                   static_cast<unsigned long long>(now_));
-      for (NodeId t = 0; t < n; ++t) net.router(t).dump_occupancy(now_);
-    }
-    FLOV_CHECK(false, std::string("CMP run hit the cycle bound: ") +
-                          cfg_.profile.name + " on " + sys.name());
   }
 
-  CmpResult r;
-  r.benchmark = cfg_.profile.name;
-  r.scheme = sys.name();
-  r.runtime = runtime;
-  r.drained = now_;
-  r.power = built_.power->report(now_);
-  r.avg_pkt_latency = pkt_stats.avg_latency();
-  r.packets = pkt_stats.packets();
+  net.publish_metrics(reg);
+  pkt_stats.publish_metrics(reg);
+  built_.power->publish_metrics(reg, now_);
+  sys.publish_metrics(reg, now_);
+  // A drained run stepped cycle now_ too; an aborted one stopped before it.
+  reg.counter("run.cycles") += aborted ? now_ : now_ + 1;
+  if (aborted) reg.counter("run.aborted") += 1;
+  reg.counter("cmp.runtime_cycles") += runtime;
+  reg.counter("cmp.drained_cycles") += now_;
   for (const auto& l1 : l1s_) {
-    r.l1_misses += l1->misses();
-    r.l1_hits += l1->hits();
+    reg.counter("cmp.l1_hits") += l1->hits();
+    reg.counter("cmp.l1_misses") += l1->misses();
   }
   for (const auto& b : banks_) {
-    r.dir_transactions += b->transactions();
-    r.l2_misses += b->l2_misses();
+    reg.counter("cmp.dir_transactions") += b->transactions();
+    reg.counter("cmp.l2_misses") += b->l2_misses();
   }
-  for (NodeId t = 0; t < n; ++t) {
-    if (sys.core_gated(t)) ++r.final_gated_cores;
-  }
+  const auto& gated = sys.core_gated_mask();
+  reg.counter("cmp.final_gated_cores") +=
+      gated.size() - std::count(gated.begin(), gated.end(), std::uint8_t{0});
+}
+
+CmpResult CmpSystem::run() {
+  telemetry::MetricsRegistry reg;
+  run(reg);
+  const auto count = [&reg](const char* k) { return reg.counter_value(k); };
+  FLOV_CHECK(count("run.aborted") == 0,
+             "CMP run hit the cycle bound: " + cfg_.profile.name + " on " +
+                 noc().name());
+  CmpResult r;
+  r.runtime = count("cmp.runtime_cycles");
+  r.drained = count("cmp.drained_cycles");
+  r.power = PowerTracker::Report::from_metrics(reg);
+  r.avg_pkt_latency = reg.stats().at("latency.total").mean();
+  r.packets = count("latency.packets_measured");
+  r.l1_misses = count("cmp.l1_misses");
+  r.l1_hits = count("cmp.l1_hits");
+  r.dir_transactions = count("cmp.dir_transactions");
+  r.l2_misses = count("cmp.l2_misses");
+  r.final_gated_cores = static_cast<int>(count("cmp.final_gated_cores"));
   return r;
 }
 

@@ -22,6 +22,7 @@
 #include "noc/system_iface.hpp"
 #include "sim/builder.hpp"
 #include "sim/latency_stats.hpp"
+#include "telemetry/metrics.hpp"
 
 namespace flov {
 
@@ -32,9 +33,11 @@ struct CmpConfig {
   BenchmarkProfile profile;
   DirectoryConfig dir;
   std::uint64_t seed = 1;
-  Cycle max_cycles = 2000000;  ///< hard safety bound
-  /// RP reconfigures at most this often (epoch batching of core sleeps).
-  Cycle rp_epoch_gap = 20000;
+  /// Cycle bound: a run that reaches it stops and publishes run.aborted.
+  Cycle max_cycles = 2000000;
+  /// RP's fabric manager; it reconfigures at most every 20000 cycles
+  /// (epoch batching of core sleeps).
+  FabricManagerConfig rp{.min_epoch_gap = 20000};
 
   /// Fatal (naming the key) unless noc.step_threads is 1: the coherence
   /// layer sends replies from the eject callback, and only the serial
@@ -42,9 +45,8 @@ struct CmpConfig {
   void validate() const;
 };
 
+/// A completed run, folded from the registry CmpSystem::run published.
 struct CmpResult {
-  std::string benchmark;
-  std::string scheme;
   Cycle runtime = 0;          ///< last core finished (performance metric)
   Cycle drained = 0;          ///< network fully drained
   PowerTracker::Report power; ///< over [0, drained]
@@ -61,7 +63,14 @@ class CmpSystem {
  public:
   explicit CmpSystem(const CmpConfig& cfg);
 
-  /// Runs to completion; returns the result record.
+  /// Runs until every core is done and the system idle, or to
+  /// cfg.max_cycles (run.aborted; stall dump on stderr). Publishes net.*,
+  /// latency.*, power.* over [0, end], the scheme's metrics, run.cycles
+  /// and the cmp.* counters CmpResult folds into `reg`.
+  void run(telemetry::MetricsRegistry& reg);
+
+  /// run() into a fresh registry, folded to a CmpResult; fatal when the
+  /// run hit its cycle bound.
   CmpResult run();
 
   NocSystem& noc() { return *built_.system; }
@@ -87,6 +96,7 @@ class CmpSystem {
   Cycle now_ = 0;
 };
 
+/// CmpSystem(cfg).run(): one full-system run, folded to its CmpResult.
 CmpResult run_cmp(const CmpConfig& cfg);
 
 }  // namespace flov

@@ -104,4 +104,17 @@ void PowerTracker::publish_metrics(telemetry::MetricsRegistry& reg,
   reg.gauge("power.window_cycles") = static_cast<double>(rep.cycles);
 }
 
+PowerTracker::Report PowerTracker::Report::from_metrics(
+    const telemetry::MetricsRegistry& reg) {
+  Report r;
+  r.cycles = static_cast<Cycle>(reg.gauge_value("power.window_cycles"));
+  r.static_mw = reg.gauge_value("power.static_mw");
+  r.dynamic_mw = reg.gauge_value("power.dynamic_mw");
+  r.total_mw = reg.gauge_value("power.total_mw");
+  r.static_energy_pj = reg.gauge_value("power.static_energy_pj");
+  r.dynamic_energy_pj = reg.gauge_value("power.dynamic_energy_pj");
+  r.total_energy_pj = reg.gauge_value("power.total_energy_pj");
+  return r;
+}
+
 }  // namespace flov

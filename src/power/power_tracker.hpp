@@ -63,6 +63,9 @@ class PowerTracker {
     double static_energy_pj = 0.0;
     double dynamic_energy_pj = 0.0;
     double total_energy_pj = 0.0;
+
+    /// The report publish_metrics wrote into `reg` (absent gauges read 0).
+    static Report from_metrics(const telemetry::MetricsRegistry& reg);
   };
 
   /// Computes power/energy over [window_start, now].

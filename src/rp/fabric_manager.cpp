@@ -132,7 +132,7 @@ void FabricManager::step(Cycle now) {
       if (now >= phase_end_) {
         apply(now);
         phase_ = Phase::kWaking;
-        phase_end_ = now + cfg_.wakeup_latency;
+        phase_end_ = now + net_->params().wakeup_latency;
       }
       break;
     case Phase::kWaking:

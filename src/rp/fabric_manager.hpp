@@ -8,7 +8,8 @@
 //   3. spend Phase-I latency (>700 cycles on an 8x8: route computation at
 //      the FM plus routing-table distribution to every router),
 //   4. atomically apply the new parked set and up*/down* tables, then wait
-//      the router wakeup latency for newly un-parked routers,
+//      the router wakeup latency (NocParams::wakeup_latency) for newly
+//      un-parked routers,
 //   5. release the stall.
 #pragma once
 
@@ -25,7 +26,6 @@ namespace flov {
 
 struct FabricManagerConfig {
   Cycle phase1_latency = 750;   ///< route compute + table distribution
-  Cycle wakeup_latency = 10;    ///< un-parked router power-on time
   RpPolicy policy = RpPolicy::kAggressive;
   /// Minimum spacing between reconfigurations. RP operates in epochs; the
   /// full-system runs use a non-zero gap so per-core sleep events batch

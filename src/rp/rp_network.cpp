@@ -13,7 +13,6 @@ RpNetwork::RpNetwork(NocParams params, const EnergyParams& energy,
   build_network(routing_.get(), faults);
   if (always_on.empty()) always_on.assign(geom_.num_nodes(), false);
   always_on_ = always_on;
-  fm_cfg.wakeup_latency = params_.wakeup_latency;
   fm_ = std::make_unique<FabricManager>(net_.get(), routing_.get(), fm_cfg,
                                         std::move(always_on), &core_gated_);
 }

@@ -29,7 +29,8 @@ Scheme scheme_from_string(const std::string& name) {
 BuiltSystem build_system(Scheme scheme, const NocParams& params,
                          const EnergyParams& energy,
                          std::vector<bool> always_on,
-                         const FaultParams& faults, Cycle rp_epoch_gap) {
+                         const FaultParams& faults,
+                         const FabricManagerConfig& rp) {
   BuiltSystem out;
   switch (scheme) {
     case Scheme::kBaseline:
@@ -43,13 +44,10 @@ BuiltSystem build_system(Scheme scheme, const NocParams& params,
       out.system = std::make_unique<FlovNetwork>(
           params, FlovMode::kGeneralized, energy, faults);
       break;
-    case Scheme::kRp: {
-      FabricManagerConfig fm;
-      fm.min_epoch_gap = rp_epoch_gap;
-      out.system = std::make_unique<RpNetwork>(params, energy, fm,
+    case Scheme::kRp:
+      out.system = std::make_unique<RpNetwork>(params, energy, rp,
                                                std::move(always_on), faults);
       break;
-    }
   }
   out.power = &out.system->power();
   return out;

@@ -9,6 +9,7 @@
 #include "noc/system_iface.hpp"
 #include "power/energy_model.hpp"
 #include "power/power_tracker.hpp"
+#include "rp/fabric_manager.hpp"
 
 namespace flov {
 
@@ -37,12 +38,12 @@ struct BuiltSystem {
 /// the handshake fabric and the flit links; RP and Baseline have no
 /// handshake fabric, so only the flit-link fates (transient drop/delay and
 /// the hard router/link deaths of PROTOCOL.md §8) apply there.
-/// `rp_epoch_gap`: RP's minimum spacing between reconfigurations
-/// (FabricManagerConfig::min_epoch_gap); ignored by other schemes.
+/// `rp`: RP's fabric manager (policy, Phase-I latency, epoch gap); ignored
+/// by other schemes.
 BuiltSystem build_system(Scheme scheme, const NocParams& params,
                          const EnergyParams& energy,
                          std::vector<bool> always_on = {},
                          const FaultParams& faults = {},
-                         Cycle rp_epoch_gap = 0);
+                         const FabricManagerConfig& rp = {});
 
 }  // namespace flov

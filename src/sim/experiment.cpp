@@ -6,6 +6,7 @@
 #include <optional>
 #include <utility>
 
+#include "cmp/cmp_system.hpp"
 #include "common/log.hpp"
 #include "common/rng.hpp"
 #include "noc/router.hpp"
@@ -204,13 +205,7 @@ RunResult fold_run_result(std::string scheme,
   r.breakdown.serialization = mean("latency.serialization_component");
   r.breakdown.flov = mean("latency.flov_component");
   r.breakdown.contention = mean("latency.contention_component");
-  r.power.cycles = static_cast<Cycle>(gauge("power.window_cycles"));
-  r.power.static_mw = gauge("power.static_mw");
-  r.power.dynamic_mw = gauge("power.dynamic_mw");
-  r.power.total_mw = gauge("power.total_mw");
-  r.power.static_energy_pj = gauge("power.static_energy_pj");
-  r.power.dynamic_energy_pj = gauge("power.dynamic_energy_pj");
-  r.power.total_energy_pj = gauge("power.total_energy_pj");
+  r.power = PowerTracker::Report::from_metrics(reg);
   r.packets_measured = count("latency.packets_measured");
   r.packets_generated = count("run.packets_generated");
   r.injected_flits = count("net.injected_flits");
@@ -251,16 +246,57 @@ RunResult fold_run_result(std::string scheme,
   return r;
 }
 
+/// The CmpSystem run a CMP point (bench= set) stands for.
+CmpConfig cmp_config(const SyntheticExperimentConfig& ex) {
+  CmpConfig c;
+  c.scheme = ex.scheme;
+  c.noc = ex.noc;
+  c.energy = ex.energy;
+  c.profile = ex.profile;
+  c.seed = ex.seed;
+  c.rp.policy = ex.rp.policy;
+  c.rp.phase1_latency = ex.rp.phase1_latency;
+  if (ex.max_cycles_hard != 0) c.max_cycles = ex.max_cycles_hard;
+  return c;
+}
+
+/// A CMP point: one CmpSystem run, whose registry is the point's record.
+RunResult run_cmp_point(const SyntheticExperimentConfig& cfg) {
+  const CmpConfig cc = cmp_config(cfg);
+  CmpSystem cmp(cc);
+  auto metrics = std::make_shared<telemetry::MetricsRegistry>();
+  auto incidents = std::make_shared<telemetry::StructuredSink>();
+  cmp.run(*metrics);
+  if (metrics->counter_value("run.aborted") != 0) {
+    record_budget_incident(cmp.noc(), *incidents, "hard_cycle_cap",
+                           metrics->counter_value("run.cycles"),
+                           cc.max_cycles);
+  }
+  RunResult r = fold_run_result(to_string(cfg.scheme), *metrics);
+  r.metrics = std::move(metrics);
+  r.incidents = std::move(incidents);
+  return r;
+}
+
 }  // namespace
+
+bool is_synthetic_only_key(const std::string& key) {
+  for (const std::string k : {"pattern", "inj", "gated", "warmup", "cycles",
+                              "timeline", "drain", "changes", "verify",
+                              "fault.", "verify.", "telemetry."}) {
+    if (k.back() == '.' ? key.rfind(k, 0) == 0 : key == k) return true;
+  }
+  return false;
+}
 
 SyntheticExperimentConfig SyntheticExperimentConfig::from_config(
     const Config& cfg, SyntheticExperimentConfig ex) {
   if (cfg.has("scheme")) {
     ex.scheme = scheme_from_string(cfg.get_string("scheme"));
   }
-  ex.pattern = cfg.get_string("pattern", ex.pattern);
-  ex.inj_rate_flits = cfg.get_double("inj", ex.inj_rate_flits);
-  ex.gated_fraction = cfg.get_double("gated", ex.gated_fraction);
+  if (cfg.has("bench")) {
+    ex.profile = BenchmarkProfile::by_name(cfg.get_string("bench"));
+  }
   ex.seed = static_cast<std::uint64_t>(
       cfg.get_int("seed", static_cast<long long>(ex.seed)));
   ex.noc = NocParams::from_config(cfg, ex.noc);
@@ -269,11 +305,33 @@ SyntheticExperimentConfig SyntheticExperimentConfig::from_config(
   ex.noc.step_threads =
       static_cast<int>(cfg.get_int("threads", ex.noc.step_threads));
   ex.energy = EnergyParams::from_config(cfg, ex.energy);
+  if (cfg.has("rp.policy")) {
+    const std::string policy = cfg.get_string("rp.policy");
+    FLOV_CHECK(policy == "aggressive" || policy == "conservative",
+               "config key rp.policy must be aggressive or conservative "
+               "(got " + policy + ")");
+    ex.rp.policy = policy == "aggressive" ? RpPolicy::kAggressive
+                                          : RpPolicy::kConservative;
+  }
+  ex.rp.phase1_latency = cfg.get_int("rp.phase1_latency", ex.rp.phase1_latency);
+  ex.max_cycles_hard = cfg.get_int("sim.max_cycles_hard", ex.max_cycles_hard);
+  if (ex.cmp()) {
+    for (const std::string& k : cfg.keys()) {
+      FLOV_CHECK(!is_synthetic_only_key(k),
+                 "config key " + k + " is not read by a CMP run (bench=" +
+                     ex.profile.name + ")");
+    }
+    ex.verify = false;
+    cmp_config(ex).validate();
+    return ex;
+  }
+  ex.pattern = cfg.get_string("pattern", ex.pattern);
+  ex.inj_rate_flits = cfg.get_double("inj", ex.inj_rate_flits);
+  ex.gated_fraction = cfg.get_double("gated", ex.gated_fraction);
   ex.warmup = cfg.get_int("warmup", ex.warmup);
   ex.measure = cfg.get_int("cycles", ex.measure);
   ex.timeline_window = cfg.get_int("timeline", ex.timeline_window);
   ex.drain_max = cfg.get_int("drain", ex.drain_max);
-  ex.max_cycles_hard = cfg.get_int("sim.max_cycles_hard", ex.max_cycles_hard);
   if (cfg.has("changes")) {
     const std::vector<long long> c = cfg.get_int_list("changes", {});
     ex.gating_changes.assign(c.begin(), c.end());
@@ -294,9 +352,10 @@ Config manifest_config(const Config& cfg) {
   return m;
 }
 
-Config manifest_config(const Config& cfg, const FaultParams& faults) {
+Config manifest_config(const Config& cfg,
+                       const SyntheticExperimentConfig& ex) {
   Config m = manifest_config(cfg);
-  faults.echo_to_config(m);
+  if (!ex.cmp()) ex.faults.echo_to_config(m);
   return m;
 }
 
@@ -323,6 +382,20 @@ std::uint64_t sweep_point_fingerprint(const SyntheticExperimentConfig& cfg) {
                       (cfg.verifier.check_psr ? 4 : 0) |
                       (cfg.verifier.fatal ? 8 : 0));
   h = hash_mix(h, cfg.telemetry.metrics_window);
+  h = hash_mix(h, static_cast<std::uint64_t>(cfg.rp.policy));
+  h = hash_mix(h, cfg.rp.phase1_latency);
+  h = hash_mix(h, cfg.rp.min_epoch_gap);
+
+  const BenchmarkProfile& b = cfg.profile;
+  h = mix_s(h, b.name);
+  h = mix_d(h, b.mem_access_rate);
+  h = mix_d(h, b.write_fraction);
+  h = mix_d(h, b.share_fraction);
+  h = hash_mix(h, static_cast<std::uint64_t>(b.private_blocks));
+  h = hash_mix(h, static_cast<std::uint64_t>(b.shared_blocks));
+  h = hash_mix(h, b.base_instructions);
+  h = mix_d(h, b.imbalance);
+  h = mix_d(h, b.active_fraction);
 
   // step_threads excluded: a volatile knob — any band count is
   // bit-identical to serial, so threads=8 and threads=1 name the same point.
@@ -389,8 +462,9 @@ std::uint64_t sweep_point_fingerprint(const SyntheticExperimentConfig& cfg) {
 }
 
 RunResult run_synthetic(const SyntheticExperimentConfig& cfg) {
+  if (cfg.cmp()) return run_cmp_point(cfg);
   BuiltSystem built = build_system(cfg.scheme, cfg.noc, cfg.energy,
-                                   /*always_on=*/{}, cfg.faults);
+                                   /*always_on=*/{}, cfg.faults, cfg.rp);
   NocSystem& sys = *built.system;
   Network& net = sys.network();
   const bool power_states = sys.power_state(0).has_value();

@@ -8,6 +8,7 @@
 #include <string>
 #include <vector>
 
+#include "cmp/benchmark_profile.hpp"
 #include "common/config.hpp"
 #include "common/types.hpp"
 #include "fault/fault_model.hpp"
@@ -31,6 +32,9 @@ struct SyntheticExperimentConfig {
   NocParams noc;         ///< Table-I defaults
   EnergyParams energy;   ///< 32 nm / 2 GHz defaults
   Scheme scheme = Scheme::kBaseline;
+  /// Router Parking's fabric manager (rp.policy=, rp.phase1_latency=). A
+  /// CMP run keeps its own 20000-cycle epoch gap.
+  FabricManagerConfig rp;
   std::string pattern = "uniform";
   double inj_rate_flits = 0.02;  ///< flits/cycle/node
   double gated_fraction = 0.0;
@@ -69,24 +73,36 @@ struct SyntheticExperimentConfig {
   /// flyover-snapshot-v1 folds through it; nothing the ops plane does can
   /// affect the run's results or its manifest.
   ops::OpsPlane* ops = nullptr;
+  /// PARSEC-like profile (bench=<name>). A named profile makes the point a
+  /// full-system CMP run (CmpSystem) that reads only scheme, seed, noc.*,
+  /// energy.*, rp.* and sim.max_cycles_hard (its cycle bound when set).
+  BenchmarkProfile profile;
 
-  /// The one reader of the keys every front end shares: scheme=, pattern=,
-  /// inj=, gated=, seed=, noc.*, threads=, energy.*, warmup=, cycles=,
-  /// timeline=, drain=, sim.max_cycles_hard=, changes=c1,c2,..., fault.*,
-  /// verify=, verify.* and telemetry.*, each overriding its field of the
-  /// binary's `defaults`.
+  bool cmp() const { return !profile.name.empty(); }
+
+  /// The one reader of the keys every front end shares: scheme=, bench=,
+  /// pattern=, inj=, gated=, seed=, noc.*, threads=, energy.*, rp.*,
+  /// warmup=, cycles=, timeline=, drain=, sim.max_cycles_hard=,
+  /// changes=c1,c2,..., fault.*, verify=, verify.* and telemetry.*, each
+  /// overriding its field of the binary's `defaults`. A CMP point is fatal
+  /// on a synthetic-only key (naming it), an unknown profile or threads>1.
   static SyntheticExperimentConfig from_config(
       const Config& cfg, SyntheticExperimentConfig defaults);
 };
+
+/// True for the keys only a synthetic run reads: pattern=, inj=, gated=,
+/// warmup=, cycles=, timeline=, drain=, changes=, verify= and every
+/// fault.*, verify.* and telemetry.* key.
+bool is_synthetic_only_key(const std::string& key);
 
 /// `cfg` minus the keys that cannot change a result (jobs, threads,
 /// progress, certificate and the ops plane's).
 Config manifest_config(const Config& cfg);
 
-/// A run's manifest `config`: manifest_config(cfg) plus every resolved
-/// fault.* knob, defaulted ones included, so two runs cannot silently
-/// differ on one.
-Config manifest_config(const Config& cfg, const FaultParams& faults);
+/// A run's manifest `config`: manifest_config(cfg) plus, for a synthetic
+/// run, every resolved fault.* knob, defaulted ones included, so two runs
+/// cannot silently differ on one.
+Config manifest_config(const Config& cfg, const SyntheticExperimentConfig& ex);
 
 /// Order- and thread-independent hash of every config field that can
 /// influence a point's results (noc/energy/fault/traffic/verifier knobs;
@@ -96,7 +112,8 @@ std::uint64_t sweep_point_fingerprint(const SyntheticExperimentConfig& cfg);
 
 /// One run's results. `metrics` plus `incidents` is the record; every
 /// scalar below is folded from `metrics` at the end of run_synthetic. The
-/// latency timeline (timeline=) is the series "latency.timeline".
+/// latency timeline (timeline=) is the series "latency.timeline"; a CMP
+/// run's own figures are the cmp.* counters (CmpSystem::run).
 struct RunResult {
   std::string scheme;
   double avg_latency = 0.0;
@@ -156,6 +173,8 @@ struct RunResult {
   std::shared_ptr<telemetry::StructuredSink> incidents;
 };
 
+/// Runs one point, synthetic or CMP (one CmpSystem run, no verifier). A
+/// run that reaches its cycle bound records hard_cycle_cap and run.aborted.
 RunResult run_synthetic(const SyntheticExperimentConfig& cfg);
 
 }  // namespace flov

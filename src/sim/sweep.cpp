@@ -143,12 +143,16 @@ std::vector<Config> parse_sweep_spec(const std::string& text) {
 std::vector<SweepPoint> expand_sweep(const Config& block,
                                      const Config& defaults) {
   Config base = block;
+  // A CMP block takes no synthetic default: it would reject the key.
+  const bool cmp = block.has("bench");
   for (const std::string& k : defaults.keys()) {
-    if (!base.has(k)) base.set(k, defaults.get_string(k));
+    if (!base.has(k) && !(cmp && is_synthetic_only_key(k))) {
+      base.set(k, defaults.get_string(k));
+    }
   }
-  constexpr std::size_t kFixed = 5;
-  std::vector<std::string> order = {"scheme", "pattern", "inj", "gated",
-                                    "seed"};
+  constexpr std::size_t kFixed = 6;
+  std::vector<std::string> order = {"bench", "scheme", "pattern", "inj",
+                                    "gated", "seed"};
   for (const std::string& k : base.keys()) {
     if (std::find(order.begin(), order.begin() + kFixed, k) ==
             order.begin() + kFixed &&
@@ -195,7 +199,7 @@ void write_sweep_manifest(telemetry::SweepManifest m, const std::string& path,
   telemetry::StructuredSink incidents;
   for (std::size_t i = 0; i < points.size(); ++i) {
     m.points.push_back({manifest_config(points[i].config,
-                                        points[i].experiment.faults),
+                                        points[i].experiment),
                         results[i].metrics.get()});
     if (results[i].incidents) {
       for (const std::string& rec : results[i].incidents->records()) {

@@ -63,7 +63,7 @@ telemetry::MetricsRegistry merge_sweep_metrics(
 struct SweepPoint {
   Config config;
   SyntheticExperimentConfig experiment;
-  /// The point's axes beyond scheme, pattern, inj, gated and seed.
+  /// The point's axes beyond bench, scheme, pattern, inj, gated and seed.
   std::vector<std::string> extra_axes;
 };
 
@@ -73,9 +73,10 @@ struct SweepPoint {
 std::vector<Config> parse_sweep_spec(const std::string& text);
 
 /// The points of one sweep block, in submission order. `defaults` fills
-/// each key the block leaves unset. Every key whose value is a comma list
-/// is an axis, except the list-valued changes= and telemetry.trace=. The
-/// points are the cross product of the axes, ordered scheme, pattern, inj,
+/// each key the block leaves unset, except a synthetic-only key in a CMP
+/// block (bench= set). Every key whose value is a comma list is an axis,
+/// except the list-valued changes= and telemetry.trace=. The points are
+/// the cross product of the axes, ordered bench, scheme, pattern, inj,
 /// gated, seed, then the rest by key; the last axis varies fastest. Each
 /// point's experiment is read from its own config by from_config, so every
 /// list element is type-checked, and its scheme= is rewritten to the

@@ -11,6 +11,7 @@
 #include "cmp/cmp_system.hpp"
 #include "cmp/directory.hpp"
 #include "cmp/l1_cache.hpp"
+#include "sim/sweep.hpp"
 
 namespace flov {
 namespace {
@@ -499,6 +500,9 @@ struct PinnedCmp {
   double avg_pkt_latency;
 };
 
+// Both ways to run the CMP give these values: run_cmp's CmpResult, and the
+// registry of a bench=canneal sweep point (expand_sweep, then run_sweep)
+// with the same fifth of the instructions.
 TEST(CmpSystem, OutputsMatchPinnedValues) {
   const PinnedCmp pinned[] = {
       {Scheme::kBaseline, 99300, 16843, 4360, 4033, 4360, 12,
@@ -522,6 +526,36 @@ TEST(CmpSystem, OutputsMatchPinnedValues) {
     EXPECT_EQ(r.dir_transactions, p.dir_transactions);
     EXPECT_EQ(r.final_gated_cores, p.final_gated_cores);
     EXPECT_EQ(r.avg_pkt_latency, p.avg_pkt_latency);
+  }
+
+  Config block;
+  block.parse_text(
+      "bench = canneal\nscheme = baseline,rp,rflov,gflov\nseed = 1\n"
+      "noc.width = 4\nnoc.height = 4\nsim.max_cycles_hard = 400000\n");
+  std::vector<SyntheticExperimentConfig> points;
+  for (const SweepPoint& sp : expand_sweep(block, {})) {
+    points.push_back(sp.experiment);
+    points.back().profile.base_instructions /= 5;
+  }
+  SweepOptions opts;
+  opts.jobs = 2;
+  const std::vector<RunResult> results = run_sweep(points, opts);
+  ASSERT_EQ(results.size(), std::size(pinned));
+  for (std::size_t i = 0; i < results.size(); ++i) {
+    const PinnedCmp& p = pinned[i];
+    SCOPED_TRACE(std::string("sweep ") + to_string(p.scheme));
+    const RunResult& r = results[i];
+    const telemetry::MetricsRegistry& reg = *r.metrics;
+    EXPECT_EQ(r.scheme, to_string(p.scheme));
+    EXPECT_FALSE(r.aborted);
+    EXPECT_EQ(reg.counter_value("cmp.runtime_cycles"), p.runtime);
+    EXPECT_EQ(r.packets_measured, p.packets);
+    EXPECT_EQ(reg.counter_value("cmp.l1_misses"), p.l1_misses);
+    EXPECT_EQ(reg.counter_value("cmp.l2_misses"), p.l2_misses);
+    EXPECT_EQ(reg.counter_value("cmp.dir_transactions"), p.dir_transactions);
+    EXPECT_EQ(reg.counter_value("cmp.final_gated_cores"),
+              static_cast<std::uint64_t>(p.final_gated_cores));
+    EXPECT_EQ(r.avg_latency, p.avg_pkt_latency);
   }
 }
 

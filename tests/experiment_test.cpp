@@ -194,7 +194,7 @@ TEST(Experiment, FromConfigReadsTheSharedKeys) {
   EXPECT_EQ(r.inj_rate_flits, 0.07);
   EXPECT_EQ(r.gated_fraction, 0.25);
   EXPECT_EQ(r.seed, 9u);
-  const Config m = manifest_config(cfg, r.faults);
+  const Config m = manifest_config(cfg, r);
   // changes, cycles, the five axes + 14 fault knobs
   EXPECT_EQ(m.keys().size(), 21u);
   EXPECT_EQ(m.get_int("fault.seed"), 8);
