@@ -3,11 +3,17 @@
 //
 // std::deque allocates/frees map blocks as elements churn through it, which
 // shows up as allocator traffic in BM_GFlovCycle once everything else is
-// cheap. This ring instead keeps a power-of-two storage vector that only
-// ever grows: steady state does zero allocations regardless of how many
-// elements pass through. pop_front leaves the vacated slot constructed (the
-// payloads here are trivially-copyable flit/credit PODs), so elements must
-// be default-constructible and cheap to leave alive.
+// cheap. This ring instead keeps power-of-two storage that only ever grows:
+// steady state does zero allocations regardless of how many elements pass
+// through. pop_front leaves the vacated slot constructed (the payloads here
+// are trivially-copyable flit/credit PODs), so elements must be
+// default-constructible and cheap to leave alive.
+//
+// `kInline` (a power of two, or 0) slots live inside the ring itself: a
+// queue that never holds more stays off the heap, and reading it costs no
+// pointer chase. Channel queues keep four (noc/channel.hpp says why); a
+// queue that outgrows them moves to a heap store of twice the size, for
+// good.
 //
 // The element count is not a member: it lives in the cell bind_count()
 // names, a slot of the mesh's packed occupancy arrays (noc/hot_state.hpp).
@@ -16,15 +22,21 @@
 // instead of walking queue objects.
 #pragma once
 
+#include <array>
 #include <cstddef>
+#include <cstdint>
 #include <iterator>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
 namespace flov {
 
-template <typename T, typename Count>
+template <typename T, typename Count, std::size_t kInline = 0>
 class RingBuffer {
+  static_assert((kInline & (kInline - 1)) == 0,
+                "the inline store is a power of two");
+
  public:
   RingBuffer() = default;
 
@@ -38,13 +50,17 @@ class RingBuffer {
   bool empty() const { return *count_ == 0; }
   std::size_t size() const { return *count_; }
 
-  T& front() { return store_[head_]; }
-  const T& front() const { return store_[head_]; }
-  T& back() { return store_[wrap(head_ + size() - 1)]; }
-  const T& back() const { return store_[wrap(head_ + size() - 1)]; }
+  T& front() { return data()[head_]; }
+  const T& front() const { return data()[head_]; }
+  T& back() { return data()[wrap(head_ + size() - 1)]; }
+  const T& back() const { return data()[wrap(head_ + size() - 1)]; }
 
-  T& operator[](std::size_t i) { return store_[wrap(head_ + i)]; }
-  const T& operator[](std::size_t i) const { return store_[wrap(head_ + i)]; }
+  T& operator[](std::size_t i) { return data()[wrap(head_ + i)]; }
+  const T& operator[](std::size_t i) const { return data()[wrap(head_ + i)]; }
+
+  /// True once the ring has outgrown its inline store (always, for a ring
+  /// without one that holds anything).
+  bool on_heap() const { return capacity() > kInline; }
 
   void push_back(const T& v) { *slot_for_push() = v; }
   void push_back(T&& v) { *slot_for_push() = std::move(v); }
@@ -55,7 +71,7 @@ class RingBuffer {
   }
 
   void pop_front() {
-    head_ = wrap(head_ + 1);
+    head_ = static_cast<std::uint32_t>(wrap(head_ + 1));
     --*count_;
   }
 
@@ -99,30 +115,57 @@ class RingBuffer {
   const_iterator end() const { return const_iterator(this, size()); }
 
  private:
-  std::size_t wrap(std::size_t i) const { return i & (store_.size() - 1); }
+  // The live store: the inline slots until the first growth, then the
+  // heap. No pointer into the ring itself is kept, so it copies and moves
+  // by value.
+  T* data() {
+    if constexpr (kInline == 0) {
+      return heap_.data();
+    } else {
+      return on_heap() ? heap_.data() : inline_.data();
+    }
+  }
+  const T* data() const {
+    if constexpr (kInline == 0) {
+      return heap_.data();
+    } else {
+      return on_heap() ? heap_.data() : inline_.data();
+    }
+  }
+  std::size_t capacity() const {
+    return static_cast<std::uint32_t>(mask_ + 1u);
+  }
+  std::size_t wrap(std::size_t i) const { return i & mask_; }
 
   T* slot_for_push() {
     const std::size_t n = size();
-    if (n == store_.size()) grow();
-    T* slot = &store_[wrap(head_ + n)];
+    if (n == capacity()) grow();
+    T* slot = &data()[wrap(head_ + n)];
     ++*count_;
     return slot;
   }
 
   void grow() {
     const std::size_t n = size();
-    const std::size_t cap = store_.empty() ? 8 : store_.size() * 2;
+    const std::size_t cap = capacity() == 0 ? 8 : capacity() * 2;
     std::vector<T> next(cap);
     for (std::size_t i = 0; i < n; ++i) {
-      next[i] = std::move(store_[wrap(head_ + i)]);
+      next[i] = std::move(data()[wrap(head_ + i)]);
     }
-    store_ = std::move(next);
+    heap_ = std::move(next);
     head_ = 0;
+    mask_ = static_cast<std::uint32_t>(cap - 1);
   }
 
-  std::vector<T> store_;  ///< power-of-two capacity (or empty)
-  std::size_t head_ = 0;
+  std::vector<T> heap_;  ///< power-of-two capacity, or empty while inline
+  std::uint32_t head_ = 0;
+  /// Capacity - 1 of the live store (all ones for an empty heap-only ring).
+  std::uint32_t mask_ = static_cast<std::uint32_t>(kInline - 1);
   Count* count_ = nullptr;  ///< the length cell (bind_count)
+  struct NoInlineStore {};
+  [[no_unique_address]] std::conditional_t<kInline == 0, NoInlineStore,
+                                           std::array<T, kInline>>
+      inline_{};
 };
 
 }  // namespace flov

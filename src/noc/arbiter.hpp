@@ -1,6 +1,7 @@
 // Round-robin arbiter: N requestors, one grant per invocation, priority
 // rotates past the last winner. Used as the building block of the separable
-// VC and switch allocators.
+// VC and switch allocators. Two ints, held by value (routers keep one per
+// port in a fixed array).
 #pragma once
 
 #include <cstdint>
@@ -11,6 +12,7 @@ namespace flov {
 
 class RoundRobinArbiter {
  public:
+  RoundRobinArbiter() = default;
   explicit RoundRobinArbiter(int num_inputs)
       : num_inputs_(num_inputs) {
     FLOV_CHECK(num_inputs >= 1, "arbiter needs at least one input");
@@ -29,14 +31,14 @@ class RoundRobinArbiter {
     const std::uint64_t at_or_after = requests >> pointer_;
     const int i = at_or_after != 0 ? pointer_ + __builtin_ctzll(at_or_after)
                                    : __builtin_ctzll(requests);
-    pointer_ = (i + 1) % num_inputs_;
+    pointer_ = i + 1 == num_inputs_ ? 0 : i + 1;
     return i;
   }
 
   void reset() { pointer_ = 0; }
 
  private:
-  int num_inputs_;
+  int num_inputs_ = 1;
   int pointer_ = 0;
 };
 

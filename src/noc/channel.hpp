@@ -54,7 +54,9 @@ class Channel {
   /// the sender's original is untouched). Unset on fault-free channels,
   /// keeping send() hook-free and cheap.
   using FaultHook = std::function<std::optional<Cycle>(Cycle, T&)>;
-  void set_fault_hook(FaultHook hook) { fault_hook_ = std::move(hook); }
+  void set_fault_hook(FaultHook hook) {
+    fault_hook_ = hook ? std::make_unique<FaultHook>(std::move(hook)) : nullptr;
+  }
 
   /// Active-set hook: every send re-arms the receiving component's liveness
   /// flag so Network::step knows it has (future) work. A single store per
@@ -86,7 +88,7 @@ class Channel {
   /// Receiver input mask (Router::in_pending_): bit `bit` of `*word` is
   /// set exactly while the receiver-visible queue is non-empty — on a
   /// visible enqueue (a non-staging send, merge_staged) — and cleared when
-  /// recv, recv_all or clear empties the queue. The receiver polls only the
+  /// recv or clear empties the queue. The receiver polls only the
   /// set bits. Null (NIs, unit tests) skips it.
   void set_pending_bit(std::uint32_t* word, int bit) {
     pending_ = word;
@@ -139,7 +141,7 @@ class Channel {
     }
     Cycle arrival = now + latency_;
     if (fault_hook_) {
-      const std::optional<Cycle> fate = fault_hook_(now, item);
+      const std::optional<Cycle> fate = (*fault_hook_)(now, item);
       if (!fate.has_value()) return;  // dropped on the wire
       arrival += *fate;
       // A delayed item must not reorder the wire or let two items become
@@ -164,7 +166,9 @@ class Channel {
     }
   }
 
-  /// Pops the single item arriving at or before `now`, if any.
+  /// Pops the oldest item arriving at or before `now`, if any. Credit
+  /// channels can deliver several items on one cycle (relay bursts); their
+  /// receivers loop until it returns nullopt.
   std::optional<T> recv(Cycle now) {
     if (queue_.empty() || queue_.front().first > now) return std::nullopt;
     T item = std::move(queue_.front().second);
@@ -172,24 +176,6 @@ class Channel {
     if (queue_.empty()) clear_pending();
     touch_popped();
     return item;
-  }
-
-  /// Pops every item arriving at or before `now` (credit channels can carry
-  /// several credits per cycle during relay bursts). Returns a reference to
-  /// an internal scratch buffer that is reused across calls — no per-call
-  /// allocation on the hot path; the reference is invalidated by the next
-  /// recv_all on the same channel.
-  const std::vector<T>& recv_all(Cycle now) {
-    scratch_.clear();
-    while (!queue_.empty() && queue_.front().first <= now) {
-      scratch_.push_back(std::move(queue_.front().second));
-      queue_.pop_front();
-    }
-    if (!scratch_.empty()) {
-      if (queue_.empty()) clear_pending();
-      touch_popped();
-    }
-    return scratch_;
   }
 
   // Receiver-side views: deliberately queue-only. During the parallel
@@ -200,6 +186,8 @@ class Channel {
   // read the packed length cell.
   bool empty() const { return queue_.empty(); }
   std::size_t in_flight() const { return queue_.size(); }
+  /// Test-only: true once the queue has outgrown its inline slots.
+  bool queue_on_heap() const { return queue_.on_heap(); }
 
   /// Drops everything in flight (used by the credit-ownership handover at
   /// FLOV power-state transitions; see flov/ documentation). Production
@@ -258,21 +246,26 @@ class Channel {
     bool popped = false;  ///< receiver-private: a pop since the merge
   };
 
+  // Everything send and recv read comes first (64 bytes), then the queue
+  // (ring header, then its inline slots); the standalone length cell is
+  // cold.
   Cycle latency_;
-  /// Private length cell of a standalone channel (null when the Network
-  /// supplied a MeshHotState::ch_len slot).
-  std::unique_ptr<ChannelLength> own_length_;
-  RingBuffer<std::pair<Cycle, T>, ChannelLength> queue_;
-  std::unique_ptr<Stage> stage_;  ///< set in staging mode only
-  std::vector<T> scratch_;  ///< recv_all reuse buffer (keeps its capacity)
-  FaultHook fault_hook_;
+  Cycle last_arrival_ = 0;   ///< arrival tag of the most recent send
   WakeList* wake_list_ = nullptr;
   std::uint32_t* pending_ = nullptr;
+  std::uint8_t* activity_ = nullptr;
+  std::unique_ptr<Stage> stage_;  ///< set in staging mode only
+  std::unique_ptr<FaultHook> fault_hook_;  ///< set on faulty links only
   int wake_index_ = -1;
   std::uint8_t pending_bit_ = 0;
   bool have_sent_ = false;
-  Cycle last_arrival_ = 0;   ///< arrival tag of the most recent send
-  std::uint8_t* activity_ = nullptr;
+  /// Four inline slots: a one-per-cycle sender on a wire of the default
+  /// 1-cycle latency keeps at most two items queued, so only fault delays,
+  /// credit-relay bursts and longer links spill to the heap.
+  RingBuffer<std::pair<Cycle, T>, ChannelLength, 4> queue_;
+  /// Private length cell of a standalone channel (null when the Network
+  /// supplied a MeshHotState::ch_len slot).
+  std::unique_ptr<ChannelLength> own_length_;
 };
 
 }  // namespace flov

@@ -2,7 +2,8 @@
 //
 // Pipeline stages move a VC through: kIdle -> (head arrives) kRouting ->
 // (RC) kWaitVc -> (VA) kActive -> ... -> (tail ST) kIdle. `stage_ready`
-// enforces at least one cycle per pipeline stage.
+// enforces at least one cycle per pipeline stage. Only Router::set_vc_state
+// writes `state`: the router keeps one bitmask plane per non-idle state.
 #pragma once
 
 #include <vector>
@@ -24,25 +25,28 @@ enum class VcState : std::uint8_t {
 /// Input-VC buffer length cell (0..buffer_depth; MeshHotState::in_len).
 using VcLength = std::uint8_t;
 
-struct InputVc {
+/// One cache line per VC: the fields are ordered so the record packs into
+/// 64 bytes, and the slab's stripes then never split a VC across lines.
+struct alignas(64) InputVc {
   /// Flit storage; its length cell is the VC's slot in
   /// MeshHotState::in_len (bound by the Router).
   RingBuffer<Flit, VcLength> buffer;
-  VcState state = VcState::kIdle;
 
   /// Earliest cycle the next pipeline stage may execute.
   Cycle stage_ready = 0;
 
-  // --- route decision (valid from kWaitVc) ---
-  Direction out_dir = Direction::Local;
-  bool escape_route = false;  ///< request the escape VC class downstream
+  /// Cycle of the last forward progress; used for the deadlock-recovery
+  /// timeout (Section V).
+  Cycle wait_since = 0;
 
   /// Granted output VC (absolute index at out_dir), valid in kActive.
   VcId out_vc = -1;
 
-  /// Cycle of the last forward progress; used for the deadlock-recovery
-  /// timeout (Section V).
-  Cycle wait_since = 0;
+  VcState state = VcState::kIdle;
+
+  // --- route decision (valid from kWaitVc) ---
+  Direction out_dir = Direction::Local;
+  bool escape_route = false;  ///< request the escape VC class downstream
 
   /// True once any flit of the resident packet has been sent downstream
   /// (the packet can no longer be re-routed to the escape sub-network).
@@ -51,13 +55,15 @@ struct InputVc {
   bool empty() const { return buffer.empty(); }
   int occupancy() const { return static_cast<int>(buffer.size()); }
 
-  void reset_to_idle() {
-    state = VcState::kIdle;
+  /// Forgets the departed packet's route and allocation (the Router moves
+  /// `state` itself, keeping its VC-state planes exact).
+  void clear_route() {
     out_vc = -1;
     escape_route = false;
     sent_any = false;
   }
 };
+static_assert(sizeof(InputVc) == 64, "an input VC record is one cache line");
 
 /// One router input port: `depth`-deep buffers for every VC. The records
 /// live in the mesh-wide SoA slab (noc/hot_state.hpp); the port is a view

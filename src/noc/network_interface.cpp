@@ -29,9 +29,10 @@ NetworkInterface::NetworkInterface(NodeId node, const NocParams& params,
 void NetworkInterface::step(Cycle now) {
   // Credits returned by the router for previously injected flits.
   if (credit_from_) {
-    for (const Credit& c : credit_from_->recv_all(now)) {
-      credits_[c.vc]++;
-      FLOV_DCHECK(credits_[c.vc] <= params_.buffer_depth, "NI credit overflow");
+    while (const auto c = credit_from_->recv(now)) {
+      credits_[c->vc]++;
+      FLOV_DCHECK(credits_[c->vc] <= params_.buffer_depth,
+                  "NI credit overflow");
     }
   }
   eject(now);

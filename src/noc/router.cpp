@@ -74,10 +74,8 @@ Router::Router(NodeId id, const MeshGeometry& geom, const NocParams& params,
   for (int i = 0; i < kNumPorts * nvc; ++i) {
     in_vc_[i].buffer.bind_count(&in_len_[i]);
   }
-  for (int p = 0; p < kNumPorts; ++p) {
-    sa_input_arb_.emplace_back(nvc);
-    sa_output_arb_.emplace_back(kNumPorts);
-  }
+  sa_input_arb_.fill(RoundRobinArbiter(nvc));
+  sa_output_arb_.fill(RoundRobinArbiter(kNumPorts));
   // Until a handshake layer says otherwise, every physical neighbor is the
   // logical neighbor and is Active.
   for (Direction d : kMeshDirections) {
@@ -111,7 +109,10 @@ void Router::step(Cycle now) {
           if (credit_out_[p]) credit_out_[p]->send(now, Credit{f->vc});
         }
       }
-      if (credit_in_[p]) credit_in_[p]->recv_all(now);
+      if (credit_in_[p]) {
+        while (credit_in_[p]->recv(now)) {
+        }
+      }
     }
     return;
   }
@@ -123,10 +124,13 @@ void Router::step(Cycle now) {
                    "flit arrived at a parked router " + std::to_string(id_));
       }
       // Stale credits are void — discard everything that has ARRIVED by
-      // now. (recv_all, not clear(): a boundary credit channel's staged
-      // sends belong to the sending domain's worker during the parallel
-      // phase, and draining only arrivals <= now is schedule-independent.)
-      if (credit_in_[p]) credit_in_[p]->recv_all(now);
+      // now. (recv, not clear(): a boundary credit channel's staged sends
+      // belong to the sending domain's worker during the parallel phase,
+      // and draining only arrivals <= now is schedule-independent.)
+      if (credit_in_[p]) {
+        while (credit_in_[p]->recv(now)) {
+        }
+      }
     }
     return;
   }
@@ -149,6 +153,17 @@ void Router::step(Cycle now) {
         (va_rotate_ + (now - va_tick_from_)) % static_cast<Cycle>(total));
   }
   va_tick_from_ = now + 1;
+
+  // Credit-only step: with no flit buffered, granted or on an incoming
+  // wire, no stage below can act (every non-idle VC state but a mid-worm
+  // kActive holds a buffered head, and switch allocation needs a buffered
+  // flit), so this cycle's VA tick is its only effect. A dying router
+  // takes the full path: it may die below.
+  if (*resident_ == 0 && num_grants_ == 0 &&
+      (in_pending_ & kFlitInBits) == 0 && !dying_) {
+    if (++va_rotate_ == kNumPorts * nvc_) va_rotate_ = 0;
+    return;
+  }
 
   {
     FLOV_PROFILE(kLink);
@@ -173,7 +188,7 @@ void Router::step(Cycle now) {
   // passed (no resident flits, no staged traversals, no allocated output —
   // an allocated output means a worm still has flits upstream), the
   // pipeline goes dark for good.
-  if (dying_ && (*resident_) == 0 && pending_st_.empty() &&
+  if (dying_ && (*resident_) == 0 && num_grants_ == 0 &&
       all_outputs_idle()) {
     dying_ = false;
     dying_eat_.fill(0);
@@ -198,9 +213,9 @@ void Router::accept_credits(Cycle now) {
   // the mask is re-read after each port, as a full port walk would see it.
   for (std::uint32_t m = in_pending_ >> kCreditInShift; m != 0;) {
     const int p = std::countr_zero(m);
-    for (const Credit& c : credit_in_[p]->recv_all(now)) {
+    while (const auto c = credit_in_[p]->recv(now)) {
       if ((*mode_) == RouterMode::kPipeline) {
-        CreditCount& credits = credit(p, c.vc);
+        CreditCount& credits = credit(p, c->vc);
         credits++;
         FLOV_DCHECK(credits <= params_.buffer_depth,
                     "credit overflow at router " + std::to_string(id_));
@@ -216,7 +231,7 @@ void Router::accept_credits(Cycle now) {
         // with the gated output unit, so it is dropped.
         const Direction upstream = opposite(dir_from_index(p));
         if (auto* ch = credit_out_[dir_index(upstream)]) {
-          ch->send(now, c);
+          ch->send(now, *c);
           count(EnergyEvent::kCreditRelay);
         }
       }
@@ -268,7 +283,7 @@ void Router::accept_flits(Cycle now) {
           continue;
         }
       }
-      FLOV_CHECK(vc.occupancy() < params_.buffer_depth,
+      FLOV_CHECK(in_len_[p * nvc_ + f->vc] < params_.buffer_depth,
                  "input buffer overflow at router " + std::to_string(id_));
       if (f->head && vc.state == VcState::kIdle) {
         FLOV_CHECK(vc.buffer.empty(),
@@ -284,10 +299,9 @@ void Router::accept_flits(Cycle now) {
                        ") while head of pkt " +
                        std::to_string((*packets_)[f->packet].packet_id) +
                        " arrives");
-        vc.state = VcState::kRouting;
+        set_vc_state(p, f->vc, VcState::kRouting);
         vc.stage_ready = now + 1;  // RC occupies the next cycle
         vc.wait_since = now;
-        busy_[p] |= vc_bit(f->vc);
       }
       vc.buffer.push_back(*f);
       (*resident_)++;
@@ -374,7 +388,8 @@ void Router::accept_flits_bypass(Cycle now) {
 }
 
 void Router::do_switch_traversal(Cycle now) {
-  for (const SwitchGrant& g : pending_st_) {
+  for (int i = 0; i < num_grants_; ++i) {
+    const SwitchGrant& g = grants_[i];
     auto& vc = in_vc(g.in_port, g.in_vc);
     FLOV_CHECK(vc.state == VcState::kActive && !vc.buffer.empty(),
                "stale switch grant");
@@ -431,30 +446,30 @@ void Router::do_switch_traversal(Cycle now) {
       ovc.allocated = false;
       ovc.owner_port = -1;
       ovc.owner_vc = -1;
-      vc.reset_to_idle();
+      vc.clear_route();
       if (!vc.buffer.empty()) {
         // The next packet's head was queued behind the departing tail.
         FLOV_CHECK(vc.buffer.front().head, "non-head after tail");
-        vc.state = VcState::kRouting;
+        set_vc_state(g.in_port, g.in_vc, VcState::kRouting);
         vc.stage_ready = now + 1;
         vc.wait_since = now;
       } else {
-        busy_[g.in_port] &= ~vc_bit(g.in_vc);
+        set_vc_state(g.in_port, g.in_vc, VcState::kIdle);
       }
     }
   }
-  pending_st_.clear();
+  num_grants_ = 0;
 }
 
 void Router::do_timeout_checks(Cycle now) {
   if (params_.escape_vc < 0 || !params_.enable_escape_diversion) return;
   for (int p = 0; p < kNumPorts; ++p) {
-    for_each_bit(busy_[p], [&](VcId v) {
+    const std::uint64_t waiting =
+        plane(VcState::kWaitVc, p) | plane(VcState::kActive, p);
+    for_each_bit(waiting, [&](VcId v) {
       auto& vc = in_vc(p, v);
       const bool eligible =
-          (vc.state == VcState::kWaitVc ||
-           (vc.state == VcState::kActive && !vc.sent_any)) &&
-          !vc.escape_route;
+          (vc.state == VcState::kWaitVc || !vc.sent_any) && !vc.escape_route;
       if (!eligible) return;
       if (now - vc.wait_since <= params_.deadlock_timeout) return;
       Flit& head = vc.buffer.front();
@@ -478,7 +493,7 @@ void Router::do_timeout_checks(Cycle now) {
       const RouteDecision d = routing_->escape_route(ctx, head);
       vc.out_dir = d.out;
       vc.escape_route = true;
-      vc.state = VcState::kWaitVc;
+      set_vc_state(p, v, VcState::kWaitVc);
       vc.stage_ready = now + 1;
       vc.wait_since = now;
     });
@@ -529,7 +544,7 @@ void Router::do_vc_allocation(Cycle now) {
   if (++va_rotate_ == kNumPorts * nvc) va_rotate_ = 0;
   auto try_allocate = [&](int p, VcId v) {
     auto& vc = in_vc(p, v);
-    if (vc.state != VcState::kWaitVc || vc.stage_ready > now) return;
+    if (vc.stage_ready > now) return;
     FLOV_CHECK(!vc.buffer.empty() && vc.buffer.front().head,
                "kWaitVc without head flit");
     Flit& head = vc.buffer.front();
@@ -572,25 +587,25 @@ void Router::do_vc_allocation(Cycle now) {
     ovc.owner_port = p;
     ovc.owner_vc = v;
     vc.out_vc = grant;
-    vc.state = VcState::kActive;
+    set_vc_state(p, v, VcState::kActive);
     vc.wait_since = now;
     count(EnergyEvent::kVcArb);
     FLOV_TRACE(telemetry::kTraceFlit, telemetry::TraceEventType::kVcAlloc,
                now, id_, (*packets_)[head.packet].packet_id, grant);
   };
   // Round-robin over the slots p * nvc + v, starting at va_rotate_ and
-  // wrapping: the busy slots of [va_rotate_, total) in order, then those
-  // of [0, va_rotate_). Idle slots cannot be in kWaitVc, so skipping them
-  // keeps the grant order of a full scan.
+  // wrapping: the kWaitVc slots of [va_rotate_, total) in order, then
+  // those of [0, va_rotate_) — the grant order of a full scan.
   const int p0 = va_rotate_ / nvc;
   const std::uint64_t from_v0 = ~std::uint64_t{0} << (va_rotate_ % nvc);
-  auto visit = [&](int p, std::uint64_t mask) {
-    for_each_bit(mask, [&](VcId v) { try_allocate(p, v); });
+  auto visit = [&](int p, std::uint64_t keep) {
+    for_each_bit(plane(VcState::kWaitVc, p) & keep,
+                 [&](VcId v) { try_allocate(p, v); });
   };
-  visit(p0, busy_[p0] & from_v0);
-  for (int p = p0 + 1; p < kNumPorts; ++p) visit(p, busy_[p]);
-  for (int p = 0; p < p0; ++p) visit(p, busy_[p]);
-  visit(p0, busy_[p0] & ~from_v0);
+  visit(p0, from_v0);
+  for (int p = p0 + 1; p < kNumPorts; ++p) visit(p, ~std::uint64_t{0});
+  for (int p = 0; p < p0; ++p) visit(p, ~std::uint64_t{0});
+  visit(p0, ~from_v0);
 }
 
 void Router::do_switch_allocation(Cycle now) {
@@ -606,10 +621,10 @@ void Router::do_switch_allocation(Cycle now) {
   std::array<std::uint64_t, kNumPorts> out_req{};
   for (int p = 0; p < kNumPorts; ++p) {
     std::uint64_t req = 0;
-    for_each_bit(busy_[p], [&](VcId v) {
+    for_each_bit(plane(VcState::kActive, p), [&](VcId v) {
       const auto& vc = in_vc(p, v);
-      if (vc.state != VcState::kActive || in_len_[p * nvc_ + v] == 0) return;
-      if (credit(dir_index(vc.out_dir), vc.out_vc) > 0) {
+      if (in_len_[p * nvc_ + v] != 0 &&
+          credit(dir_index(vc.out_dir), vc.out_vc) > 0) {
         req |= vc_bit(v);
       }
     });
@@ -624,7 +639,7 @@ void Router::do_switch_allocation(Cycle now) {
     if (out_req[outp] == 0) continue;
     const int winner = sa_output_arb_[outp].arbitrate(out_req[outp]);
     FLOV_CHECK(winner >= 0, "output arbiter returned no winner");
-    pending_st_.push_back(SwitchGrant{winner, nominee[winner]});
+    grants_[num_grants_++] = SwitchGrant{winner, nominee[winner]};
     count(EnergyEvent::kSwArb);
 #if defined(FLYOVER_TRACING) && FLYOVER_TRACING
     {
@@ -641,9 +656,9 @@ void Router::do_switch_allocation(Cycle now) {
 
 void Router::do_route_computation(Cycle now) {
   for (int p = 0; p < kNumPorts; ++p) {
-    for_each_bit(busy_[p], [&](VcId v) {
+    for_each_bit(plane(VcState::kRouting, p), [&](VcId v) {
       auto& vc = in_vc(p, v);
-      if (vc.state != VcState::kRouting || vc.stage_ready > now) return;
+      if (vc.stage_ready > now) return;
       FLOV_CHECK(!vc.buffer.empty() && vc.buffer.front().head,
                  "kRouting without head flit");
       Flit& head = vc.buffer.front();
@@ -652,7 +667,7 @@ void Router::do_route_computation(Cycle now) {
                                           : routing_->route(ctx, head);
       vc.out_dir = d.out;
       vc.escape_route = d.escape || head.escape;
-      vc.state = VcState::kWaitVc;
+      set_vc_state(p, v, VcState::kWaitVc);
       vc.stage_ready = now + 1;  // VA may run no earlier than next cycle
       vc.wait_since = now;
     });
@@ -709,17 +724,17 @@ void Router::set_mode(RouterMode m, Cycle now) {
           if (kill_cb_) kill_cb_(f);
           if (credit_out_[p]) credit_out_[p]->send(now, Credit{v});
         }
-        vc.reset_to_idle();
+        set_vc_state(p, v, VcState::kIdle);
+        vc.clear_route();
       }
     }
-    busy_.fill(0);
     for (int d = 0; d < kNumMeshDirs; ++d) {
       if ((*latch_full_ & latch_bit(d)) == 0) continue;
       if (kill_cb_) kill_cb_(latch_[d].flit);
       *latch_full_ &= static_cast<std::uint8_t>(~latch_bit(d));
       (*resident_)--;
     }
-    pending_st_.clear();
+    num_grants_ = 0;
     (*mode_) = m;
     if (wake_) wake_->mark(wake_index_);
     if (power_) power_->set_mode(id_, RouterPowerMode::kRpParked, now);
@@ -728,7 +743,7 @@ void Router::set_mode(RouterMode m, Cycle now) {
   if (m == RouterMode::kBypass || m == RouterMode::kParked) {
     FLOV_CHECK(input_buffers_empty(),
                "gating a router with buffered flits: " + std::to_string(id_));
-    FLOV_CHECK(pending_st_.empty(), "gating a router mid-traversal");
+    FLOV_CHECK(num_grants_ == 0, "gating a router mid-traversal");
     for (int p = 0; p < kNumPorts; ++p) {
       FLOV_CHECK(!output(p).any_allocated(),
                  "gating a router with live output VCs");
@@ -802,11 +817,11 @@ bool Router::bypass_quiet() const {
 bool Router::completely_empty() const {
   FLOV_DCHECK(resident_matches_recount(),
               "resident flit counter drifted at router " + std::to_string(id_));
-  FLOV_DCHECK(busy_masks_match_vc_states(),
-              "busy-VC mask drifted at router " + std::to_string(id_));
+  FLOV_DCHECK(vc_planes_match_vc_states(),
+              "VC-state plane drifted at router " + std::to_string(id_));
   FLOV_DCHECK(pending_mask_matches_inputs(),
               "input pending mask drifted at router " + std::to_string(id_));
-  return (*resident_) == 0 && pending_st_.empty();
+  return (*resident_) == 0 && num_grants_ == 0;
 }
 
 int Router::buffered_flits() const {
@@ -816,13 +831,23 @@ int Router::buffered_flits() const {
   return n;
 }
 
-bool Router::busy_masks_match_vc_states() const {
+void Router::set_vc_state(int p, VcId v, VcState s) {
+  InputVc& vc = in_vc(p, v);
+  if (vc.state != VcState::kIdle) plane(vc.state, p) &= ~vc_bit(v);
+  if (s != VcState::kIdle) plane(s, p) |= vc_bit(v);
+  vc.state = s;
+}
+
+bool Router::vc_planes_match_vc_states() const {
   for (int p = 0; p < kNumPorts; ++p) {
-    std::uint64_t busy = 0;
+    std::array<std::uint64_t, 3> walked{};
     for (VcId v = 0; v < nvc_; ++v) {
-      if (in_vc(p, v).state != VcState::kIdle) busy |= vc_bit(v);
+      const VcState s = in_vc(p, v).state;
+      if (s != VcState::kIdle) walked[static_cast<int>(s) - 1] |= vc_bit(v);
     }
-    if (busy != busy_[p]) return false;
+    for (int s = 0; s < 3; ++s) {
+      if (walked[s] != planes_[s][p]) return false;
+    }
   }
   return true;
 }

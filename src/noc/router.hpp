@@ -35,7 +35,7 @@
 
 namespace flov {
 
-class Router {
+class alignas(64) Router {
  public:
   /// `hot` points at the mesh-wide SoA slab (noc/hot_state.hpp) this
   /// router's hot fields live in, indexed by `id`; null (standalone unit
@@ -74,7 +74,7 @@ class Router {
   /// skipped VA round-robin ticks are replayed on the next pipeline step
   /// (see step()), keeping results bit-identical to stepping every cycle.
   bool quiescent() const {
-    return *resident_ == 0 && pending_st_.empty() && in_pending_ == 0;
+    return *resident_ == 0 && num_grants_ == 0 && in_pending_ == 0;
   }
 
   /// Switches the datapath mode; performs the associated state hygiene
@@ -189,6 +189,9 @@ class Router {
   bool resident_matches_recount() const {
     return *resident_ == buffered_flits();
   }
+  /// True when each VC-state plane equals a walk over the input VC states
+  /// (the oracle behind the Debug checks; tests assert it every cycle).
+  bool vc_planes_match_vc_states() const;
   /// Self-destined flits captured to the NI while gated (faults only).
   std::uint64_t self_captures() const { return self_captures_; }
   /// Writes a human-readable description of every non-empty input VC and
@@ -213,8 +216,6 @@ class Router {
   void do_switch_allocation(Cycle now);
   void do_route_computation(Cycle now);
 
-  /// Full walk over input VC states (debug cross-check of busy_).
-  bool busy_masks_match_vc_states() const;
   /// Full walk over the input channels (debug cross-check of in_pending_).
   bool pending_mask_matches_inputs() const;
 
@@ -233,6 +234,14 @@ class Router {
   /// The Section IV hold rule: the packet's destination router lies inside
   /// a sleeping run along the chosen direction, so it must be woken first.
   bool must_hold_for_wakeup(const InputVc& vc, const Flit& head);
+
+  /// The plane of VC state `s` (not kIdle) at input port `p`.
+  std::uint64_t& plane(VcState s, int p) {
+    return planes_[static_cast<int>(s) - 1][p];
+  }
+  /// Moves input VC (p, v) to state `s`, keeping the planes exact: the
+  /// only write of a VC state.
+  void set_vc_state(int p, VcId v, VcState s);
 
   // Views of port p's stripes in the slab ([port][vc] from the bases).
   InputVc& in_vc(int p, VcId v) const { return in_vc_[p * nvc_ + v]; }
@@ -253,76 +262,81 @@ class Router {
     if (power_) power_->count_node(id_, e, n);
   }
 
-  NodeId id_;
-  const MeshGeometry& geom_;
-  NocParams params_;
-  RoutingFunction* routing_;
-  PowerTracker* power_;
+  // Members in access order: what a credit-only step reads, then what the
+  // pipeline stages read, then the cold rest.
 
-  /// Private single-slot slab for standalone construction (unit tests);
-  /// unused when the Network hands us its mesh slab.
-  std::unique_ptr<MeshHotState> self_hot_;
   /// Hot fields in the SoA slab (this router's slots). mode_/resident_
   /// point at mode[id]/resident[id]; the four stripe bases at this
   /// router's [port][vc] runs of in_vc, in_len, out_vc and out_credits;
   /// latch_ the FLOV latches and latch_full_ their occupancy bits.
   RouterMode* mode_ = nullptr;
   std::int32_t* resident_ = nullptr;
-  std::uint8_t* latch_full_ = nullptr;
-  InputVc* in_vc_ = nullptr;
-  VcLength* in_len_ = nullptr;
-  OutputVcState* out_vc_ = nullptr;
-  CreditCount* out_credits_ = nullptr;
-  int nvc_ = 0;  ///< VCs per port (params_.total_vcs())
-  PacketTable* packets_ = nullptr;
-
-  NeighborhoodView view_;
-
-  std::array<Channel<Flit>*, kNumPorts> in_flit_{};
-  std::array<Channel<Flit>*, kNumPorts> out_flit_{};
-  std::array<Channel<Credit>*, kNumPorts> credit_out_{};
-  std::array<Channel<Credit>*, kNumPorts> credit_in_{};
   /// One bit per input channel (layout: kFlitInBits / kCreditInShift),
   /// set exactly while that channel's visible queue is non-empty. The
   /// channels keep it (Channel::set_pending_bit); accept_flits/credits
   /// visit only set bits and quiescent() reads it whole.
   std::uint32_t in_pending_ = 0;
-
-  /// Per input port, bit v set exactly when in_vc(p, v).state !=
-  /// kIdle. Route computation, VC/switch allocation and the timeout checks
-  /// visit only these bits instead of every VC slot. Written only where a
-  /// VC leaves or enters kIdle (head arrival, tail departure, death).
-  std::array<std::uint64_t, kNumPorts> busy_{};
-  Span<FlovLatch> latch_;
-
-  std::vector<SwitchGrant> pending_st_;
-  std::vector<RoundRobinArbiter> sa_input_arb_;   // one per input port
-  std::vector<RoundRobinArbiter> sa_output_arb_;  // one per output port
+  int num_grants_ = 0;  ///< live entries of grants_
   int va_rotate_ = 0;
+  int nvc_ = 0;  ///< VCs per port (params_.total_vcs())
+  /// First cycle whose VA round-robin tick has not been applied yet; lets
+  /// step() replay the ticks of skipped idle cycles so allocation order is
+  /// identical to stepping every cycle. Only pipeline-mode cycles tick.
+  Cycle va_tick_from_ = 0;
+  /// Fail-functional death grace (begin_death): still kPipeline, finishing
+  /// worms in progress; flips to kDead once the datapath is clean.
+  bool dying_ = false;
+  CreditCount* out_credits_ = nullptr;
+  std::array<Channel<Credit>*, kNumPorts> credit_in_{};
+  std::array<Channel<Flit>*, kNumPorts> in_flit_{};
 
+  /// VC-state planes: bit v of planes_[s - 1][p] is set exactly when
+  /// in_vc(p, v).state == s, for s = kRouting, kWaitVc, kActive (an idle
+  /// VC is in none). Each stage walks only the plane it can act on: route
+  /// computation kRouting, VC allocation kWaitVc, switch allocation
+  /// kActive, the timeout checks kWaitVc | kActive. Written only by
+  /// set_vc_state.
+  std::array<std::array<std::uint64_t, kNumPorts>, 3> planes_{};
+  /// This cycle's switch grants (at most one per output port), consumed by
+  /// the next cycle's switch traversal.
+  std::array<SwitchGrant, kNumPorts> grants_{};
+  InputVc* in_vc_ = nullptr;
+  VcLength* in_len_ = nullptr;
+  OutputVcState* out_vc_ = nullptr;
+  std::array<Channel<Credit>*, kNumPorts> credit_out_{};
+  std::array<Channel<Flit>*, kNumPorts> out_flit_{};
+  std::array<RoundRobinArbiter, kNumPorts> sa_input_arb_;   // per input port
+  std::array<RoundRobinArbiter, kNumPorts> sa_output_arb_;  // per output port
+
+  NodeId id_;
+  const MeshGeometry& geom_;
+  NocParams params_;
+  RoutingFunction* routing_;
+  PowerTracker* power_;
+  NeighborhoodView view_;
+  Cycle last_local_activity_ = 0;
+  std::uint64_t flits_traversed_ = 0;
+  std::uint64_t flits_flown_over_ = 0;
+  std::uint64_t self_captures_ = 0;
+  std::uint64_t escape_diversions_ = 0;
+
+  /// Private single-slot slab for standalone construction (unit tests);
+  /// unused when the Network hands us its mesh slab.
+  std::unique_ptr<MeshHotState> self_hot_;
+  std::uint8_t* latch_full_ = nullptr;
+  Span<FlovLatch> latch_;
+  PacketTable* packets_ = nullptr;
   std::function<void(NodeId)> wakeup_cb_;
   std::function<void(const Flit&)> kill_cb_;
   const std::vector<char>* dead_mask_ = nullptr;
   WakeList* wake_ = nullptr;
   int wake_index_ = -1;
-  /// Fail-functional death grace (begin_death): still kPipeline, finishing
-  /// worms in progress; flips to kDead once the datapath is clean.
-  bool dying_ = false;
   /// Per input port, a VC bitmask of worms being eaten whole while dying:
   /// set by an arriving head, cleared by its tail.
   std::array<std::uint64_t, kNumPorts> dying_eat_{};
-  /// First cycle whose VA round-robin tick has not been applied yet; lets
-  /// step() replay the ticks of skipped idle cycles so allocation order is
-  /// identical to stepping every cycle. Only pipeline-mode cycles tick.
-  Cycle va_tick_from_ = 0;
-  Cycle last_local_activity_ = 0;
   /// Worms mid-flight on the bypass path: +1 when a head (of a multi-flit
   /// packet) arrives in bypass mode, -1 when its tail does.
   int bypass_worms_open_ = 0;
-  std::uint64_t flits_traversed_ = 0;
-  std::uint64_t flits_flown_over_ = 0;
-  std::uint64_t self_captures_ = 0;
-  std::uint64_t escape_diversions_ = 0;
 };
 
 }  // namespace flov

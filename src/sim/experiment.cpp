@@ -346,7 +346,8 @@ SyntheticExperimentConfig SyntheticExperimentConfig::from_config(
 Config manifest_config(const Config& cfg) {
   Config m = cfg;
   for (const char* k : {"jobs", "threads", "progress", "certificate", "serve",
-                        "ops_stream", "profile", "profile_out", "ops.period"}) {
+                        "ops_stream", "profile", "profile_out", "ops.period",
+                        "manifest", "trace_out", "incidents_out"}) {
     m.erase(k);
   }
   return m;

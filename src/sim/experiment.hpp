@@ -96,7 +96,8 @@ struct SyntheticExperimentConfig {
 bool is_synthetic_only_key(const std::string& key);
 
 /// `cfg` minus the keys that cannot change a result (jobs, threads,
-/// progress, certificate and the ops plane's).
+/// progress, certificate, the ops plane's and the output paths manifest,
+/// trace_out and incidents_out).
 Config manifest_config(const Config& cfg);
 
 /// A run's manifest `config`: manifest_config(cfg) plus, for a synthetic

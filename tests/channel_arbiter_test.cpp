@@ -10,9 +10,19 @@
 #include "noc/active_set.hpp"
 #include "noc/arbiter.hpp"
 #include "noc/channel.hpp"
+#include "noc/flit.hpp"
 
 namespace flov {
 namespace {
+
+/// Pops every item due by `now`, one recv at a time: how routers and NIs
+/// consume credit channels.
+template <typename T>
+std::vector<T> recv_due(Channel<T>& ch, Cycle now) {
+  std::vector<T> due;
+  while (auto v = ch.recv(now)) due.push_back(*v);
+  return due;
+}
 
 TEST(Channel, DeliversAfterLatency) {
   Channel<int> ch(1);
@@ -41,12 +51,12 @@ TEST(Channel, FifoOrderPreserved) {
   }
 }
 
-TEST(Channel, RecvAllDrainsDueItems) {
+TEST(Channel, RecvLoopDrainsDueItems) {
   Channel<int> ch(1);
   ch.send(0, 1);
   ch.send(0, 2);
   ch.send(5, 3);
-  const auto due = ch.recv_all(1);
+  const auto due = recv_due(ch, 1);
   ASSERT_EQ(due.size(), 2u);
   EXPECT_EQ(due[0], 1);
   EXPECT_EQ(due[1], 2);
@@ -81,14 +91,14 @@ TEST(Channel, EveryWireChangeSetsTheActivityFlag) {
   EXPECT_EQ(flag, 1) << "send";
   flag = 0;
   EXPECT_FALSE(ch.recv(0).has_value());
-  EXPECT_TRUE(ch.recv_all(0).empty());
+  EXPECT_TRUE(recv_due(ch, 0).empty());
   EXPECT_EQ(flag, 0) << "recv with nothing due";
   EXPECT_TRUE(ch.recv(1).has_value());
   EXPECT_EQ(flag, 1) << "recv";
   ch.send(1, 2);
   flag = 0;
-  EXPECT_EQ(ch.recv_all(2).size(), 1u);
-  EXPECT_EQ(flag, 1) << "recv_all";
+  EXPECT_EQ(recv_due(ch, 2).size(), 1u);
+  EXPECT_EQ(flag, 1) << "recv loop";
   flag = 0;
   ch.clear();
   EXPECT_EQ(flag, 1) << "clear";
@@ -128,8 +138,8 @@ TEST(Channel, PackedLengthCellMatchesTheQueueAfterEveryOperation) {
     merge();
     ch.send(1, 3);
     merge();
-    EXPECT_EQ(ch.recv_all(2).size(), 2u);
-    expect_len("recv_all");
+    EXPECT_EQ(recv_due(ch, 2).size(), 2u);
+    expect_len("recv loop");
     merge();
     ch.send(2, 4);
     ch.send(2, 5);
@@ -189,8 +199,8 @@ TEST(Channel, StagingChannelIsListedOncePerTouchedEnd) {
   sender.clear();
   receiver.clear();
 
-  // Cycle 2: a recv_all that pops lists the receiver end only.
-  EXPECT_EQ(ch.recv_all(2).size(), 2u);
+  // Cycle 2: a recv loop that pops lists the receiver end only.
+  EXPECT_EQ(recv_due(ch, 2).size(), 2u);
   EXPECT_TRUE(sender.empty());
   EXPECT_EQ(receiver, (Channel<int>::MergeList{&ch}));
   ch.merge_staged();
@@ -198,7 +208,7 @@ TEST(Channel, StagingChannelIsListedOncePerTouchedEnd) {
 
   // Cycle 3: untouched (an empty poll is not a touch): never listed.
   EXPECT_FALSE(ch.recv(3).has_value());
-  EXPECT_TRUE(ch.recv_all(3).empty());
+  EXPECT_TRUE(recv_due(ch, 3).empty());
   EXPECT_TRUE(sender.empty());
   EXPECT_TRUE(receiver.empty());
   EXPECT_FALSE(ch.merge_pending());
@@ -224,10 +234,10 @@ TEST(Channel, PendingBitTracksTheVisibleQueue) {
   ch.send(3, 3);
   ch.send(3, 4);
   ch.send(4, 5);
-  EXPECT_EQ(ch.recv_all(5).size(), 2u);
-  EXPECT_EQ(word, 0b1100u) << "recv_all that leaves an item";
-  EXPECT_EQ(ch.recv_all(6).size(), 1u);
-  EXPECT_EQ(word, 0b1000u) << "recv_all that empties";
+  EXPECT_EQ(recv_due(ch, 5).size(), 2u);
+  EXPECT_EQ(word, 0b1100u) << "recv loop that leaves an item";
+  EXPECT_EQ(recv_due(ch, 6).size(), 1u);
+  EXPECT_EQ(word, 0b1000u) << "recv loop that empties";
 
   ch.send(6, 6);
   ch.clear();
@@ -257,6 +267,96 @@ TEST(Channel, PendingBitTracksTheVisibleQueue) {
   st.merge_staged();
   st.set_pending_bit(&late, 0);
   EXPECT_EQ(late, 1u);
+}
+
+// A channel queue keeps four items inline and moves to a heap store once a
+// burst outgrows them. Across that switch the queue must stay one FIFO, and
+// its length cell, the receiver's pending bit and the activity flag must
+// keep tracking it.
+TEST(Channel, CreditBurstSpillsTheInlineQueueToTheHeap) {
+  ChannelLength len = 0;
+  std::uint32_t word = 0;
+  std::uint8_t flag = 0;
+  Channel<Credit> ch(1, &len);
+  ch.set_pending_bit(&word, 3);
+  ch.set_activity_flag(&flag);
+  // A relay burst: ten credits sent on one cycle.
+  for (int i = 0; i < 10; ++i) {
+    flag = 0;
+    ch.send(0, Credit{static_cast<VcId>(i)});
+    EXPECT_EQ(len, static_cast<ChannelLength>(i + 1)) << "send " << i;
+    EXPECT_EQ(word, 0b1000u) << "send " << i;
+    EXPECT_EQ(flag, 1) << "send " << i;
+    EXPECT_EQ(ch.queue_on_heap(), i + 1 > 4) << "send " << i;
+  }
+  EXPECT_FALSE(ch.recv(0).has_value()) << "nothing due before the latency";
+  for (int i = 0; i < 10; ++i) {
+    flag = 0;
+    const auto c = ch.recv(1);
+    ASSERT_TRUE(c.has_value()) << i;
+    EXPECT_EQ(c->vc, i) << "FIFO order";
+    EXPECT_EQ(len, static_cast<ChannelLength>(9 - i));
+    EXPECT_EQ(word, i < 9 ? 0b1000u : 0u) << "recv " << i;
+    EXPECT_EQ(flag, 1) << "recv " << i;
+  }
+  EXPECT_FALSE(ch.recv(1).has_value());
+  EXPECT_TRUE(ch.queue_on_heap()) << "the heap store is kept";
+  // The grown store keeps working as a ring.
+  for (int i = 0; i < 20; ++i) ch.send(1 + i, Credit{static_cast<VcId>(i)});
+  EXPECT_EQ(recv_due(ch, 30).size(), 20u);
+  EXPECT_EQ(len, 0u);
+  EXPECT_EQ(word, 0u);
+}
+
+TEST(Channel, FaultDelayedFlitsSpillWhileTheInlineRingIsWrapped) {
+  ChannelLength len = 0;
+  std::uint32_t word = 0;
+  std::uint8_t flag = 0;
+  Channel<Flit> ch(1, &len);
+  ch.set_pending_bit(&word, 0);
+  ch.set_activity_flag(&flag);
+  // Every item is held back 6 cycles on the wire; the clamp keeps them in
+  // send order, one arrival per cycle.
+  ch.set_fault_hook([](Cycle, Flit&) { return std::optional<Cycle>(6); });
+  auto flit = [](int i) {
+    Flit f;
+    f.flit_index = static_cast<std::uint16_t>(i);
+    return f;
+  };
+  Cycle now = 0;
+  int sent = 0;
+  int received = 0;
+  // Three sends, then two pops: the inline ring's head is now mid-store.
+  for (; sent < 3; ++sent) ch.send(now++, flit(sent));
+  now = 8;
+  for (; received < 2; ++received) {
+    const auto f = ch.recv(now);
+    ASSERT_TRUE(f.has_value());
+    EXPECT_EQ(f->flit_index, received);
+  }
+  EXPECT_FALSE(ch.queue_on_heap());
+  // One send per cycle while none is due yet: the fifth queued item spills.
+  for (; sent < 9; ++sent) {
+    flag = 0;
+    ch.send(now++, flit(sent));
+    EXPECT_EQ(flag, 1);
+    EXPECT_EQ(len, static_cast<ChannelLength>(sent + 1 - received));
+    EXPECT_EQ(word, 1u);
+    EXPECT_EQ(ch.queue_on_heap(), sent + 1 - received > 4) << "send " << sent;
+  }
+  EXPECT_TRUE(ch.queue_on_heap());
+  std::vector<int> order;
+  ch.for_each_in_flight([&](const Flit& f) { order.push_back(f.flit_index); });
+  EXPECT_EQ(order, (std::vector<int>{2, 3, 4, 5, 6, 7, 8}));
+  // Drain one cycle at a time: never two due on one cycle, FIFO order.
+  for (Cycle t = now; received < sent && t < now + 40; ++t) {
+    const std::vector<Flit> due = recv_due(ch, t);
+    ASSERT_LE(due.size(), 1u) << "cycle " << t;
+    for (const Flit& f : due) EXPECT_EQ(f.flit_index, received++);
+    EXPECT_EQ(len, static_cast<ChannelLength>(sent - received));
+    EXPECT_EQ(word, received < sent ? 1u : 0u) << "cycle " << t;
+  }
+  EXPECT_EQ(received, sent);
 }
 
 // Reference: a byte-by-byte scan testing each flag on arrival.

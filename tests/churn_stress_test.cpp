@@ -8,6 +8,9 @@
 
 #include "common/rng.hpp"
 #include "flov/flov_network.hpp"
+#include "sim/builder.hpp"
+#include "traffic/gating_scenario.hpp"
+#include "traffic/synthetic_traffic.hpp"
 #include "traffic/traffic_pattern.hpp"
 
 namespace flov {
@@ -102,6 +105,70 @@ INSTANTIATE_TEST_SUITE_P(
                              ? "rFLOV"
                              : "gFLOV") +
              "_s" + std::to_string(std::get<1>(info.param));
+    });
+
+// Each router keeps one bitmask plane per non-idle VC state, and every
+// pipeline stage walks only its plane: a plane that misses a state change
+// silently starves or double-serves a VC. This runs RP (reconfigurations)
+// and gFLOV (sleeps, wakeups, credit handovers) under gating churn with a
+// short deadlock timeout, so escape diversions move kActive VCs back to
+// kWaitVc too, and hard router deaths take RP routers through the dying and
+// kDead paths (and delayed flits spill channel queues to the heap). It compares every plane
+// with a walk of the VC states after every cycle. It runs in every build type, unlike the Debug-only check.
+// (RP routes up*/down*, which is deadlock-free, so it never diverts.)
+class VcPlanes : public ::testing::TestWithParam<Scheme> {};
+
+TEST_P(VcPlanes, MatchTheVcStatesEveryCycleUnderChurn) {
+  NocParams p;
+  p.width = 8;
+  p.height = 8;
+  p.deadlock_timeout = 12;
+  p.drain_idle_threshold = 8;
+  p.reliable = true;
+  FaultParams faults;
+  faults.hard_router_pct = 0.05;
+  faults.hard_at_cycle = 2200;
+  faults.flit_delay_rate = 0.01;
+  BuiltSystem built = build_system(GetParam(), p, EnergyParams{}, {}, faults,
+                                   FabricManagerConfig{.phase1_latency = 50});
+  NocSystem& sys = *built.system;
+  Network& net = sys.network();
+  const MeshGeometry& g = net.geom();
+  UniformPattern pattern(g);
+  SyntheticTraffic traffic(&sys, &pattern, 0.25, 4, 77);
+  const std::vector<Cycle> changes = {500, 1200, 1900, 2600, 3300};
+  GatingScenario scenario = GatingScenario::epochs(g, 0.5, changes, 3);
+  bool saw_gated = false;
+  bool saw_dead = false;
+  for (Cycle now = 0; now < 4000; ++now) {
+    scenario.apply(sys, now);
+    traffic.step(now);
+    sys.step(now);
+    for (NodeId n = 0; n < g.num_nodes(); ++n) {
+      const Router& r = net.router(n);
+      ASSERT_TRUE(r.vc_planes_match_vc_states())
+          << "router " << n << " cycle " << now;
+      saw_gated = saw_gated || r.mode() != RouterMode::kPipeline;
+      saw_dead = saw_dead || r.mode() == RouterMode::kDead;
+    }
+  }
+  EXPECT_TRUE(saw_gated) << "no router was ever gated";
+  EXPECT_GT(net.total_ejected_flits(), 0u);
+  if (GetParam() == Scheme::kRp) {
+    EXPECT_TRUE(saw_dead) << "no router died";
+  } else {
+    std::uint64_t diversions = 0;
+    for (NodeId n = 0; n < g.num_nodes(); ++n) {
+      diversions += net.router(n).escape_diversions();
+    }
+    EXPECT_GT(diversions, 0u) << "no escape diversion fired";
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Schemes, VcPlanes, ::testing::Values(Scheme::kRp, Scheme::kGFlov),
+    [](const ::testing::TestParamInfo<Scheme>& info) {
+      return std::string(info.param == Scheme::kRp ? "RP" : "gFLOV");
     });
 
 }  // namespace

@@ -562,6 +562,43 @@ TEST(RingBuffer, GrowWhileWrappedPreservesOrder) {
   }
 }
 
+TEST(RingBuffer, InlineStoreSpillsOnceAndKeepsOrder) {
+  std::size_t len = 0;
+  RingBuffer<int, std::size_t, 4> rb;
+  rb.bind_count(&len);
+  int next_in = 0;
+  int next_out = 0;
+  // Churn inside the inline store, wrapping it many times.
+  for (int i = 0; i < 50; ++i) {
+    rb.push_back(next_in++);
+    rb.push_back(next_in++);
+    EXPECT_EQ(rb.front(), next_out++);
+    rb.pop_front();
+    EXPECT_EQ(rb.front(), next_out++);
+    rb.pop_front();
+  }
+  rb.push_back(next_in++);
+  rb.push_back(next_in++);
+  rb.push_back(next_in++);
+  rb.pop_front();
+  ++next_out;
+  EXPECT_FALSE(rb.on_heap());
+  // Outgrow it while wrapped.
+  while (rb.size() < 11) rb.push_back(next_in++);
+  EXPECT_TRUE(rb.on_heap());
+  EXPECT_EQ(len, 11u);
+  EXPECT_EQ(rb.back(), next_in - 1);
+  for (std::size_t i = 0; i < rb.size(); ++i) {
+    EXPECT_EQ(rb[i], next_out + static_cast<int>(i));
+  }
+  while (!rb.empty()) {
+    EXPECT_EQ(rb.front(), next_out++);
+    rb.pop_front();
+  }
+  EXPECT_EQ(next_out, next_in);
+  EXPECT_TRUE(rb.on_heap()) << "grow-only";
+}
+
 TEST(RingBuffer, IndexEmplaceAndClear) {
   std::uint8_t len = 0;
   RingBuffer<std::pair<int, int>, std::uint8_t> rb;

@@ -112,6 +112,62 @@ TEST(ParkingPolicy, EndpointConnectivityHelper) {
   EXPECT_FALSE(endpoints_connected(g, powered, endpoints));
 }
 
+// The greedy as it was before the ring shortcut: a full endpoint search
+// after every tentative parking. Kept here as the reference the fast
+// version must reproduce exactly.
+std::vector<bool> reference_parked_set(
+    const MeshGeometry& geom, const std::vector<std::uint8_t>& gated_core,
+    const std::vector<bool>& always_on, RpPolicy policy) {
+  const int n = geom.num_nodes();
+  std::vector<bool> powered(n, true);
+  std::vector<bool> endpoints(n, false);
+  for (NodeId i = 0; i < n; ++i) {
+    endpoints[i] = !gated_core[i] || always_on[i];
+  }
+  for (NodeId c = 0; c < n; ++c) {
+    if (!gated_core[c] || always_on[c]) continue;
+    if (policy == RpPolicy::kConservative) {
+      bool near_active = false;
+      for (Direction d : kMeshDirections) {
+        const NodeId b = geom.neighbor(c, d);
+        if (b != kInvalidNode && !gated_core[b]) near_active = true;
+      }
+      if (near_active) continue;
+    }
+    powered[c] = false;
+    if (!endpoints_connected(geom, powered, endpoints)) powered[c] = true;
+  }
+  return powered;
+}
+
+TEST(ParkingPolicy, MatchesTheFullSearchGreedyOnRandomMasks) {
+  for (const int k : {8, 16, 32}) {
+    const MeshGeometry g(k, k);
+    const int n = g.num_nodes();
+    Rng rng(static_cast<std::uint64_t>(400 + k));
+    const int trials = k == 32 ? 3 : 12;
+    for (const double frac : {0.2, 0.5, 0.8, 0.97}) {
+      for (int trial = 0; trial < trials; ++trial) {
+        std::vector<std::uint8_t> gated(n);
+        std::vector<bool> aon(n, false);
+        for (NodeId i = 0; i < n; ++i) {
+          gated[i] = rng.next_bool(frac);
+          aon[i] = rng.next_bool(0.02);
+        }
+        gated[rng.next_below(n)] = false;  // at least one endpoint
+        for (const RpPolicy policy :
+             {RpPolicy::kAggressive, RpPolicy::kConservative}) {
+          EXPECT_EQ(compute_parked_set(g, gated, aon, policy),
+                    reference_parked_set(g, gated, aon, policy))
+              << k << "x" << k << " gated " << frac << " trial " << trial
+              << (policy == RpPolicy::kAggressive ? " aggressive"
+                                                  : " conservative");
+        }
+      }
+    }
+  }
+}
+
 // ---------------------------------------------------------- fabric manager
 
 TEST(FabricManager, ReconfigurationStallsAndResumes) {
