@@ -139,13 +139,13 @@ class RingBuffer {
 
   T* slot_for_push() {
     const std::size_t n = size();
-    if (n == capacity()) grow();
+    if (n == capacity()) [[unlikely]] grow();
     T* slot = &data()[wrap(head_ + n)];
     ++*count_;
     return slot;
   }
 
-  void grow() {
+  [[gnu::noinline]] void grow() {  // out of line: a push keeps one branch
     const std::size_t n = size();
     const std::size_t cap = capacity() == 0 ? 8 : capacity() * 2;
     std::vector<T> next(cap);

@@ -130,40 +130,15 @@ class Channel {
   }
 
   /// Enqueues an item during cycle `now`; it arrives at now + latency.
+  /// Inline for a plain wire; staging and the fault hook take send_slow.
   void send(Cycle now, T item) {
     if (wake_list_) wake_list_->mark(wake_index_);
-    // Flagged before the fault hook: a dropped item refunds the sender's
-    // credit, which is a change the verifier must see too.
-    if (stage_) {
-      touch_end(stage_->sent, stage_->sender_list);
-    } else {
-      touch();
+    if (stage_ || fault_hook_) [[unlikely]] {
+      send_slow(now, std::move(item));
+      return;
     }
-    Cycle arrival = now + latency_;
-    if (fault_hook_) {
-      const std::optional<Cycle> fate = (*fault_hook_)(now, item);
-      if (!fate.has_value()) return;  // dropped on the wire
-      arrival += *fate;
-      // A delayed item must not reorder the wire or let two items become
-      // deliverable on the same cycle (single-recv consumers — the FLOV
-      // bypass latches — rely on >= 1-cycle spacing). The clamp keys off
-      // the last *sent* arrival, not the queue back: with staging on, the
-      // most recent send may still be staged, and a consumed item can
-      // never clamp anyway (consumers only pop arrivals <= now < arrival).
-      if (have_sent_ && arrival <= last_arrival_) {
-        arrival = last_arrival_ + 1;
-      }
-    }
-    FLOV_DCHECK(!have_sent_ || last_arrival_ <= arrival,
-                "channel send out of order");
-    last_arrival_ = arrival;
-    have_sent_ = true;
-    if (stage_) {
-      stage_->items.emplace_back(arrival, std::move(item));
-    } else {
-      queue_.emplace_back(arrival, std::move(item));
-      set_pending();
-    }
+    touch();
+    enqueue(now + latency_, std::move(item));
   }
 
   /// Pops the oldest item arriving at or before `now`, if any. Credit
@@ -197,7 +172,7 @@ class Channel {
   void clear() {
     queue_.clear();
     if (stage_) stage_->items.clear();
-    have_sent_ = false;
+    last_arrival_ = 0;
     clear_pending();
     touch();
   }
@@ -211,6 +186,41 @@ class Channel {
   }
 
  private:
+  [[gnu::noinline]] void send_slow(Cycle now, T item) {
+    // Flagged before the fault hook: a dropped item refunds the sender's
+    // credit, which is a change the verifier must see too.
+    if (stage_) {
+      touch_end(stage_->sent, stage_->sender_list);
+    } else {
+      touch();
+    }
+    Cycle arrival = now + latency_;
+    if (fault_hook_) {
+      const std::optional<Cycle> fate = (*fault_hook_)(now, item);
+      if (!fate.has_value()) return;  // dropped on the wire
+      arrival += *fate;
+      // A delayed item must not reorder the wire or let two items become
+      // deliverable on the same cycle (single-recv consumers — the FLOV
+      // bypass latches — rely on >= 1-cycle spacing). The clamp keys off
+      // the last *sent* arrival, not the queue back: with staging on, the
+      // most recent send may still be staged, and a consumed item can
+      // never clamp anyway (consumers only pop arrivals <= now < arrival).
+      if (arrival <= last_arrival_) arrival = last_arrival_ + 1;
+    }
+    if (!stage_) {
+      enqueue(arrival, std::move(item));
+      return;
+    }
+    FLOV_DCHECK(last_arrival_ <= arrival, "channel send out of order");
+    last_arrival_ = arrival;
+    stage_->items.emplace_back(arrival, std::move(item));
+  }
+  void enqueue(Cycle arrival, T&& item) {
+    FLOV_DCHECK(last_arrival_ <= arrival, "channel send out of order");
+    last_arrival_ = arrival;
+    queue_.emplace_back(arrival, std::move(item));
+    set_pending();
+  }
   void touch() {
     if (activity_) *activity_ = 1;
   }
@@ -250,7 +260,7 @@ class Channel {
   // (ring header, then its inline slots); the standalone length cell is
   // cold.
   Cycle latency_;
-  Cycle last_arrival_ = 0;   ///< arrival tag of the most recent send
+  Cycle last_arrival_ = 0;  ///< latest send's arrival; 0 before any (clear)
   WakeList* wake_list_ = nullptr;
   std::uint32_t* pending_ = nullptr;
   std::uint8_t* activity_ = nullptr;
@@ -258,7 +268,6 @@ class Channel {
   std::unique_ptr<FaultHook> fault_hook_;  ///< set on faulty links only
   int wake_index_ = -1;
   std::uint8_t pending_bit_ = 0;
-  bool have_sent_ = false;
   /// Four inline slots: a one-per-cycle sender on a wire of the default
   /// 1-cycle latency keeps at most two items queued, so only fault delays,
   /// credit-relay bursts and longer links spill to the heap.

@@ -86,8 +86,6 @@ struct NocParams {
   int step_threads = 1;
 
   int total_vcs() const { return num_vnets * vcs_per_vnet; }
-  int vnet_of_vc(VcId vc) const { return vc / vcs_per_vnet; }
-  int vc_in_vnet(VcId vc) const { return vc % vcs_per_vnet; }
 
   /// Overrides the fields of `p` whose noc.* key `cfg` sets.
   static NocParams from_config(const Config& cfg, NocParams p) {

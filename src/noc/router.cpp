@@ -47,16 +47,22 @@ const char* to_string(RouterMode m) {
 Router::Router(NodeId id, const MeshGeometry& geom, const NocParams& params,
                RoutingFunction* routing, PowerTracker* power,
                MeshHotState* hot)
-    : id_(id), geom_(geom), params_(params), routing_(routing),
-      power_(power) {
+    : wait_limit_(params.escape_vc >= 0 && params.enable_escape_diversion &&
+                          params.deadlock_timeout < kNoTimeout
+                      ? params.deadlock_timeout + 1
+                      : kNoTimeout),
+      id_(id), geom_(geom), buffer_depth_(params.buffer_depth),
+      vcs_per_vnet_(params.vcs_per_vnet), escape_vc_(params.escape_vc),
+      routing_(routing), power_(power) {
   FLOV_CHECK(routing_ != nullptr, "router needs a routing function");
-  const int nvc = params_.total_vcs();
+  if (power_) energy_ = power_->node_events(id_);
+  const int nvc = params.total_vcs();
   FLOV_CHECK(nvc <= 64, "mask-based switch allocation supports <= 64 VCs");
   NodeId slot = id_;
   if (hot == nullptr) {
     // Standalone construction (unit tests): private single-slot slab.
     self_hot_ = std::make_unique<MeshHotState>();
-    self_hot_->init(1, nvc, params_.buffer_depth);
+    self_hot_->init(1, nvc, buffer_depth_);
     hot = self_hot_.get();
     slot = 0;
   }
@@ -99,87 +105,49 @@ void Router::connect_credit_in(Direction port, Channel<Credit>* ch) {
 }
 
 void Router::step(Cycle now) {
-  if ((*mode_) == RouterMode::kDead) {
-    // Black hole: destroy arriving flits but still return their credits,
-    // so upstream worms drain through the corpse instead of wedging.
-    for (int p = 0; p < kNumPorts; ++p) {
-      if (in_flit_[p]) {
-        while (auto f = in_flit_[p]->recv(now)) {
-          if (kill_cb_) kill_cb_(*f);
-          if (credit_out_[p]) credit_out_[p]->send(now, Credit{f->vc});
-        }
-      }
-      if (credit_in_[p]) {
-        while (credit_in_[p]->recv(now)) {
-        }
-      }
-    }
+  if ((*mode_) != RouterMode::kPipeline) [[unlikely]] {
+    step_gated(now);
     return;
   }
-  if ((*mode_) == RouterMode::kParked) {
-    // The fabric manager guarantees no traffic reaches a parked router.
-    for (int p = 0; p < kNumPorts; ++p) {
-      if (in_flit_[p]) {
-        FLOV_CHECK(!in_flit_[p]->recv(now).has_value(),
-                   "flit arrived at a parked router " + std::to_string(id_));
-      }
-      // Stale credits are void — discard everything that has ARRIVED by
-      // now. (recv, not clear(): a boundary credit channel's staged sends
-      // belong to the sending domain's worker during the parallel phase,
-      // and draining only arrivals <= now is schedule-independent.)
-      if (credit_in_[p]) {
-        while (credit_in_[p]->recv(now)) {
-        }
-      }
-    }
-    return;
-  }
-
-  accept_credits(now);
-
-  if ((*mode_) == RouterMode::kBypass) {
-    forward_latches(now);
-    accept_flits_bypass(now);
-    return;
-  }
+  accept_credits<false>(now);
 
   // Replay the VA round-robin ticks of pipeline cycles skipped by the
   // active-set scheduler, so allocation priority is bit-identical to the
   // always-stepped schedule (skipped cycles had nothing in kWaitVc, so the
-  // tick was their only observable effect).
-  if (now > va_tick_from_) {
-    const int total = kNumPorts * params_.total_vcs();
-    va_rotate_ = static_cast<int>(
-        (va_rotate_ + (now - va_tick_from_)) % static_cast<Cycle>(total));
+  // tick was their only observable effect). This cycle's tick follows.
+  if (now > va_tick_from_) [[unlikely]] {
+    va_rotate_ = static_cast<int>((va_rotate_ + (now - va_tick_from_)) %
+                                  static_cast<Cycle>(kNumPorts * nvc_));
   }
   va_tick_from_ = now + 1;
+  if (++va_rotate_ == kNumPorts * nvc_) va_rotate_ = 0;
 
   // Credit-only step: with no flit buffered, granted or on an incoming
   // wire, no stage below can act (every non-idle VC state but a mid-worm
   // kActive holds a buffered head, and switch allocation needs a buffered
-  // flit), so this cycle's VA tick is its only effect. A dying router
-  // takes the full path: it may die below.
+  // flit), so the VA tick is its only effect. A dying router takes the
+  // full path: it may die below.
   if (*resident_ == 0 && num_grants_ == 0 &&
       (in_pending_ & kFlitInBits) == 0 && !dying_) {
-    if (++va_rotate_ == kNumPorts * nvc_) va_rotate_ = 0;
     return;
   }
 
   {
     FLOV_PROFILE(kLink);
-    accept_flits(now);
-    do_switch_traversal(now);
+    if (in_pending_ & kFlitInBits) accept_flits(now);
+    if (num_grants_ != 0) do_switch_traversal(now);
   }
-  do_timeout_checks(now);
-  {
+  if (now >= timeout_deadline_) [[unlikely]] do_timeout_checks(now);
+  // Each stage below runs only when its plane names a VC it can act on.
+  if (plane_ports_[plane_of(VcState::kWaitVc)] != 0) {
     FLOV_PROFILE(kVcAlloc);
     do_vc_allocation(now);
   }
-  {
+  if (plane_ports_[kReady] != 0) {
     FLOV_PROFILE(kSwitchAlloc);
     do_switch_allocation(now);
   }
-  {
+  if (plane_ports_[plane_of(VcState::kRouting)] != 0) {
     FLOV_PROFILE(kRoute);
     do_route_computation(now);
   }
@@ -189,10 +157,45 @@ void Router::step(Cycle now) {
   // an allocated output means a worm still has flits upstream), the
   // pipeline goes dark for good.
   if (dying_ && (*resident_) == 0 && num_grants_ == 0 &&
-      all_outputs_idle()) {
+      all_outputs_idle()) [[unlikely]] {
     dying_ = false;
     dying_eat_.fill(0);
     set_mode(RouterMode::kDead, now);
+  }
+}
+
+void Router::step_gated(Cycle now) {
+  if ((*mode_) == RouterMode::kBypass) {
+    accept_credits<true>(now);
+    forward_latches(now);
+    accept_flits_bypass(now);
+    return;
+  }
+  const bool dead = (*mode_) == RouterMode::kDead;
+  for (int p = 0; p < kNumPorts; ++p) {
+    if (in_flit_[p]) {
+      if (dead) {
+        // Black hole: destroy arriving flits but still return their
+        // credits, so upstream worms drain through the corpse instead of
+        // wedging.
+        while (auto f = in_flit_[p]->recv(now)) {
+          if (kill_cb_) kill_cb_(*f);
+          if (credit_out_[p]) credit_out_[p]->send(now, Credit{f->vc});
+        }
+      } else {
+        // The fabric manager guarantees no traffic reaches a parked router.
+        FLOV_CHECK(!in_flit_[p]->recv(now).has_value(),
+                   "flit arrived at a parked router " + std::to_string(id_));
+      }
+    }
+    // Stale credits are void — discard everything that has ARRIVED by now.
+    // (recv, not clear(): a boundary credit channel's staged sends belong
+    // to the sending domain's worker during the parallel phase, and
+    // draining only arrivals <= now is schedule-independent.)
+    if (credit_in_[p]) {
+      while (credit_in_[p]->recv(now)) {
+      }
+    }
   }
 }
 
@@ -208,17 +211,15 @@ void Router::begin_death(Cycle now) {
   set_mode(RouterMode::kDead, now);
 }
 
+template <bool kGated>
 void Router::accept_credits(Cycle now) {
   // Ports in ascending order, visiting only those with something queued;
   // the mask is re-read after each port, as a full port walk would see it.
   for (std::uint32_t m = in_pending_ >> kCreditInShift; m != 0;) {
     const int p = std::countr_zero(m);
     while (const auto c = credit_in_[p]->recv(now)) {
-      if ((*mode_) == RouterMode::kPipeline) {
-        CreditCount& credits = credit(p, c->vc);
-        credits++;
-        FLOV_DCHECK(credits <= params_.buffer_depth,
-                    "credit overflow at router " + std::to_string(id_));
+      if constexpr (!kGated) {
+        add_credit(p, c->vc);
       } else if (p == dir_index(Direction::Local)) {
         // Gated router: NI ejection credits are meaningless (the output
         // unit is off and reset to full on wakeup).
@@ -243,10 +244,7 @@ void Router::accept_credits(Cycle now) {
 void Router::refund_output_credit(Direction out_port, VcId vc, Cycle now) {
   const int p = dir_index(out_port);
   if ((*mode_) == RouterMode::kPipeline) {
-    CreditCount& credits = credit(p, vc);
-    credits++;
-    FLOV_DCHECK(credits <= params_.buffer_depth,
-                "credit refund overflow at router " + std::to_string(id_));
+    add_credit(p, vc);
   } else if ((*mode_) == RouterMode::kBypass) {
     // The credit belongs to the active router upstream of the bypass
     // chain; relay it there exactly like a received credit (a bypassed
@@ -283,7 +281,7 @@ void Router::accept_flits(Cycle now) {
           continue;
         }
       }
-      FLOV_CHECK(in_len_[p * nvc_ + f->vc] < params_.buffer_depth,
+      FLOV_CHECK(in_len_[p * nvc_ + f->vc] < buffer_depth_,
                  "input buffer overflow at router " + std::to_string(id_));
       if (f->head && vc.state == VcState::kIdle) {
         FLOV_CHECK(vc.buffer.empty(),
@@ -304,6 +302,7 @@ void Router::accept_flits(Cycle now) {
         vc.wait_since = now;
       }
       vc.buffer.push_back(*f);
+      if (vc.state == VcState::kActive) refresh_ready(p, f->vc);
       (*resident_)++;
       count(EnergyEvent::kBufferWrite);
       if (p == dir_index(Direction::Local)) last_local_activity_ = now;
@@ -313,9 +312,9 @@ void Router::accept_flits(Cycle now) {
 }
 
 void Router::forward_latches(Cycle now) {
-  for (int d = 0; d < kNumMeshDirs; ++d) {
+  for_each_bit(*latch_full_, [&](int d) {
     const FlovLatch& l = latch_[d];
-    if ((*latch_full_ & latch_bit(d)) == 0 || l.write_cycle >= now) continue;
+    if (l.write_cycle >= now) return;
     Flit f = l.flit;
     *latch_full_ &= static_cast<std::uint8_t>(~latch_bit(d));
     (*resident_)--;
@@ -336,14 +335,15 @@ void Router::forward_latches(Cycle now) {
       FLOV_TRACE(telemetry::kTraceFlit, telemetry::TraceEventType::kFlovLatch,
                  now, id_, packet_id, d);
     }
-  }
+  });
 }
 
 void Router::accept_flits_bypass(Cycle now) {
-  for (Direction p : kMeshDirections) {
-    auto* ch = in_flit_[dir_index(p)];
-    if (!ch) continue;
-    while (auto f = ch->recv(now)) {
+  // Same ascending, re-read port walk as accept_flits, mesh ports first.
+  constexpr std::uint32_t kMeshIn = (1u << kNumMeshDirs) - 1;
+  for (std::uint32_t m = in_pending_ & kMeshIn; m != 0;) {
+    const Direction p = dir_from_index(std::countr_zero(m));
+    while (auto f = in_flit_[dir_index(p)]->recv(now)) {
       if (f->head && !f->tail) ++bypass_worms_open_;
       if (f->tail && !f->head && bypass_worms_open_ > 0) --bypass_worms_open_;
       if (f->dest == id_) {
@@ -379,10 +379,10 @@ void Router::accept_flits_bypass(Cycle now) {
       *latch_full_ |= latch_bit(od);
       (*resident_)++;
     }
+    m = in_pending_ & kMeshIn & (~std::uint32_t{0} << (dir_index(p) + 1));
   }
-  auto* local = in_flit_[dir_index(Direction::Local)];
-  if (local) {
-    FLOV_CHECK(!local->recv(now).has_value(),
+  if (in_pending_ & (1u << dir_index(Direction::Local))) {
+    FLOV_CHECK(!in_flit_[dir_index(Direction::Local)]->recv(now).has_value(),
                "local injection into a sleeping router");
   }
 }
@@ -456,25 +456,29 @@ void Router::do_switch_traversal(Cycle now) {
       } else {
         set_vc_state(g.in_port, g.in_vc, VcState::kIdle);
       }
+    } else {
+      set_plane_bit(kReady, g.in_port, g.in_vc,
+                    !vc.buffer.empty() && credits > 0);
     }
   }
   num_grants_ = 0;
 }
 
 void Router::do_timeout_checks(Cycle now) {
-  if (params_.escape_vc < 0 || !params_.enable_escape_diversion) return;
+  // Sets the next deadline from the eligible VCs left waiting; one already
+  // due (held for a wakeup) keeps the checks running every cycle.
+  timeout_deadline_ = ~Cycle{0};
   for (int p = 0; p < kNumPorts; ++p) {
-    const std::uint64_t waiting =
-        plane(VcState::kWaitVc, p) | plane(VcState::kActive, p);
+    const std::uint64_t waiting = planes_[plane_of(VcState::kWaitVc)][p] |
+                                  planes_[plane_of(VcState::kActive)][p];
     for_each_bit(waiting, [&](VcId v) {
       auto& vc = in_vc(p, v);
-      const bool eligible =
-          (vc.state == VcState::kWaitVc || !vc.sent_any) && !vc.escape_route;
-      if (!eligible) return;
-      if (now - vc.wait_since <= params_.deadlock_timeout) return;
+      if (!timeout_eligible(vc)) return;
+      if (now < vc.wait_since + wait_limit_) return note_wait(vc.wait_since);
       Flit& head = vc.buffer.front();
       FLOV_CHECK(head.head, "timeout on non-head");
-      if (must_hold_for_wakeup(vc, head)) return;  // waiting on a wakeup
+      // Waiting on a wakeup.
+      if (must_hold_for_wakeup(vc, head)) return note_wait(vc.wait_since);
       // Divert to the escape sub-network: release any held output VC and
       // re-route with the escape algorithm (costs one RC cycle).
       if (vc.state == VcState::kActive) {
@@ -540,8 +544,7 @@ bool Router::must_hold_for_wakeup(const InputVc& vc, const Flit& head) {
 }
 
 void Router::do_vc_allocation(Cycle now) {
-  const int nvc = params_.total_vcs();
-  if (++va_rotate_ == kNumPorts * nvc) va_rotate_ = 0;
+  const int nvc = nvc_;
   auto try_allocate = [&](int p, VcId v) {
     auto& vc = in_vc(p, v);
     if (vc.stage_ready > now) return;
@@ -567,13 +570,12 @@ void Router::do_vc_allocation(Cycle now) {
       if (must_hold_for_wakeup(vc, head)) return;
     }
     // Pick a free output VC of the right class within the packet's vnet.
-    FLOV_DCHECK(params_.vnet_of_vc(head.vc) == (*packets_)[head.packet].vnet,
+    FLOV_DCHECK(head.vc / vcs_per_vnet_ == (*packets_)[head.packet].vnet,
                 "flit VC outside its packet's vnet");
-    const int base = params_.vnet_of_vc(head.vc) * params_.vcs_per_vnet;
+    const int base = head.vc / vcs_per_vnet_ * vcs_per_vnet_;
     VcId grant = -1;
-    for (int w = 0; w < params_.vcs_per_vnet; ++w) {
-      const bool is_escape =
-          params_.escape_vc >= 0 && w == params_.escape_vc;
+    for (int w = 0; w < vcs_per_vnet_; ++w) {
+      const bool is_escape = escape_vc_ >= 0 && w == escape_vc_;
       if (vc.escape_route != is_escape) continue;
       const VcId abs = base + w;
       if (!out_vc(outp, abs).allocated) {
@@ -588,7 +590,7 @@ void Router::do_vc_allocation(Cycle now) {
     ovc.owner_vc = v;
     vc.out_vc = grant;
     set_vc_state(p, v, VcState::kActive);
-    vc.wait_since = now;
+    vc.wait_since = now;  // RC's deadline (an earlier wait) covers this one
     count(EnergyEvent::kVcArb);
     FLOV_TRACE(telemetry::kTraceFlit, telemetry::TraceEventType::kVcAlloc,
                now, id_, (*packets_)[head.packet].packet_id, grant);
@@ -599,7 +601,7 @@ void Router::do_vc_allocation(Cycle now) {
   const int p0 = va_rotate_ / nvc;
   const std::uint64_t from_v0 = ~std::uint64_t{0} << (va_rotate_ % nvc);
   auto visit = [&](int p, std::uint64_t keep) {
-    for_each_bit(plane(VcState::kWaitVc, p) & keep,
+    for_each_bit(planes_[plane_of(VcState::kWaitVc)][p] & keep,
                  [&](VcId v) { try_allocate(p, v); });
   };
   visit(p0, from_v0);
@@ -610,53 +612,38 @@ void Router::do_vc_allocation(Cycle now) {
 
 void Router::do_switch_allocation(Cycle now) {
   (void)now;
-  // Input stage: each input port nominates one ready VC. Request sets are
-  // uint64 masks (total_vcs <= 64, checked at construction) so this runs
-  // allocation-free — it used to build two std::vector<bool>s per port per
-  // cycle, the hot path's last remaining heap traffic.
+  // Input stage: each input port with a ready VC nominates one, and the
+  // per-output masks of input ports whose nominee wants that output are
+  // built alongside, so the output stage never re-reads VCs.
   std::array<VcId, kNumPorts> nominee;
-  nominee.fill(-1);
-  // Per-output-port masks of input ports whose nominee wants that output,
-  // built alongside the input stage so the output stage never re-reads VCs.
-  std::array<std::uint64_t, kNumPorts> out_req{};
-  for (int p = 0; p < kNumPorts; ++p) {
-    std::uint64_t req = 0;
-    for_each_bit(plane(VcState::kActive, p), [&](VcId v) {
-      const auto& vc = in_vc(p, v);
-      if (in_len_[p * nvc_ + v] != 0 &&
-          credit(dir_index(vc.out_dir), vc.out_vc) > 0) {
-        req |= vc_bit(v);
-      }
-    });
-    if (req != 0) {
-      nominee[p] = sa_input_arb_[p].arbitrate(req);
-      out_req[dir_index(in_vc(p, nominee[p]).out_dir)] |=
-          std::uint64_t{1} << p;
-    }
-  }
-  // Output stage: each output port grants one input port.
-  for (int outp = 0; outp < kNumPorts; ++outp) {
-    if (out_req[outp] == 0) continue;
+  std::array<std::uint32_t, kNumPorts> out_req{};
+  std::uint32_t wanted = 0;  // output ports some nominee wants
+  for_each_bit(plane_ports_[kReady], [&](int p) {
+    nominee[p] = sa_input_arb_[p].arbitrate(planes_[kReady][p]);
+    const int outp = dir_index(in_vc(p, nominee[p]).out_dir);
+    out_req[outp] |= 1u << p;
+    wanted |= 1u << outp;
+  });
+  // Output stage: each wanted output port grants one input port.
+  for_each_bit(wanted, [&](int outp) {
     const int winner = sa_output_arb_[outp].arbitrate(out_req[outp]);
     FLOV_CHECK(winner >= 0, "output arbiter returned no winner");
     grants_[num_grants_++] = SwitchGrant{winner, nominee[winner]};
     count(EnergyEvent::kSwArb);
 #if defined(FLYOVER_TRACING) && FLYOVER_TRACING
-    {
-      const auto& gvc = in_vc(winner, nominee[winner]);
-      if (!gvc.buffer.empty() && gvc.buffer.front().head) {
-        FLOV_TRACE(telemetry::kTraceFlit,
-                   telemetry::TraceEventType::kSwitchGrant, now, id_,
-                   (*packets_)[gvc.buffer.front().packet].packet_id, outp);
-      }
+    const auto& gvc = in_vc(winner, nominee[winner]);
+    if (!gvc.buffer.empty() && gvc.buffer.front().head) {
+      FLOV_TRACE(telemetry::kTraceFlit,
+                 telemetry::TraceEventType::kSwitchGrant, now, id_,
+                 (*packets_)[gvc.buffer.front().packet].packet_id, outp);
     }
 #endif
-  }
+  });
 }
 
 void Router::do_route_computation(Cycle now) {
-  for (int p = 0; p < kNumPorts; ++p) {
-    for_each_bit(plane(VcState::kRouting, p), [&](VcId v) {
+  for_each_bit(plane_ports_[plane_of(VcState::kRouting)], [&](int p) {
+    for_each_bit(planes_[plane_of(VcState::kRouting)][p], [&](VcId v) {
       auto& vc = in_vc(p, v);
       if (vc.stage_ready > now) return;
       FLOV_CHECK(!vc.buffer.empty() && vc.buffer.front().head,
@@ -670,8 +657,9 @@ void Router::do_route_computation(Cycle now) {
       set_vc_state(p, v, VcState::kWaitVc);
       vc.stage_ready = now + 1;  // VA may run no earlier than next cycle
       vc.wait_since = now;
+      note_wait(now);  // every eligible wait starts here or later
     });
-  }
+  });
 }
 
 void Router::dump_occupancy(Cycle now) const {
@@ -711,30 +699,12 @@ void Router::set_mode(RouterMode m, Cycle now) {
   if (m == (*mode_)) return;
   FLOV_CHECK((*mode_) != RouterMode::kDead, "a dead router cannot change mode");
   if (m == RouterMode::kDead) {
-    // Death is instantaneous: resident flits die with the tile. Their
-    // buffer slots are surrendered back upstream so senders mid-worm can
-    // keep streaming (into the black hole) and free their own VC state.
-    for (int p = 0; p < kNumPorts; ++p) {
-      for (VcId v = 0; v < nvc_; ++v) {
-        auto& vc = in_vc(p, v);
-        while (!vc.buffer.empty()) {
-          const Flit f = vc.buffer.front();
-          vc.buffer.pop_front();
-          (*resident_)--;
-          if (kill_cb_) kill_cb_(f);
-          if (credit_out_[p]) credit_out_[p]->send(now, Credit{v});
-        }
-        set_vc_state(p, v, VcState::kIdle);
-        vc.clear_route();
-      }
-    }
-    for (int d = 0; d < kNumMeshDirs; ++d) {
-      if ((*latch_full_ & latch_bit(d)) == 0) continue;
-      if (kill_cb_) kill_cb_(latch_[d].flit);
-      *latch_full_ &= static_cast<std::uint8_t>(~latch_bit(d));
-      (*resident_)--;
-    }
-    num_grants_ = 0;
+    // begin_death kills only a router with nothing mid-flight (empty, a
+    // drained dying one, or parked): no flit, no grant, no busy VC.
+    FLOV_CHECK(completely_empty() && (plane_ports_[0] | plane_ports_[1] |
+                                      plane_ports_[2]) == 0,
+               "killing router " + std::to_string(id_) +
+                   " with flits, VCs or grants in flight");
     (*mode_) = m;
     if (wake_) wake_->mark(wake_index_);
     if (power_) power_->set_mode(id_, RouterPowerMode::kRpParked, now);
@@ -756,7 +726,7 @@ void Router::set_mode(RouterMode m, Cycle now) {
     // Fresh allocation state; real credit values are installed by the
     // credit-handover transaction right after this call.
     for (int p = 0; p < kNumPorts; ++p) {
-      output(p).init(params_.total_vcs(), params_.buffer_depth);
+      output(p).init(nvc_, buffer_depth_);
     }
     // The NI side has no handover: a gated router drops its ejection
     // credits, but flits it self-captured may still be on the wire to the
@@ -819,6 +789,8 @@ bool Router::completely_empty() const {
               "resident flit counter drifted at router " + std::to_string(id_));
   FLOV_DCHECK(vc_planes_match_vc_states(),
               "VC-state plane drifted at router " + std::to_string(id_));
+  FLOV_DCHECK(timeout_deadline_holds(),
+              "timeout deadline drifted at router " + std::to_string(id_));
   FLOV_DCHECK(pending_mask_matches_inputs(),
               "input pending mask drifted at router " + std::to_string(id_));
   return (*resident_) == 0 && num_grants_ == 0;
@@ -833,20 +805,46 @@ int Router::buffered_flits() const {
 
 void Router::set_vc_state(int p, VcId v, VcState s) {
   InputVc& vc = in_vc(p, v);
-  if (vc.state != VcState::kIdle) plane(vc.state, p) &= ~vc_bit(v);
-  if (s != VcState::kIdle) plane(s, p) |= vc_bit(v);
+  const VcState from = vc.state;
+  if (from != VcState::kIdle) set_plane_bit(plane_of(from), p, v, false);
+  if (s != VcState::kIdle) set_plane_bit(plane_of(s), p, v, true);
   vc.state = s;
+  if (s == VcState::kActive || from == VcState::kActive) refresh_ready(p, v);
+}
+
+void Router::add_credit(int p, VcId v) {
+  CreditCount& credits = credit(p, v);
+  FLOV_DCHECK(credits < buffer_depth_,
+              "credit overflow at router " + std::to_string(id_));
+  if (credits++ == 0 && out_vc(p, v).allocated) {
+    refresh_ready(out_vc(p, v).owner_port, out_vc(p, v).owner_vc);
+  }
 }
 
 bool Router::vc_planes_match_vc_states() const {
   for (int p = 0; p < kNumPorts; ++p) {
-    std::array<std::uint64_t, 3> walked{};
+    std::array<std::uint64_t, 4> walked{};
     for (VcId v = 0; v < nvc_; ++v) {
       const VcState s = in_vc(p, v).state;
-      if (s != VcState::kIdle) walked[static_cast<int>(s) - 1] |= vc_bit(v);
+      if (s != VcState::kIdle) walked[plane_of(s)] |= vc_bit(v);
+      if (vc_ready(p, v)) walked[kReady] |= vc_bit(v);
     }
-    for (int s = 0; s < 3; ++s) {
-      if (walked[s] != planes_[s][p]) return false;
+    for (int k = 0; k < 4; ++k) {
+      if (walked[k] != planes_[k][p] ||
+          (walked[k] != 0) != ((plane_ports_[k] >> p) & 1)) {
+        return false;
+      }
+    }
+  }
+  return true;
+}
+
+bool Router::timeout_deadline_holds() const {
+  for (int i = 0; i < kNumPorts * nvc_; ++i) {
+    const InputVc& vc = in_vc_[i];
+    if (timeout_eligible(vc) && wait_limit_ != kNoTimeout &&
+        timeout_deadline_ > vc.wait_since + wait_limit_) {
+      return false;
     }
   }
   return true;
@@ -865,17 +863,20 @@ bool Router::pending_mask_matches_inputs() const {
 
 void Router::input_free_slots(Direction in_port,
                               std::vector<int>& out) const {
-  input(dir_index(in_port)).free_slots(params_.buffer_depth, out);
+  input(dir_index(in_port)).free_slots(buffer_depth_, out);
 }
 
 void Router::reload_output_credits(Direction out_port,
                                    const std::vector<int>& free_counts) {
-  output(dir_index(out_port)).reload_credits(free_counts);
+  OutputPort out = output(dir_index(out_port));
+  out.reload_credits(free_counts);
+  for (const OutputVcState& o : out.vcs) {
+    if (o.allocated) refresh_ready(o.owner_port, o.owner_vc);
+  }
 }
 
 void Router::reset_output_credits_full(Direction out_port) {
-  std::vector<int> full(params_.total_vcs(), params_.buffer_depth);
-  output(dir_index(out_port)).reload_credits(full);
+  reload_output_credits(out_port, std::vector<int>(nvc_, buffer_depth_));
 }
 
 }  // namespace flov

@@ -189,16 +189,19 @@ class alignas(64) Router {
   bool resident_matches_recount() const {
     return *resident_ == buffered_flits();
   }
-  /// True when each VC-state plane equals a walk over the input VC states
-  /// (the oracle behind the Debug checks; tests assert it every cycle).
+  /// True when each VC plane (the three VC-state planes and the ready
+  /// plane) equals a walk over the input VCs (the oracle behind the Debug
+  /// checks; tests assert it every cycle).
   bool vc_planes_match_vc_states() const;
+  /// True when no eligible VC times out before the timeout deadline, so
+  /// the checks may wait for it (Debug oracle; tests assert it per cycle).
+  bool timeout_deadline_holds() const;
   /// Self-destined flits captured to the NI while gated (faults only).
   std::uint64_t self_captures() const { return self_captures_; }
   /// Writes a human-readable description of every non-empty input VC and
   /// occupied latch to stderr (deadlock diagnostics).
   void dump_occupancy(Cycle now) const;
   std::uint64_t flits_flown_over() const { return flits_flown_over_; }
-  const NocParams& params() const { return params_; }
 
  private:
   struct SwitchGrant {
@@ -206,6 +209,9 @@ class alignas(64) Router {
     VcId in_vc;
   };
 
+  void step_gated(Cycle now);  // kDead, kParked and kBypass
+  /// A gated (kBypass) router relays credits instead of counting them.
+  template <bool kGated>
   void accept_credits(Cycle now);
   void accept_flits(Cycle now);
   void accept_flits_bypass(Cycle now);
@@ -235,13 +241,41 @@ class alignas(64) Router {
   /// a sleeping run along the chosen direction, so it must be woken first.
   bool must_hold_for_wakeup(const InputVc& vc, const Flit& head);
 
-  /// The plane of VC state `s` (not kIdle) at input port `p`.
-  std::uint64_t& plane(VcState s, int p) {
-    return planes_[static_cast<int>(s) - 1][p];
+  /// planes_ index of VC state `s` (not kIdle); kReady is the ready plane.
+  static int plane_of(VcState s) { return static_cast<int>(s) - 1; }
+  static constexpr int kReady = 3;
+  /// Sets or clears bit v of plane k at port p (and p's port bit).
+  void set_plane_bit(int k, int p, VcId v, bool on) {
+    std::uint64_t& w = planes_[k][p];
+    w = on ? w | std::uint64_t{1} << v : w & ~(std::uint64_t{1} << v);
+    const unsigned port = 1u << p;
+    plane_ports_[k] = static_cast<std::uint8_t>(
+        w != 0 ? plane_ports_[k] | port : plane_ports_[k] & ~port);
   }
   /// Moves input VC (p, v) to state `s`, keeping the planes exact: the
   /// only write of a VC state.
   void set_vc_state(int p, VcId v, VcState s);
+  /// Recomputes VC (p, v)'s ready bit (its state, length or credit moved).
+  void refresh_ready(int p, VcId v) {
+    set_plane_bit(kReady, p, v, vc_ready(p, v));
+  }
+  bool vc_ready(int p, VcId v) const {
+    const InputVc& vc = in_vc(p, v);
+    return vc.state == VcState::kActive && in_len_[p * nvc_ + v] != 0 &&
+           credit(dir_index(vc.out_dir), vc.out_vc) > 0;
+  }
+  /// A VC whose head the escape timeout may divert (not yet sent on).
+  static bool timeout_eligible(const InputVc& vc) {
+    return (vc.state == VcState::kWaitVc ||
+            (vc.state == VcState::kActive && !vc.sent_any)) &&
+           !vc.escape_route;
+  }
+  /// Returns one credit to output VC (p, v), readying its owner.
+  void add_credit(int p, VcId v);
+  /// Keeps the timeout deadline at or below the one of a wait from `t`.
+  void note_wait(Cycle t) {
+    if (t + wait_limit_ < timeout_deadline_) timeout_deadline_ = t + wait_limit_;
+  }
 
   // Views of port p's stripes in the slab ([port][vc] from the bases).
   InputVc& in_vc(int p, VcId v) const { return in_vc_[p * nvc_ + v]; }
@@ -259,7 +293,7 @@ class alignas(64) Router {
   void count(EnergyEvent e, std::uint64_t n = 1) {
     // Per-node counting: domain workers may count concurrently, and the
     // per-node cells fold back deterministically (PowerTracker).
-    if (power_) power_->count_node(id_, e, n);
+    if (energy_) energy_[static_cast<int>(e)] += n;
   }
 
   // Members in access order: what a credit-only step reads, then what the
@@ -278,7 +312,7 @@ class alignas(64) Router {
   std::uint32_t in_pending_ = 0;
   int num_grants_ = 0;  ///< live entries of grants_
   int va_rotate_ = 0;
-  int nvc_ = 0;  ///< VCs per port (params_.total_vcs())
+  int nvc_ = 0;  ///< VCs per port (NocParams::total_vcs())
   /// First cycle whose VA round-robin tick has not been applied yet; lets
   /// step() replay the ticks of skipped idle cycles so allocation order is
   /// identical to stepping every cycle. Only pipeline-mode cycles tick.
@@ -290,13 +324,20 @@ class alignas(64) Router {
   std::array<Channel<Credit>*, kNumPorts> credit_in_{};
   std::array<Channel<Flit>*, kNumPorts> in_flit_{};
 
-  /// VC-state planes: bit v of planes_[s - 1][p] is set exactly when
+  /// VC planes: bit v of planes_[plane_of(s)][p] is set exactly when
   /// in_vc(p, v).state == s, for s = kRouting, kWaitVc, kActive (an idle
-  /// VC is in none). Each stage walks only the plane it can act on: route
-  /// computation kRouting, VC allocation kWaitVc, switch allocation
-  /// kActive, the timeout checks kWaitVc | kActive. Written only by
-  /// set_vc_state.
-  std::array<std::array<std::uint64_t, kNumPorts>, 3> planes_{};
+  /// VC is in none), and of planes_[kReady][p] exactly when vc_ready(p, v).
+  /// Bit p of plane_ports_[k] is set exactly when planes_[k][p] != 0. A
+  /// stage runs only when its plane is non-empty: route computation
+  /// kRouting, VC allocation kWaitVc, switch allocation kReady.
+  std::array<std::array<std::uint64_t, kNumPorts>, 4> planes_{};
+  std::array<std::uint8_t, 4> plane_ports_{};
+  /// The timeout checks run from this cycle on, and set the next one.
+  Cycle timeout_deadline_ = ~Cycle{0};
+  /// A wait from t times out at t + wait_limit_ (deadlock_timeout + 1), or
+  /// never (kNoTimeout: no diversion, or a timeout no run outlasts).
+  Cycle wait_limit_;
+  static constexpr Cycle kNoTimeout = Cycle{1} << 62;
   /// This cycle's switch grants (at most one per output port), consumed by
   /// the next cycle's switch traversal.
   std::array<SwitchGrant, kNumPorts> grants_{};
@@ -310,9 +351,12 @@ class alignas(64) Router {
 
   NodeId id_;
   const MeshGeometry& geom_;
-  NocParams params_;
+  int buffer_depth_;  // the NocParams fields a step reads
+  int vcs_per_vnet_;
+  int escape_vc_;
   RoutingFunction* routing_;
   PowerTracker* power_;
+  std::uint64_t* energy_ = nullptr;  ///< power_'s event cell for this router
   NeighborhoodView view_;
   Cycle last_local_activity_ = 0;
   std::uint64_t flits_traversed_ = 0;

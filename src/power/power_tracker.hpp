@@ -44,6 +44,11 @@ class PowerTracker {
   void count_node(NodeId router, EnergyEvent e, std::uint64_t n = 1) {
     node_event_counts_[router].v[static_cast<int>(e)] += n;
   }
+  /// `router`'s cell of count_node counters, indexed by EnergyEvent (for
+  /// a caller that counts every cycle); valid as long as the tracker.
+  std::uint64_t* node_events(NodeId router) {
+    return node_event_counts_[router].v.data();
+  }
   std::uint64_t event_count(EnergyEvent e) const {
     std::uint64_t n = event_counts_[static_cast<int>(e)];
     for (const auto& cell : node_event_counts_) {

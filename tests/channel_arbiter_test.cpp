@@ -359,6 +359,58 @@ TEST(Channel, FaultDelayedFlitsSpillWhileTheInlineRingIsWrapped) {
   EXPECT_EQ(received, sent);
 }
 
+// send() has an inline path for a plain wire and an out-of-line one for
+// staging and fault hooks. Neither may change what the receiver sees: one
+// random send/recv script runs on a plain channel, one with a fault hook
+// that delays nothing, and one in staging mode merged at the end of every
+// cycle (as the step barrier does). At the end of each cycle all three
+// must have delivered the same items on the same cycles, and hold the same
+// length cell, pending bit and activity flag.
+TEST(Channel, HookAndStagingPathsDeliverLikeThePlainWire) {
+  for (const Cycle latency : {Cycle{1}, Cycle{2}}) {
+    struct End {
+      Channel<int> ch;
+      ChannelLength len = 0;
+      std::uint32_t pending = 0;
+      std::uint8_t activity = 0;
+      std::vector<std::pair<Cycle, int>> got;
+      explicit End(Cycle latency) : ch(latency, &len) {
+        ch.set_pending_bit(&pending, 2);
+        ch.set_activity_flag(&activity);
+      }
+    };
+    End plain(latency), hooked(latency), staged(latency);
+    hooked.ch.set_fault_hook(
+        [](Cycle, int&) { return std::optional<Cycle>(0); });
+    staged.ch.set_staging();
+    Rng rng(31 + latency);
+    int next = 0;
+    for (Cycle t = 0; t < 400; ++t) {
+      // One send per cycle at most: the fault path spaces same-cycle sends
+      // a cycle apart on purpose (single-recv consumers need it).
+      const bool send = rng.next_bool(0.6);
+      const int recvs = static_cast<int>(rng.next_below(3));
+      for (End* e : {&plain, &hooked, &staged}) {
+        for (int k = 0; k < recvs; ++k) {
+          if (const auto v = e->ch.recv(t)) e->got.emplace_back(t, *v);
+        }
+        if (send) e->ch.send(t, next);
+      }
+      next += send;
+      staged.ch.merge_staged();
+      for (const End* e : {&hooked, &staged}) {
+        EXPECT_EQ(e->got, plain.got) << "cycle " << t;
+        EXPECT_EQ(e->len, plain.len) << "cycle " << t;
+        EXPECT_EQ(e->pending, plain.pending) << "cycle " << t;
+        EXPECT_EQ(e->activity, plain.activity) << "cycle " << t;
+      }
+      for (End* e : {&plain, &hooked, &staged}) e->activity = 0;
+    }
+    EXPECT_GT(plain.got.size(), 100u);
+    EXPECT_GT(plain.len, 0u);  // the script also leaves items queued
+  }
+}
+
 // Reference: a byte-by-byte scan testing each flag on arrival.
 template <typename F>
 void byte_scan(WakeList& w, int begin, int end, F&& f) {

@@ -4,6 +4,7 @@
 // the global invariants: no deadlock, no flit loss, eventual delivery.
 #include <gtest/gtest.h>
 
+#include <string>
 #include <tuple>
 
 #include "common/rng.hpp"
@@ -107,18 +108,28 @@ INSTANTIATE_TEST_SUITE_P(
              "_s" + std::to_string(std::get<1>(info.param));
     });
 
-// Each router keeps one bitmask plane per non-idle VC state, and every
-// pipeline stage walks only its plane: a plane that misses a state change
-// silently starves or double-serves a VC. This runs RP (reconfigurations)
-// and gFLOV (sleeps, wakeups, credit handovers) under gating churn with a
-// short deadlock timeout, so escape diversions move kActive VCs back to
-// kWaitVc too, and hard router deaths take RP routers through the dying and
-// kDead paths (and delayed flits spill channel queues to the heap). It compares every plane
-// with a walk of the VC states after every cycle. It runs in every build type, unlike the Debug-only check.
-// (RP routes up*/down*, which is deadlock-free, so it never diverts.)
-class VcPlanes : public ::testing::TestWithParam<Scheme> {};
+// Each router keeps one bitmask plane per non-idle VC state and a ready
+// plane (kActive, a flit buffered, a credit left), and every pipeline
+// stage walks only its plane: a plane that misses a change silently
+// starves or double-serves a VC. Escape timeouts run from a per-router
+// deadline instead of every cycle: a deadline past an eligible VC's
+// timeout silently delays a diversion. These tests run RP
+// (reconfigurations) and FLOV (sleeps, wakeups, credit handovers) under
+// gating churn with a short deadlock timeout, so escape diversions move
+// kActive VCs back to kWaitVc too, and hard router deaths take RP routers
+// through the dying and kDead paths (and delayed flits spill channel
+// queues to the heap). They check each router after every cycle, in every
+// build type, unlike the Debug-only checks. (RP routes up*/down*, which is
+// deadlock-free, so it never diverts.)
+struct ChurnSeen {
+  bool gated = false;
+  bool dead = false;
+  std::uint64_t ejected = 0;
+  std::uint64_t diversions = 0;
+};
 
-TEST_P(VcPlanes, MatchTheVcStatesEveryCycleUnderChurn) {
+template <typename Check>
+ChurnSeen run_churn(Scheme scheme, Check&& check) {
   NocParams p;
   p.width = 8;
   p.height = 8;
@@ -129,7 +140,7 @@ TEST_P(VcPlanes, MatchTheVcStatesEveryCycleUnderChurn) {
   faults.hard_router_pct = 0.05;
   faults.hard_at_cycle = 2200;
   faults.flit_delay_rate = 0.01;
-  BuiltSystem built = build_system(GetParam(), p, EnergyParams{}, {}, faults,
+  BuiltSystem built = build_system(scheme, p, EnergyParams{}, {}, faults,
                                    FabricManagerConfig{.phase1_latency = 50});
   NocSystem& sys = *built.system;
   Network& net = sys.network();
@@ -138,30 +149,40 @@ TEST_P(VcPlanes, MatchTheVcStatesEveryCycleUnderChurn) {
   SyntheticTraffic traffic(&sys, &pattern, 0.25, 4, 77);
   const std::vector<Cycle> changes = {500, 1200, 1900, 2600, 3300};
   GatingScenario scenario = GatingScenario::epochs(g, 0.5, changes, 3);
-  bool saw_gated = false;
-  bool saw_dead = false;
+  ChurnSeen seen;
   for (Cycle now = 0; now < 4000; ++now) {
     scenario.apply(sys, now);
     traffic.step(now);
     sys.step(now);
     for (NodeId n = 0; n < g.num_nodes(); ++n) {
       const Router& r = net.router(n);
-      ASSERT_TRUE(r.vc_planes_match_vc_states())
-          << "router " << n << " cycle " << now;
-      saw_gated = saw_gated || r.mode() != RouterMode::kPipeline;
-      saw_dead = saw_dead || r.mode() == RouterMode::kDead;
+      check(r, n, now);
+      if (::testing::Test::HasFatalFailure()) return seen;
+      seen.gated = seen.gated || r.mode() != RouterMode::kPipeline;
+      seen.dead = seen.dead || r.mode() == RouterMode::kDead;
     }
   }
-  EXPECT_TRUE(saw_gated) << "no router was ever gated";
-  EXPECT_GT(net.total_ejected_flits(), 0u);
+  seen.ejected = net.total_ejected_flits();
+  for (NodeId n = 0; n < g.num_nodes(); ++n) {
+    seen.diversions += net.router(n).escape_diversions();
+  }
+  return seen;
+}
+
+class VcPlanes : public ::testing::TestWithParam<Scheme> {};
+
+TEST_P(VcPlanes, MatchTheVcStatesEveryCycleUnderChurn) {
+  const ChurnSeen seen =
+      run_churn(GetParam(), [](const Router& r, NodeId n, Cycle now) {
+        ASSERT_TRUE(r.vc_planes_match_vc_states())
+            << "router " << n << " cycle " << now;
+      });
+  EXPECT_TRUE(seen.gated) << "no router was ever gated";
+  EXPECT_GT(seen.ejected, 0u);
   if (GetParam() == Scheme::kRp) {
-    EXPECT_TRUE(saw_dead) << "no router died";
+    EXPECT_TRUE(seen.dead) << "no router died";
   } else {
-    std::uint64_t diversions = 0;
-    for (NodeId n = 0; n < g.num_nodes(); ++n) {
-      diversions += net.router(n).escape_diversions();
-    }
-    EXPECT_GT(diversions, 0u) << "no escape diversion fired";
+    EXPECT_GT(seen.diversions, 0u) << "no escape diversion fired";
   }
 }
 
@@ -169,6 +190,25 @@ INSTANTIATE_TEST_SUITE_P(
     Schemes, VcPlanes, ::testing::Values(Scheme::kRp, Scheme::kGFlov),
     [](const ::testing::TestParamInfo<Scheme>& info) {
       return std::string(info.param == Scheme::kRp ? "RP" : "gFLOV");
+    });
+
+class TimeoutDeadline : public ::testing::TestWithParam<Scheme> {};
+
+TEST_P(TimeoutDeadline, NeverPassesAnEligibleVcUnderChurn) {
+  const ChurnSeen seen =
+      run_churn(GetParam(), [](const Router& r, NodeId n, Cycle now) {
+        ASSERT_TRUE(r.timeout_deadline_holds())
+            << "router " << n << " cycle " << now;
+      });
+  EXPECT_TRUE(seen.gated) << "no router was ever gated";
+  EXPECT_GT(seen.diversions, 0u) << "no escape diversion fired";
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Schemes, TimeoutDeadline,
+    ::testing::Values(Scheme::kRFlov, Scheme::kGFlov),
+    [](const ::testing::TestParamInfo<Scheme>& info) {
+      return std::string(info.param == Scheme::kRFlov ? "rFLOV" : "gFLOV");
     });
 
 }  // namespace

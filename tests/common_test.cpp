@@ -2,15 +2,52 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <stdexcept>
+#include <string>
 
 #include "common/config.hpp"
 #include "common/geometry.hpp"
+#include "common/log.hpp"
 #include "common/ring_buffer.hpp"
 #include "common/rng.hpp"
 #include "common/stats.hpp"
 
 namespace flov {
 namespace {
+
+// ------------------------------------------------------------------ checks
+
+/// The message of the logic_error a failing FLOV_CHECK throws, after its
+/// "file:line: " prefix.
+template <typename F>
+std::string check_message(F&& run) {
+  try {
+    run();
+  } catch (const std::logic_error& e) {
+    const std::string what = e.what();
+    return what.substr(what.find(": ") + 2);
+  }
+  return "(no throw)";
+}
+
+// FLOV_CHECK builds its message out of line, only on failure. The message
+// text is the condition and the message, for a std::string message and a
+// literal alike, and the message expression runs once on failure and never
+// on success.
+TEST(Check, MessageIsBuiltOnlyWhenTheCheckFails) {
+  int built = 0;
+  const auto message = [&](int router) {
+    ++built;
+    return "overflow at router " + std::to_string(router);
+  };
+  FLOV_CHECK(built == 0, message(1));
+  EXPECT_EQ(built, 0);
+  EXPECT_EQ(check_message([&] { FLOV_CHECK(1 + 1 == 3, message(7)); }),
+            "check failed: 1 + 1 == 3 — overflow at router 7");
+  EXPECT_EQ(built, 1);
+  EXPECT_EQ(check_message([] { FLOV_CHECK(false, "a literal message"); }),
+            "check failed: false — a literal message");
+}
 
 // ---------------------------------------------------------------- geometry
 

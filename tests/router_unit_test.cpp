@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <array>
 #include <map>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -221,6 +222,54 @@ TEST(RouterUnit, DyingRouterEatsAWormOnVc33WhileVc1Streams) {
   ASSERT_EQ(east_out.size(), 3u);
   for (const Flit& f : east_out) EXPECT_EQ(b.packet_id(f), 1u);
   EXPECT_TRUE(east_out.back().tail);
+  EXPECT_EQ(b.router.mode(), RouterMode::kDead);
+}
+
+// Switch allocation reads a ready plane (kActive, a flit buffered, a
+// credit left) kept wherever a length, credit or state changes. A credit
+// reload by the FLOV handover is one such change: a worm stalled on zero
+// credits must become ready when its output port is reloaded.
+TEST(RouterUnit, CreditReloadReadiesAStalledWorm) {
+  Bench b(three_by_three());
+  Channel<Flit>& east = b.flit_out[dir_index(Direction::East)];
+  int sent_east = 0;
+  const auto run = [&](int cycles) {
+    for (int i = 0; i < cycles; ++i) {
+      b.step();
+      while (east.recv(b.now)) ++sent_east;
+      ASSERT_TRUE(b.router.vc_planes_match_vc_states()) << "cycle " << b.now;
+    }
+  };
+  constexpr int kFlits = 8;  // two more than the downstream's six credits
+  for (int i = 0; i < kFlits; ++i) {
+    b.send(Direction::West, b.flit(0, i == 0, i == kFlits - 1, 1));
+    run(1);
+  }
+  run(6);
+  EXPECT_EQ(sent_east, b.params.buffer_depth);  // stalled: no credit back
+  b.router.reload_output_credits(
+      Direction::East,
+      std::vector<int>(b.params.total_vcs(), b.params.buffer_depth));
+  ASSERT_TRUE(b.router.vc_planes_match_vc_states());
+  run(4);
+  EXPECT_EQ(sent_east, kFlits);
+}
+
+// begin_death switches to kDead only a router with nothing in flight (an
+// empty one at once, a dying one once drained), so set_mode(kDead) checks
+// that instead of draining: a buffered head makes it throw, and after the
+// head has left (no VC busy, no grant) the same call kills the router.
+TEST(RouterUnit, KillingARouterWithAFlitInFlightFails) {
+  Bench b(three_by_three());
+  b.send(Direction::West, b.flit(1, true, true, 1));
+  b.step();
+  b.step();  // the head is buffered now, waiting for route computation
+  ASSERT_FALSE(b.router.completely_empty());
+  EXPECT_THROW(b.router.set_mode(RouterMode::kDead, b.now), std::logic_error);
+  EXPECT_EQ(b.router.mode(), RouterMode::kPipeline);
+  for (int i = 0; i < 8; ++i) b.step();
+  ASSERT_TRUE(b.router.completely_empty() && b.router.all_outputs_idle());
+  b.router.set_mode(RouterMode::kDead, b.now);
   EXPECT_EQ(b.router.mode(), RouterMode::kDead);
 }
 
